@@ -27,23 +27,28 @@ _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
 
 
-def face_velocities(grid, basis, v, u_b):
-    """Normal velocity at every face plane, per axis; walls carry u_B."""
-    out = []
-    for axis in range(3):
-        t1, t2 = [a for a in range(3) if a != axis]
-        planes = np.arange(grid.shape[axis] + 1) * grid.h[axis]
-        c1, c2 = grid.centers(t1), grid.centers(t2)
-        mesh = np.meshgrid(planes, c1, c2, indexing="ij")
-        xyz = [None, None, None]
-        xyz[axis], xyz[t1], xyz[t2] = mesh
-        total = gk.evaluate_at(basis, v, xyz[0], xyz[1], xyz[2]) \
-            + u_b(xyz[0], xyz[1], xyz[2])
-        # move the face-plane axis into position: result indexed like the grid
-        # with axis `axis` one longer
-        un = np.moveaxis(total[..., axis], 0, axis)
-        out.append(un)
-    return out
+def _face_mesh(grid, axis):
+    """Open mesh (np.ix_ layout) of the N+1 face planes normal to `axis`."""
+    coords = [grid.centers(a) for a in range(3)]
+    coords[axis] = np.arange(grid.shape[axis] + 1) * grid.h[axis]
+    return np.ix_(*coords)
+
+
+def face_lift(grid, u_b):
+    """u_B . e_axis at every face plane, per axis; fixed for a run."""
+    return [u_b(*_face_mesh(grid, axis))[..., axis] for axis in range(3)]
+
+
+def face_velocities(grid, basis, v, lift):
+    """Normal velocity at every face plane, per axis; walls carry u_B.
+
+    Entry `axis` is indexed like the grid with axis `axis` one longer: the
+    mode part of v, evaluated separably on the face planes' open mesh, plus
+    the fixed boundary lift from ``face_lift``.  The modes vanish on the
+    walls, so wall planes carry the lift alone.
+    """
+    return [gk.evaluate_at(basis, v, *_face_mesh(grid, axis))[..., axis] + lift[axis]
+            for axis in range(3)]
 
 
 def face_divergence(grid, fv):

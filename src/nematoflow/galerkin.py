@@ -59,13 +59,22 @@ def _coeff_grid(basis, v):
     return v.reshape(basis.m, basis.m, basis.m, 3)
 
 
+def _contract(basis, V, Fx, Fy, Fz):
+    """out[i,j,c,a] = norm * sum_klm V[k,l,m,a] Fx[k,i] Fy[l,j] Fz[m,c].
+
+    Sum factorisation: one axis at a time, each a (batched) matrix product,
+    so the cost is O(m N^3) rather than O(m^3 N^3).
+    """
+    m = basis.m
+    A = Fx.T @ (basis.norm * V).reshape(m, 3 * m * m)        # [i, (l, m, a)]
+    A = Fy.T @ A.reshape(-1, m, 3 * m)                        # [i, j, (m, a)]
+    return Fz.T @ A.reshape(A.shape[0], A.shape[1], m, 3)     # [i, j, c, a]
+
+
 def synthesize(basis, v, u_b=None):
     """Grid samples of sum_i v_i w_i (+ u_b evaluated at cell centers)."""
     V = _coeff_grid(basis, v)
-    Sx, Sy, Sz = (basis.factors(a) for a in range(3))
-    A = np.einsum("klma,ki->ilma", V, Sx)
-    A = np.einsum("ilma,lj->ijma", A, Sy)
-    u = basis.norm * np.einsum("ijma,mc->ijca", A, Sz)
+    u = _contract(basis, V, *(basis.factors(a) for a in range(3)))
     if u_b is not None:
         X, Y, Z = basis.grid.coords()
         u = u + u_b(X, Y, Z)
@@ -88,10 +97,8 @@ def synthesize_jacobian(basis, v):
     Sx, Sy, Sz = (basis.factors(a) for a in range(3))
     Cx, Cy, Cz = (basis.factors(a, "cos") for a in range(3))
     out = np.empty(basis.grid.shape + (3, 3), dtype=float)
-    for d, (Fx, Fy, Fz) in enumerate([(Cx, Sy, Sz), (Sx, Cy, Sz), (Sx, Sy, Cz)]):
-        A = np.einsum("klma,ki->ilma", V, Fx)
-        A = np.einsum("ilma,lj->ijma", A, Fy)
-        out[..., :, d] = basis.norm * np.einsum("ijma,mc->ijca", A, Fz)
+    for d, F in enumerate([(Cx, Sy, Sz), (Sx, Cy, Sz), (Sx, Sy, Cz)]):
+        out[..., :, d] = _contract(basis, V, *F)
     return out
 
 
@@ -128,18 +135,25 @@ def mass_matrix(basis, rho):
 
 
 def evaluate_at(basis, v, x, y, z):
-    """Mode-part velocity at arbitrary points; exactly zero on the walls."""
+    """Mode-part velocity on the tensor mesh x * y * z; exactly zero on the walls.
+
+    x, y, z form an open mesh in the ``np.ix_`` layout: shapes (nx,1,1),
+    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz, 3).  One m x n
+    sine table per axis is contracted one axis at a time (sum factorisation),
+    as in ``synthesize``; points at 0 or L along an axis get an exact zero.
+    Raises ConfigError for any other layout.
+    """
     V = _coeff_grid(basis, v)
-    pts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                              np.asarray(z, dtype=float))
-    shape = pts[0].shape
-    factors = []
+    pts = [np.asarray(c, dtype=float) for c in (x, y, z)]
+    for axis, c in enumerate(pts):
+        if c.ndim != 3 or any(c.shape[d] != 1 for d in range(3) if d != axis):
+            raise ConfigError("evaluate_at expects an open mesh np.ix_(x, y, z); "
+                              f"got shapes {[p.shape for p in pts]}")
     ks = np.arange(1, basis.m + 1)
+    factors = []
     for axis in range(3):
-        L = basis.grid.extents[axis]
-        t = pts[axis].reshape(-1) / L
+        t = pts[axis].reshape(-1) / basis.grid.extents[axis]
         s = np.sin(np.pi * np.outer(ks, t))
         s[:, (t == 0.0) | (t == 1.0)] = 0.0
         factors.append(s)
-    out = np.einsum("klma,kp,lp,mp->pa", V, *factors)
-    return basis.norm * out.reshape(shape + (3,))
+    return _contract(basis, V, *factors)

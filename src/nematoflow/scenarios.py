@@ -305,7 +305,10 @@ def build(sc):
         raise ConfigError("bc.rho must be positive")
     sc.n_steps()
     ext = (sc.grid_extent,) * 3
-    grid = dom.Grid(ext, (sc.grid_cells,) * 3)
+    try:
+        grid = dom.Grid(ext, (sc.grid_cells,) * 3)
+    except dom.DomainError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     basis = gk.build_basis(grid, sc.modes)
     rng = np.random.default_rng(sc.seed)
     u_b = _boundary_velocity(sc.bc_u, grid)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import galerkin as gk
 from . import momentum as mom
-from .continuity import ContinuitySolver, face_velocities
+from .continuity import ContinuitySolver, face_lift, face_velocities
 from .errors import FixedPointError
 from .nematic import q_boundary_faces, step_concentration, step_q
 
@@ -65,6 +65,7 @@ class CoupledStepper:
         X, Y, Z = grid.coords()
         self._ub_cc = bdata.u_b(X, Y, Z)
         self._ub_jac_cc = bdata.u_b.jacobian(X, Y, Z)
+        self._ub_faces = face_lift(grid, bdata.u_b)
 
     # ------------------------------------------------------- field helpers
 
@@ -78,11 +79,14 @@ class CoupledStepper:
         lam[..., 2] = 0.5 * (J[..., 1, 2] - J[..., 2, 1])
         return u, J, lam
 
-    def advance_fields(self, state, v):
-        """One step of rho, c, Q driven by the velocity for v."""
-        fv = face_velocities(self.grid, self.basis, v, self.bdata.u_b)
+    def advance_fields(self, state, v, u, lam):
+        """One step of rho, c, Q driven by the velocity for v.
+
+        u, lam: cell-center velocity and packed skew part for v, as returned
+        by ``velocity_fields``.
+        """
+        fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
         rho_new, cont_info = self.continuity.step(state.rho, fv, t=state.t)
-        u, J, lam = self.velocity_fields(v)
         c_new = step_concentration(self.grid, state.c, u, self.physics.d0,
                                    self.dt)
         q_new = step_q(self.grid, state.q, u, lam, state.c, self.dt,
@@ -90,8 +94,9 @@ class CoupledStepper:
                        self.q_b_faces)
         return rho_new, c_new, q_new, fv, cont_info
 
-    def momentum_rhs(self, rho, v, c, q):
-        u, J, _ = self.velocity_fields(v)
+    def momentum_rhs(self, rho, c, q, u, J):
+        """Projected momentum right-hand side for fields rho, c, q and the
+        cell-center velocity u with Jacobian J."""
         bundle = mom.assemble_stresses(
             self.grid, rho, J, c, q, self.law, self.pressure_law,
             self.q_b_faces, self.physics.c_star, self.physics.sigma_star)
@@ -108,8 +113,9 @@ class CoupledStepper:
         increments = []
         converged = False
         for _ in range(self.picard_max_iter):
-            rho_k, c_k, q_k, _, _ = self.advance_fields(state, v_cur)
-            rhs = self.momentum_rhs(rho_k, v_cur, c_k, q_k)
+            u, J, lam = self.velocity_fields(v_cur)
+            rho_k, c_k, q_k, _, _ = self.advance_fields(state, v_cur, u, lam)
+            rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
             incr = float(np.linalg.norm(v_next - v_cur))
             increments.append(incr)
@@ -124,7 +130,8 @@ class CoupledStepper:
                 f"{self.picard_max_iter} iterations "
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
-        rho_f, c_f, q_f, fv, cont_info = self.advance_fields(state, v_cur)
+        u, _, lam = self.velocity_fields(v_cur)
+        rho_f, c_f, q_f, fv, cont_info = self.advance_fields(state, v_cur, u, lam)
         new_state = State(state.t + self.dt, rho_f, c_f, q_f, v_cur)
         info = {"picard_iters": len(increments), "increments": increments}
         info.update(cont_info)
@@ -160,7 +167,7 @@ def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
     state = state0.copy()
     if record:
         fv0 = face_velocities(stepper.grid, stepper.basis, state.v,
-                              stepper.bdata.u_b)
+                              stepper._ub_faces)
         traj.record(state, fv0, None)
     for _ in range(n_steps):
         prev = state

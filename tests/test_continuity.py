@@ -4,6 +4,7 @@ import pytest
 from nematoflow.continuity import (
     ContinuitySolver,
     face_divergence,
+    face_lift,
     face_velocities,
     renormalized_balance,
     run_continuity,
@@ -28,8 +29,41 @@ def make_setup(n=8, eps=0.05, dt=1e-3, ub_kind="zero", rho_b=1.0, v=None, m=2,
     basis = build_basis(grid, m)
     if v is None:
         v = np.zeros(basis.n)
-    fv = face_velocities(grid, basis, v, u_b)
+    fv = face_velocities(grid, basis, v, face_lift(grid, u_b))
     return grid, solver, fv, basis
+
+
+@pytest.mark.parametrize("ub_kind,ub_kw", [("channel", {"peak": 0.3}),
+                                           ("shear", {"rate": 0.7})])
+def test_face_velocities_match_brute_force_mode_sum(ub_kind, ub_kw):
+    grid = Grid(extents=(1.0, 2.0, 1.0), shape=(8, 8, 8))
+    u_b = BoundaryVelocity(ub_kind, grid, **ub_kw)
+    m = 2
+    basis = build_basis(grid, m)
+    v = np.random.default_rng(5).standard_normal(basis.n)
+    fv = face_velocities(grid, basis, v, face_lift(grid, u_b))
+    V = v.reshape(m, m, m, 3)
+    L = grid.extents
+    norm = np.sqrt(8.0 / (L[0] * L[1] * L[2]))
+    for axis in range(3):
+        coords = [grid.centers(a) for a in range(3)]
+        coords[axis] = np.arange(grid.shape[axis] + 1) * grid.h[axis]
+        X = np.meshgrid(*coords, indexing="ij")
+        modes = np.zeros(X[0].shape)
+        for k in range(1, m + 1):
+            for l in range(1, m + 1):
+                for mm in range(1, m + 1):
+                    modes += V[k - 1, l - 1, mm - 1, axis] \
+                        * np.sin(k * np.pi * X[0] / L[0]) \
+                        * np.sin(l * np.pi * X[1] / L[1]) \
+                        * np.sin(mm * np.pi * X[2] / L[2])
+        ubn = u_b(*X)[..., axis]
+        assert fv[axis].shape == X[0].shape
+        assert np.max(np.abs(fv[axis] - (norm * modes + ubn))) < 1e-13
+        for wall in (0, -1):
+            idx = [slice(None)] * 3
+            idx[axis] = wall
+            assert np.all(fv[axis][tuple(idx)] == ubn[tuple(idx)])
 
 
 def test_uniform_state_is_stationary():

@@ -2,7 +2,7 @@
 
 The quadrature oracle used throughout: build mode fields directly from the
 defining formula with numpy and integrate by the midpoint rule, bypassing the
-library's einsum transforms.
+library's sum-factorised transforms.
 """
 
 import numpy as np
@@ -103,10 +103,13 @@ def test_boundary_trace_exact_zero():
     basis = gk.build_basis(g, 2)
     rng = np.random.default_rng(2)
     v = rng.normal(size=basis.n)
-    faces = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))
-    for face in faces:
-        vals = gk.evaluate_at(basis, v, *face.xyz)
-        assert np.all(vals == 0.0)
+    for axis in range(3):
+        for wall in (0.0, g.extents[axis]):
+            coords = [g.centers(a) for a in range(3)]
+            coords[axis] = np.array([wall])
+            vals = gk.evaluate_at(basis, v, *np.ix_(*coords))
+            assert vals.shape == tuple(len(c) for c in coords) + (3,)
+            assert np.all(vals == 0.0)
 
 
 def test_mass_matrix_identity_for_unit_density():
@@ -177,6 +180,17 @@ def test_evaluate_at_matches_grid_synthesis():
     rng = np.random.default_rng(4)
     v = rng.normal(size=basis.n)
     u_grid = gk.synthesize(basis, v)
-    X, Y, Z = g.coords()
-    u_pts = gk.evaluate_at(basis, v, X, Y, Z)
+    u_pts = gk.evaluate_at(basis, v, *np.ix_(*(g.centers(a) for a in range(3))))
+    assert u_pts.shape == u_grid.shape
     assert np.allclose(u_pts, u_grid, atol=1e-12)
+
+
+def test_evaluate_at_rejects_dense_mesh():
+    g = unit_grid(8)
+    basis = gk.build_basis(g, 2)
+    v = np.zeros(basis.n)
+    with pytest.raises(ConfigError, match="open mesh"):
+        gk.evaluate_at(basis, v, *g.coords())
+    face = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))[0]
+    with pytest.raises(ConfigError, match="open mesh"):
+        gk.evaluate_at(basis, v, *face.xyz)

@@ -57,6 +57,7 @@ def test_tabulated_rheology_requires_mollification():
 @pytest.mark.parametrize("field,value,fragment", [
     ("bc_rho", -1.0, "bc.rho"),
     ("grid_cells", 1, "grid.cells"),
+    ("grid_cells", 3, "at least 4 cells"),
     ("dt", -1e-3, "time.dt"),
     ("init_rho", "uniform:-2.0", "positive"),
     ("init_rho", "vortex:1.0", "unknown init.rho"),
