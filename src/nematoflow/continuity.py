@@ -77,7 +77,7 @@ class ContinuitySolver:
         if not (self.eps > 0.0 and self.dt > 0.0):
             raise ValueError("need eps > 0 and dt > 0")
         g = self.grid
-        from .domain import decompose_boundary
+        from .domain import DomainError, decompose_boundary
         faces = decompose_boundary(g, self.bdata.u_b)
         alphas, rho_faces, ubns = [], [], []
         for face in faces:
@@ -88,6 +88,10 @@ class ContinuitySolver:
             alphas.append(alpha)
             rho_faces.append(self.bdata.rho_b(*face.xyz))
             ubns.append(face.ubn)
+            if not np.all(rho_faces[-1] > 0.0):
+                raise DomainError("inflow density boundary data must be "
+                                  f"positive on every face (axis {face.axis}, "
+                                  f"side {face.side})")
         # diagonal of -L: ghost elimination (ghost = alpha*rho_i + const)
         # folds -alpha/h^2 into the diagonal of each wall-adjacent cell
         diag = np.zeros(g.shape)

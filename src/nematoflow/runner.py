@@ -25,6 +25,7 @@ class RunReport:
     scenario: object
     checks: list = field(default_factory=list)   # (name, passed, detail)
     picard_iters: list = field(default_factory=list)
+    contractions: list = field(default_factory=list)  # steps with >= 2 iters
     timings: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)
     monitor: object = None
@@ -51,6 +52,10 @@ def _write_report(path, report):
         if report.picard_iters:
             fh.write(f"picard max {max(report.picard_iters)} "
                      f"mean {np.mean(report.picard_iters):.2f}\n")
+        if report.contractions:
+            fh.write(f"picard contraction p50 "
+                     f"{np.median(report.contractions):.3g} "
+                     f"max {max(report.contractions):.3g}\n")
         for key, val in report.timings.items():
             fh.write(f"time {key} {val:.3f}s\n")
 
@@ -102,6 +107,8 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         state, info = stepper.step(state)
         hook(prev, state, info)
         report.picard_iters.append(info["picard_iters"])
+        if "contraction" in info:
+            report.contractions.append(info["contraction"])
         worst["div_inf"] = max(worst["div_inf"], info.get("div_inf", 0.0))
         tau += sc.dt
         m = tensors.to_matrix(state.q)

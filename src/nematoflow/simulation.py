@@ -1,13 +1,20 @@
 """Coupled time stepping of density, concentration, order tensor, velocity.
 
-Each step resolves the velocity through a damped Picard iteration: a
-candidate coefficient vector drives one step of the three field solvers,
-the resulting fields feed the projected momentum balance, and the momentum
-solve returns the next candidate.  Convergence is declared on the l2
-increment of the coefficient vector; the accepted velocity then advances
-the fields once more so the stored state is consistent with it.
+Each step resolves the velocity through a fixed-point iteration on the
+Galerkin coefficient vector: a candidate drives one step of the three field
+solvers, the resulting fields feed the projected momentum balance, and the
+momentum solve returns the next candidate.  Candidates are combined by
+Anderson mixing (type II, in the form of Walker & Ni, SIAM J. Numer. Anal.
+49, 2011) over the last ``ANDERSON_DEPTH`` iterates, with mixing factor
+``theta``; at depth 0 this is the damped Picard step
+``theta * v_next + (1 - theta) * v``.  If an increment grows, the history is
+dropped and ``theta`` is halved for the rest of the step.  Convergence is
+declared on the l2 increment of the coefficient vector; the accepted
+velocity then advances the fields once more so the stored state is
+consistent with it.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +24,9 @@ from . import momentum as mom
 from .continuity import ContinuitySolver, face_lift, face_velocities
 from .errors import FixedPointError
 from .nematic import q_boundary_faces, step_concentration, step_q
+
+# number of past iterate/residual differences kept by the Anderson mixing
+ANDERSON_DEPTH = 4
 
 
 @dataclass
@@ -48,7 +58,7 @@ class State:
 
 class CoupledStepper:
     def __init__(self, grid, basis, physics, law, pressure_law, bdata, dt,
-                 picard_tol=1e-10, picard_max_iter=60, theta=0.5):
+                 picard_tol=1e-10, picard_max_iter=60, theta=1.0):
         self.grid = grid
         self.basis = basis
         self.physics = physics
@@ -110,6 +120,10 @@ class CoupledStepper:
         """Advance the coupled state by dt; returns (new_state, info)."""
         v0 = state.v
         v_cur = v0.copy()
+        beta = self.theta
+        d_v = deque(maxlen=ANDERSON_DEPTH)    # differences of iterates
+        d_f = deque(maxlen=ANDERSON_DEPTH)    # differences of residuals
+        v_prev = f_prev = None
         increments = []
         converged = False
         for _ in range(self.picard_max_iter):
@@ -117,13 +131,28 @@ class CoupledStepper:
             rho_k, c_k, q_k, _, _ = self.advance_fields(state, v_cur, u, lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
-            incr = float(np.linalg.norm(v_next - v_cur))
+            f = v_next - v_cur
+            incr = float(np.linalg.norm(f))
             increments.append(incr)
             if incr <= self.picard_tol:
                 v_cur = v_next
                 converged = True
                 break
-            v_cur = self.theta * v_next + (1.0 - self.theta) * v_cur
+            if len(increments) > 1 and incr > increments[-2]:
+                beta *= 0.5
+                d_v.clear()
+                d_f.clear()
+            elif f_prev is not None:
+                d_v.append(v_cur - v_prev)
+                d_f.append(f - f_prev)
+            v_prev, f_prev = v_cur, f
+            v_new = beta * v_next + (1.0 - beta) * v_cur
+            if d_v:
+                dV = np.stack(d_v, axis=1)
+                dF = np.stack(d_f, axis=1)
+                gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+                v_new -= (dV + beta * dF) @ gamma
+            v_cur = v_new
         if not converged:
             raise FixedPointError(
                 f"coupling iteration did not reach {self.picard_tol:g} in "
@@ -134,6 +163,10 @@ class CoupledStepper:
         rho_f, c_f, q_f, fv, cont_info = self.advance_fields(state, v_cur, u, lam)
         new_state = State(state.t + self.dt, rho_f, c_f, q_f, v_cur)
         info = {"picard_iters": len(increments), "increments": increments}
+        if len(increments) >= 2:
+            # geometric mean of the successive increment ratios
+            info["contraction"] = (increments[-1] / increments[0]) ** (
+                1.0 / (len(increments) - 1))
         info.update(cont_info)
         info["fv"] = fv
         return new_state, info

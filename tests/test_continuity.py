@@ -11,7 +11,13 @@ from nematoflow.continuity import (
     step_continuity,
     weak_residual_continuity,
 )
-from nematoflow.domain import BoundaryData, BoundaryVelocity, Grid, volume_integral
+from nematoflow.domain import (
+    BoundaryData,
+    BoundaryVelocity,
+    DomainError,
+    Grid,
+    volume_integral,
+)
 from nematoflow.errors import StabilityError
 from nematoflow.galerkin import build_basis
 from nematoflow.tensors import uniaxial
@@ -31,6 +37,12 @@ def make_setup(n=8, eps=0.05, dt=1e-3, ub_kind="zero", rho_b=1.0, v=None, m=2,
         v = np.zeros(basis.n)
     fv = face_velocities(grid, basis, v, face_lift(grid, u_b))
     return grid, solver, fv, basis
+
+
+def test_density_data_checked_on_every_face():
+    # positive at the origin, where BoundaryData probes, negative on x = 1
+    with pytest.raises(DomainError, match="every face"):
+        make_setup(rho_b=lambda x, y, z: 1.0 - 2.0 * x)
 
 
 @pytest.mark.parametrize("ub_kind,ub_kw", [("channel", {"peak": 0.3}),

@@ -41,8 +41,10 @@ def test_repeat_runs_are_bit_identical(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=10)
     a, b = tmp_path / "a", tmp_path / "b"
     rn.run_scenario(sc, out_dir=str(a))
-    rn.run_scenario(sc, out_dir=str(b))
+    rep = rn.run_scenario(sc, out_dir=str(b))
     assert _read_bytes(a / "ledger.csv") == _read_bytes(b / "ledger.csv")
+    assert len(rep.contractions) == sc.n_steps()
+    assert "picard contraction p50 " in (b / "report.txt").read_text()
     last = sp.snapshot_path("", sc.n_steps()).lstrip("/")
     assert _read_bytes(a / last) == _read_bytes(b / last)
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nematoflow import galerkin as gk
 from nematoflow import scenarios as sn
@@ -15,6 +16,24 @@ def test_parse_round_trip():
     sc = sn.default_scenario()
     again = sn.parse_scenario(sn.scenario_text(sc))
     assert again == sc
+
+
+# characters of the selector expressions ("noise:0.01", "uniaxial:0.3,1,0,0")
+SELECTOR_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789:,.+-_"
+_FIELD_VALUES = {
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    int: st.integers(),
+    str: st.text(alphabet=SELECTOR_ALPHABET, max_size=24),
+}
+scenarios = st.fixed_dictionaries({
+    f.name: _FIELD_VALUES[type(getattr(sn.Scenario(), f.name))]
+    for f in dataclasses.fields(sn.Scenario)}).map(lambda kw: sn.Scenario(**kw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios)
+def test_parse_round_trip_any_scenario(sc):
+    assert sn.parse_scenario(sn.scenario_text(sc)) == sc
 
 
 def test_parse_applies_values():

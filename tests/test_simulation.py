@@ -3,6 +3,8 @@ import pytest
 
 from nematoflow.domain import BoundaryData, BoundaryVelocity, Grid
 from nematoflow.errors import FixedPointError
+from nematoflow import momentum as mom
+from nematoflow import simulation
 from nematoflow.galerkin import build_basis
 from nematoflow.pressure import isentropic_law
 from nematoflow.rheology import newtonian_law
@@ -61,13 +63,16 @@ def test_small_data_contraction():
     assert overall < 0.5
 
 
-def test_tolerance_halves_iterations():
-    # measured on the seeded small-data scenario: the increments contract by
+def test_tolerance_halves_iterations(monkeypatch):
+    # measured on the seeded small-data scenario with the plain damped
+    # iteration (no Anderson history, theta=0.5): the increments contract by
     # ~0.47 per iteration, so counts for (1e-5, 2e-5) are (4, 3)
+    monkeypatch.setattr(simulation, "ANDERSON_DEPTH", 0)
     counts = {}
     for tol in (1e-5, 2e-5):
         rng = np.random.default_rng(4)
         grid, basis, stepper = make_stepper(picard_tol=tol)
+        stepper.theta = 0.5
         v0 = rng.standard_normal(basis.n)
         v0 *= 1e-3 / np.linalg.norm(v0)
         state = uniform_state(grid, basis, v=v0)
@@ -76,6 +81,48 @@ def test_tolerance_halves_iterations():
     assert counts[1e-5] == 4
     assert counts[2e-5] == 3
     assert abs(counts[2e-5] - counts[1e-5] / 2) <= 1.0
+
+
+def test_anderson_reaches_damped_fixed_point_in_half_the_iterations(
+        monkeypatch):
+    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    new_state, info = stepper.step(uniform_state(grid, basis))
+    monkeypatch.setattr(simulation, "ANDERSON_DEPTH", 0)
+    stepper.theta = 0.5
+    damped_state, damped_info = stepper.step(uniform_state(grid, basis))
+    assert np.max(np.abs(new_state.v - damped_state.v)) <= 1e-9
+    assert 2 * info["picard_iters"] <= damped_info["picard_iters"]
+    for res in (info, damped_info):
+        inc = res["increments"]
+        assert res["contraction"] == pytest.approx(
+            (inc[-1] / inc[0]) ** (1.0 / (len(inc) - 1)))
+    assert info["contraction"] < 0.1
+    assert damped_info["contraction"] > 0.4
+
+
+@pytest.mark.parametrize("depth", [0, simulation.ANDERSON_DEPTH])
+def test_safeguard_recovers_from_oscillating_map(monkeypatch, depth):
+    # v -> v* - 1.5 (v - v*): the undamped iteration flips sign and grows by
+    # 1.5 per sweep; the step must notice the growth and still converge (at
+    # depth 0 only the halved mixing factor can bring it back)
+    monkeypatch.setattr(simulation, "ANDERSON_DEPTH", depth)
+    grid, basis, stepper = make_stepper(picard_tol=1e-11)
+    v_star = np.random.default_rng(2).standard_normal(basis.n) * 1e-3
+    seen = []
+    velocity_fields = stepper.velocity_fields
+
+    def recording_fields(v):
+        seen.append(v.copy())
+        return velocity_fields(v)
+
+    monkeypatch.setattr(stepper, "velocity_fields", recording_fields)
+    monkeypatch.setattr(mom, "step_momentum",
+                        lambda *args: v_star - 1.5 * (seen[-1] - v_star))
+    new_state, info = stepper.step(uniform_state(grid, basis))
+    inc = info["increments"]
+    assert inc[1] == pytest.approx(1.5 * inc[0])
+    assert inc[-1] <= 1e-11
+    assert np.max(np.abs(new_state.v - v_star)) <= 1e-11
 
 
 def test_picard_nonconvergence_reports_increment():
