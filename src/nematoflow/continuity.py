@@ -14,6 +14,12 @@ alpha = (eps/h + ubn_neg/2) / (eps/h - ubn_neg/2), a convex combination, so
 the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13.
+
+``ContinuitySolver.ghost_rules`` builds the six Robin ghost rules in ``pad``
+order (x-, x+, y-, y+, z-, z+, as ``domain.BoundaryFaces``).  The CG
+operator uses them with outside data 0 (homogeneous); the density gradient,
+the diffusive boundary flux and the weak residuals use rho_B, or rho_B - chi
+for a shifted density, so every layer sees the same boundary realization.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import galerkin as gk
+from .domain import gradient, laplacian_padded, pad, volume_integral
 from .errors import StabilityError
 
 _CG_TOL = 1.0e-13
@@ -69,66 +76,52 @@ class ContinuitySolver:
     grid: object
     eps: float
     dt: float
-    bdata: object                      # BoundaryData
+    boundary: object                   # domain.BoundaryFaces
     source: object = None              # optional callable (x, y, z, t) -> field
-    _geom: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (self.eps > 0.0 and self.dt > 0.0):
             raise ValueError("need eps > 0 and dt > 0")
         g = self.grid
-        from .domain import DomainError, decompose_boundary
-        faces = decompose_boundary(g, self.bdata.u_b)
-        alphas, rho_faces, ubns = [], [], []
-        for face in faces:
-            h = g.h[face.axis]
+        # Robin weight of each face, in pad order
+        self.alphas = []
+        for face in self.boundary.faces:
             ubn_neg = np.minimum(face.ubn, 0.0)
-            r = self.eps / h
-            alpha = (r + 0.5 * ubn_neg) / (r - 0.5 * ubn_neg)
-            alphas.append(alpha)
-            rho_faces.append(self.bdata.rho_b(*face.xyz))
-            ubns.append(face.ubn)
-            if not np.all(rho_faces[-1] > 0.0):
-                raise DomainError("inflow density boundary data must be "
-                                  f"positive on every face (axis {face.axis}, "
-                                  f"side {face.side})")
+            r = self.eps / g.h[face.axis]
+            self.alphas.append((r + 0.5 * ubn_neg) / (r - 0.5 * ubn_neg))
         # diagonal of -L: ghost elimination (ghost = alpha*rho_i + const)
         # folds -alpha/h^2 into the diagonal of each wall-adjacent cell
         diag = np.zeros(g.shape)
         for axis in range(3):
             diag += 2.0 / g.h[axis] ** 2
-        for k, face in enumerate(faces):
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            diag[tuple(idx)] -= alphas[k] / g.h[face.axis] ** 2
-        self._geom.update(faces=faces, alphas=alphas, rho_faces=rho_faces,
-                          ubns=ubns, neg_lap_diag=diag)
+        for face, alpha in zip(self.boundary.faces, self.alphas):
+            diag[face.wall] -= alpha / g.h[face.axis] ** 2
+        self.neg_lap_diag = diag
 
     # ----------------------------------------------------------- operators
 
-    def _ghost_rules(self, rho, homogeneous):
-        faces = self._geom["faces"]
-        rules = []
-        for k, face in enumerate(faces):
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            inner = rho[tuple(idx)]
-            ghost = self._geom["alphas"][k] * inner
-            if not homogeneous:
-                ghost = ghost + (1.0 - self._geom["alphas"][k]) * self._geom["rho_faces"][k]
-            rules.append(("given", ghost))
-        return tuple(rules)
+    def ghost_rules(self, f, data=None):
+        """The six Robin ghost rules for f, in ``pad`` order.
+
+        Face k gets ('given', alpha_k * f[wall] + (1 - alpha_k) * data[k]).
+        data: per-face outside values; rho_B when omitted, zeros for the
+        homogeneous operator, rho_B - chi for a shifted density.
+        """
+        if data is None:
+            data = self.boundary.rho_b
+        return tuple(("given", alpha * f[face.wall] + (1.0 - alpha) * d)
+                     for face, alpha, d in zip(self.boundary.faces,
+                                               self.alphas, data))
 
     def _neg_lap_hom(self, rho):
         """-Laplacian with homogeneous (rho_B = 0) Robin ghosts."""
-        from .domain import pad, laplacian_padded
-        P = pad(rho, self._ghost_rules(rho, homogeneous=True))
+        P = pad(rho, self.ghost_rules(rho, (0.0,) * 6))
         return -laplacian_padded(self.grid, P)
 
     def _solve_diffusion(self, rhs):
         """(I + eps*dt*(-L)) rho = rhs by Jacobi-preconditioned CG."""
         a = self.eps * self.dt
-        M_inv = 1.0 / (1.0 + a * self._geom["neg_lap_diag"])
+        M_inv = 1.0 / (1.0 + a * self.neg_lap_diag)
 
         def apply_A(x):
             return x + a * self._neg_lap_hom(x)
@@ -177,15 +170,16 @@ class ContinuitySolver:
         div = np.zeros(g.shape)
         inflow_mass = 0.0
         outflow_mass = 0.0
+        faces = self.boundary.faces
         for axis in range(3):
             U = fv[axis]
-            t1, t2 = [a for a in range(3) if a != axis]
-            area = g.h[t1] * g.h[t2]
+            area = faces[2 * axis].area_element
             # upwind values on all faces, outside value = rho_B at the walls
-            face_lo = self._face_for(axis, 0)
-            face_hi = self._face_for(axis, 1)
-            rho_b_lo = self._geom["rho_faces"][face_lo]
-            rho_b_hi = self._geom["rho_faces"][face_hi]
+            rho_b_lo = self.boundary.rho_b[2 * axis]
+            rho_b_hi = self.boundary.rho_b[2 * axis + 1]
+            # the wall face plane of U and the wall cell layer of rho
+            lo = faces[2 * axis].wall
+            hi = faces[2 * axis + 1].wall
             up_shape = list(g.shape)
             up_shape[axis] += 1
             up = np.empty(up_shape)
@@ -198,45 +192,21 @@ class ContinuitySolver:
             ridx[axis] = slice(1, None)
             up[tuple(sl_interior)] = np.where(U_int > 0.0, rho[tuple(lidx)],
                                               rho[tuple(ridx)])
-            lo = [slice(None)] * 3
-            lo[axis] = 0
-            hi = [slice(None)] * 3
-            hi[axis] = -1
-            first = [slice(None)] * 3
-            first[axis] = 0
-            last = [slice(None)] * 3
-            last[axis] = -1
-            up[tuple(lo)] = np.where(U[tuple(lo)] > 0.0, rho_b_lo, rho[tuple(first)])
-            up[tuple(hi)] = np.where(U[tuple(hi)] > 0.0, rho[tuple(last)], rho_b_hi)
+            up[lo] = np.where(U[lo] > 0.0, rho_b_lo, rho[lo])
+            up[hi] = np.where(U[hi] > 0.0, rho[hi], rho_b_hi)
             F = U * up
             div += (F[tuple(ridx)] - F[tuple(lidx)]) / g.h[axis]
             # outward boundary fluxes: low wall outward = -F_lo, high = +F_hi
-            flux_lo = -F[tuple(lo)]
-            flux_hi = F[tuple(hi)]
+            flux_lo = -F[lo]
+            flux_hi = F[hi]
             for flux in (flux_lo, flux_hi):
                 inflow_mass += -area * float(flux[flux < 0].sum())
                 outflow_mass += area * float(flux[flux > 0].sum())
         return div, inflow_mass, outflow_mass
 
-    def _face_for(self, axis, side):
-        for k, face in enumerate(self._geom["faces"]):
-            if face.axis == axis and face.side == side:
-                return k
-        raise KeyError
-
     def grad_rho(self, rho):
         """Central-difference gradient using this solver's boundary ghosts."""
-        from .domain import pad
-        g = self.grid
-        P = pad(rho, self._ghost_rules(rho, homogeneous=False))
-        out = np.empty(g.shape + (3,))
-        for axis in range(3):
-            sl_hi = [slice(1, -1)] * 3
-            sl_lo = [slice(1, -1)] * 3
-            sl_hi[axis] = slice(2, None)
-            sl_lo[axis] = slice(0, -2)
-            out[..., axis] = (P[tuple(sl_hi)] - P[tuple(sl_lo)]) / (2 * g.h[axis])
-        return out
+        return gradient(self.grid, rho, self.ghost_rules(rho))
 
     def step(self, rho, fv, t=0.0):
         """One step; returns (rho_new, info dict)."""
@@ -250,24 +220,18 @@ class ContinuitySolver:
         # implicit diffusion: affine boundary term moves to the right side
         rhs = star.copy()
         a = self.eps * self.dt
-        for k, face in enumerate(self._geom["faces"]):
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            boundary_src = (1.0 - self._geom["alphas"][k]) \
-                * self._geom["rho_faces"][k] / g.h[face.axis] ** 2
-            rhs[tuple(idx)] += a * boundary_src
+        for face, alpha, rho_b in zip(self.boundary.faces, self.alphas,
+                                      self.boundary.rho_b):
+            boundary_src = (1.0 - alpha) * rho_b / g.h[face.axis] ** 2
+            rhs[face.wall] += a * boundary_src
         rho_new, iters = self._solve_diffusion(rhs)
         # diffusive boundary flux at the new state (outward normal direction)
         eps_flux = 0.0
-        for k, face in enumerate(self._geom["faces"]):
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            inner = rho_new[tuple(idx)]
-            ghost = self._geom["alphas"][k] * inner \
-                + (1.0 - self._geom["alphas"][k]) * self._geom["rho_faces"][k]
-            t1, t2 = [a2 for a2 in range(3) if a2 != face.axis]
-            area = g.h[t1] * g.h[t2]
-            eps_flux += self.eps * area * float(((ghost - inner) / g.h[face.axis]).sum())
+        for face, (_, ghost) in zip(self.boundary.faces,
+                                    self.ghost_rules(rho_new)):
+            inner = rho_new[face.wall]
+            eps_flux += self.eps * face.area_element * float(
+                ((ghost - inner) / g.h[face.axis]).sum())
         info = {
             "mass_in": self.dt * mass_in,
             "mass_out": self.dt * mass_out,
@@ -276,11 +240,6 @@ class ContinuitySolver:
             "cg_iters": iters,
         }
         return rho_new, info
-
-
-def step_continuity(solver, rho, fv, t=0.0):
-    """One transport step; returns (rho_new, info)."""
-    return solver.step(rho, fv, t=t)
 
 
 # ------------------------------------------------------- trajectory records
@@ -337,7 +296,6 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
     scheme's own upwind/Robin flux realization, so the residual measures
     discretization error only.
     """
-    from .domain import volume_integral, pad, laplacian_padded
     g = traj.grid
     solver = traj.solver
     X, Y, Z = g.coords()
@@ -352,14 +310,8 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
         fv = traj.fvs[k]
         u = _cell_velocity_from_faces(g, fv)
         gphi = grad_phi(X, Y, Z, t)
-        P = pad(rho, solver._ghost_rules(rho, homogeneous=False))
-        grad_rho = np.empty(g.shape + (3,))
-        for axis in range(3):
-            sl_hi = [slice(1, -1)] * 3
-            sl_lo = [slice(1, -1)] * 3
-            sl_hi[axis] = slice(2, None)
-            sl_lo[axis] = slice(0, -2)
-            grad_rho[..., axis] = (P[tuple(sl_hi)] - P[tuple(sl_lo)]) / (2 * g.h[axis])
+        rules = solver.ghost_rules(rho)
+        grad_rho = gradient(g, rho, rules)
         interior = volume_integral(
             g, rho * dphi_dt(X, Y, Z, t)
             + rho * np.einsum("...a,...a->...", u, gphi)
@@ -367,24 +319,17 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
         if source is not None:
             interior += volume_integral(g, source(X, Y, Z, t) * phi(X, Y, Z, t))
         boundary = 0.0
-        for kf, face in enumerate(solver._geom["faces"]):
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            inner = rho[tuple(idx)]
-            alpha = solver._geom["alphas"][kf]
-            rho_b = solver._geom["rho_faces"][kf]
-            ghost = alpha * inner + (1.0 - alpha) * rho_b
-            h = g.h[face.axis]
-            t1, t2 = [a for a in range(3) if a != face.axis]
-            area = g.h[t1] * g.h[t2]
+        for face, (_, ghost), rho_b in zip(solver.boundary.faces, rules,
+                                           solver.boundary.rho_b):
+            inner = rho[face.wall]
             phi_face = phi(*face.xyz, t)
             # diffusive flux (outward)
-            diff_flux = solver.eps * (ghost - inner) / h
+            diff_flux = solver.eps * (ghost - inner) / g.h[face.axis]
             # advective flux (outward) with the scheme's upwinding
-            ubn = solver._geom["ubns"][kf]
-            adv_flux = np.where(ubn < 0.0, ubn * rho_b,
-                                ubn * inner)
-            boundary += area * float(((diff_flux - adv_flux) * phi_face).sum())
+            adv_flux = np.where(face.ubn < 0.0, face.ubn * rho_b,
+                                face.ubn * inner)
+            boundary += face.area_element * float(
+                ((diff_flux - adv_flux) * phi_face).sum())
         rhs += dt * (interior + boundary)
     return float(lhs - rhs)
 
@@ -404,7 +349,6 @@ def renormalized_balance(traj, b_name="square", chi=None, dchi_dt=None):
     accumulated -eps * int B''(r) |grad r|^2 contribution (always <= 0 for
     convex B).
     """
-    from .domain import volume_integral, pad
     B, Bp, Bpp = _B_CATALOG[b_name]
     if chi is None:
         chi = lambda t: 0.0
@@ -424,38 +368,18 @@ def renormalized_balance(traj, b_name="square", chi=None, dchi_dt=None):
         fv = traj.fvs[k]
         r = rho - chi(t)
         div_flux, _, _ = solver.advective_flux_divergence(rho, fv)
-        P = pad(r, tuple(
-            ("given", solver._geom["alphas"][kf] * r[_face_idx(face)]
-             + (1.0 - solver._geom["alphas"][kf])
-             * (solver._geom["rho_faces"][kf] - chi(t)))
-            for kf, face in enumerate(solver._geom["faces"])))
-        grad_r = np.empty(g.shape + (3,))
-        for axis in range(3):
-            sl_hi = [slice(1, -1)] * 3
-            sl_lo = [slice(1, -1)] * 3
-            sl_hi[axis] = slice(2, None)
-            sl_lo[axis] = slice(0, -2)
-            grad_r[..., axis] = (P[tuple(sl_hi)] - P[tuple(sl_lo)]) / (2 * g.h[axis])
+        rules = solver.ghost_rules(
+            r, [rho_b - chi(t) for rho_b in solver.boundary.rho_b])
+        grad_r = gradient(g, r, rules)
         grad_r2 = np.einsum("...a,...a->...", grad_r, grad_r)
         eps_term = -solver.eps * volume_integral(g, Bpp(r) * grad_r2)
         eps_term_total += dt * eps_term
         bulk = volume_integral(g, Bp(r) * (-div_flux - dchi_dt(t))) + eps_term
         boundary = 0.0
-        for kf, face in enumerate(solver._geom["faces"]):
-            inner_r = r[_face_idx(face)]
-            alpha = solver._geom["alphas"][kf]
-            rho_b = solver._geom["rho_faces"][kf]
-            ghost_r = alpha * inner_r + (1.0 - alpha) * (rho_b - chi(t))
-            h = g.h[face.axis]
-            t1, t2 = [a for a in range(3) if a != face.axis]
-            area = g.h[t1] * g.h[t2]
-            diff_flux = solver.eps * (ghost_r - inner_r) / h
-            boundary += area * float((Bp(inner_r) * diff_flux).sum())
+        for face, (_, ghost_r) in zip(solver.boundary.faces, rules):
+            inner_r = r[face.wall]
+            diff_flux = solver.eps * (ghost_r - inner_r) / g.h[face.axis]
+            boundary += face.area_element * float(
+                (Bp(inner_r) * diff_flux).sum())
         rhs += dt * (bulk + boundary)
     return float(lhs - rhs), float(eps_term_total)
-
-
-def _face_idx(face):
-    idx = [slice(None)] * 3
-    idx[face.axis] = 0 if face.side == 0 else -1
-    return tuple(idx)

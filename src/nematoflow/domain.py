@@ -8,7 +8,10 @@ J[..., a, d] = du_a/dx_d; the skew part is packed as (l12, l13, l23) with
 l_ad = (J_ad - J_da)/2, so plane shear u = (y, 0, 0) has l12 = +1/2.
 
 Differential operators act on ghost-padded arrays.  Ghost corners are never
-touched (all stencils are axis-aligned), so padding fills faces only.
+touched (all stencils are axis-aligned), so padding fills faces only.  The
+six ghost rules of ``pad`` and the six faces of ``decompose_boundary`` and
+``BoundaryFaces`` share one order, x-, x+, y-, y+, z-, z+ (index
+2 * axis + side), so per-face data and ghost rules line up by index.
 """
 
 from dataclasses import dataclass
@@ -230,9 +233,20 @@ class Face:
     def name(self):
         return f"{_AXIS_NAMES[self.axis]}{'-' if self.side == 0 else '+'}"
 
+    @property
+    def wall(self):
+        """Index of the wall-adjacent cell layer: ``f[face.wall]``."""
+        idx = [slice(None)] * 3
+        idx[self.axis] = 0 if self.side == 0 else -1
+        return tuple(idx)
+
 
 def decompose_boundary(grid, u_b):
-    """Six faces, each split into inflow (u_B.n < 0) and outflow (>= 0)."""
+    """Six faces, each split into inflow (u_B.n < 0) and outflow (>= 0).
+
+    Faces come in ``pad`` rule order x-, x+, y-, y+, z-, z+: face k has
+    axis k // 2 and side k % 2.
+    """
     faces = []
     for axis in range(3):
         t1, t2 = [a for a in range(3) if a != axis]
@@ -270,6 +284,32 @@ def surface_integral(faces, values, subset="all"):
             raise DomainError(f"unknown boundary subset {subset!r}")
         total += face.area_element * g.sum()
     return total
+
+
+class BoundaryFaces:
+    """The six walls of a run with the boundary data sampled on them.
+
+    Built once per stepper from (grid, bdata).  Every per-face list is in
+    ``pad`` rule order: entry k belongs to ``faces[k]``, and the ghost layer
+    that rule k of ``pad`` writes lies next to ``f[faces[k].wall]``.
+
+      faces     the six Face records (axis k // 2, side k % 2)
+      rho_b     inflow density rho_B on each face; DomainError unless it
+                is positive on every face centroid
+      q_b       wall order tensor Q_B on each face, packed (..., 5)
+      q_rules   the six Dirichlet ghost rules that impose Q_B
+    """
+
+    def __init__(self, grid, bdata):
+        self.faces = decompose_boundary(grid, bdata.u_b)
+        self.rho_b = [bdata.rho_b(*face.xyz) for face in self.faces]
+        for face, rho_b in zip(self.faces, self.rho_b):
+            if not np.all(rho_b > 0.0):
+                raise DomainError("inflow density boundary data must be "
+                                  f"positive on every face (axis {face.axis}, "
+                                  f"side {face.side})")
+        self.q_b = [bdata.q_b(*face.xyz) for face in self.faces]
+        self.q_rules = tuple(("dirichlet", q_b) for q_b in self.q_b)
 
 
 # ------------------------------------------------------ boundary-data catalog

@@ -42,18 +42,14 @@ class EnergyMonitor:
         self.stepper = stepper
         self.rows = []
         g = stepper.grid
-        self._faces = stepper.continuity._geom["faces"]
-        self._rho_faces = stepper.continuity._geom["rho_faces"]
-        self._q_faces_vals = stepper.q_b_faces
         # normal derivative of the wall order tensor by one-sided sampling
         # half a cell inside; exact (zero) for constant wall data
         self._qb_normal_deriv = []
-        for face in self._faces:
+        for face, q_wall in zip(stepper.boundary.faces, stepper.boundary.q_b):
             h = g.h[face.axis]
             inner_xyz = list(face.xyz)
             shift = -0.5 * h if face.side == 1 else 0.5 * h
             inner_xyz[face.axis] = face.xyz[face.axis] + shift
-            q_wall = stepper.bdata.q_b(*face.xyz)
             q_in = stepper.bdata.q_b(*inner_xyz)
             self._qb_normal_deriv.append((q_wall - q_in) / (0.5 * h))
 
@@ -72,7 +68,7 @@ class EnergyMonitor:
             g, 0.5 * state.rho * np.einsum("...a,...a->...", u_modes, u_modes))
         e_press = volume_integral(g, pr.potential(st.pressure_law, state.rho))
         e_conc = volume_integral(g, 0.5 * state.c ** 2)
-        q_rules = tuple(("dirichlet", B) for B in st.q_b_faces)
+        q_rules = st.boundary.q_rules
         gq = gradient(g, state.q, q_rules)
         grad_q2 = sum(tensors.packed_dot(gq[..., i], gq[..., i])
                       for i in range(3))
@@ -104,17 +100,16 @@ class EnergyMonitor:
         flux_eps = ph.eps * volume_integral(
             g, pr.potential_second(st.pressure_law, state.rho)
             * np.einsum("...a,...a->...", grad_rho, grad_rho))
-        for k, face in enumerate(self._faces):
+        boundary = st.boundary
+        for face, rho_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
+                                         boundary.q_b, self._qb_normal_deriv):
             area = face.area_element
-            idx = [slice(None)] * 3
-            idx[face.axis] = 0 if face.side == 0 else -1
-            rho_w = state.rho[tuple(idx)]
+            rho_w = state.rho[face.wall]
             ubn = face.ubn
             out_mask = ubn > 0.0
             in_mask = ubn < 0.0
             p_w = pr.potential(st.pressure_law, rho_w)
             flux_out += area * float((p_w * ubn)[out_mask].sum())
-            rho_b = self._rho_faces[k]
             p_b = pr.potential(st.pressure_law, rho_b)
             gap = p_b - pr.potential_prime(st.pressure_law, rho_w) \
                 * (rho_b - rho_w) - p_w
@@ -122,11 +117,9 @@ class EnergyMonitor:
                 gap_min = min(gap_min, float(gap[in_mask].min()))
                 gap_in += area * float((-(gap * ubn))[in_mask].sum())
                 rhs_pb += area * float((-(p_b * ubn))[in_mask].sum())
-            qb = self._q_faces_vals[k]
             t2b = tensors.trace_q2(qb)
             rhs_qb += -0.5 * area * float(
                 ((0.5 * t2b + 0.25 * ph.c_star * t2b * t2b) * ubn).sum())
-            dqdn = self._qb_normal_deriv[k]
             rhs_qgrad += 2.0 * ph.c_star * ph.gamma * area * float(
                 (t2b * tensors.packed_dot(qb, dqdn)).sum())
 

@@ -36,11 +36,10 @@ class StressBundle:
         return T - self.viscous - self.elastic - self.rotational - self.active
 
 
-def elastic_stress(grid, q, q_b_faces, c_star):
+def elastic_stress(grid, q, q_rules, c_star):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
-    + c*/4 tr^2(Q^2)."""
-    rules = tuple(("dirichlet", B) for B in q_b_faces)
-    gq = gradient(grid, q, rules)            # (..., 5, 3)
+    + c*/4 tr^2(Q^2).  q_rules: Dirichlet ghost rules of the wall Q_B."""
+    gq = gradient(grid, q, q_rules)          # (..., 5, 3)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
     # encoding, so the pairing carries the 33 and off-diagonal weights
     gq_i = np.moveaxis(gq, -1, 0)            # (3, ..., 5)
@@ -56,11 +55,10 @@ def elastic_stress(grid, q, q_b_faces, c_star):
     return g_scal[..., None, None] * np.eye(3) - odot
 
 
-def rotational_stress(grid, q, q_b_faces):
+def rotational_stress(grid, q, q_rules):
     """Q lap Q - lap Q Q; the non-derivative molecular-field terms commute
     with Q, so only the Laplacian survives the commutator."""
-    rules = tuple(("dirichlet", B) for B in q_b_faces)
-    lap = laplacian(grid, q, rules)
+    lap = laplacian(grid, q, q_rules)
     qm = tensors.to_matrix(q)
     lm = tensors.to_matrix(lap)
     return qm @ lm - lm @ qm
@@ -70,16 +68,17 @@ def active_stress(q, c, sigma_star):
     return sigma_star * (c * c)[..., None, None] * tensors.to_matrix(q)
 
 
-def assemble_stresses(grid, rho, u_jac, c, q, law, pressure_law, q_b_faces,
+def assemble_stresses(grid, rho, u_jac, c, q, law, pressure_law, q_rules,
                       c_star, sigma_star):
     """All five stress fields for the current iterate.
 
     u_jac: (..., 3, 3) velocity Jacobian of the full velocity v + u_B.
+    q_rules: Dirichlet ghost rules of the wall order tensor.
     """
     D = 0.5 * (u_jac + np.swapaxes(u_jac, -1, -2))
     S = rh.subgradient(law, D)
-    tau = elastic_stress(grid, q, q_b_faces, c_star)
-    sig_r = rotational_stress(grid, q, q_b_faces)
+    tau = elastic_stress(grid, q, q_rules, c_star)
+    sig_r = rotational_stress(grid, q, q_rules)
     sig_a = active_stress(q, c, sigma_star)
     p = pr.pressure(pressure_law, rho)
     return StressBundle(viscous=S, elastic=tau, rotational=sig_r,

@@ -60,27 +60,23 @@ def step_concentration(grid, c, u, d0, dt):
     return diffuse_neumann(grid, star, d0, dt)
 
 
-def molecular_field(grid, q, c, b, c_star, q_b_faces):
-    """lap Q plus the bulk terms; fixed wall values enter through ghosts."""
-    rules = tuple(("dirichlet", B) for B in q_b_faces)
-    return laplacian(grid, q, rules) + tensors.bulk_molecular_field(q, c, b, c_star)
+def molecular_field(grid, q, c, b, c_star, q_rules):
+    """lap Q plus the bulk terms; fixed wall values enter through ghosts.
+
+    q_rules: the Dirichlet ghost rules of the wall order tensor
+    (``BoundaryFaces.q_rules``).
+    """
+    return laplacian(grid, q, q_rules) + tensors.bulk_molecular_field(q, c, b, c_star)
 
 
-def q_boundary_faces(grid, q_b):
-    """Evaluate the wall order tensor on the six face-centroid grids."""
-    from .domain import decompose_boundary, BoundaryVelocity
-    # reuse the face centroid layout; velocity content is irrelevant here
-    faces = decompose_boundary(grid, BoundaryVelocity("zero", grid))
-    return [q_b(*face.xyz) for face in faces]
-
-
-def ldg_energy(grid, q, c, b, c_star, q_b_faces):
+def ldg_energy(grid, q, c, b, c_star, boundary):
     """Discrete free energy driving the relaxation step.
 
     Face-difference Dirichlet form (interior faces weight 1/2, wall faces
-    weight 1 against the fixed wall values, per half-cell spacing) plus the
-    bulk terms.  Its gradient is minus the ghost-cell molecular field, so
-    with u = 0 and uniform c the relaxation step decreases it.
+    weight 1 against the fixed wall values ``boundary.q_b``, per half-cell
+    spacing) plus the bulk terms.  Its gradient is minus the ghost-cell
+    molecular field, so with u = 0 and uniform c the relaxation step
+    decreases it.
     """
     vol = grid.cell_volume
     grad_part = 0.0
@@ -88,13 +84,10 @@ def ldg_energy(grid, q, c, b, c_star, q_b_faces):
         d = np.diff(q, axis=axis)
         grad_part += 0.5 * float(tensors.packed_dot(d, d).sum()) \
             * vol / grid.h[axis] ** 2
-    for axis in range(3):
-        for side in range(2):
-            idx = [slice(None)] * 3
-            idx[axis] = 0 if side == 0 else -1
-            d = q[tuple(idx)] - q_b_faces[2 * axis + side]
-            grad_part += float(tensors.packed_dot(d, d).sum()) \
-                * vol / grid.h[axis] ** 2
+    for face, q_b in zip(boundary.faces, boundary.q_b):
+        d = q[face.wall] - q_b
+        grad_part += float(tensors.packed_dot(d, d).sum()) \
+            * vol / grid.h[face.axis] ** 2
     t2 = tensors.trace_q2(q)
     t3 = tensors.trace_q3(q)
     bulk = 0.25 * (c - c_star) * t2 - (b / 3.0) * t3 \
@@ -102,17 +95,17 @@ def ldg_energy(grid, q, c, b, c_star, q_b_faces):
     return grad_part + float(bulk.sum()) * vol
 
 
-def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_b_faces):
+def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
     """One split step: advection, corotation, relaxation, projection.
 
     lam: packed skew part [l12, l13, l23] of the velocity gradient.
+    q_rules: the Dirichlet ghost rules of the wall order tensor.
     """
     _diffusion_guard(grid, gamma, dt, "Gamma")
     _advective_guard(grid, u, dt)
-    rules = tuple(("dirichlet", B) for B in q_b_faces)
-    P = pad(q, rules)
+    P = pad(q, q_rules)
     q1 = q - dt * advect_upwind(grid, P, u, 1)
     q2 = q1 - dt * tensors.commutator(q1, lam)
-    h = laplacian(grid, q2, rules) + tensors.bulk_molecular_field(q2, c, b, c_star)
+    h = laplacian(grid, q2, q_rules) + tensors.bulk_molecular_field(q2, c, b, c_star)
     q3 = q2 + dt * gamma * h
     return tensors.project_s30(tensors.to_matrix(q3))

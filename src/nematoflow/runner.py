@@ -87,7 +87,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
 
     c_lo0, c_hi0 = float(state.c.min()), float(state.c.max())
     rho_lo0, rho_hi0 = float(state.rho.min()), float(state.rho.max())
-    rho_b_probe = stepper.continuity._geom["rho_faces"]
+    rho_b_probe = stepper.boundary.rho_b
     rho_hi0 = max([rho_hi0] + [float(rb.max()) for rb in rho_b_probe])
     rho_lo0 = min([rho_lo0] + [float(rb.min()) for rb in rho_b_probe])
 

@@ -303,6 +303,8 @@ def build(sc):
         raise ConfigError("time.dt and time.final must be positive")
     if sc.bc_rho <= 0:
         raise ConfigError("bc.rho must be positive")
+    if not sc.picard_tol > 0:
+        raise ConfigError("tol.picard must be positive")
     sc.n_steps()
     ext = (sc.grid_extent,) * 3
     try:
@@ -319,8 +321,11 @@ def build(sc):
                           sigma_star=sc.sigma_star)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    law = build_rheology_law(sc)
-    plaw = build_pressure_law(sc)
+    try:
+        law = build_rheology_law(sc)
+        plaw = build_pressure_law(sc)
+    except (rh.RheologyError, pr.PressureError) as exc:
+        raise ConfigError(f"material law: {exc}") from exc
     stepper = CoupledStepper(grid, basis, physics, law, plaw, bdata, sc.dt,
                              picard_tol=sc.picard_tol)
     state0 = State(0.0,

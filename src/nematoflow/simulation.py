@@ -22,8 +22,9 @@ import numpy as np
 from . import galerkin as gk
 from . import momentum as mom
 from .continuity import ContinuitySolver, face_lift, face_velocities
+from .domain import BoundaryFaces
 from .errors import FixedPointError
-from .nematic import q_boundary_faces, step_concentration, step_q
+from .nematic import step_concentration, step_q
 
 # number of past iterate/residual differences kept by the Anderson mixing
 ANDERSON_DEPTH = 4
@@ -69,9 +70,9 @@ class CoupledStepper:
         self.picard_tol = float(picard_tol)
         self.picard_max_iter = int(picard_max_iter)
         self.theta = float(theta)
+        self.boundary = BoundaryFaces(grid, bdata)
         self.continuity = ContinuitySolver(grid=grid, eps=physics.eps, dt=dt,
-                                           bdata=bdata)
-        self.q_b_faces = q_boundary_faces(grid, bdata.q_b)
+                                           boundary=self.boundary)
         X, Y, Z = grid.coords()
         self._ub_cc = bdata.u_b(X, Y, Z)
         self._ub_jac_cc = bdata.u_b.jacobian(X, Y, Z)
@@ -101,15 +102,15 @@ class CoupledStepper:
                                    self.dt)
         q_new = step_q(self.grid, state.q, u, lam, state.c, self.dt,
                        self.physics.gamma, self.physics.b, self.physics.c_star,
-                       self.q_b_faces)
-        return rho_new, c_new, q_new, fv, cont_info
+                       self.boundary.q_rules)
+        return rho_new, c_new, q_new, cont_info
 
     def momentum_rhs(self, rho, c, q, u, J):
         """Projected momentum right-hand side for fields rho, c, q and the
         cell-center velocity u with Jacobian J."""
         bundle = mom.assemble_stresses(
             self.grid, rho, J, c, q, self.law, self.pressure_law,
-            self.q_b_faces, self.physics.c_star, self.physics.sigma_star)
+            self.boundary.q_rules, self.physics.c_star, self.physics.sigma_star)
         grad_rho = self.continuity.grad_rho(rho)
         return mom.galerkin_rhs(self.basis, bundle, rho, u, J,
                                 self.physics.eps, grad_rho)
@@ -128,7 +129,7 @@ class CoupledStepper:
         converged = False
         for _ in range(self.picard_max_iter):
             u, J, lam = self.velocity_fields(v_cur)
-            rho_k, c_k, q_k, _, _ = self.advance_fields(state, v_cur, u, lam)
+            rho_k, c_k, q_k, _ = self.advance_fields(state, v_cur, u, lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
             f = v_next - v_cur
@@ -160,7 +161,7 @@ class CoupledStepper:
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
         u, _, lam = self.velocity_fields(v_cur)
-        rho_f, c_f, q_f, fv, cont_info = self.advance_fields(state, v_cur, u, lam)
+        rho_f, c_f, q_f, cont_info = self.advance_fields(state, v_cur, u, lam)
         new_state = State(state.t + self.dt, rho_f, c_f, q_f, v_cur)
         info = {"picard_iters": len(increments), "increments": increments}
         if len(increments) >= 2:
@@ -168,7 +169,6 @@ class CoupledStepper:
             info["contraction"] = (increments[-1] / increments[0]) ** (
                 1.0 / (len(increments) - 1))
         info.update(cont_info)
-        info["fv"] = fv
         return new_state, info
 
 
@@ -179,13 +179,11 @@ class Trajectory:
     stepper: CoupledStepper
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    fvs: list = field(default_factory=list)
     infos: list = field(default_factory=list)
 
-    def record(self, state, fv=None, info=None):
+    def record(self, state, info=None):
         self.times.append(state.t)
         self.states.append(state.copy())
-        self.fvs.append(None if fv is None else [U.copy() for U in fv])
         self.infos.append(info)
 
 
@@ -199,14 +197,12 @@ def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
     traj = Trajectory(grid=stepper.grid, stepper=stepper) if record else None
     state = state0.copy()
     if record:
-        fv0 = face_velocities(stepper.grid, stepper.basis, state.v,
-                              stepper._ub_faces)
-        traj.record(state, fv0, None)
+        traj.record(state)
     for _ in range(n_steps):
         prev = state
         state, info = stepper.step(state)
         if monitor is not None:
             monitor(prev, state, info)
         if record:
-            traj.record(state, info.pop("fv"), info)
+            traj.record(state, info)
     return state, traj

@@ -147,16 +147,6 @@ def packed_dot(a5, b5):
                    + a23 * b23) + a11 * b22 + a22 * b11)
 
 
-def dev(m):
-    """Deviatoric part M - (tr M / 3) I of a matrix stack."""
-    m = np.asarray(m, dtype=float)
-    tr3 = (m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]) / 3.0
-    out = m.copy()
-    for i in range(3):
-        out[..., i, i] -= tr3
-    return out
-
-
 def uniaxial(s, n):
     """Uniaxial tensor s*(n x n - I/3) for a unit director n, packed."""
     n = np.asarray(n, dtype=float)

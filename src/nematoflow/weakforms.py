@@ -202,9 +202,8 @@ def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
     nematic_tests = nematic_catalog() if nematic_tests is None else \
         nematic_tests
 
-    faces = stepper.continuity._geom["faces"]
-    rho_faces = stepper.continuity._geom["rho_faces"]
-    q_rules = tuple(("dirichlet", B) for B in stepper.q_b_faces)
+    boundary = stepper.boundary
+    q_rules = boundary.q_rules
 
     w_vals = [gk.synthesize(stepper.basis, mt.coeffs)
               for mt in momentum_tests]
@@ -231,8 +230,7 @@ def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
         gq = gradient(g, st.q, q_rules)
         u_dot_gq = np.einsum("...cd,...d->...c", gq, u)
         comm = tensors.commutator(st.q, lam)
-        h_field = molecular_field(g, st.q, st.c, ph.b, ph.c_star,
-                                  stepper.q_b_faces)
+        h_field = molecular_field(g, st.q, st.c, ph.b, ph.c_star, q_rules)
 
         for k, sc in enumerate(scalar_tests):
             phi0 = sc.value(X, Y, Z, t0)
@@ -246,12 +244,10 @@ def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
                 volume_integral(g, u_dot_gc * phi0)
                 + ph.d0 * volume_integral(
                     g, np.einsum("...a,...a->...", grad_c, gphi)))
-            for kf, face in enumerate(faces):
-                idx = [slice(None)] * 3
-                idx[face.axis] = 0 if face.side == 0 else -1
-                rho_w = st.rho[tuple(idx)]
+            for face, rho_b in zip(boundary.faces, boundary.rho_b):
+                rho_w = st.rho[face.wall]
                 ubn = face.ubn
-                trace = np.where(ubn < 0.0, rho_faces[kf], rho_w)
+                trace = np.where(ubn < 0.0, rho_b, rho_w)
                 phi_f = sc.value(*face.xyz, t0)
                 acc_cont[k] += dt * face.area_element * float(
                     (phi_f * trace * ubn).sum())

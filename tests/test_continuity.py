@@ -8,11 +8,11 @@ from nematoflow.continuity import (
     face_velocities,
     renormalized_balance,
     run_continuity,
-    step_continuity,
     weak_residual_continuity,
 )
 from nematoflow.domain import (
     BoundaryData,
+    BoundaryFaces,
     BoundaryVelocity,
     DomainError,
     Grid,
@@ -29,8 +29,8 @@ def make_setup(n=8, eps=0.05, dt=1e-3, ub_kind="zero", rho_b=1.0, v=None, m=2,
                source=None, extent=1.0, **ub_kw):
     grid = Grid(extents=(extent,) * 3, shape=(n,) * 3)
     u_b = BoundaryVelocity(ub_kind, grid, **ub_kw)
-    bdata = BoundaryData(u_b, rho_b, Q_B)
-    solver = ContinuitySolver(grid=grid, eps=eps, dt=dt, bdata=bdata,
+    boundary = BoundaryFaces(grid, BoundaryData(u_b, rho_b, Q_B))
+    solver = ContinuitySolver(grid=grid, eps=eps, dt=dt, boundary=boundary,
                               source=source)
     basis = build_basis(grid, m)
     if v is None:
@@ -82,7 +82,7 @@ def test_uniform_state_is_stationary():
     grid, solver, fv, _ = make_setup(rho_b=1.3)
     rho = np.full(grid.shape, 1.3)
     for _ in range(10):
-        rho, info = step_continuity(solver, rho, fv)
+        rho, info = solver.step(rho, fv)
     assert np.max(np.abs(rho - 1.3)) < 1e-14
 
 
@@ -90,7 +90,7 @@ def test_stability_guard_diffusion():
     grid, solver, fv, _ = make_setup(n=8, eps=0.05, dt=1e-3)
     # h = 1/8, h^2/(6 eps) = 0.0521, 0.9x = 0.0469: dt = 0.05 must raise
     solver_bad = ContinuitySolver(grid=grid, eps=0.05, dt=0.05,
-                                  bdata=solver.bdata)
+                                  boundary=solver.boundary)
     rho = np.ones(grid.shape)
     with pytest.raises(StabilityError):
         solver_bad.step(rho, fv)
@@ -103,7 +103,7 @@ def test_stability_guard_advection():
     # h/|u| = (1/16)/2 = 0.03125, 0.9x = 0.028; diffusion limit is ~5.8, so
     # the advective branch is the binding one
     solver_bad = ContinuitySolver(grid=grid, eps=1e-4, dt=0.03,
-                                  bdata=solver.bdata)
+                                  boundary=solver.boundary)
     with pytest.raises(StabilityError):
         solver_bad.step(rho, fv)
 

@@ -184,6 +184,40 @@ def test_boundary_data_validates_density():
     assert qv.shape == (3, 5)
 
 
+def test_boundary_faces_share_pad_rule_order():
+    # rule k of pad must write the ghost layer next to f[faces[k].wall]: a
+    # 'given' ghost equal to that layer reproduces the mirror padding exactly
+    g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
+    f = np.random.default_rng(3).standard_normal(g.shape + (2,))
+    bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))
+    faces = dm.BoundaryFaces(g, bdata).faces
+    mirror = dm.pad(f, "mirror")
+    for k, face in enumerate(faces):
+        assert (face.axis, face.side) == (k // 2, k % 2)
+        rules = [("mirror",)] * 6
+        rules[k] = ("given", f[face.wall])
+        assert np.array_equal(dm.pad(f, tuple(rules)), mirror)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_boundary_faces_reject_nonpositive_density_on_one_face(k):
+    g = unit_grid(4)
+    axis, side = k // 2, k % 2
+
+    def rho_b(x, y, z):
+        xyz = np.broadcast_arrays(x, y, z)
+        on_face = xyz[axis] == (0.0 if side == 0 else g.extents[axis])
+        inner = [xyz[a] > 0.0 for a in range(3) if a != axis]
+        # zero on face k's centroids only; BoundaryData's origin probe is 1
+        return np.where(on_face & inner[0] & inner[1], 0.0, 1.0)
+
+    bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), rho_b,
+                            np.zeros(5))
+    with pytest.raises(dm.DomainError,
+                       match=f"every face \\(axis {axis}, side {side}\\)"):
+        dm.BoundaryFaces(g, bdata)
+
+
 def test_upwind_advection_exact_on_linear():
     g = unit_grid(8)
     X, Y, Z = g.coords()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nematoflow.domain import BoundaryVelocity, Grid
+from nematoflow.domain import BoundaryData, BoundaryFaces, BoundaryVelocity, Grid
 from nematoflow.errors import ConditioningError
 from nematoflow.galerkin import build_basis, project, synthesize
 from nematoflow.momentum import (
@@ -13,7 +13,7 @@ from nematoflow.momentum import (
     rotational_stress,
     step_momentum,
 )
-from nematoflow.nematic import molecular_field, q_boundary_faces
+from nematoflow.nematic import molecular_field
 from nematoflow.pressure import isentropic_law
 from nematoflow.rheology import newtonian_law
 from nematoflow.tensors import from_matrix, to_matrix, uniaxial
@@ -24,11 +24,8 @@ def make_grid(n=8):
 
 
 def uniform_q_faces(grid, q5):
-    def q_b(x, y, z):
-        out = np.empty(np.asarray(x).shape + (5,))
-        out[...] = q5
-        return out
-    return q_boundary_faces(grid, q_b)
+    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+                                            1.0, q5)).q_rules
 
 
 def zero_q_faces(grid):
@@ -71,8 +68,7 @@ def test_elastic_stress_nonuniform_matrix_route():
     faces = zero_q_faces(grid)
     tau = elastic_stress(grid, q, faces, c_star=1.3)
 
-    rules = tuple(("dirichlet", B) for B in faces)
-    gq = gradient(grid, q, rules)
+    gq = gradient(grid, q, faces)
     slices = [to_matrix(gq[..., i]) for i in range(3)]
     odot = np.empty(grid.shape + (3, 3))
     for i in range(3):
@@ -107,7 +103,7 @@ def test_rotational_stress_equals_full_molecular_commutator():
     q[..., 3] = -0.04 * np.sin(np.pi * X)
     faces = zero_q_faces(grid)
     c = 1.0 + 0.2 * np.sin(np.pi * X)
-    h_full = molecular_field(grid, q, c, b=0.7, c_star=1.3, q_b_faces=faces)
+    h_full = molecular_field(grid, q, c, b=0.7, c_star=1.3, q_rules=faces)
     qm, hm = to_matrix(q), to_matrix(h_full)
     direct = qm @ hm - hm @ qm
     shortcut = rotational_stress(grid, q, faces)

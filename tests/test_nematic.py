@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from nematoflow.domain import BoundaryVelocity, Grid, volume_integral
+from nematoflow.domain import (
+    BoundaryData,
+    BoundaryFaces,
+    BoundaryVelocity,
+    Grid,
+    volume_integral,
+)
 from nematoflow.errors import StabilityError
 from nematoflow.galerkin import build_basis, synthesize
 from nematoflow.nematic import (
     diffuse_neumann,
     ldg_energy,
     molecular_field,
-    q_boundary_faces,
     step_concentration,
     step_q,
 )
@@ -26,12 +31,13 @@ def make_grid(n=8):
     return Grid(extents=(1.0, 1.0, 1.0), shape=(n, n, n))
 
 
+def uniform_boundary(grid, q5):
+    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+                                            1.0, q5))
+
+
 def uniform_q_faces(grid, q5):
-    def q_b(x, y, z):
-        out = np.empty(np.asarray(x).shape + (5,))
-        out[...] = q5
-        return out
-    return q_boundary_faces(grid, q_b)
+    return uniform_boundary(grid, q5).q_rules
 
 
 def test_concentration_uniform_stationary():
@@ -99,7 +105,7 @@ def test_molecular_field_frozen_uniform():
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     c = np.ones(grid.shape)
     faces = uniform_q_faces(grid, q5)
-    h = molecular_field(grid, q, c, b=1.0, c_star=1.0, q_b_faces=faces)
+    h = molecular_field(grid, q, c, b=1.0, c_star=1.0, q_rules=faces)
     expected = from_matrix(np.diag([1.0 / 9, 1.0 / 9, -2.0 / 9]))
     assert np.max(np.abs(h - expected)) < 1e-12
 
@@ -145,7 +151,7 @@ def test_q_corotation_rotates_director():
     for _ in range(n_steps):
         faces = uniform_q_faces(grid, q[0, 0, 0])
         q = step_q(grid, q, u, lam, c, dt, gamma=0.0, b=0.0, c_star=1.0,
-                   q_b_faces=faces)
+                   q_rules=faces)
     expected = uniaxial(0.5, np.array([np.cos(t_end), np.sin(t_end), 0.0]))
     assert np.max(np.abs(q[0, 0, 0] - expected)) < 5e-3
 
@@ -160,13 +166,13 @@ def test_q_stability_guard():
     faces = uniform_q_faces(grid, q5)
     with pytest.raises(StabilityError):
         step_q(grid, q, u, lam, c, dt=2e-2, gamma=0.25, b=0.2, c_star=1.0,
-               q_b_faces=faces)
+               q_rules=faces)
 
 
 def _descent_setup(n=8):
     grid = make_grid(n)
     X, Y, Z = grid.coords()
-    qb = [np.zeros((n, n, 5)) for _ in range(6)]
+    qb = uniform_boundary(grid, np.zeros(5))
     bump = np.sin(np.pi * X) * np.sin(np.pi * Y) * np.sin(np.pi * Z)
     q = np.zeros(grid.shape + (5,))
     q[..., 0] = 0.15 * bump
@@ -185,7 +191,7 @@ def test_ldg_energy_gradient_is_molecular_field():
     c = np.full(grid.shape, 3.0)
     rng = np.random.default_rng(5)
     dq = project_s30(to_matrix(rng.standard_normal(grid.shape + (5,))))
-    h = molecular_field(grid, q, c, b=0.5, c_star=1.0, q_b_faces=qb)
+    h = molecular_field(grid, q, c, b=0.5, c_star=1.0, q_rules=qb.q_rules)
     pred = -grid.cell_volume * float(packed_dot(h, dq).sum())
     eps = 1e-6
     ep = ldg_energy(grid, q + eps * dq, c, 0.5, 1.0, qb)
@@ -205,7 +211,7 @@ def test_relaxation_descends_free_energy():
     e_prev = ldg_energy(grid, q, c, b, c_star, qb)
     e0 = e_prev
     for _ in range(100):
-        q = step_q(grid, q, u, lam, c, dt, gamma, b, c_star, qb)
+        q = step_q(grid, q, u, lam, c, dt, gamma, b, c_star, qb.q_rules)
         e = ldg_energy(grid, q, c, b, c_star, qb)
         assert e <= e_prev + 1e-10
         e_prev = e
@@ -223,7 +229,7 @@ def test_q_wall_anchoring_pulls_interior():
     err0 = np.max(np.abs(q - q_wall))
     for _ in range(200):
         q = step_q(grid, q, u, lam, c, dt=5e-3, gamma=0.25, b=0.2, c_star=1.0,
-                   q_b_faces=faces)
+                   q_rules=faces)
     err = np.max(np.abs(q - q_wall))
     assert err < 0.5 * err0
     # packing invariants survive the run

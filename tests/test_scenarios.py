@@ -85,6 +85,10 @@ def test_tabulated_rheology_requires_mollification():
     ("bc_u", "swirl:1.0", "unknown bc.u"),
     ("pressure_kind", "stiffened", "unknown pressure kind"),
     ("rheology_kind", "bingham", "unknown rheology kind"),
+    ("pressure_gamma", 0.5, "gamma > 1"),
+    ("pressure_a", -1.0, "a > 0"),
+    ("rheology_lam", -5.0, r"lam \+ 2\*mu/3"),
+    ("picard_tol", 0.0, "tol.picard"),
 ])
 def test_build_rejects_invalid_scenarios(field, value, fragment):
     sc = dataclasses.replace(sn.zero_scenario(), **{field: value})
@@ -117,7 +121,7 @@ def test_uniaxial_selectors():
     n = np.array([1.0, 0.0, 0.0])
     expect = 0.5 * (np.outer(n, n) - np.eye(3) / 3.0)
     assert np.max(np.abs(qm - expect)) < 1e-14
-    wall = setup.stepper.q_b_faces[0]
+    wall = setup.stepper.boundary.q_b[0]
     assert np.max(np.abs(tensors.to_matrix(wall) - expect)) < 1e-14
 
 

@@ -183,8 +183,6 @@ def test_frobenius_and_dev():
     a = np.arange(9.0).reshape(3, 3)
     b = np.ones((3, 3))
     assert tn.frobenius(a, b) == pytest.approx(36.0)
-    d = tn.dev(a)
-    assert np.trace(d) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_packed_dot_matches_matrix_pairing():
