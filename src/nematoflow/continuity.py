@@ -16,10 +16,10 @@ maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13.
 
 ``ContinuitySolver.ghost_rules`` builds the six Robin ghost rules in ``pad``
-order (x-, x+, y-, y+, z-, z+, as ``domain.BoundaryFaces``).  The CG
-operator uses them with outside data 0 (homogeneous); the density gradient,
-the diffusive boundary flux and the weak residuals use rho_B, or rho_B - chi
-for a shifted density, so every layer sees the same boundary realization.
+order (x-, x+, y-, y+, z-, z+, as ``domain.BoundaryFaces``).  The density
+gradient, the diffusive boundary flux and the weak residuals use rho_B, or
+rho_B - chi for a shifted density, so every layer sees the same boundary
+realization; the CG operator uses the homogeneous ghosts alpha * rho_i.
 """
 
 from dataclasses import dataclass, field
@@ -104,8 +104,8 @@ class ContinuitySolver:
         """The six Robin ghost rules for f, in ``pad`` order.
 
         Face k gets ('given', alpha_k * f[wall] + (1 - alpha_k) * data[k]).
-        data: per-face outside values; rho_B when omitted, zeros for the
-        homogeneous operator, rho_B - chi for a shifted density.
+        data: per-face outside values; rho_B when omitted, rho_B - chi for a
+        shifted density.
         """
         if data is None:
             data = self.boundary.rho_b
@@ -115,7 +115,8 @@ class ContinuitySolver:
 
     def _neg_lap_hom(self, rho):
         """-Laplacian with homogeneous (rho_B = 0) Robin ghosts."""
-        P = pad(rho, self.ghost_rules(rho, (0.0,) * 6))
+        P = pad(rho, tuple(("given", alpha * rho[face.wall]) for face, alpha
+                           in zip(self.boundary.faces, self.alphas)))
         return -laplacian_padded(self.grid, P)
 
     def _solve_diffusion(self, rhs):

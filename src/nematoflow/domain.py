@@ -369,11 +369,13 @@ class BoundaryData:
 
     def __init__(self, u_b, rho_b, q_b):
         self.u_b = u_b
-        self.rho_b = rho_b if callable(rho_b) else _constant_scalar(float(rho_b))
+        if not callable(rho_b):
+            # callable data is checked on every face by BoundaryFaces
+            if float(rho_b) <= 0.0:
+                raise DomainError("inflow density boundary data must be positive")
+            rho_b = _constant_scalar(float(rho_b))
+        self.rho_b = rho_b
         self.q_b = q_b if callable(q_b) else _constant_q(np.asarray(q_b, dtype=float))
-        probe = self.rho_b(np.array([0.0]), np.array([0.0]), np.array([0.0]))
-        if np.any(probe <= 0.0):
-            raise DomainError("inflow density boundary data must be positive")
 
 
 def _constant_scalar(v):

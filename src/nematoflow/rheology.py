@@ -8,6 +8,12 @@ extension F(d, t) := F(|d|, t) used for the d-axis convolution is the
 restriction of the convex potential to a 2-plane of symmetric tensors, so
 convexity survives the reduction.
 
+The 64 x 64 tensor-product rule of the mollifier is summed one kernel axis at
+a time (sum factorisation), as matrix-vector products with the weights.  Raw
+values are evaluated on (d - delta r_i) and (t - delta r_j) offsets that
+broadcast against each other, so a law constant along t (the power law)
+yields size-1 t axes and costs a 1-D sum over 64 nodes, not 64 x 64.
+
 Laws:
   newtonian   F(D) = (mu/2)|D|^2 + (lam/2)(tr D)^2   =>  dF = mu D + lam (tr D) I
   power_law   F(D) = mu0 |dev D|^q
@@ -72,6 +78,17 @@ def _kernel_rule():
 
 
 _KERNEL = _kernel_rule()
+
+
+def _kernel_sum(vals, w):
+    """Contract the last axis of vals with the kernel weights w.
+
+    A size-1 axis (the law is constant along it) costs one product with
+    sum(w) instead of a sum over the nodes.
+    """
+    if vals.shape[-1] == 1:
+        return vals[..., 0] * w.sum()
+    return vals @ w
 
 
 def reduce_sym(D):
@@ -176,47 +193,38 @@ class RheologyLaw:
     def _moll_shift(self):
         key = "shift"
         if key not in self._cache:
-            nodes, w, _ = _KERNEL
-            s = self.delta * nodes
-            vals = self._raw(-s[:, None] + 0.0, -s[None, :] + 0.0)
-            self._cache[key] = float(np.einsum("i,j,ij->", w, w, vals))
+            self._cache[key] = float(self._kernel_quad(self._raw, 0.0, 0.0))
         return self._cache[key]
 
-    def _moll_value(self, d, t):
+    def _kernel_quad(self, raw, d, t):
+        """Product-rule sums sum_ij w_i w_j raw(d - delta r_i, t - delta r_j).
+
+        raw returns one array or a tuple of arrays; so does this.  Raw values
+        are computed chunk by chunk on (c, 64, 1) and (c, 1, 64) offsets, and
+        each output is summed one kernel axis at a time.
+        """
         nodes, w, _ = _KERNEL
-        d = np.asarray(d, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d, t = np.broadcast_arrays(d, t)
-        shape = d.shape
+        d, t = np.broadcast_arrays(np.asarray(d, dtype=float),
+                                   np.asarray(t, dtype=float))
         df, tf = d.reshape(-1), t.reshape(-1)
-        out = np.empty(df.size, dtype=float)
         s = self.delta * nodes
         chunk = max(1, 2_000_000 // (nodes.size * nodes.size))
-        for k in range(0, df.size, chunk):
-            dd = df[k:k + chunk, None, None] - s[None, :, None]
-            tt = tf[k:k + chunk, None, None] - s[None, None, :]
-            vals = self._raw(dd, tt)
-            out[k:k + chunk] = np.einsum("i,j,cij->c", w, w, vals)
-        return out.reshape(shape) - self._moll_shift()
+        parts = []
+        # at least one pass, so empty input still yields raw's output count
+        for k in range(0, max(df.size, 1), chunk):
+            vals = raw(df[k:k + chunk, None, None] - s[None, :, None],
+                       tf[k:k + chunk, None, None] - s[None, None, :])
+            single = not isinstance(vals, tuple)
+            parts.append([_kernel_sum(_kernel_sum(v, w), w)
+                          for v in ((vals,) if single else vals)])
+        outs = tuple(np.concatenate(p).reshape(d.shape) for p in zip(*parts))
+        return outs[0] if single else outs
+
+    def _moll_value(self, d, t):
+        return self._kernel_quad(self._raw, d, t) - self._moll_shift()
 
     def _moll_partials(self, d, t):
-        nodes, w, _ = _KERNEL
-        d = np.asarray(d, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d, t = np.broadcast_arrays(d, t)
-        shape = d.shape
-        df, tf = d.reshape(-1), t.reshape(-1)
-        fd = np.empty(df.size, dtype=float)
-        ft = np.empty(df.size, dtype=float)
-        s = self.delta * nodes
-        chunk = max(1, 2_000_000 // (nodes.size * nodes.size))
-        for k in range(0, df.size, chunk):
-            dd = df[k:k + chunk, None, None] - s[None, :, None]
-            tt = tf[k:k + chunk, None, None] - s[None, None, :]
-            pd, pt = self._raw_partials(dd, tt)
-            fd[k:k + chunk] = np.einsum("i,j,cij->c", w, w, pd)
-            ft[k:k + chunk] = np.einsum("i,j,cij->c", w, w, pt)
-        return fd.reshape(shape), ft.reshape(shape)
+        return self._kernel_quad(self._raw_partials, d, t)
 
     def value_dt(self, d, t):
         """Reduced potential (mollified when delta > 0)."""
@@ -283,7 +291,8 @@ def subgradient(law, D):
 def _golden_max_batch(f, lo, hi, tol=_GOLDEN_TOL):
     """Vectorized golden-section maximization of f over [lo, hi] per entry.
 
-    Evaluates both interior points each iteration; f must accept arrays.
+    The surviving interior probe is kept, so each iteration evaluates one
+    new point per entry: n_iter + 3 calls of f in all.  f must accept arrays.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo = np.array(lo, dtype=float, copy=True)
@@ -293,12 +302,18 @@ def _golden_max_batch(f, lo, hi, tol=_GOLDEN_TOL):
         xm = 0.5 * (lo + hi)
         return xm, f(xm)
     n_iter = max(1, int(math.ceil(math.log(tol / width) / math.log(invphi))))
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
     for _ in range(n_iter):
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        take_left = f(x1) >= f(x2)
+        take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
+        # the kept probe becomes x2 (left kept) or x1 (right kept)
+        x_new = np.where(take_left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f_new = f(x_new)
+        x1, x2 = np.where(take_left, x_new, x2), np.where(take_left, x1, x_new)
+        f1, f2 = np.where(take_left, f_new, f2), np.where(take_left, f1, f_new)
     xm = 0.5 * (lo + hi)
     return xm, f(xm)
 
@@ -418,49 +433,3 @@ def certify_coercivity(law, box=10.0, n_d=81, n_t=41, mu2_cap=1.0e6):
             ok = bool(np.all(fvals >= mu1 * target_pow - mu2 - 1.0e-12))
             return {"mu1": float(mu1), "mu2": mu2, "pass": ok}
     return {"mu1": law.mu0 / 2.0, "mu2": math.inf, "pass": False}
-
-
-class ConjugateTable:
-    """F* sampled on an (s, sigma) grid with bilinear interpolation."""
-
-    def __init__(self, s_nodes, sigma_nodes, values):
-        self.s_nodes = np.asarray(s_nodes, dtype=float)
-        self.sigma_nodes = np.asarray(sigma_nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (self.s_nodes.size, self.sigma_nodes.size):
-            raise RheologyError("conjugate table shape mismatch")
-
-    @classmethod
-    def build(cls, law, s_nodes, sigma_nodes):
-        ss, gg = np.meshgrid(np.asarray(s_nodes, float), np.asarray(sigma_nodes, float),
-                             indexing="ij")
-        vals = conjugate_batch(law, ss.ravel(), gg.ravel()).reshape(ss.shape)
-        return cls(s_nodes, sigma_nodes, vals)
-
-    def __call__(self, s, sigma):
-        s = np.asarray(s, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        sn, gn, v = self.s_nodes, self.sigma_nodes, self.values
-        if np.any(s < sn[0]) or np.any(s > sn[-1]) or np.any(sigma < gn[0]) or np.any(sigma > gn[-1]):
-            raise RangeError("stress outside conjugate table range")
-        i = np.clip(np.searchsorted(sn, s, side="right") - 1, 0, sn.size - 2)
-        j = np.clip(np.searchsorted(gn, sigma, side="right") - 1, 0, gn.size - 2)
-        a = (s - sn[i]) / (sn[i + 1] - sn[i])
-        b = (sigma - gn[j]) / (gn[j + 1] - gn[j])
-        return ((1 - a) * (1 - b) * v[i, j] + a * (1 - b) * v[i + 1, j]
-                + (1 - a) * b * v[i, j + 1] + a * b * v[i + 1, j + 1])
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write("s,sigma,Fstar\n")
-            for i, s in enumerate(self.s_nodes):
-                for j, g in enumerate(self.sigma_nodes):
-                    fh.write(f"{s:.17g},{g:.17g},{self.values[i, j]:.17g}\n")
-
-    @classmethod
-    def load(cls, path):
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        s = np.unique(rows[:, 0])
-        g = np.unique(rows[:, 1])
-        v = rows[:, 2].reshape(s.size, g.size)
-        return cls(s, g, v)

@@ -208,13 +208,25 @@ def test_boundary_faces_reject_nonpositive_density_on_one_face(k):
         xyz = np.broadcast_arrays(x, y, z)
         on_face = xyz[axis] == (0.0 if side == 0 else g.extents[axis])
         inner = [xyz[a] > 0.0 for a in range(3) if a != axis]
-        # zero on face k's centroids only; BoundaryData's origin probe is 1
+        # zero on face k's centroids only
         return np.where(on_face & inner[0] & inner[1], 0.0, 1.0)
 
     bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), rho_b,
                             np.zeros(5))
     with pytest.raises(dm.DomainError,
                        match=f"every face \\(axis {axis}, side {side}\\)"):
+        dm.BoundaryFaces(g, bdata)
+
+
+def test_callable_density_checked_on_faces_not_at_the_corner():
+    g = unit_grid(4)
+    ub = dm.BoundaryVelocity("zero", g)
+    # negative at the corner (0, 0, 0), smallest face-centroid value 0.24
+    bdata = dm.BoundaryData(ub, lambda x, y, z: x + y + z - 0.01, np.zeros(5))
+    faces = dm.BoundaryFaces(g, bdata)
+    assert min(float(r.min()) for r in faces.rho_b) == pytest.approx(0.24)
+    bdata = dm.BoundaryData(ub, lambda x, y, z: x + y + z - 0.3, np.zeros(5))
+    with pytest.raises(dm.DomainError):
         dm.BoundaryFaces(g, bdata)
 
 

@@ -291,18 +291,84 @@ def test_certify_mollified_power_law_needs_offset():
     assert out["mu2"] > 0.0
 
 
-# -------------------------------------------------------- conjugate table
+# ------------------------------------------------- product-rule quadrature
 
 
-def test_conjugate_table_roundtrip(tmp_path):
-    law = rh.newtonian_law(mu=1.0, lam=0.0)
-    s_nodes = np.linspace(0.0, 3.0, 31)
-    g_nodes = np.linspace(-3.0, 3.0, 31)
-    table = rh.ConjugateTable.build(law, s_nodes, g_nodes)
-    path = tmp_path / "fstar.csv"
-    table.save(path)
-    back = rh.ConjugateTable.load(path)
-    assert np.array_equal(back.values, table.values)
-    assert back(1.0, 0.0) == pytest.approx(0.5, abs=5e-3)
-    with pytest.raises(rh.RangeError):
-        back(10.0, 0.0)
+def oracle_mollified(law, d, t):
+    """F_delta and its partials by an explicit double loop over the rule."""
+    nodes, w, _ = rh._KERNEL
+    s = law.delta * nodes
+    d, t = np.broadcast_arrays(np.asarray(d, float), np.asarray(t, float))
+    val, fd, ft = np.zeros(d.shape), np.zeros(d.shape), np.zeros(d.shape)
+    shift = 0.0
+    for i in range(nodes.size):
+        for j in range(nodes.size):
+            wij = w[i] * w[j]
+            val = val + wij * law._raw(d - s[i], t - s[j])
+            pd, pt = law._raw_partials(d - s[i], t - s[j])
+            fd = fd + wij * pd
+            ft = ft + wij * pt
+            shift += wij * float(law._raw(-s[i], -s[j]))
+    return val - shift, fd, ft
+
+
+@pytest.mark.parametrize("name", ["newtonian", "power_law", "tabulated"])
+def test_mollified_quadrature_matches_double_loop(name):
+    base = {"newtonian": rh.newtonian_law(mu=1.3, lam=0.4),
+            "power_law": rh.power_law(mu0=0.8),
+            "tabulated": table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)}[name]
+    law = rh.mollify(base, 0.1)
+    rng = np.random.default_rng(23)
+    d_nm = rng.uniform(0.3, 2.0, size=(3, 4))
+    cases = [(0.7, -0.6),                            # scalar
+             (rng.uniform(0.3, 2.0, 5), rng.uniform(0.2, 1.5, 5)),   # (n,)
+             (d_nm, -0.9)]                           # (n, m) against scalar t
+    for d, t in cases:
+        want_v, want_d, want_t = oracle_mollified(law, d, t)
+        got_v = law.value_dt(d, t)
+        got_d, got_t = law.partials_dt(d, t)
+        assert np.shape(got_v) == np.shape(got_d) == np.shape(got_t) == np.shape(want_v)
+        for got, want in ((got_v, want_v), (got_d, want_d), (got_t, want_t)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# --------------------------------------------------- work-count guards
+
+
+def _golden_iterations(lo, hi, tol=rh._GOLDEN_TOL):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    return max(1, int(np.ceil(np.log(tol / (hi - lo)) / np.log(invphi))))
+
+
+def test_golden_section_evaluates_one_new_probe_per_iteration():
+    calls = []
+    target = np.array([0.3, 2.0, 7.5])
+
+    def f(x):
+        calls.append(x.shape)
+        return -(x - target) ** 2
+
+    x, val = rh._golden_max_batch(f, np.zeros(3), np.full(3, 10.0))
+    assert len(calls) == _golden_iterations(0.0, 10.0) + 3
+    assert all(shape == (3,) for shape in calls)
+    np.testing.assert_allclose(x, target, atol=1e-9)
+    assert np.all(val <= 0.0) and np.all(val > -1e-17)
+
+
+def test_mollified_power_law_conjugate_raw_point_count(monkeypatch):
+    law = rh.mollify(rh.power_law(mu0=1.0), 0.05)
+    law.value_dt(0.0, 0.0)           # the cached F_delta(0) shift is not counted
+    n = 37
+    s = np.linspace(0.05, 1.5, n)
+    count = [0]
+    raw = rh.RheologyLaw._raw
+
+    def counted(self, d, t):
+        out = raw(self, d, t)
+        count[0] += out.size
+        return out
+
+    monkeypatch.setattr(rh.RheologyLaw, "_raw", counted)
+    rh.conjugate_batch(law, s, np.zeros(n))
+    n_iter = _golden_iterations(0.0, rh._BRACKET_HI)
+    assert 0 < count[0] <= (n_iter + 3) * n * rh._GL_NODES
