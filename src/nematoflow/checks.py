@@ -10,7 +10,6 @@ import dataclasses
 
 import numpy as np
 
-from . import domain as dom
 from . import energy as en
 from . import galerkin as gk
 from . import pressure as pr

@@ -121,17 +121,6 @@ def gradient(grid, f, rules="mirror"):
     return out
 
 
-def divergence(grid, v, rules="mirror"):
-    v = np.asarray(v)
-    if v.shape[3:] != (3,):
-        raise DomainError("divergence expects a vector field (..., 3)")
-    out = np.zeros(v.shape[:3], dtype=float)
-    for axis in range(3):
-        P = pad(v[..., axis], rules)
-        out += (_shift(P, axis, 1, 0) - _shift(P, axis, -1, 0)) / (2.0 * grid.h[axis])
-    return out
-
-
 def laplacian(grid, f, rules="mirror"):
     f = np.asarray(f)
     trail = f.ndim - 3
@@ -153,29 +142,6 @@ def laplacian_padded(grid, P, trail=0):
     return out
 
 
-def jacobian(grid, u, rules="mirror"):
-    """J[..., a, d] = du_a/dx_d by central differences."""
-    u = np.asarray(u)
-    if u.shape[3:] != (3,):
-        raise DomainError("jacobian expects a vector field (..., 3)")
-    out = np.empty(u.shape[:3] + (3, 3), dtype=float)
-    for a in range(3):
-        out[..., a, :] = gradient(grid, u[..., a], rules)
-    return out
-
-
-def sym_skew_gradient(grid, u, rules="mirror"):
-    """(D, lam): symmetric part as (...,3,3), skew packed (l12, l13, l23)."""
-    J = jacobian(grid, u, rules)
-    D = 0.5 * (J + np.swapaxes(J, -1, -2))
-    lam = np.stack([
-        0.5 * (J[..., 0, 1] - J[..., 1, 0]),
-        0.5 * (J[..., 0, 2] - J[..., 2, 0]),
-        0.5 * (J[..., 1, 2] - J[..., 2, 1]),
-    ], axis=-1)
-    return D, lam
-
-
 def advect_upwind(grid, P, u, trail=0):
     """u . grad(f) with first-order upwinding; P is the ghost-padded field."""
     center = P[_face_slices(trail)]
@@ -187,19 +153,6 @@ def advect_upwind(grid, P, u, trail=0):
         fwd = (_shift(P, axis, 1, trail) - center) / grid.h[axis]
         bwd = (center - _shift(P, axis, -1, trail)) / grid.h[axis]
         out += np.where(ua > 0.0, ua * bwd, ua * fwd)
-    return out
-
-
-def advect_central(grid, P, u, trail=0):
-    """u . grad(f) with central differences; P is the ghost-padded field."""
-    center = P[_face_slices(trail)]
-    out = np.zeros(center.shape, dtype=float)
-    for axis in range(3):
-        ua = u[..., axis]
-        if trail:
-            ua = ua.reshape(ua.shape + (1,) * trail)
-        out += ua * (_shift(P, axis, 1, trail) - _shift(P, axis, -1, trail)) \
-            / (2.0 * grid.h[axis])
     return out
 
 
@@ -266,24 +219,6 @@ def decompose_boundary(grid, u_b):
                               xyz=tuple(xyz), ub=ub, ubn=ubn,
                               inflow=ubn < 0.0))
     return faces
-
-
-def surface_integral(faces, values, subset="all"):
-    """Midpoint quadrature of per-face centroid values over a boundary subset.
-
-    values: callable(x, y, z) or a list of six arrays matching face shapes.
-    """
-    total = 0.0
-    for k, face in enumerate(faces):
-        g = values(*face.xyz) if callable(values) else np.asarray(values[k])
-        if subset == "inflow":
-            g = np.where(face.inflow, g, 0.0)
-        elif subset == "outflow":
-            g = np.where(face.inflow, 0.0, g)
-        elif subset != "all":
-            raise DomainError(f"unknown boundary subset {subset!r}")
-        total += face.area_element * g.sum()
-    return total
 
 
 class BoundaryFaces:

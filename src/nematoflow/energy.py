@@ -1,4 +1,4 @@
-"""Energy ledger, budget inequality, and growth-bound verification.
+"""Energy ledger, budget inequality, and the two-grid defect diagnostic.
 
 Every row collects the quadratures of one time level: the energy terms, the
 four dissipation integrals d_visc = int[F(D) + F*(S)], d_conc = D0 int|grad c|^2,
@@ -14,7 +14,8 @@ The budget check over [0, tau], with left-rectangle time quadrature:
         <= sum dt * (C_growth * E + data terms) + C_const * tau
 
 reported as residual = RHS - LHS, PASS iff residual >= -tol with
-tol = 1e-6 (E(0)+1) + 10 (dt + h^2) tau scale.
+tol = 1e-6 (E(0)+1) + 10 (dt + h^2) tau (1 + E(0) + max weighted
+dissipation); C_growth and C_const come from the boundary data norms.
 """
 
 import csv
@@ -197,12 +198,9 @@ class EnergyMonitor:
         c_const = 1.0 + gradub_l2sq + conv_inf
         return c_growth, c_const
 
-    def inequality_residual(self, c_growth=None, c_const=None, tol_scale=None):
+    def inequality_residual(self):
         """Budget verdict over the recorded window."""
-        if c_growth is None or c_const is None:
-            cg, cc = self.default_constants()
-            c_growth = cg if c_growth is None else c_growth
-            c_const = cc if c_const is None else c_const
+        c_growth, c_const = self.default_constants()
         lhs = self.lhs_series()
         rhs = self.rhs_series(c_growth, c_const)
         residual = rhs - lhs
@@ -211,23 +209,15 @@ class EnergyMonitor:
         h2 = max(g.h) ** 2
         e0 = self.rows[0]["E_total"]
         tau = np.array([r["t"] for r in self.rows]) - self.rows[0]["t"]
-        if tol_scale is None:
-            rate = max((self.weighted_dissipation(r) for r in self.rows),
-                       default=0.0)
-            tol_scale = 1.0 + e0 + rate
-        tol = 1e-6 * (e0 + 1.0) + 10.0 * (dt + h2) * tau * tol_scale
+        rate = max((self.weighted_dissipation(r) for r in self.rows),
+                   default=0.0)
+        tol = 1e-6 * (e0 + 1.0) + 10.0 * (dt + h2) * tau * (1.0 + e0 + rate)
         ok = bool(np.all(residual >= -tol))
         return {
             "residual": residual, "tol": tol, "pass": ok,
             "c_growth": c_growth, "c_const": c_const,
             "margin": float(np.min(residual + tol)),
         }
-
-    def gronwall_bound(self, c_bound):
-        """Integrated-form check: cumulative LHS stays below c_bound."""
-        lhs = self.lhs_series()
-        sup = float(np.max(lhs))
-        return {"sup_lhs": sup, "bound": c_bound, "pass": sup <= c_bound}
 
     # ---------------------------------------------------------------- I/O
 
@@ -238,17 +228,6 @@ class EnergyMonitor:
             for r in self.rows:
                 w.writerow(["%.17g" % r[c] if c != "picard_iters"
                             else str(r[c]) for c in LEDGER_COLUMNS])
-
-
-def load_ledger(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            row = {k: (int(v) if k == "picard_iters" else float(v))
-                   for k, v in rec.items()}
-            rows.append(row)
-    return rows
 
 
 # ------------------------------------------------------- defect diagnostic
@@ -328,46 +307,3 @@ def defect_diagnostic(rho_coarse, u_coarse, rho_fine, u_fine,
                           stress_defect=stress_defect,
                           d_lo=d_lo, d_hi=d_hi, rate=rate,
                           n_active=n_active, threshold=threshold)
-
-
-# -------------------------------------------------- standalone diagnostics
-
-def fenchel_consistency(grid, law, d_field):
-    """Gap between the dual dissipation route and the direct pairing."""
-    s_field = rh.subgradient(law, d_field)
-    f_vals = rh.potential(law, d_field)
-    s_red, sig_red = rh.reduce_sym(s_field)
-    fstar_vals = rh.conjugate_batch(law, s_red, sig_red)
-    dual = volume_integral(grid, f_vals + fstar_vals)
-    direct = volume_integral(
-        grid, np.einsum("...ab,...ab->...", s_field, d_field))
-    return dual, direct, abs(dual - direct)
-
-
-def lp_norm(grid, pointwise, p):
-    return volume_integral(grid, pointwise ** p) ** (1.0 / p)
-
-
-def korn_diagnostic(grid, basis, n_samples=200, p=4.0 / 3.0, seed=7):
-    """Empirical constant for |grad u|_p <= kappa |dev sym grad u|_p.
-
-    Samples random mode coefficients; reports the max ratio over the sample
-    rather than asserting any analytical constant.
-    """
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(n_samples):
-        v = rng.standard_normal(basis.n)
-        J = gk.synthesize_jacobian(basis, v)
-        D = 0.5 * (J + np.swapaxes(J, -1, -2))
-        dev = D - (np.trace(D, axis1=-2, axis2=-1) / 3.0)[..., None, None] \
-            * np.eye(3)
-        grad_mag = np.sqrt(np.einsum("...ab,...ab->...", J, J))
-        dev_mag = np.sqrt(np.einsum("...ab,...ab->...", dev, dev))
-        num = lp_norm(grid, grad_mag, p)
-        den = lp_norm(grid, dev_mag, p)
-        ratios.append(num / den)
-    ratios = np.array(ratios)
-    return {"max_ratio": float(ratios.max()),
-            "mean_ratio": float(ratios.mean()), "p": p,
-            "n_samples": n_samples}

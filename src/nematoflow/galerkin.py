@@ -71,14 +71,10 @@ def _contract(basis, V, Fx, Fy, Fz):
     return Fz.T @ A.reshape(A.shape[0], A.shape[1], m, 3)     # [i, j, c, a]
 
 
-def synthesize(basis, v, u_b=None):
-    """Grid samples of sum_i v_i w_i (+ u_b evaluated at cell centers)."""
+def synthesize(basis, v):
+    """Grid samples of sum_i v_i w_i at cell centers."""
     V = _coeff_grid(basis, v)
-    u = _contract(basis, V, *(basis.factors(a) for a in range(3)))
-    if u_b is not None:
-        X, Y, Z = basis.grid.coords()
-        u = u + u_b(X, Y, Z)
-    return u
+    return _contract(basis, V, *(basis.factors(a) for a in range(3)))
 
 
 def project(basis, f):

@@ -176,18 +176,19 @@ def _feasible_interval(num, den, slack):
     return lo, hi
 
 
-def certify_s2(law, n_grid=1001):
+def certify_s2(law):
     """Search for structural constants (a_lower, a_upper, a_tilde, gamma_eff).
 
     Convexity of P - a_lower*p and a_upper*p - P is checked through second
-    differences on a uniform grid; the growth bound P >= a_tilde rho^gamma_eff
-    is fitted on [1, rho_max] in log-log coordinates.
+    differences on a uniform 1001-point grid over [0, rho_max]; the growth
+    bound P >= a_tilde rho^gamma_eff is fitted on [1, rho_max] in log-log
+    coordinates.
     """
     if law.kind == "isentropic":
         c = 1.0 / (law.gamma - 1.0)
         return {"a_lower": c, "a_upper": c, "a_tilde": law.a * c,
                 "gamma_eff": law.gamma, "pass": True}
-    grid = np.linspace(0.0, law.rho_max, n_grid)
+    grid = np.linspace(0.0, law.rho_max, 1001)
     pv = np.asarray(pressure(law, grid), dtype=float)
     Pv = np.asarray(potential(law, grid), dtype=float)
     d2p = pv[2:] - 2.0 * pv[1:-1] + pv[:-2]
@@ -226,11 +227,3 @@ def certify_s2(law, n_grid=1001):
             ok = False
     return {"a_lower": a_lower, "a_upper": a_upper, "a_tilde": a_tilde,
             "gamma_eff": gamma_eff, "pass": bool(ok)}
-
-
-def load_table(path):
-    """CSV rows rho,p with strictly increasing rho; returns a general law."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != 2:
-        raise PressureError("pressure table must have two columns: rho,p")
-    return general_law(rows[:, 0], rows[:, 1])

@@ -1,10 +1,11 @@
-"""Scenario driver: coupled time loop, invariant tracking, reporting.
+"""Scenario driver: invariant tracking and reporting around the time loop.
 
-run_scenario advances a scenario from 0 to T, appends one energy-ledger row
-per step, tracks the structural invariants along the way (trace and
-symmetry of the reconstructed order tensor, solute bounds, density
-envelope), writes snapshots at the configured cadence, and closes with a
-PASS/FAIL table.  The report object only ever appends; nothing is revised
+run_scenario advances a scenario from 0 to T through
+``simulation.run_coupled``.  Its per-step hook appends one energy-ledger
+row, tracks the structural invariants (trace and symmetry of the
+reconstructed order tensor, solute bounds, density envelope) and writes
+snapshots at the configured cadence; the run closes with a PASS/FAIL
+table.  The report object only ever appends; nothing is revised
 after the fact.
 """
 
@@ -18,6 +19,7 @@ from . import energy as en
 from . import scenarios as sn
 from . import snapshots as sp
 from . import tensors
+from .simulation import run_coupled
 
 
 @dataclass
@@ -100,11 +102,10 @@ def run_scenario(sc, out_dir=None, resume_from=None):
                           state, stepper._ub_cc)
         report.snapshots.append(start_step)
 
-    t_wall = time.perf_counter()
     tau = 0.0
-    for k in range(start_step, n_steps):
-        prev = state
-        state, info = stepper.step(state)
+
+    def observe_step(prev, state, info):
+        nonlocal tau
         hook(prev, state, info)
         report.picard_iters.append(info["picard_iters"])
         if "contraction" in info:
@@ -123,11 +124,16 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         over = max(float(state.rho.max()) - env_hi * (1 + 1e-6), 0.0)
         under = max(env_lo * (1 - 1e-6) - float(state.rho.min()), 0.0)
         worst["rho_envelope"] = max(worst["rho_envelope"], over, under)
+        step = start_step + len(report.picard_iters)
         if out_dir is not None and sc.snapshot_every > 0 \
-                and (k + 1) % sc.snapshot_every == 0:
-            sp.write_snapshot(sp.snapshot_path(out_dir, k + 1), grid, basis,
+                and step % sc.snapshot_every == 0:
+            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, basis,
                               state, stepper._ub_cc)
-            report.snapshots.append(k + 1)
+            report.snapshots.append(step)
+
+    t_wall = time.perf_counter()
+    run_coupled(stepper, state, n_steps - start_step, record=False,
+                monitor=observe_step)
     report.timings["stepping"] = time.perf_counter() - t_wall
 
     report.add_check("order tensor trace free", worst["tr_q"] == 0.0,

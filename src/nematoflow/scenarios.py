@@ -9,6 +9,7 @@ fall back to a default.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,9 +156,12 @@ def _floats(parts, n, what):
     if len(parts) != n:
         raise ConfigError(f"{what}: expected {n} arguments, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{what}: non-numeric argument") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{what}: arguments must be finite")
+    return vals
 
 
 def _init_rho(expr, grid):
@@ -221,6 +225,8 @@ def _init_v(expr, basis, rng):
         return np.zeros(basis.n)
     if name == "noise":
         (amp,) = _floats(parts, 1, "init.v noise")
+        if amp < 0.0:
+            raise ConfigError("init.v noise amplitude must be >= 0")
         return amp * rng.standard_normal(basis.n)
     raise ConfigError(f"unknown init.v selector {name!r}")
 
@@ -297,6 +303,10 @@ class RunSetup:
 
 def build(sc):
     """Materialize a scenario into grid, basis, stepper, initial state."""
+    for key, name in KEY_MAP.items():
+        val = getattr(sc, name)
+        if _FIELD_TYPES[name] is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val!r}")
     if sc.grid_cells < 2 or sc.modes < 1:
         raise ConfigError("grid.cells must be >= 2 and galerkin.modes >= 1")
     if sc.dt <= 0 or sc.final_time <= 0:
@@ -305,6 +315,8 @@ def build(sc):
         raise ConfigError("bc.rho must be positive")
     if not sc.picard_tol > 0:
         raise ConfigError("tol.picard must be positive")
+    if sc.snapshot_every < 0:
+        raise ConfigError("output.snapshot_every must be >= 0 (0 = off)")
     sc.n_steps()
     ext = (sc.grid_extent,) * 3
     try:

@@ -6,10 +6,11 @@ solvers, the resulting fields feed the projected momentum balance, and the
 momentum solve returns the next candidate.  Candidates are combined by
 Anderson mixing (type II, in the form of Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) over the last ``ANDERSON_DEPTH`` iterates, with mixing factor
-``theta``; at depth 0 this is the damped Picard step
-``theta * v_next + (1 - theta) * v``.  If an increment grows, the history is
-dropped and ``theta`` is halved for the rest of the step.  Convergence is
-declared on the l2 increment of the coefficient vector; the accepted
+``THETA``; at depth 0 this is the damped Picard step
+``THETA * v_next + (1 - THETA) * v``.  If an increment grows, the history is
+dropped and the mixing factor is halved for the rest of the step.
+Convergence is declared on the l2 increment of the coefficient vector,
+within ``PICARD_MAX_ITER`` iterations or ``FixedPointError``; the accepted
 velocity then advances the fields once more so the stored state is
 consistent with it.
 """
@@ -28,6 +29,9 @@ from .nematic import step_concentration, step_q
 
 # number of past iterate/residual differences kept by the Anderson mixing
 ANDERSON_DEPTH = 4
+# mixing factor of the new candidate, and the iteration budget of one step
+THETA = 1.0
+PICARD_MAX_ITER = 60
 
 
 @dataclass
@@ -59,7 +63,7 @@ class State:
 
 class CoupledStepper:
     def __init__(self, grid, basis, physics, law, pressure_law, bdata, dt,
-                 picard_tol=1e-10, picard_max_iter=60, theta=1.0):
+                 picard_tol=1e-10):
         self.grid = grid
         self.basis = basis
         self.physics = physics
@@ -68,8 +72,6 @@ class CoupledStepper:
         self.bdata = bdata
         self.dt = float(dt)
         self.picard_tol = float(picard_tol)
-        self.picard_max_iter = int(picard_max_iter)
-        self.theta = float(theta)
         self.boundary = BoundaryFaces(grid, bdata)
         self.continuity = ContinuitySolver(grid=grid, eps=physics.eps, dt=dt,
                                            boundary=self.boundary)
@@ -121,13 +123,13 @@ class CoupledStepper:
         """Advance the coupled state by dt; returns (new_state, info)."""
         v0 = state.v
         v_cur = v0.copy()
-        beta = self.theta
+        beta = THETA
         d_v = deque(maxlen=ANDERSON_DEPTH)    # differences of iterates
         d_f = deque(maxlen=ANDERSON_DEPTH)    # differences of residuals
         v_prev = f_prev = None
         increments = []
         converged = False
-        for _ in range(self.picard_max_iter):
+        for _ in range(PICARD_MAX_ITER):
             u, J, lam = self.velocity_fields(v_cur)
             rho_k, c_k, q_k, _ = self.advance_fields(state, v_cur, u, lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
@@ -157,7 +159,7 @@ class CoupledStepper:
         if not converged:
             raise FixedPointError(
                 f"coupling iteration did not reach {self.picard_tol:g} in "
-                f"{self.picard_max_iter} iterations "
+                f"{PICARD_MAX_ITER} iterations "
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
         u, _, lam = self.velocity_fields(v_cur)
@@ -195,7 +197,7 @@ def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
     Returns (final_state, trajectory or None).
     """
     traj = Trajectory(grid=stepper.grid, stepper=stepper) if record else None
-    state = state0.copy()
+    state = state0
     if record:
         traj.record(state)
     for _ in range(n_steps):

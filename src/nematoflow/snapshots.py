@@ -43,6 +43,11 @@ def write_snapshot(path, grid, basis, state, ub_cc):
 
 def read_snapshot(path):
     """Returns (state, shape, extents); state.v from the header line."""
+    return _parse_snapshot(path)[:3]
+
+
+def _parse_snapshot(path):
+    """(state, shape, extents, data) with the data columns parsed once."""
     t = None
     shape = None
     extents = None
@@ -74,15 +79,13 @@ def read_snapshot(path):
     c = data[:, 7].reshape(shape)
     q = data[:, 8:13].reshape(shape + (5,))
     state = State(t, rho, c, q, v)
-    return state, shape, extents
+    return state, shape, extents, data
 
 
 def read_velocity_fields(path):
     """(rho, u) sampled at cell centers, for the two-grid defect check."""
-    state, shape, _ = read_snapshot(path)
-    data = np.loadtxt(path)
-    u = data[:, 4:7].reshape(shape + (3,))
-    return state.rho, u
+    state, shape, _, data = _parse_snapshot(path)
+    return state.rho, data[:, 4:7].reshape(shape + (3,))
 
 
 def latest_snapshot(out_dir):

@@ -8,9 +8,6 @@ All functions broadcast over leading axes, i.e. a QField of shape
 
 import numpy as np
 
-# component order of the packed representation
-Q_COMPONENTS = ("q11", "q12", "q13", "q22", "q23")
-
 
 def to_matrix(q5):
     """Reconstruct full 3x3 matrices from packed components, shape (..., 3, 3)."""
@@ -100,12 +97,6 @@ def trace_q3(q5):
     m = to_matrix(q5)
     m3 = m @ m @ m
     return m3[..., 0, 0] + m3[..., 1, 1] + m3[..., 2, 2]
-
-
-def scalar_invariants(q5):
-    """(tr Q^2, tr Q^3, tr^2 Q^2) as used by the bulk free-energy terms."""
-    t2 = trace_q2(q5)
-    return t2, trace_q3(q5), t2 * t2
 
 
 def bulk_molecular_field(q5, c, b, c_star):

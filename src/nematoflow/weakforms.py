@@ -181,8 +181,7 @@ def nematic_catalog():
 
 # --------------------------------------------------------------- residuals
 
-def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
-                               momentum_tests=None, nematic_tests=None):
+def weak_residuals_dissipative(traj, stepper):
     """Quadrature every stored step against the full catalog in one pass.
 
     Returns {"continuity": {name: residual}, "momentum": ..., and
@@ -196,11 +195,9 @@ def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
     if len(states) < 2:
         raise ValueError("trajectory must hold at least two time levels")
     X, Y, Z = g.coords()
-    scalar_tests = scalar_catalog() if scalar_tests is None else scalar_tests
-    momentum_tests = momentum_catalog(stepper.basis) \
-        if momentum_tests is None else momentum_tests
-    nematic_tests = nematic_catalog() if nematic_tests is None else \
-        nematic_tests
+    scalar_tests = scalar_catalog()
+    momentum_tests = momentum_catalog(stepper.basis)
+    nematic_tests = nematic_catalog()
 
     boundary = stepper.boundary
     q_rules = boundary.q_rules
@@ -305,34 +302,3 @@ def weak_residuals_dissipative(traj, stepper, scalar_tests=None,
     report["max_abs"] = {eq: max(abs(v) for v in vals.values())
                          for eq, vals in report.items()}
     return report
-
-
-# ------------------------------------------- corotation pairing identity
-
-def commutator_identity_gap(grid, basis, v_coeffs, qp_fn, lap_q_fn):
-    """Two quadratures of the corotation pairing on manufactured fields.
-
-    Route one contracts the skew gradient of U against the companion field
-    and the Laplacian directly; route two takes the finite-difference
-    divergence of the antisymmetric product and pairs it with U.  For U
-    vanishing on the walls the two agree at second order in h.
-    qp_fn, lap_q_fn: callables (X, Y, Z) -> (..., 3, 3) matrices for the
-    companion field and the analytic Laplacian of the order field.
-    """
-    X, Y, Z = grid.coords()
-    u = gk.synthesize(basis, v_coeffs)
-    J = gk.synthesize_jacobian(basis, v_coeffs)
-    lam = 0.5 * (J - np.swapaxes(J, -1, -2))
-    qp = qp_fn(X, Y, Z)
-    lap_q = lap_q_fn(X, Y, Z)
-    route1 = volume_integral(
-        grid, tensors.frobenius(lam @ qp - qp @ lam, lap_q))
-
-    T = qp @ lap_q - lap_q @ qp
-    div_T = np.zeros(grid.shape + (3,))
-    for a in range(3):
-        for b in range(3):
-            div_T[..., a] += np.gradient(T[..., a, b], grid.h[b], axis=b)
-    route2 = volume_integral(
-        grid, np.einsum("...a,...a->...", div_T, u))
-    return route1, route2, abs(route1 - route2)

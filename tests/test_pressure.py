@@ -128,13 +128,3 @@ def test_certify_fails_on_linear_segment():
     out = pr.certify_s2(pr.general_law(rho, p))
     assert out["pass"] is False
     assert np.isinf(out["a_upper"])
-
-
-def test_load_table_roundtrip(tmp_path):
-    rho = np.linspace(0.0, 2.0, 21)
-    p = rho ** 2
-    path = tmp_path / "ptable.csv"
-    np.savetxt(path, np.column_stack([rho, p]), delimiter=",")
-    law = pr.load_table(path)
-    assert law.rho_max == pytest.approx(2.0)
-    assert pr.pressure(law, 1.0) == pytest.approx(1.0, abs=1e-12)

@@ -195,10 +195,10 @@ def test_newtonian_conjugate_closed_form():
     law = rh.newtonian_law(mu=1.0, lam=0.0)
     S = sym(1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
     # F* = |S|^2/2 for mu=1, lam=0
-    assert rh.conjugate(law, S) == pytest.approx(1.0, rel=1e-12)
+    assert rh.conjugate_batch(law, *rh.reduce_sym(S)) == pytest.approx(1.0, rel=1e-12)
     law2 = rh.newtonian_law(mu=2.0, lam=1.0)
     S2 = sym(1.0, 2.0, -0.5, 0.3, 0.1, -0.2)
-    assert rh.conjugate(law2, S2) == pytest.approx(oracle_conjugate(law2, S2), rel=1e-6)
+    assert rh.conjugate_batch(law2, *rh.reduce_sym(S2)) == pytest.approx(oracle_conjugate(law2, S2), rel=1e-6)
 
 
 def test_power_law_conjugate_frozen_legendre_value():
@@ -206,29 +206,29 @@ def test_power_law_conjugate_frozen_legendre_value():
     law = rh.power_law(mu0=1.0)
     S = np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
     S = S / np.linalg.norm(S)          # |dev S| = 1, tr S = 0
-    val = rh.conjugate(law, S)
+    val = rh.conjugate_batch(law, *rh.reduce_sym(S))
     assert val == pytest.approx(27.0 / 256.0, rel=1e-12)
     assert val == pytest.approx(oracle_conjugate(law, S, d_max=2.0), rel=1e-7)
 
 
 def test_power_law_conjugate_infinite_off_axis():
     law = rh.power_law(mu0=1.0)
-    assert np.isinf(rh.conjugate(law, np.eye(3)))
-    assert np.isinf(rh.conjugate(rh.mollify(law, 0.05), np.eye(3)))
+    assert np.isinf(rh.conjugate_batch(law, *rh.reduce_sym(np.eye(3))))
+    assert np.isinf(rh.conjugate_batch(rh.mollify(law, 0.05), *rh.reduce_sym(np.eye(3))))
 
 
 def test_mollified_conjugate_matches_grid_oracle():
     law = rh.mollify(rh.power_law(mu0=1.0), 0.05)
     S = np.diag([2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
     S = 0.8 * S / np.linalg.norm(S)
-    assert rh.conjugate(law, S) == pytest.approx(oracle_conjugate(law, S, d_max=2.0), abs=1e-6)
+    assert rh.conjugate_batch(law, *rh.reduce_sym(S)) == pytest.approx(oracle_conjugate(law, S, d_max=2.0), abs=1e-6)
 
 
 def test_tabulated_conjugate_matches_grid_oracle():
     base = table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)
     law = rh.mollify(base, 0.05)
     S = sym(0.5, -0.2, -0.3, 0.1, 0.0, 0.05)
-    got = rh.conjugate(law, S)
+    got = rh.conjugate_batch(law, *rh.reduce_sym(S))
     want = oracle_conjugate(law, S, d_max=4.0, n=401)
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -238,7 +238,7 @@ def test_conjugate_range_error_outside_table():
                           n_d=41, n_t=41, mu0=0.5)
     law = rh.mollify(base, 0.05)
     with pytest.raises(rh.RangeError):
-        rh.conjugate(law, 50.0 * np.eye(3))
+        rh.conjugate_batch(law, *rh.reduce_sym(50.0 * np.eye(3)))
 
 
 # ---------------------------------------------------------- fenchel-young
@@ -296,7 +296,7 @@ def test_certify_mollified_power_law_needs_offset():
 
 def oracle_mollified(law, d, t):
     """F_delta and its partials by an explicit double loop over the rule."""
-    nodes, w, _ = rh._KERNEL
+    nodes, w = rh._KERNEL
     s = law.delta * nodes
     d, t = np.broadcast_arrays(np.asarray(d, float), np.asarray(t, float))
     val, fd, ft = np.zeros(d.shape), np.zeros(d.shape), np.zeros(d.shape)

@@ -84,6 +84,28 @@ def test_snapshot_round_trip(tmp_path):
     assert st.t == setup.state0.t
 
 
+def test_read_velocity_fields_parses_the_file_once(tmp_path, monkeypatch):
+    sc = sn.default_scenario(grid_cells=8, init_v="noise:0.01")
+    setup = sn.build(sc)
+    path = str(tmp_path / "snap.txt")
+    sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
+                      setup.stepper._ub_cc)
+    data = np.loadtxt(path)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    rho, u = sp.read_velocity_fields(path)
+    assert len(calls) == 1
+    assert np.array_equal(rho, data[:, 3].reshape(setup.grid.shape))
+    assert np.array_equal(u, data[:, 4:7].reshape(setup.grid.shape + (3,)))
+    assert np.array_equal(rho, setup.state0.rho)
+
+
 def test_read_snapshot_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 0 0 1 0 0 0 0 0 0 0 0 0\n")

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, and construction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ def test_tabulated_rheology_requires_mollification():
     ("pressure_a", -1.0, "a > 0"),
     ("rheology_lam", -5.0, r"lam \+ 2\*mu/3"),
     ("picard_tol", 0.0, "tol.picard"),
+    ("snapshot_every", -3, "output.snapshot_every"),
+    ("init_v", "noise:-1", "init.v noise"),
+    ("init_v", "noise:inf", "init.v noise"),
+    ("init_rho", "uniform:nan", "init.rho uniform"),
+    ("picard_tol", math.inf, "tol.picard"),
+    ("b", math.nan, "material.b"),
+    ("delta", math.nan, "reg.delta"),
+    ("sigma_star", math.nan, "material.sigma_star"),
+    ("c_star", math.nan, "material.c_star"),
+    ("grid_extent", math.inf, "grid.extent"),
+    ("dt", math.nan, "time.dt"),
+    ("final_time", math.inf, "time.final"),
+    ("bc_rho", math.nan, "bc.rho"),
 ])
 def test_build_rejects_invalid_scenarios(field, value, fragment):
     sc = dataclasses.replace(sn.zero_scenario(), **{field: value})

@@ -68,11 +68,11 @@ def test_tolerance_halves_iterations(monkeypatch):
     # iteration (no Anderson history, theta=0.5): the increments contract by
     # ~0.47 per iteration, so counts for (1e-5, 2e-5) are (4, 3)
     monkeypatch.setattr(simulation, "ANDERSON_DEPTH", 0)
+    monkeypatch.setattr(simulation, "THETA", 0.5)
     counts = {}
     for tol in (1e-5, 2e-5):
         rng = np.random.default_rng(4)
         grid, basis, stepper = make_stepper(picard_tol=tol)
-        stepper.theta = 0.5
         v0 = rng.standard_normal(basis.n)
         v0 *= 1e-3 / np.linalg.norm(v0)
         state = uniform_state(grid, basis, v=v0)
@@ -88,7 +88,7 @@ def test_anderson_reaches_damped_fixed_point_in_half_the_iterations(
     grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
     new_state, info = stepper.step(uniform_state(grid, basis))
     monkeypatch.setattr(simulation, "ANDERSON_DEPTH", 0)
-    stepper.theta = 0.5
+    monkeypatch.setattr(simulation, "THETA", 0.5)
     damped_state, damped_info = stepper.step(uniform_state(grid, basis))
     assert np.max(np.abs(new_state.v - damped_state.v)) <= 1e-9
     assert 2 * info["picard_iters"] <= damped_info["picard_iters"]
@@ -125,9 +125,9 @@ def test_safeguard_recovers_from_oscillating_map(monkeypatch, depth):
     assert np.max(np.abs(new_state.v - v_star)) <= 1e-11
 
 
-def test_picard_nonconvergence_reports_increment():
+def test_picard_nonconvergence_reports_increment(monkeypatch):
     grid, basis, stepper = make_stepper(picard_tol=1e-30)
-    stepper.picard_max_iter = 3
+    monkeypatch.setattr(simulation, "PICARD_MAX_ITER", 3)
     rng = np.random.default_rng(1)
     v0 = rng.standard_normal(basis.n) * 1e-3
     state = uniform_state(grid, basis, v=v0)

@@ -100,12 +100,12 @@ def test_skew_reconstruction():
 
 def test_scalar_invariants_frozen():
     q = tn.from_matrix(np.diag([-1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]))
-    t2, t3, f4 = tn.scalar_invariants(q)
+    t2, t3 = tn.trace_q2(q), tn.trace_q3(q)
     assert t2 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert t3 == pytest.approx(2.0 / 9.0, abs=1e-15)
-    assert f4 == pytest.approx(4.0 / 9.0, abs=1e-15)
-    z2, z3, z4 = tn.scalar_invariants(np.zeros(5))
-    assert (z2, z3, z4) == (0.0, 0.0, 0.0)
+    assert t2 * t2 == pytest.approx(4.0 / 9.0, abs=1e-15)
+    z2, z3 = tn.trace_q2(np.zeros(5)), tn.trace_q3(np.zeros(5))
+    assert (z2, z3, z2 * z2) == (0.0, 0.0, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,7 +114,7 @@ def test_uniaxial_invariant(s, axis):
     n = np.zeros(3)
     n[axis] = 1.0
     q = tn.uniaxial(s, n)
-    t2, _, _ = tn.scalar_invariants(q)
+    t2 = tn.trace_q2(q)
     assert t2 == pytest.approx(2.0 * s * s / 3.0, rel=1e-12, abs=1e-12)
 
 

@@ -102,44 +102,3 @@ def test_refinement_residual_magnitudes(refinement_pair):
     for eq, val in expect.items():
         got = refinement_pair["coarse"]["max_abs"][eq]
         assert abs(got - val) < 0.05 * val, (eq, got)
-
-
-pi = np.pi
-
-
-def _qp_fn(X, Y, Z):
-    p = np.zeros(X.shape + (5,))
-    p[..., 0] = 0.3 * np.sin(pi * X) * np.cos(pi * Y)
-    p[..., 1] = 0.2 * np.cos(pi * X) * np.sin(pi * Z)
-    p[..., 2] = -0.25 * np.sin(pi * Y) * np.sin(pi * Z)
-    p[..., 3] = 0.15 * np.cos(pi * Y) * np.cos(pi * Z)
-    p[..., 4] = 0.1 * np.sin(pi * X) * np.sin(pi * Y)
-    return tensors.to_matrix(p)
-
-
-def _lap_q_fn(X, Y, Z):
-    p = np.zeros(X.shape + (5,))
-    p[..., 0] = -2 * pi**2 * 0.2 * np.sin(pi * X) * np.sin(pi * Y)
-    p[..., 1] = -5 * pi**2 * 0.15 * np.sin(2 * pi * X) * np.cos(pi * Z)
-    p[..., 2] = -1 * pi**2 * 0.1 * np.cos(pi * Y)
-    p[..., 3] = -2 * pi**2 * 0.25 * np.cos(pi * X) * np.sin(pi * Z)
-    p[..., 4] = -8 * pi**2 * 0.05 * np.sin(2 * pi * Y) * np.sin(2 * pi * Z)
-    return tensors.to_matrix(p)
-
-
-def test_commutator_pairing_two_routes_second_order():
-    rng = np.random.default_rng(3)
-    v = None
-    gaps = []
-    for n in (8, 16, 32):
-        grid = dom.Grid((1.0, 1.0, 1.0), (n, n, n))
-        basis = gk.build_basis(grid, 2)
-        if v is None:
-            v = rng.standard_normal(basis.n)
-        r1, r2, gap = wf.commutator_identity_gap(grid, basis, v, _qp_fn,
-                                                 _lap_q_fn)
-        assert abs(r1) > 1.0  # manufactured pairing is O(1), not degenerate
-        gaps.append(gap)
-    assert np.log2(gaps[0] / gaps[1]) > 1.9
-    assert np.log2(gaps[1] / gaps[2]) > 1.9
-    assert gaps[2] < 6e-3
