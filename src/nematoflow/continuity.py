@@ -327,7 +327,7 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
             # diffusive flux (outward)
             diff_flux = solver.eps * (ghost - inner) / g.h[face.axis]
             # advective flux (outward) with the scheme's upwinding
-            adv_flux = np.where(face.ubn < 0.0, face.ubn * rho_b,
+            adv_flux = np.where(face.inflow, face.ubn * rho_b,
                                 face.ubn * inner)
             boundary += face.area_element * float(
                 ((diff_flux - adv_flux) * phi_face).sum())

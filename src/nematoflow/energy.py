@@ -108,16 +108,15 @@ class EnergyMonitor:
             rho_w = state.rho[face.wall]
             ubn = face.ubn
             out_mask = ubn > 0.0
-            in_mask = ubn < 0.0
             p_w = pr.potential(st.pressure_law, rho_w)
             flux_out += area * float((p_w * ubn)[out_mask].sum())
             p_b = pr.potential(st.pressure_law, rho_b)
             gap = p_b - pr.potential_prime(st.pressure_law, rho_w) \
                 * (rho_b - rho_w) - p_w
-            if in_mask.any():
-                gap_min = min(gap_min, float(gap[in_mask].min()))
-                gap_in += area * float((-(gap * ubn))[in_mask].sum())
-                rhs_pb += area * float((-(p_b * ubn))[in_mask].sum())
+            if face.inflow.any():
+                gap_min = min(gap_min, float(gap[face.inflow].min()))
+                gap_in += area * float((-(gap * ubn))[face.inflow].sum())
+                rhs_pb += area * float((-(p_b * ubn))[face.inflow].sum())
             t2b = tensors.trace_q2(qb)
             rhs_qb += -0.5 * area * float(
                 ((0.5 * t2b + 0.25 * ph.c_star * t2b * t2b) * ubn).sum())

@@ -14,6 +14,10 @@ values are evaluated on (d - delta r_i) and (t - delta r_j) offsets that
 broadcast against each other, so a law constant along t (the power law)
 yields size-1 t axes and costs a 1-D sum over 64 nodes, not 64 x 64.
 
+F is convex, so the conjugate's maximiser solves grad F = (s, sigma/3): a
+bracketed root (Illinois regula falsi) of each monotone partial.  The kernel
+lives on (-delta, delta), so F'(d - delta) <= F_delta'(d) <= F'(d + delta).
+
 Laws:
   newtonian   F(D) = (mu/2)|D|^2 + (lam/2)(tr D)^2   =>  dF = mu D + lam (tr D) I
   power_law   F(D) = mu0 |dev D|^q
@@ -31,7 +35,8 @@ import numpy as np
 
 _GL_NODES = 64
 _BRACKET_HI = 1.0e4
-_GOLDEN_TOL = 1.0e-10
+_ROOT_TOL = 1.0e-10
+_ROOT_MAX_ITER = 150       # 3 steps per halving of a 2e4-wide bracket
 
 
 class RheologyError(ValueError):
@@ -207,21 +212,15 @@ class RheologyLaw:
         outs = tuple(np.concatenate(p).reshape(d.shape) for p in zip(*parts))
         return outs[0] if single else outs
 
-    def _moll_value(self, d, t):
-        return self._kernel_quad(self._raw, d, t) - self._moll_shift()
-
-    def _moll_partials(self, d, t):
-        return self._kernel_quad(self._raw_partials, d, t)
-
     def value_dt(self, d, t):
         """Reduced potential (mollified when delta > 0)."""
         if self.delta > 0.0:
-            return self._moll_value(d, t)
+            return self._kernel_quad(self._raw, d, t) - self._moll_shift()
         return self._raw(d, t)
 
     def partials_dt(self, d, t):
         if self.delta > 0.0:
-            return self._moll_partials(d, t)
+            return self._kernel_quad(self._raw_partials, d, t)
         return self._raw_partials(d, t)
 
 
@@ -275,38 +274,46 @@ def subgradient(law, D):
     return S
 
 
-def _golden_max_batch(f, lo, hi, tol=_GOLDEN_TOL):
-    """Vectorized golden-section maximization of f over [lo, hi] per entry.
-
-    The surviving interior probe is kept, so each iteration evaluates one
-    new point per entry: n_iter + 3 calls of f in all.  f must accept arrays.
+def _monotone_root(g, lo, hi):
+    """Per-entry root of a nondecreasing g on [lo, hi]; g(x, on) evaluates
+    the entries of the boolean mask on, those whose bracket is still at least
+    2 _ROOT_TOL wide.  Illinois regula falsi: an end kept twice running has
+    its g halved, and after three a bisection follows.  Steps stay _ROOT_TOL
+    inside the bracket, so an x-step of _ROOT_TOL across the root ends the
+    search.  Returns the bracket midpoint: lo (hi) where g(lo) >= 0 (g(hi) <= 0).
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    width = float(np.max(hi - lo))
-    if width <= tol:
-        xm = 0.5 * (lo + hi)
-        return xm, f(xm)
-    n_iter = max(1, int(math.ceil(math.log(tol / width) / math.log(invphi))))
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(n_iter):
-        take_left = f1 >= f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-        # the kept probe becomes x2 (left kept) or x1 (right kept)
-        x_new = np.where(take_left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-        f_new = f(x_new)
-        x1, x2 = np.where(take_left, x_new, x2), np.where(take_left, x1, x_new)
-        f1, f2 = np.where(take_left, f_new, f2), np.where(take_left, f1, f_new)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+    every = np.ones(np.shape(lo), dtype=bool)
+    ga, gb = g(lo, every), g(hi, every)
+    b = np.where(ga >= 0.0, lo, hi)
+    a = np.where(gb <= 0.0, b, lo)
+    kept = np.zeros(a.shape, dtype=int)   # +k: b kept k steps running, -k: a
+    for _ in range(_ROOT_MAX_ITER):
+        on = b - a >= 2.0 * _ROOT_TOL
+        if not on.any():
+            break
+        ao, bo, gao, gbo, ko = a[on], b[on], ga[on], gb[on], kept[on]
+        secant = np.clip(bo - gbo * (bo - ao) / (gbo - gao),
+                         ao + _ROOT_TOL, bo - _ROOT_TOL)
+        x = np.where(np.abs(ko) >= 3, 0.5 * (ao + bo), secant)
+        gx = g(x, on)
+        left, right = gx >= 0.0, gx <= 0.0    # both at an exact root
+        gao = np.where(left & (ko < 0), 0.5 * gao, gao)
+        gbo = np.where(right & (ko > 0), 0.5 * gbo, gbo)
+        kept[on] = np.where(left, np.minimum(ko, 0) - 1, np.maximum(ko, 0) + 1)
+        b[on], gb[on] = np.where(left, x, bo), np.where(left, gx, gbo)
+        a[on], ga[on] = np.where(right, x, ao), np.where(right, gx, gao)
+    return 0.5 * (a + b)
 
 
 def conjugate_batch(law, s, sigma):
-    """F*(S) on reduced stress coordinates (s, sigma) = (|dev S|, tr S), batched."""
+    """F*(S) on reduced stress coordinates (s, sigma) = (|dev S|, tr S), batched.
+
+    Closed forms for raw Newtonian and power laws.  Otherwise the maximiser is
+    the root of grad F = (s, sigma/3) by _monotone_root: for a mollified power
+    law in d within delta of d0 = (s / (q mu0))^(1/(q-1)), since F'(d - delta)
+    <= F_delta'(d) <= F'(d + delta); for other laws by alternating d and t
+    roots.  A maximiser at the end of its bracket raises RangeError.
+    """
     s = np.asarray(s, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     s, sigma = np.broadcast_arrays(s, sigma)
@@ -331,18 +338,14 @@ def conjugate_batch(law, s, sigma):
             out[on_axis] = vals[on_axis]
             return out
         sa = s[on_axis]
-        if sa.size:
-            def neg_obj(dd):
-                return sa * dd - law.value_dt(dd, np.zeros_like(dd))
-            dstar, val = _golden_max_batch(neg_obj, np.zeros_like(sa),
-                                           np.full(sa.shape, _BRACKET_HI))
-            _check_bracket(dstar, 0.0, _BRACKET_HI, s=sa, lower_ok=True)
-            out[on_axis] = val
+        d0 = (np.maximum(sa, 0.0) / (law.q * law.mu0)) ** (1.0 / (law.q - 1.0))
+        hi = np.minimum(d0 + law.delta, _BRACKET_HI)
+        dstar = _monotone_root(lambda dd, on: law.partials_dt(dd, 0.0)[0] - sa[on],
+                               np.minimum(np.maximum(d0 - law.delta, 0.0), hi), hi)
+        _check_bracket(dstar, 0.0, _BRACKET_HI, s=sa, lower_ok=True)
+        out[on_axis] = sa * dstar - law.value_dt(dstar, 0.0)
         return out
-    # generic isotropic law: alternating 1-D concave maximizations
-    shape = s.shape
-    sf = s.reshape(-1)
-    sigmaf = sigma.reshape(-1)
+    # generic isotropic law: alternating 1-D roots of the partials
     if law.kind == "tabulated":
         d_hi = law.d_nodes[-1] - 1.001 * law.delta
         t_lo = law.t_nodes[0] + 1.001 * law.delta
@@ -351,25 +354,24 @@ def conjugate_batch(law, s, sigma):
             raise RheologyError("table too narrow for this mollification radius")
     else:
         d_hi, t_lo, t_hi = _BRACKET_HI, -_BRACKET_HI, _BRACKET_HI
-    d_cur = np.zeros_like(sf)
-    t_cur = np.full_like(sf, np.clip(0.0, t_lo, t_hi))
-    val = sf * 0.0
+    sf, sigmaf = s.ravel(), sigma.ravel()
+    d_cur = np.zeros(sf.shape)
+    t_cur = np.full(sf.shape, np.clip(0.0, t_lo, t_hi))
     for _ in range(80):
-        def along_d(dd):
-            return sf * dd + sigmaf * t_cur / 3.0 - law.value_dt(dd, t_cur)
-        d_new, _ = _golden_max_batch(along_d, np.zeros_like(sf), np.full(sf.shape, d_hi))
-
-        def along_t(tt):
-            return sf * d_new + sigmaf * tt / 3.0 - law.value_dt(d_new, tt)
-        t_new, val = _golden_max_batch(along_t, np.full(sf.shape, t_lo),
-                                       np.full(sf.shape, t_hi))
+        d_new = _monotone_root(
+            lambda dd, on: law.partials_dt(dd, t_cur[on])[0] - sf[on],
+            np.zeros(sf.shape), np.full(sf.shape, d_hi))
+        t_new = _monotone_root(
+            lambda tt, on: law.partials_dt(d_new[on], tt)[1] - sigmaf[on] / 3.0,
+            np.full(sf.shape, t_lo), np.full(sf.shape, t_hi))
         move = np.maximum(np.abs(d_new - d_cur), np.abs(t_new - t_cur))
         d_cur, t_cur = d_new, t_new
         if np.max(move) < 1.0e-9:
             break
     _check_bracket(d_cur, 0.0, d_hi, s=sf, lower_ok=True)
     _check_bracket(t_cur, t_lo, t_hi, s=sigmaf)
-    return val.reshape(shape)
+    val = sf * d_cur + sigmaf * t_cur / 3.0 - law.value_dt(d_cur, t_cur)
+    return val.reshape(s.shape)
 
 
 def _check_bracket(x, lo, hi, s, lower_ok=False):

@@ -243,11 +243,10 @@ def weak_residuals_dissipative(traj, stepper):
                     g, np.einsum("...a,...a->...", grad_c, gphi)))
             for face, rho_b in zip(boundary.faces, boundary.rho_b):
                 rho_w = st.rho[face.wall]
-                ubn = face.ubn
-                trace = np.where(ubn < 0.0, rho_b, rho_w)
+                trace = np.where(face.inflow, rho_b, rho_w)
                 phi_f = sc.value(*face.xyz, t0)
                 acc_cont[k] += dt * face.area_element * float(
-                    (phi_f * trace * ubn).sum())
+                    (phi_f * trace * face.ubn).sum())
 
         for k, mt in enumerate(momentum_tests):
             th0 = mt.theta(t0)

@@ -1,7 +1,6 @@
 """Command line interface: exit codes, output formats, plumbing."""
 
 import numpy as np
-import pytest
 
 from nematoflow import cli
 from nematoflow import scenarios as sn
@@ -64,6 +63,20 @@ def test_conjugate_table_format(capsys):
     # Quadratic potential: dual value at the origin is zero.
     origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert origin and abs(float(origin[0][2])) < 1e-14
+
+
+def test_conjugate_mollified_newtonian_matches_raw_table(capsys):
+    # mollifying a quadratic potential adds only a constant, so the dual
+    # table of the generic root search equals the closed form
+    tables = []
+    for extra in ([], ["--delta", "0.05"]):
+        assert cli.main(["conjugate", "newtonian:1.0,0.5", "4x3", *extra]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        tables.append(np.array([ln.split() for ln in lines[1:]], dtype=float))
+    raw, mollified = tables
+    assert raw.shape == mollified.shape == (12, 3)
+    assert np.array_equal(raw[:, :2], mollified[:, :2])
+    np.testing.assert_allclose(mollified[:, 2], raw[:, 2], rtol=0.0, atol=1e-12)
 
 
 def test_conjugate_bad_grid_exits_2(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from nematoflow.domain import BoundaryData, BoundaryFaces, BoundaryVelocity, Grid
 from nematoflow.errors import ConditioningError
-from nematoflow.galerkin import build_basis, project, synthesize
+from nematoflow.galerkin import build_basis
 from nematoflow.momentum import (
     active_stress,
     assemble_stresses,

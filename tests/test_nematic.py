@@ -11,7 +11,6 @@ from nematoflow.domain import (
 from nematoflow.errors import StabilityError
 from nematoflow.galerkin import build_basis, synthesize
 from nematoflow.nematic import (
-    diffuse_neumann,
     ldg_energy,
     molecular_field,
     step_concentration,

@@ -1,6 +1,6 @@
 """Viscous potential, mollification, subgradient and conjugate checks.
 
-Oracles here avoid the library's golden-section path entirely: conjugates are
+Oracles here avoid the library's root-search path entirely: conjugates are
 verified by dense grid search plus local refinement over full tensors, and
 subgradients by central finite differences of the potential.
 """
@@ -233,12 +233,34 @@ def test_tabulated_conjugate_matches_grid_oracle():
     assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_mollified_newtonian_conjugate_equals_raw_closed_form():
+    # the discretely normalised kernel adds only a constant to a quadratic,
+    # so F_delta = F and the generic root search must reproduce F* exactly
+    raw = rh.newtonian_law(mu=1.0, lam=0.5)
+    law = rh.mollify(raw, 0.05)
+    s, sigma = np.meshgrid(np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 7),
+                           indexing="ij")
+    got = rh.conjugate_batch(law, s, sigma)
+    np.testing.assert_allclose(got, rh.conjugate_batch(raw, s, sigma),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_mollified_power_law_conjugate_zero_at_rest():
+    assert rh.conjugate_batch(rh.mollify(rh.power_law(1.0), 0.05), 0.0, 0.0) == 0.0
+
+
 def test_conjugate_range_error_outside_table():
     base = table_from_law(rh.newtonian_law(mu=1.0), d_max=2.0, t_max=2.0,
                           n_d=41, n_t=41, mu0=0.5)
     law = rh.mollify(base, 0.05)
     with pytest.raises(rh.RangeError):
         rh.conjugate_batch(law, *rh.reduce_sym(50.0 * np.eye(3)))
+
+
+def test_mollified_power_law_conjugate_range_error_past_bracket():
+    # d0 = (50 / (4/3))^3 lies far beyond the 1e4 bracket
+    with pytest.raises(rh.RangeError):
+        rh.conjugate_batch(rh.mollify(rh.power_law(1.0), 0.05), 50.0, 0.0)
 
 
 # ---------------------------------------------------------- fenchel-young
@@ -335,24 +357,34 @@ def test_mollified_quadrature_matches_double_loop(name):
 # --------------------------------------------------- work-count guards
 
 
-def _golden_iterations(lo, hi, tol=rh._GOLDEN_TOL):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    return max(1, int(np.ceil(np.log(tol / (hi - lo)) / np.log(invphi))))
-
-
-def test_golden_section_evaluates_one_new_probe_per_iteration():
+def _counted(g):
+    """g(x, on) that records the number of entries of each call."""
     calls = []
-    target = np.array([0.3, 2.0, 7.5])
 
-    def f(x):
-        calls.append(x.shape)
-        return -(x - target) ** 2
+    def wrapped(x, on):
+        assert x.shape == (int(on.sum()),)
+        calls.append(x.size)
+        return g(x, on)
+    return wrapped, calls
 
-    x, val = rh._golden_max_batch(f, np.zeros(3), np.full(3, 10.0))
-    assert len(calls) == _golden_iterations(0.0, 10.0) + 3
-    assert all(shape == (3,) for shape in calls)
-    np.testing.assert_allclose(x, target, atol=1e-9)
-    assert np.all(val <= 0.0) and np.all(val > -1e-17)
+
+def test_monotone_root_finds_known_roots_within_cap():
+    target = np.array([0.3, 2.0, 7.5, 0.0, 10.0])
+    g, calls = _counted(lambda x, on: x ** 3 + x - (target[on] ** 3 + target[on]))
+    x = rh._monotone_root(g, np.zeros(5), np.full(5, 10.0))
+    np.testing.assert_allclose(x, target, rtol=0.0, atol=1e-10)
+    assert len(calls) <= rh._ROOT_MAX_ITER + 2
+    # roots at an end of the bracket cost only the two end calls
+    assert calls[:2] == [5, 5] and max(calls[2:]) == 3
+
+
+def test_monotone_root_bisects_when_the_secant_stalls():
+    # g(10) = 1e41 against g(0) = -1: each secant step creeps from 0 by
+    # about 1e-40, and Illinois alone takes about 150 steps here
+    g, calls = _counted(lambda x, on: x ** 41 - 1.0)
+    x = rh._monotone_root(g, np.zeros(1), np.full(1, 10.0))
+    assert abs(x[0] - 1.0) <= 1e-10
+    assert len(calls) <= 40
 
 
 def test_mollified_power_law_conjugate_raw_point_count(monkeypatch):
@@ -360,15 +392,23 @@ def test_mollified_power_law_conjugate_raw_point_count(monkeypatch):
     law.value_dt(0.0, 0.0)           # the cached F_delta(0) shift is not counted
     n = 37
     s = np.linspace(0.05, 1.5, n)
-    count = [0]
-    raw = rh.RheologyLaw._raw
+    count = {"value": 0, "partials": 0}
+    raw, raw_partials = rh.RheologyLaw._raw, rh.RheologyLaw._raw_partials
 
     def counted(self, d, t):
         out = raw(self, d, t)
-        count[0] += out.size
+        count["value"] += out.size
+        return out
+
+    def counted_partials(self, d, t):
+        out = raw_partials(self, d, t)
+        count["partials"] += out[0].size
         return out
 
     monkeypatch.setattr(rh.RheologyLaw, "_raw", counted)
+    monkeypatch.setattr(rh.RheologyLaw, "_raw_partials", counted_partials)
     rh.conjugate_batch(law, s, np.zeros(n))
-    n_iter = _golden_iterations(0.0, rh._BRACKET_HI)
-    assert 0 < count[0] <= (n_iter + 3) * n * rh._GL_NODES
+    # one value quadrature per entry, and on average at most 10 partial
+    # quadratures: the two bracket ends and the root steps
+    assert count["value"] == n * rh._GL_NODES
+    assert 0 < count["partials"] <= 10 * n * rh._GL_NODES

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nematoflow import galerkin as gk
 from nematoflow import scenarios as sn
 from nematoflow import tensors
 from nematoflow.errors import ConfigError
