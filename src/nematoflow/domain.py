@@ -15,6 +15,7 @@ six ghost rules of ``pad`` and the six faces of ``decompose_boundary`` and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class Grid:
         if any(not (l > 0) for l in self.extents):
             raise DomainError("extents must be positive")
 
-    @property
+    @cached_property
     def h(self):
         return tuple(l / n for l, n in zip(self.extents, self.shape))
 
@@ -112,9 +113,12 @@ def _shift(P, axis, step, trail):
 def gradient(grid, f, rules="mirror"):
     """Central-difference gradient; returns (..., 3) with grid axes first."""
     f = np.asarray(f)
-    trail = f.ndim - 3
-    P = pad(f, rules)
-    out = np.empty(f.shape + (3,), dtype=float)
+    return gradient_padded(grid, pad(f, rules), f.ndim - 3)
+
+
+def gradient_padded(grid, P, trail=0):
+    """Central-difference gradient from an already ghost-padded array."""
+    out = np.empty(P[_face_slices(trail)].shape + (3,), dtype=float)
     for axis in range(3):
         out[..., axis] = (_shift(P, axis, 1, trail) - _shift(P, axis, -1, trail)) \
             / (2.0 * grid.h[axis])
@@ -123,36 +127,34 @@ def gradient(grid, f, rules="mirror"):
 
 def laplacian(grid, f, rules="mirror"):
     f = np.asarray(f)
-    trail = f.ndim - 3
-    P = pad(f, rules)
-    out = np.zeros(f.shape, dtype=float)
-    for axis in range(3):
-        out += (_shift(P, axis, 1, trail) - 2.0 * f + _shift(P, axis, -1, trail)) \
-            / grid.h[axis] ** 2
-    return out
+    return laplacian_padded(grid, pad(f, rules), f.ndim - 3)
 
 
 def laplacian_padded(grid, P, trail=0):
     """Laplacian from an already ghost-padded array."""
-    center = P[_face_slices(trail)]
-    out = np.zeros(center.shape, dtype=float)
+    twice = 2.0 * P[_face_slices(trail)]
+    out = np.zeros(twice.shape, dtype=float)
     for axis in range(3):
-        out += (_shift(P, axis, 1, trail) - 2.0 * center + _shift(P, axis, -1, trail)) \
+        out += (_shift(P, axis, 1, trail) - twice + _shift(P, axis, -1, trail)) \
             / grid.h[axis] ** 2
     return out
 
 
 def advect_upwind(grid, P, u, trail=0):
     """u . grad(f) with first-order upwinding; P is the ghost-padded field."""
-    center = P[_face_slices(trail)]
-    out = np.zeros(center.shape, dtype=float)
+    out = np.zeros(P[_face_slices(trail)].shape, dtype=float)
     for axis in range(3):
         ua = u[..., axis]
         if trail:
             ua = ua.reshape(ua.shape + (1,) * trail)
-        fwd = (_shift(P, axis, 1, trail) - center) / grid.h[axis]
-        bwd = (center - _shift(P, axis, -1, trail)) / grid.h[axis]
-        out += np.where(ua > 0.0, ua * bwd, ua * fwd)
+        # difference quotients on the n + 1 faces along the axis: cell i
+        # has its backward one on face i and its forward one on face i + 1
+        idx = list(_face_slices(trail))
+        idx[axis] = slice(None)
+        d = np.diff(P[tuple(idx)], axis=axis) / grid.h[axis]
+        bwd, fwd = [slice(None)] * d.ndim, [slice(None)] * d.ndim
+        bwd[axis], fwd[axis] = slice(None, -1), slice(1, None)
+        out += ua * np.where(ua > 0.0, d[tuple(bwd)], d[tuple(fwd)])
     return out
 
 

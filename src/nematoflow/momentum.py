@@ -15,7 +15,7 @@ from . import galerkin as gk
 from . import pressure as pr
 from . import rheology as rh
 from . import tensors
-from .domain import gradient, laplacian
+from .domain import gradient_padded, laplacian_padded, pad
 from .errors import ConditioningError
 
 # largest mass-matrix condition number the Cholesky solve accepts
@@ -39,10 +39,12 @@ class StressBundle:
         return T - self.viscous - self.elastic - self.rotational - self.active
 
 
-def elastic_stress(grid, q, q_rules, c_star):
+def elastic_stress(grid, P, c_star):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
-    + c*/4 tr^2(Q^2).  q_rules: Dirichlet ghost rules of the wall Q_B."""
-    gq = gradient(grid, q, q_rules)          # (..., 5, 3)
+    + c*/4 tr^2(Q^2).  P: packed Q ghost-padded by the Dirichlet rules of
+    the wall Q_B."""
+    q = P[1:-1, 1:-1, 1:-1]
+    gq = gradient_padded(grid, P, 1)         # (..., 5, 3)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
     # encoding, so the pairing carries the 33 and off-diagonal weights
     gq_i = np.moveaxis(gq, -1, 0)            # (3, ..., 5)
@@ -58,13 +60,26 @@ def elastic_stress(grid, q, q_rules, c_star):
     return g_scal[..., None, None] * np.eye(3) - odot
 
 
-def rotational_stress(grid, q, q_rules):
-    """Q lap Q - lap Q Q; the non-derivative molecular-field terms commute
-    with Q, so only the Laplacian survives the commutator."""
-    lap = laplacian(grid, q, q_rules)
-    qm = tensors.to_matrix(q)
-    lm = tensors.to_matrix(lap)
-    return qm @ lm - lm @ qm
+def rotational_stress(grid, P):
+    """Q L - L Q with L = lap Q, from packed Q ghost-padded by the wall
+    rules; the non-derivative molecular-field terms commute with Q, so only
+    the Laplacian survives the commutator.
+
+    Q and L are symmetric, so Q L - L Q = 2 skew(Q L) and its three
+    independent entries are closed forms in the packed components.
+    """
+    q11, q12, q13, q22, q23 = np.moveaxis(P[1:-1, 1:-1, 1:-1], -1, 0)
+    l11, l12, l13, l22, l23 = np.moveaxis(laplacian_padded(grid, P, 1), -1, 0)
+    q33 = -q11 - q22
+    l33 = -l11 - l22
+    r12 = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13
+    r13 = (q11 - q33) * l13 + q13 * (l33 - l11) + q12 * l23 - q23 * l12
+    r23 = (q22 - q33) * l23 + q23 * (l33 - l22) + q12 * l13 - q13 * l12
+    r = np.stack([r12, r13, r23], axis=-1)
+    sig = np.zeros(q11.shape + (3, 3))
+    sig[..., (0, 0, 1), (1, 2, 2)] = r
+    sig[..., (1, 2, 2), (0, 0, 1)] = -r
+    return sig
 
 
 def active_stress(q, c, sigma_star):
@@ -76,12 +91,14 @@ def assemble_stresses(grid, rho, u_jac, c, q, law, pressure_law, q_rules,
     """All five stress fields for the current iterate.
 
     u_jac: (..., 3, 3) velocity Jacobian of the full velocity v + u_B.
-    q_rules: Dirichlet ghost rules of the wall order tensor.
+    q_rules: Dirichlet ghost rules of the wall order tensor; q is padded by
+    them once, for both the gradient and the Laplacian.
     """
     D = 0.5 * (u_jac + np.swapaxes(u_jac, -1, -2))
     S = rh.subgradient(law, D)
-    tau = elastic_stress(grid, q, q_rules, c_star)
-    sig_r = rotational_stress(grid, q, q_rules)
+    P = pad(q, q_rules)
+    tau = elastic_stress(grid, P, c_star)
+    sig_r = rotational_stress(grid, P)
     sig_a = active_stress(q, c, sigma_star)
     p = pr.pressure(pressure_law, rho)
     return StressBundle(viscous=S, elastic=tau, rotational=sig_r,
@@ -105,12 +122,7 @@ def mass_solve(basis, rho, rhs):
         raise ConditioningError(
             f"mass matrix condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
     cf = scipy.linalg.cho_factor(M)
-    n3 = M.shape[0]
-    x = np.empty_like(rhs)
-    blocks = rhs.reshape(n3, 3)
-    out = scipy.linalg.cho_solve(cf, blocks)
-    x[:] = out.reshape(-1)
-    return x
+    return scipy.linalg.cho_solve(cf, rhs.reshape(M.shape[0], 3)).reshape(-1)
 
 
 def step_momentum(basis, v, rho, rhs, dt):

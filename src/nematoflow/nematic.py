@@ -9,8 +9,10 @@ principle holds to rounding.
 
 Order tensor: dQ/dt + u . grad Q + Q*Lambda - Lambda*Q = Gamma * H[Q, c]
 with H = lap Q + bulk terms, fixed wall values Q_B.  Sequential splitting:
-upwind advection, corotation, explicit relaxation, then a single projection
-back onto symmetric-traceless packing.
+upwind advection, corotation, explicit relaxation.  Every stage maps packed
+Q to packed Q (the corotation and the bulk field are closed-form packed
+products), so symmetry and tracelessness hold by the encoding and no final
+projection is needed.
 """
 
 import numpy as np
@@ -96,7 +98,11 @@ def ldg_energy(grid, q, c, b, c_star, boundary):
 
 
 def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
-    """One split step: advection, corotation, relaxation, projection.
+    """One split step: advection, corotation, relaxation.
+
+    The stages stay in the packed encoding, so the result is symmetric
+    traceless by construction and is returned as computed.  Raises
+    ValueError if it holds a non-finite entry.
 
     lam: packed skew part [l12, l13, l23] of the velocity gradient.
     q_rules: the Dirichlet ghost rules of the wall order tensor.
@@ -106,6 +112,7 @@ def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
     P = pad(q, q_rules)
     q1 = q - dt * advect_upwind(grid, P, u, 1)
     q2 = q1 - dt * tensors.commutator(q1, lam)
-    h = laplacian(grid, q2, q_rules) + tensors.bulk_molecular_field(q2, c, b, c_star)
-    q3 = q2 + dt * gamma * h
-    return tensors.project_s30(tensors.to_matrix(q3))
+    q3 = q2 + dt * gamma * molecular_field(grid, q2, c, b, c_star, q_rules)
+    if not np.all(np.isfinite(q3)):
+        raise ValueError("step_q: non-finite entries")
+    return q3

@@ -10,9 +10,10 @@ Anderson mixing (type II, in the form of Walker & Ni, SIAM J. Numer. Anal.
 ``THETA * v_next + (1 - THETA) * v``.  If an increment grows, the history is
 dropped and the mixing factor is halved for the rest of the step.
 Convergence is declared on the l2 increment of the coefficient vector,
-within ``PICARD_MAX_ITER`` iterations or ``FixedPointError``; the accepted
-velocity then advances the fields once more so the stored state is
-consistent with it.
+within ``PICARD_MAX_ITER`` iterations or ``FixedPointError``.  The step
+stores the fields of the last sweep with the velocity that sweep returned:
+the fields were advanced by an iterate within ``picard_tol`` of it, so no
+further sweep is run.
 """
 
 from collections import deque
@@ -128,18 +129,16 @@ class CoupledStepper:
         d_f = deque(maxlen=ANDERSON_DEPTH)    # differences of residuals
         v_prev = f_prev = None
         increments = []
-        converged = False
         for _ in range(PICARD_MAX_ITER):
             u, J, lam = self.velocity_fields(v_cur)
-            rho_k, c_k, q_k, _ = self.advance_fields(state, v_cur, u, lam)
+            rho_k, c_k, q_k, cont_info = self.advance_fields(state, v_cur, u,
+                                                             lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
             f = v_next - v_cur
             incr = float(np.linalg.norm(f))
             increments.append(incr)
             if incr <= self.picard_tol:
-                v_cur = v_next
-                converged = True
                 break
             if len(increments) > 1 and incr > increments[-2]:
                 beta *= 0.5
@@ -156,15 +155,13 @@ class CoupledStepper:
                 gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
                 v_new -= (dV + beta * dF) @ gamma
             v_cur = v_new
-        if not converged:
+        else:
             raise FixedPointError(
                 f"coupling iteration did not reach {self.picard_tol:g} in "
                 f"{PICARD_MAX_ITER} iterations "
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
-        u, _, lam = self.velocity_fields(v_cur)
-        rho_f, c_f, q_f, cont_info = self.advance_fields(state, v_cur, u, lam)
-        new_state = State(state.t + self.dt, rho_f, c_f, q_f, v_cur)
+        new_state = State(state.t + self.dt, rho_k, c_k, q_k, v_next)
         info = {"picard_iters": len(increments), "increments": increments}
         if len(increments) >= 2:
             # geometric mean of the successive increment ratios

@@ -19,6 +19,8 @@ from .errors import ConfigError
 from .simulation import State
 
 COLUMNS = "x y z rho u1 u2 u3 c q11 q12 q13 q22 q23"
+# rows formatted by one string operation of write_snapshot
+_ROWS_PER_WRITE = 1024
 
 
 def snapshot_path(out_dir, step):
@@ -38,7 +40,14 @@ def write_snapshot(path, grid, basis, state, ub_cc):
               f"{grid.extents[2]:.17g}\n"
               f"coeffs = {coeffs}\n"
               f"{COLUMNS}")
-    np.savetxt(path, data, fmt="%.17g", header=header)
+    # the text np.savetxt(fmt="%.17g") writes, formatted one block of rows
+    # per operation; blocks keep the transient strings small
+    row_fmt = " ".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for start in range(0, len(data), _ROWS_PER_WRITE):
+            block = data[start:start + _ROWS_PER_WRITE]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path):

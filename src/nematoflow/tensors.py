@@ -2,8 +2,18 @@
 
 A Q value is stored as 5 independent components [q11, q12, q13, q22, q23];
 q33 = -q11 - q22 is implied, so symmetry and tracelessness are structural.
-All functions broadcast over leading axes, i.e. a QField of shape
-(nx, ny, nz, 5) goes through unchanged.
+A skew tensor Lambda is stored as [l12, l13, l23].  All functions broadcast
+over leading axes, i.e. a QField of shape (nx, ny, nz, 5) goes through
+unchanged.
+
+The products the scheme needs on every sweep are closed in these encodings
+and are written out entry by entry, without building 3x3 arrays: the
+corotation Q Lambda - Lambda Q = 2 sym(Q Lambda) is symmetric traceless
+(``commutator``), Q^2 - tr(Q^2)/3 I is symmetric traceless
+(``bulk_molecular_field``), and for symmetric Q, L the rotational stress
+Q L - L Q = 2 skew(Q L) has three independent entries
+(``momentum.rotational_stress``).  ``to_matrix`` is for output, checks and
+oracles.
 """
 
 import numpy as np
@@ -11,31 +21,14 @@ import numpy as np
 
 def to_matrix(q5):
     """Reconstruct full 3x3 matrices from packed components, shape (..., 3, 3)."""
-    q5 = np.asarray(q5, dtype=float)
-    q11, q12, q13, q22, q23 = (q5[..., i] for i in range(5))
-    m = np.empty(q5.shape[:-1] + (3, 3), dtype=float)
-    m[..., 0, 0] = q11
-    m[..., 0, 1] = q12
-    m[..., 0, 2] = q13
-    m[..., 1, 0] = q12
-    m[..., 1, 1] = q22
-    m[..., 1, 2] = q23
-    m[..., 2, 0] = q13
-    m[..., 2, 1] = q23
-    m[..., 2, 2] = -q11 - q22
-    return m
+    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(q5, dtype=float), -1, 0)
+    entries = [q11, q12, q13, q12, q22, q23, q13, q23, -q11 - q22]
+    return np.stack(entries, axis=-1).reshape(q11.shape + (3, 3))
 
 
 def from_matrix(m):
     """Pack a symmetric traceless matrix into 5 components (no projection applied)."""
-    m = np.asarray(m, dtype=float)
-    out = np.empty(m.shape[:-2] + (5,), dtype=float)
-    out[..., 0] = m[..., 0, 0]
-    out[..., 1] = m[..., 0, 1]
-    out[..., 2] = m[..., 0, 2]
-    out[..., 3] = m[..., 1, 1]
-    out[..., 4] = m[..., 1, 2]
-    return out
+    return np.asarray(m, dtype=float)[..., (0, 0, 0, 1, 1), (0, 1, 2, 1, 2)]
 
 
 def project_s30(m):
@@ -47,41 +40,28 @@ def project_s30(m):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("project_s30: non-finite entries")
-    tr3 = (m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]) / 3.0
-    out = np.empty(m.shape[:-2] + (5,), dtype=float)
-    out[..., 0] = m[..., 0, 0] - tr3
-    out[..., 1] = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    out[..., 2] = 0.5 * (m[..., 0, 2] + m[..., 2, 0])
-    out[..., 3] = m[..., 1, 1] - tr3
-    out[..., 4] = 0.5 * (m[..., 1, 2] + m[..., 2, 1])
+    out = from_matrix(0.5 * (m + np.swapaxes(m, -1, -2)))
+    out[..., (0, 3)] -= np.trace(m, axis1=-2, axis2=-1)[..., None] / 3.0
     return out
-
-
-def skew_to_matrix(lam3):
-    """Skew matrix from packed [l12, l13, l23]."""
-    lam3 = np.asarray(lam3, dtype=float)
-    l12, l13, l23 = (lam3[..., i] for i in range(3))
-    z = np.zeros_like(l12)
-    return np.stack(
-        [
-            np.stack([z, l12, l13], axis=-1),
-            np.stack([-l12, z, l23], axis=-1),
-            np.stack([-l13, -l23, z], axis=-1),
-        ],
-        axis=-2,
-    )
 
 
 def commutator(q5, lam3):
     """Q*Lambda - Lambda*Q for packed Q and packed skew Lambda; packed output.
 
-    The commutator of a symmetric traceless matrix with a skew matrix is again
-    symmetric traceless, so the packed encoding is closed under this product.
+    Lambda Q = -(Q Lambda)^T, so the commutator is 2 sym(Q Lambda): symmetric
+    traceless, and each packed entry is a closed form in q and
+    lam = [l12, l13, l23].
     """
-    q = to_matrix(q5)
-    lam = skew_to_matrix(lam3)
-    c = q @ lam - lam @ q
-    return from_matrix(c)
+    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(q5, dtype=float), -1, 0)
+    l12, l13, l23 = np.moveaxis(np.asarray(lam3, dtype=float), -1, 0)
+    q33 = -q11 - q22
+    out = np.empty(np.broadcast_shapes(q11.shape, l12.shape) + (5,))
+    out[..., 0] = -2.0 * (q12 * l12 + q13 * l13)
+    out[..., 1] = (q11 - q22) * l12 - q13 * l23 - q23 * l13
+    out[..., 2] = (q11 - q33) * l13 + q12 * l23 - q23 * l12
+    out[..., 3] = 2.0 * (q12 * l12 - q23 * l23)
+    out[..., 4] = (q22 - q33) * l23 + q12 * l13 + q13 * l12
+    return out
 
 
 def trace_q2(q5):
@@ -106,19 +86,18 @@ def bulk_molecular_field(q5, c, b, c_star):
     `c` may be a scalar or a field broadcastable against the leading axes.
     """
     q5 = np.asarray(q5, dtype=float)
-    c = np.asarray(c, dtype=float)
-    q = to_matrix(q5)
+    q11, q12, q13, q22, q23 = np.moveaxis(q5, -1, 0)
+    q33 = -q11 - q22
     t2 = trace_q2(q5)
-    q2 = q @ q
-    # Q^2 is symmetric but not traceless; remove the trace explicitly
-    h = np.zeros_like(q5)
     t2_3 = t2 / 3.0
-    h[..., 0] = q2[..., 0, 0] - t2_3
-    h[..., 1] = q2[..., 0, 1]
-    h[..., 2] = q2[..., 0, 2]
-    h[..., 3] = q2[..., 1, 1] - t2_3
-    h[..., 4] = q2[..., 1, 2]
-    coeff = -0.5 * (c - c_star) - c_star * t2
+    # packed Q^2 - tr(Q^2)/3 I: Q^2 is symmetric, its trace is tr(Q^2)
+    h = np.empty(q5.shape)
+    h[..., 0] = q11 * q11 + q12 * q12 + q13 * q13 - t2_3
+    h[..., 1] = q11 * q12 + q12 * q22 + q13 * q23
+    h[..., 2] = q11 * q13 + q12 * q23 + q13 * q33
+    h[..., 3] = q12 * q12 + q22 * q22 + q23 * q23 - t2_3
+    h[..., 4] = q12 * q13 + q22 * q23 + q23 * q33
+    coeff = -0.5 * (np.asarray(c, dtype=float) - c_star) - c_star * t2
     return b * h + coeff[..., None] * q5
 
 

@@ -74,6 +74,9 @@ def _identity_flux(grid, ph, law, pressure_law, q_rules, st, u, J):
     g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
         + 0.25 * ph.c_star * t2 * t2
     T = T - (g_scal[..., None, None] * np.eye(3) - odot)
+    # Q lap Q - lap Q Q on dense matrices, not through the packed closed
+    # form of momentum.rotational_stress, so this residual checks the solver
+    # against an independent route
     qm = tensors.to_matrix(st.q)
     lm = tensors.to_matrix(laplacian(grid, st.q, q_rules))
     T = T - (qm @ lm - lm @ qm)

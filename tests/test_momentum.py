@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from nematoflow.domain import BoundaryData, BoundaryFaces, BoundaryVelocity, Grid
+from nematoflow.domain import (
+    BoundaryData,
+    BoundaryFaces,
+    BoundaryVelocity,
+    Grid,
+    laplacian,
+    pad,
+)
 from nematoflow.errors import ConditioningError
 from nematoflow.galerkin import build_basis
 from nematoflow.momentum import (
@@ -47,7 +54,7 @@ def test_elastic_stress_uniform_frozen():
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     faces = uniform_q_faces(grid, q5)
-    tau = elastic_stress(grid, q, faces, c_star=1.0)
+    tau = elastic_stress(grid, pad(q, faces), c_star=1.0)
     expected = (4.0 / 9.0) * np.eye(3)
     assert np.max(np.abs(tau - expected)) < 1e-13
 
@@ -66,7 +73,7 @@ def test_elastic_stress_nonuniform_matrix_route():
     q[..., 3] = -0.07 * np.sin(np.pi * Y)
     q[..., 4] = 0.03 * X * Y
     faces = zero_q_faces(grid)
-    tau = elastic_stress(grid, q, faces, c_star=1.3)
+    tau = elastic_stress(grid, pad(q, faces), c_star=1.3)
 
     gq = gradient(grid, q, faces)
     slices = [to_matrix(gq[..., i]) for i in range(3)]
@@ -87,7 +94,7 @@ def test_rotational_stress_uniform_zero():
     q5 = uniaxial(0.3, np.array([0.0, 1.0, 0.0]))
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     faces = uniform_q_faces(grid, q5)
-    sig = rotational_stress(grid, q, faces)
+    sig = rotational_stress(grid, pad(q, faces))
     assert np.max(np.abs(sig)) < 1e-13
 
 
@@ -106,7 +113,7 @@ def test_rotational_stress_equals_full_molecular_commutator():
     h_full = molecular_field(grid, q, c, b=0.7, c_star=1.3, q_rules=faces)
     qm, hm = to_matrix(q), to_matrix(h_full)
     direct = qm @ hm - hm @ qm
-    shortcut = rotational_stress(grid, q, faces)
+    shortcut = rotational_stress(grid, pad(q, faces))
     assert np.max(np.abs(direct - shortcut)) < 1e-12
 
 
@@ -115,8 +122,21 @@ def test_rotational_stress_antisymmetric():
     X, Y, Z = grid.coords()
     q = np.zeros(grid.shape + (5,))
     q[..., 1] = 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Z)
-    sig = rotational_stress(grid, q, zero_q_faces(grid))
+    sig = rotational_stress(grid, pad(q, zero_q_faces(grid)))
     assert np.max(np.abs(sig + np.swapaxes(sig, -1, -2))) < 1e-15
+
+
+def test_packed_rotational_stress_matches_matrix_route_on_fields():
+    # the three closed-form entries of 2 skew(Q lap Q) against 3x3 matmuls
+    # on a random 16^3 field with random wall values
+    rng = np.random.default_rng(12)
+    grid = make_grid(16)
+    q = rng.normal(size=grid.shape + (5,))
+    faces = uniform_q_faces(grid, rng.normal(size=5))
+    qm, lm = to_matrix(q), to_matrix(laplacian(grid, q, faces))
+    want = qm @ lm - lm @ qm
+    got = rotational_stress(grid, pad(q, faces))
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-15
 
 
 def test_viscous_stress_shear_oracle():

@@ -168,6 +168,18 @@ def test_q_stability_guard():
                q_rules=faces)
 
 
+def test_step_q_rejects_nonfinite_order_tensor():
+    grid = make_grid()
+    q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
+    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q[3, 4, 5, 1] = np.nan
+    zero3 = np.zeros(grid.shape + (3,))
+    with pytest.raises(ValueError, match="non-finite"):
+        step_q(grid, q, zero3, zero3, np.ones(grid.shape), dt=1e-3,
+               gamma=0.25, b=0.2, c_star=1.0,
+               q_rules=uniform_q_faces(grid, q5))
+
+
 def _descent_setup(n=8):
     grid = make_grid(n)
     X, Y, Z = grid.coords()

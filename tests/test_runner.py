@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from nematoflow import galerkin as gk
 from nematoflow import runner as rn
 from nematoflow import scenarios as sn
 from nematoflow import snapshots as sp
 from nematoflow.errors import ConfigError
+from nematoflow.simulation import State
 
 
 def _read_bytes(path):
@@ -57,6 +59,14 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
     rn.run_scenario(sc, out_dir=str(part), resume_from=mid)
     last = os.path.basename(sp.snapshot_path("x", sc.n_steps()))
     assert _read_bytes(full / last) == _read_bytes(part / last)
+    # the resumed ledger is the uninterrupted one from the snapshot's row
+    # on; that row differs only in its Picard count (no step led to it)
+    full_rows = (full / "ledger.csv").read_bytes().splitlines()
+    part_rows = (part / "ledger.csv").read_bytes().splitlines()
+    resumed = full_rows[-(sc.n_steps() - 10 + 1):]
+    assert part_rows[0] == full_rows[0]
+    assert part_rows[2:] == resumed[1:]
+    assert part_rows[1].rpartition(b",")[0] == resumed[0].rpartition(b",")[0]
 
 
 def test_restart_rejects_mismatched_grid(tmp_path):
@@ -82,6 +92,34 @@ def test_snapshot_round_trip(tmp_path):
     assert np.allclose(st.q, setup.state0.q, rtol=0, atol=1e-15)
     assert np.array_equal(st.v, setup.state0.v)
     assert st.t == setup.state0.t
+
+
+@pytest.mark.parametrize("rows_per_write", [sp._ROWS_PER_WRITE, 5])
+def test_snapshot_text_matches_savetxt(tmp_path, monkeypatch, rows_per_write):
+    # the block writer prints the bytes np.savetxt(fmt="%.17g") would,
+    # signed zeros included, whether the 64 rows fill one block or several
+    # with a partial last one
+    monkeypatch.setattr(sp, "_ROWS_PER_WRITE", rows_per_write)
+    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    grid, basis = setup.grid, setup.basis
+    rng = np.random.default_rng(8)
+    rho, c = rng.uniform(0.5, 2.0, size=(2,) + grid.shape)
+    q = rng.normal(size=grid.shape + (5,))
+    rho[0, 1, 2], c[1, 1, 1], q[2, 3, 0, 4] = -0.0, -0.0, -0.0
+    state = State(0.125, rho, c, q, rng.normal(size=basis.n))
+    path = tmp_path / "snap.txt"
+    sp.write_snapshot(str(path), grid, basis, state, setup.stepper._ub_cc)
+
+    u = gk.synthesize(basis, state.v) + setup.stepper._ub_cc
+    cols = [*grid.coords(), rho, u[..., 0], u[..., 1], u[..., 2], c]
+    cols += [q[..., i] for i in range(5)]
+    data = np.stack([col.reshape(-1) for col in cols], axis=1)
+    header = "\n".join(line[2:] for line in path.read_text().splitlines()
+                       if line.startswith("#"))
+    want = tmp_path / "want.txt"
+    np.savetxt(str(want), data, fmt="%.17g", header=header)
+    assert b"-0 " in _read_bytes(want)
+    assert _read_bytes(path) == _read_bytes(want)
 
 
 def test_read_velocity_fields_parses_the_file_once(tmp_path, monkeypatch):

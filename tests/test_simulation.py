@@ -137,6 +137,25 @@ def test_picard_nonconvergence_reports_increment(monkeypatch):
     assert err.value.last_increment > 0
 
 
+def test_step_runs_one_field_sweep_per_picard_iteration(monkeypatch):
+    # the converged iterate's fields are the stored ones: no sweep after
+    # the loop re-derives them
+    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    calls = {"velocity_fields": 0, "advance_fields": 0}
+    for name in calls:
+        method = getattr(stepper, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(stepper, name, counted)
+    _, info = stepper.step(uniform_state(grid, basis))
+    assert info["picard_iters"] > 1
+    assert calls == {"velocity_fields": info["picard_iters"],
+                     "advance_fields": info["picard_iters"]}
+
+
 def test_run_records_trajectory():
     grid, basis, stepper = make_stepper()
     state = uniform_state(grid, basis)

@@ -80,22 +80,73 @@ def test_commutator_frozen_example():
     assert np.all(tn.commutator(q, np.zeros(3)) == 0.0)
 
 
+def skew(lam):
+    """Dense skew matrices from packed [l12, l13, l23], shape (..., 3, 3)."""
+    L = np.zeros(lam.shape[:-1] + (3, 3))
+    L[..., 0, 1], L[..., 0, 2], L[..., 1, 2] = np.moveaxis(lam, -1, 0)
+    return L - np.swapaxes(L, -1, -2)
+
+
 def test_commutator_matches_dense_arithmetic():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         q = random_q(rng, 2.0)
         lam = rng.normal(size=3)
         Q = tn.to_matrix(q)
-        L = tn.skew_to_matrix(lam)
+        L = np.array([[0.0, lam[0], lam[1]],
+                      [-lam[0], 0.0, lam[2]],
+                      [-lam[1], -lam[2], 0.0]])
         want = Q @ L - L @ Q
         got = tn.to_matrix(tn.commutator(q, lam))
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_skew_reconstruction():
-    L = tn.skew_to_matrix(np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(L, -L.T)
-    assert L[0, 1] == 1.0 and L[0, 2] == 2.0 and L[1, 2] == 3.0
+def max_rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_packed_commutator_and_bulk_field_match_matrix_route_on_fields():
+    # closed-form packed products against 3x3 matmuls on random 16^3 fields
+    rng = np.random.default_rng(6)
+    q = rng.normal(size=(16, 16, 16, 5))
+    lam = rng.normal(size=(16, 16, 16, 3))
+    c = rng.uniform(0.0, 2.0, size=(16, 16, 16))
+    Q, L = tn.to_matrix(q), skew(lam)
+    assert max_rel_gap(tn.to_matrix(tn.commutator(q, lam)),
+                       Q @ L - L @ Q) <= 1e-15
+    b, cs = 0.7, 1.3
+    Q2 = Q @ Q
+    t2 = np.trace(Q2, axis1=-2, axis2=-1)[..., None, None]
+    want = (-0.5 * (c[..., None, None] - cs) * Q
+            + b * (Q2 - (t2 / 3.0) * np.eye(3)) - cs * t2 * Q)
+    assert max_rel_gap(
+        tn.to_matrix(tn.bulk_molecular_field(q, c, b, cs)), want) <= 1e-15
+
+
+def test_sweep_products_build_no_matrices(monkeypatch):
+    # the per-sweep Q products stay in the packed encoding: with to_matrix
+    # unavailable they still run
+    from nematoflow.domain import (BoundaryData, BoundaryFaces,
+                                   BoundaryVelocity, Grid, pad)
+    from nematoflow.momentum import rotational_stress
+    from nematoflow.nematic import step_q
+
+    def no_matrix(q5):
+        raise AssertionError("to_matrix called on the packed path")
+
+    grid = Grid(extents=(1.0, 1.0, 1.0), shape=(6, 6, 6))
+    rng = np.random.default_rng(7)
+    q = 0.1 * rng.normal(size=grid.shape + (5,))
+    lam = rng.normal(size=grid.shape + (3,))
+    c = np.ones(grid.shape)
+    rules = BoundaryFaces(grid, BoundaryData(
+        BoundaryVelocity("zero", grid), 1.0, 0.1 * rng.normal(size=5))).q_rules
+    monkeypatch.setattr(tn, "to_matrix", no_matrix)
+    tn.commutator(q, lam)
+    tn.bulk_molecular_field(q, c, b=0.2, c_star=1.0)
+    step_q(grid, q, np.zeros(grid.shape + (3,)), lam, c, dt=1e-3, gamma=0.25,
+           b=0.2, c_star=1.0, q_rules=rules)
+    rotational_stress(grid, pad(q, rules))
 
 
 def test_scalar_invariants_frozen():
