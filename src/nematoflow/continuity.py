@@ -15,11 +15,12 @@ the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13.
 
-``ContinuitySolver.ghost_rules`` builds the six Robin ghost rules in ``pad``
-order (x-, x+, y-, y+, z-, z+, as ``domain.BoundaryFaces``).  The density
-gradient, the diffusive boundary flux and the weak residuals use rho_B, or
-rho_B - chi for a shifted density, so every layer sees the same boundary
-realization; the CG operator uses the homogeneous ghosts alpha * rho_i.
+``ContinuitySolver.rules`` holds the six affine ``pad`` rules
+(alpha, (1 - alpha) rho_B) in face order; the density gradient, the
+diffusive boundary flux and the weak residuals read them (or the pairs for
+rho_B - chi), so every layer sees one boundary realization.  The CG
+operator pads nothing: its Robin ghost sits in the diagonal it shares with
+the Jacobi preconditioner, and b / h^2 moves to the right side.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import galerkin as gk
-from .domain import gradient, laplacian_padded, pad, volume_integral
+from .domain import gradient, volume_integral
 from .errors import StabilityError
 
 _CG_TOL = 1.0e-13
@@ -89,35 +90,40 @@ class ContinuitySolver:
             ubn_neg = np.minimum(face.ubn, 0.0)
             r = self.eps / g.h[face.axis]
             self.alphas.append((r + 0.5 * ubn_neg) / (r - 0.5 * ubn_neg))
+        self.rules = self.robin_rules(self.boundary.rho_b)
         # diagonal of -L: ghost elimination (ghost = alpha*rho_i + const)
         # folds -alpha/h^2 into the diagonal of each wall-adjacent cell
-        diag = np.zeros(g.shape)
-        for axis in range(3):
-            diag += 2.0 / g.h[axis] ** 2
+        diag = np.full(g.shape, sum(2.0 / h ** 2 for h in g.h))
         for face, alpha in zip(self.boundary.faces, self.alphas):
             diag[face.wall] -= alpha / g.h[face.axis] ** 2
         self.neg_lap_diag = diag
 
     # ----------------------------------------------------------- operators
 
-    def ghost_rules(self, f, data=None):
-        """The six Robin ghost rules for f, in ``pad`` order.
+    def robin_rules(self, data):
+        """The Robin rules (alpha_k, (1 - alpha_k) data[k]) in ``pad`` order
+        for per-face outside values data: rho_B, or rho_B - chi if shifted."""
+        return tuple((alpha, (1.0 - alpha) * d)
+                     for alpha, d in zip(self.alphas, data))
 
-        Face k gets ('given', alpha_k * f[wall] + (1 - alpha_k) * data[k]).
-        data: per-face outside values; rho_B when omitted, rho_B - chi for a
-        shifted density.
-        """
-        if data is None:
-            data = self.boundary.rho_b
-        return tuple(("given", alpha * f[face.wall] + (1.0 - alpha) * d)
-                     for face, alpha, d in zip(self.boundary.faces,
-                                               self.alphas, data))
+    def wall_fluxes(self, f, rules=None):
+        """Outward flux eps * (ghost - w) / h per face, w = f[face.wall]."""
+        return [self.eps * (a * f[face.wall] + b - f[face.wall])
+                / self.grid.h[face.axis]
+                for face, (a, b) in zip(self.boundary.faces,
+                                        rules or self.rules)]
 
-    def _neg_lap_hom(self, rho):
-        """-Laplacian with homogeneous (rho_B = 0) Robin ghosts."""
-        P = pad(rho, tuple(("given", alpha * rho[face.wall]) for face, alpha
-                           in zip(self.boundary.faces, self.alphas)))
-        return -laplacian_padded(self.grid, P)
+    def _neg_lap_hom(self, x):
+        """-Laplacian with homogeneous Robin ghosts alpha * x[wall], which
+        sit in ``neg_lap_diag``; off the diagonal only interior neighbours."""
+        out = self.neg_lap_diag * x
+        for axis, h in enumerate(self.grid.h):
+            lo, hi = [slice(None)] * 3, [slice(None)] * 3
+            lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+            xs = x / h ** 2
+            out[tuple(lo)] -= xs[tuple(hi)]
+            out[tuple(hi)] -= xs[tuple(lo)]
+        return out
 
     def _solve_diffusion(self, rhs):
         """(I + eps*dt*(-L)) rho = rhs by Jacobi-preconditioned CG."""
@@ -207,7 +213,7 @@ class ContinuitySolver:
 
     def grad_rho(self, rho):
         """Central-difference gradient using this solver's boundary ghosts."""
-        return gradient(self.grid, rho, self.ghost_rules(rho))
+        return gradient(self.grid, rho, self.rules)
 
     def step(self, rho, fv, t=0.0):
         """One step; returns (rho_new, info dict)."""
@@ -221,18 +227,12 @@ class ContinuitySolver:
         # implicit diffusion: affine boundary term moves to the right side
         rhs = star.copy()
         a = self.eps * self.dt
-        for face, alpha, rho_b in zip(self.boundary.faces, self.alphas,
-                                      self.boundary.rho_b):
-            boundary_src = (1.0 - alpha) * rho_b / g.h[face.axis] ** 2
-            rhs[face.wall] += a * boundary_src
+        for face, (_, b) in zip(self.boundary.faces, self.rules):
+            rhs[face.wall] += a * (b / g.h[face.axis] ** 2)
         rho_new, iters = self._solve_diffusion(rhs)
         # diffusive boundary flux at the new state (outward normal direction)
-        eps_flux = 0.0
-        for face, (_, ghost) in zip(self.boundary.faces,
-                                    self.ghost_rules(rho_new)):
-            inner = rho_new[face.wall]
-            eps_flux += self.eps * face.area_element * float(
-                ((ghost - inner) / g.h[face.axis]).sum())
+        eps_flux = sum(face.area_element * float(flux.sum()) for face, flux
+                       in zip(self.boundary.faces, self.wall_fluxes(rho_new)))
         info = {
             "mass_in": self.dt * mass_in,
             "mass_out": self.dt * mass_out,
@@ -311,8 +311,7 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
         fv = traj.fvs[k]
         u = _cell_velocity_from_faces(g, fv)
         gphi = grad_phi(X, Y, Z, t)
-        rules = solver.ghost_rules(rho)
-        grad_rho = gradient(g, rho, rules)
+        grad_rho = solver.grad_rho(rho)
         interior = volume_integral(
             g, rho * dphi_dt(X, Y, Z, t)
             + rho * np.einsum("...a,...a->...", u, gphi)
@@ -320,12 +319,11 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
         if source is not None:
             interior += volume_integral(g, source(X, Y, Z, t) * phi(X, Y, Z, t))
         boundary = 0.0
-        for face, (_, ghost), rho_b in zip(solver.boundary.faces, rules,
-                                           solver.boundary.rho_b):
+        for face, diff_flux, rho_b in zip(solver.boundary.faces,
+                                          solver.wall_fluxes(rho),
+                                          solver.boundary.rho_b):
             inner = rho[face.wall]
             phi_face = phi(*face.xyz, t)
-            # diffusive flux (outward)
-            diff_flux = solver.eps * (ghost - inner) / g.h[face.axis]
             # advective flux (outward) with the scheme's upwinding
             adv_flux = np.where(face.inflow, face.ubn * rho_b,
                                 face.ubn * inner)
@@ -369,18 +367,17 @@ def renormalized_balance(traj, b_name="square", chi=None, dchi_dt=None):
         fv = traj.fvs[k]
         r = rho - chi(t)
         div_flux, _, _ = solver.advective_flux_divergence(rho, fv)
-        rules = solver.ghost_rules(
-            r, [rho_b - chi(t) for rho_b in solver.boundary.rho_b])
+        rules = solver.robin_rules(
+            [rho_b - chi(t) for rho_b in solver.boundary.rho_b])
         grad_r = gradient(g, r, rules)
         grad_r2 = np.einsum("...a,...a->...", grad_r, grad_r)
         eps_term = -solver.eps * volume_integral(g, Bpp(r) * grad_r2)
         eps_term_total += dt * eps_term
         bulk = volume_integral(g, Bp(r) * (-div_flux - dchi_dt(t))) + eps_term
         boundary = 0.0
-        for face, (_, ghost_r) in zip(solver.boundary.faces, rules):
-            inner_r = r[face.wall]
-            diff_flux = solver.eps * (ghost_r - inner_r) / g.h[face.axis]
+        for face, diff_flux in zip(solver.boundary.faces,
+                                   solver.wall_fluxes(r, rules)):
             boundary += face.area_element * float(
-                (Bp(inner_r) * diff_flux).sum())
+                (Bp(r[face.wall]) * diff_flux).sum())
         rhs += dt * (bulk + boundary)
     return float(lhs - rhs), float(eps_term_total)

@@ -7,11 +7,13 @@ trailing: scalars (Nx,Ny,Nz), vectors (Nx,Ny,Nz,3), packed Q fields
 J[..., a, d] = du_a/dx_d; the skew part is packed as (l12, l13, l23) with
 l_ad = (J_ad - J_da)/2, so plane shear u = (y, 0, 0) has l12 = +1/2.
 
-Differential operators act on ghost-padded arrays.  Ghost corners are never
-touched (all stencils are axis-aligned), so padding fills faces only.  The
-six ghost rules of ``pad`` and the six faces of ``decompose_boundary`` and
-``BoundaryFaces`` share one order, x-, x+, y-, y+, z-, z+ (index
-2 * axis + side), so per-face data and ghost rules line up by index.
+Differential operators act on ghost-padded arrays; stencils are
+axis-aligned, so padding fills faces only, and every wall condition is one
+affine ghost rule ghost = a * w + b (``pad``: mirror, Dirichlet Q_B, Robin
+density).  The six ghost rules of ``pad`` and the six faces of
+``decompose_boundary`` and ``BoundaryFaces`` share one order, x-, x+, y-,
+y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
+up by index.
 """
 
 from dataclasses import dataclass
@@ -59,100 +61,75 @@ class Grid:
 # ------------------------------------------------------------- ghost cells
 
 
-def _face_slices(ndim_trailing):
-    """Interior slice helper: grid axes first, trailing axes untouched."""
-    return (slice(1, -1),) * 3 + (slice(None),) * ndim_trailing
-
-
-def pad(f, rules):
+def pad(f, rules=None):
     """Ghost-pad the three grid axes of f by one cell.
 
-    rules: either the string 'mirror', or a 6-tuple (x_lo, x_hi, y_lo, y_hi,
-    z_lo, z_hi) where each entry is one of
-        ('mirror',)              ghost = adjacent interior value
-        ('dirichlet', B)         ghost = 2*B - interior (B on face centroids)
-        ('given', G)             ghost = G verbatim
-    Face arrays B, G carry the two tangential grid axes plus any trailing
-    component axes of f.
+    Every ghost is affine in the adjacent interior value w, ghost = a*w + b.
+    rules: None (mirror, a = 1, b = 0) or six (a, b) pairs in face order;
+    a, b are scalars or face arrays (two tangential grid axes plus the
+    trailing axes of f).  Uses: mirror for the no-flux concentration,
+    (-1, 2 Q_B) for the Dirichlet order tensor (``BoundaryFaces.q_rules``),
+    (alpha, (1 - alpha) rho_B) for the Robin density (``ContinuitySolver``).
     """
     f = np.asarray(f)
-    trail = f.ndim - 3
-    if isinstance(rules, str):
-        rules = (( rules,),) * 6
-    if len(rules) != 6:
+    if rules is not None and len(rules) != 6:
         raise DomainError("need one ghost rule per face (6)")
-    padded_shape = tuple(n + 2 for n in f.shape[:3]) + f.shape[3:]
-    P = np.zeros(padded_shape, dtype=float)
-    P[_face_slices(trail)] = f
-    for axis in range(3):
-        for side in range(2):
-            rule = rules[2 * axis + side]
-            idx_ghost = [slice(1, -1)] * 3 + [slice(None)] * trail
-            idx_inner = [slice(1, -1)] * 3 + [slice(None)] * trail
-            idx_ghost[axis] = 0 if side == 0 else -1
-            idx_inner[axis] = 1 if side == 0 else -2
-            inner = P[tuple(idx_inner)]
-            kind = rule[0]
-            if kind == "mirror":
-                P[tuple(idx_ghost)] = inner
-            elif kind == "dirichlet":
-                P[tuple(idx_ghost)] = 2.0 * np.asarray(rule[1]) - inner
-            elif kind == "given":
-                P[tuple(idx_ghost)] = np.asarray(rule[1])
-            else:
-                raise DomainError(f"unknown ghost rule {kind!r}")
+    P = np.zeros(tuple(n + 2 for n in f.shape[:3]) + f.shape[3:])
+    P[1:-1, 1:-1, 1:-1] = f
+    for k in range(6):
+        axis, side = divmod(k, 2)
+        ghost, inner = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+        ghost[axis], inner[axis] = (0, 1) if side == 0 else (-1, -2)
+        w = P[tuple(inner)]
+        P[tuple(ghost)] = w if rules is None else rules[k][0] * w + rules[k][1]
     return P
 
 
-def _shift(P, axis, step, trail):
-    idx = [slice(1, -1)] * 3 + [slice(None)] * trail
+def _shift(P, axis, step):
+    idx = [slice(1, -1)] * 3
     idx[axis] = slice(1 + step, P.shape[axis] - 1 + step)
     return P[tuple(idx)]
 
 
-def gradient(grid, f, rules="mirror"):
+def gradient(grid, f, rules=None):
     """Central-difference gradient; returns (..., 3) with grid axes first."""
-    f = np.asarray(f)
-    return gradient_padded(grid, pad(f, rules), f.ndim - 3)
+    return gradient_padded(grid, pad(f, rules))
 
 
-def gradient_padded(grid, P, trail=0):
+def gradient_padded(grid, P):
     """Central-difference gradient from an already ghost-padded array."""
-    out = np.empty(P[_face_slices(trail)].shape + (3,), dtype=float)
+    out = np.empty(P[1:-1, 1:-1, 1:-1].shape + (3,))
     for axis in range(3):
-        out[..., axis] = (_shift(P, axis, 1, trail) - _shift(P, axis, -1, trail)) \
+        out[..., axis] = (_shift(P, axis, 1) - _shift(P, axis, -1)) \
             / (2.0 * grid.h[axis])
     return out
 
 
-def laplacian(grid, f, rules="mirror"):
-    f = np.asarray(f)
-    return laplacian_padded(grid, pad(f, rules), f.ndim - 3)
+def laplacian(grid, f, rules=None):
+    return laplacian_padded(grid, pad(f, rules))
 
 
-def laplacian_padded(grid, P, trail=0):
+def laplacian_padded(grid, P):
     """Laplacian from an already ghost-padded array."""
-    twice = 2.0 * P[_face_slices(trail)]
-    out = np.zeros(twice.shape, dtype=float)
+    twice = 2.0 * P[1:-1, 1:-1, 1:-1]
+    out = np.zeros(twice.shape)
     for axis in range(3):
-        out += (_shift(P, axis, 1, trail) - twice + _shift(P, axis, -1, trail)) \
+        out += (_shift(P, axis, 1) - twice + _shift(P, axis, -1)) \
             / grid.h[axis] ** 2
     return out
 
 
-def advect_upwind(grid, P, u, trail=0):
+def advect_upwind(grid, P, u):
     """u . grad(f) with first-order upwinding; P is the ghost-padded field."""
-    out = np.zeros(P[_face_slices(trail)].shape, dtype=float)
+    out = np.zeros(P[1:-1, 1:-1, 1:-1].shape)
     for axis in range(3):
-        ua = u[..., axis]
-        if trail:
-            ua = ua.reshape(ua.shape + (1,) * trail)
+        ua = u[..., axis].reshape(u.shape[:3] + (1,) * (P.ndim - 3))
         # difference quotients on the n + 1 faces along the axis: cell i
         # has its backward one on face i and its forward one on face i + 1
-        idx = list(_face_slices(trail))
+        idx = [slice(1, -1)] * 3
         idx[axis] = slice(None)
         d = np.diff(P[tuple(idx)], axis=axis) / grid.h[axis]
-        bwd, fwd = [slice(None)] * d.ndim, [slice(None)] * d.ndim
+        bwd, fwd = [slice(None)] * 3, [slice(None)] * 3
         bwd[axis], fwd[axis] = slice(None, -1), slice(1, None)
         out += ua * np.where(ua > 0.0, d[tuple(bwd)], d[tuple(fwd)])
     return out
@@ -234,7 +211,7 @@ class BoundaryFaces:
       rho_b     inflow density rho_B on each face; DomainError unless it
                 is positive on every face centroid
       q_b       wall order tensor Q_B on each face, packed (..., 5)
-      q_rules   the six Dirichlet ghost rules that impose Q_B
+      q_rules   ghost rules (-1, 2 Q_B), ghost = 2 Q_B - w, imposing Q_B
     """
 
     def __init__(self, grid, bdata):
@@ -246,7 +223,7 @@ class BoundaryFaces:
                                   f"positive on every face (axis {face.axis}, "
                                   f"side {face.side})")
         self.q_b = [bdata.q_b(*face.xyz) for face in self.faces]
-        self.q_rules = tuple(("dirichlet", q_b) for q_b in self.q_b)
+        self.q_rules = tuple((-1.0, 2.0 * q_b) for q_b in self.q_b)
 
 
 # ------------------------------------------------------ boundary-data catalog

@@ -27,7 +27,7 @@ from . import galerkin as gk
 from . import pressure as pr
 from . import rheology as rh
 from . import tensors
-from .domain import gradient, laplacian, volume_integral
+from .domain import gradient, gradient_padded, laplacian_padded, pad, volume_integral
 from .errors import ConfigError
 
 LEDGER_COLUMNS = [
@@ -69,8 +69,8 @@ class EnergyMonitor:
             g, 0.5 * state.rho * np.einsum("...a,...a->...", u_modes, u_modes))
         e_press = volume_integral(g, pr.potential(st.pressure_law, state.rho))
         e_conc = volume_integral(g, 0.5 * state.c ** 2)
-        q_rules = st.boundary.q_rules
-        gq = gradient(g, state.q, q_rules)
+        P = pad(state.q, st.boundary.q_rules)
+        gq = gradient_padded(g, P)
         grad_q2 = sum(tensors.packed_dot(gq[..., i], gq[..., i])
                       for i in range(3))
         t2 = tensors.trace_q2(state.q)
@@ -83,10 +83,10 @@ class EnergyMonitor:
         fstar_vals = rh.conjugate_batch(st.law, s_red, sig_red)
         d_visc = volume_integral(g, f_vals + fstar_vals)
 
-        gc = gradient(g, state.c, "mirror")
+        gc = gradient(g, state.c)
         d_conc = ph.d0 * volume_integral(
             g, np.einsum("...a,...a->...", gc, gc))
-        lap_q = laplacian(g, state.q, q_rules)
+        lap_q = laplacian_padded(g, P)
         d_relax = ph.gamma * volume_integral(
             g, tensors.packed_dot(lap_q, lap_q))
         d_six = 0.5 * ph.c_star ** 2 * ph.gamma * volume_integral(g, t2 ** 3)

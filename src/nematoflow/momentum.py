@@ -44,7 +44,7 @@ def elastic_stress(grid, P, c_star):
     + c*/4 tr^2(Q^2).  P: packed Q ghost-padded by the Dirichlet rules of
     the wall Q_B."""
     q = P[1:-1, 1:-1, 1:-1]
-    gq = gradient_padded(grid, P, 1)         # (..., 5, 3)
+    gq = gradient_padded(grid, P)         # (..., 5, 3)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
     # encoding, so the pairing carries the 33 and off-diagonal weights
     gq_i = np.moveaxis(gq, -1, 0)            # (3, ..., 5)
@@ -69,7 +69,7 @@ def rotational_stress(grid, P):
     independent entries are closed forms in the packed components.
     """
     q11, q12, q13, q22, q23 = np.moveaxis(P[1:-1, 1:-1, 1:-1], -1, 0)
-    l11, l12, l13, l22, l23 = np.moveaxis(laplacian_padded(grid, P, 1), -1, 0)
+    l11, l12, l13, l22, l23 = np.moveaxis(laplacian_padded(grid, P), -1, 0)
     q33 = -q11 - q22
     l33 = -l11 - l22
     r12 = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13

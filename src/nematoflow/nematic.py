@@ -57,8 +57,7 @@ def step_concentration(grid, c, u, d0, dt):
     """One transport-diffusion step for the concentration field."""
     _diffusion_guard(grid, d0, dt, "D0")
     _advective_guard(grid, u, dt)
-    P = pad(c, "mirror")
-    star = c - dt * advect_upwind(grid, P, u, 0)
+    star = c - dt * advect_upwind(grid, pad(c), u)
     return diffuse_neumann(grid, star, d0, dt)
 
 
@@ -109,8 +108,7 @@ def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
     """
     _diffusion_guard(grid, gamma, dt, "Gamma")
     _advective_guard(grid, u, dt)
-    P = pad(q, q_rules)
-    q1 = q - dt * advect_upwind(grid, P, u, 1)
+    q1 = q - dt * advect_upwind(grid, pad(q, q_rules), u)
     q2 = q1 - dt * tensors.commutator(q1, lam)
     q3 = q2 + dt * gamma * molecular_field(grid, q2, c, b, c_star, q_rules)
     if not np.all(np.isfinite(q3)):

@@ -57,9 +57,13 @@ class Scenario:
     seed: int = 7
 
     def n_steps(self):
-        n = int(round(self.final_time / self.dt))
-        if abs(n * self.dt - self.final_time) > 1e-12 * max(1.0, n):
-            raise ConfigError("final time must be an integer number of steps")
+        return self.steps_to(self.final_time, "final time")
+
+    def steps_to(self, t, what):
+        """Whole steps from 0 to time t; ConfigError naming `what` if none."""
+        n = int(round(t / self.dt))
+        if abs(n * self.dt - t) > 1e-12 * max(1.0, n):
+            raise ConfigError(f"{what} must be an integer number of steps")
         return n
 
 
@@ -317,6 +321,8 @@ def build(sc):
         raise ConfigError("tol.picard must be positive")
     if sc.snapshot_every < 0:
         raise ConfigError("output.snapshot_every must be >= 0 (0 = off)")
+    if sc.seed < 0:
+        raise ConfigError(f"run.seed must be nonnegative, got {sc.seed}")
     sc.n_steps()
     ext = (sc.grid_extent,) * 3
     try:

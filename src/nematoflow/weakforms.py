@@ -225,7 +225,7 @@ def weak_residuals_dissipative(traj, stepper):
         rho_u = st.rho[..., None] * u
         flux = _identity_flux(g, ph, stepper.law, stepper.pressure_law,
                               q_rules, st, u, J)
-        grad_c = gradient(g, st.c, "mirror")
+        grad_c = gradient(g, st.c)
         u_dot_gc = np.einsum("...a,...a->...", u, grad_c)
         gq = gradient(g, st.q, q_rules)
         u_dot_gq = np.einsum("...cd,...d->...c", gq, u)

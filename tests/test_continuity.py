@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from nematoflow.domain import (
     BoundaryVelocity,
     DomainError,
     Grid,
+    laplacian,
     volume_integral,
 )
 from nematoflow.errors import StabilityError
@@ -271,3 +274,41 @@ def test_cg_converges_fast():
     rho = 1.0 + 0.2 * rng.random(grid.shape)
     _, info = solver.step(rho, fv)
     assert info["cg_iters"] < 60
+
+
+def _homogeneous_robin_reference(solver, x):
+    """-Laplacian through the padded route, ghosts alpha * x[wall]."""
+    return -laplacian(solver.grid, x,
+                      tuple((alpha, 0.0) for alpha in solver.alphas))
+
+
+def test_cg_operator_matches_padded_robin_laplacian():
+    grid, solver, _, _ = make_setup(n=16, ub_kind="channel", peak=0.3)
+    assert any(np.any(alpha != 1.0) for alpha in solver.alphas)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2,) + grid.shape)
+        ax, ay = solver._neg_lap_hom(x), solver._neg_lap_hom(y)
+        ref = _homogeneous_robin_reference(solver, x)
+        assert np.max(np.abs(ax - ref)) <= 1e-14 * np.max(np.abs(ref))
+        norm = np.linalg.norm
+        asym = abs(float((y * ax).sum()) - float((x * ay).sum()))
+        assert asym <= 1e-13 * (norm(y) * norm(ax) + norm(x) * norm(ay))
+
+
+def test_diffusion_solve_pads_nothing(monkeypatch):
+    grid, solver, _, _ = make_setup(n=8, ub_kind="channel", peak=0.3)
+    rhs = 1.0 + 0.2 * np.random.default_rng(2).random(grid.shape)
+
+    def no_pad(*args, **kwargs):
+        raise AssertionError("the diffusion solve ghost-pads")
+
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nematoflow") and hasattr(module, "pad"):
+                m.setattr(module, "pad", no_pad)
+        x, iters = solver._solve_diffusion(rhs)
+    assert iters > 0
+    a = solver.eps * solver.dt
+    ax = x + a * _homogeneous_robin_reference(solver, x)
+    assert np.max(np.abs(ax - rhs)) < 1e-12 * np.max(np.abs(rhs))

@@ -10,8 +10,9 @@ def unit_grid(n=16):
     return dm.Grid(extents=(1.0, 1.0, 1.0), shape=(n, n, n))
 
 
-def exact_ghost_rules(grid, fn, trail=0):
-    """Ghost values from a closed form evaluated at ghost-cell centers."""
+def exact_ghost_rules(grid, fn):
+    """Ghost values from a closed form evaluated at ghost-cell centers, as
+    affine rules (0, G)."""
     rules = []
     for axis in range(3):
         t1, t2 = [a for a in range(3) if a != axis]
@@ -22,7 +23,7 @@ def exact_ghost_rules(grid, fn, trail=0):
             xyz = [None, None, None]
             xyz[axis] = np.full_like(C1, coord)
             xyz[t1], xyz[t2] = C1, C2
-            rules.append(("given", fn(*xyz)))
+            rules.append((0.0, fn(*xyz)))
     return tuple(rules)
 
 
@@ -60,11 +61,11 @@ def test_shear_divergence_and_skew():
     u = np.zeros(g.shape + (3,))
     u[..., 0] = Y
     rules = exact_ghost_rules(g, lambda x, y, z: y)
-    div = sum(dm.gradient(g, u[..., a], "mirror")[..., a] for a in range(3))
+    div = sum(dm.gradient(g, u[..., a])[..., a] for a in range(3))
     assert np.max(np.abs(div)) < 1e-12     # u1 depends on y only
     J = np.empty(g.shape + (3, 3))
     for a in range(3):
-        r = rules if a == 0 else "mirror"
+        r = rules if a == 0 else None
         J[..., a, :] = dm.gradient(g, u[..., a], r)
     D = 0.5 * (J + np.swapaxes(J, -1, -2))
     lam12 = 0.5 * (J[..., 0, 1] - J[..., 1, 0])
@@ -76,8 +77,8 @@ def test_dirichlet_ghost_recovers_face_value():
     g = unit_grid(4)
     f = np.ones(g.shape)
     B = np.full((4, 4), 3.0)
-    rules = [("mirror",)] * 6
-    rules[0] = ("dirichlet", B)
+    rules = [(1.0, 0.0)] * 6
+    rules[0] = (-1.0, 2.0 * B)
     P = dm.pad(f, tuple(rules))
     assert np.allclose(0.5 * (P[0, 1:-1, 1:-1] + P[1, 1:-1, 1:-1]), 3.0)
 
@@ -156,16 +157,16 @@ def test_boundary_data_validates_density():
 
 def test_boundary_faces_share_pad_rule_order():
     # rule k of pad must write the ghost layer next to f[faces[k].wall]: a
-    # 'given' ghost equal to that layer reproduces the mirror padding exactly
+    # ghost (0, w) given as that layer reproduces the mirror padding exactly
     g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
     f = np.random.default_rng(3).standard_normal(g.shape + (2,))
     bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))
     faces = dm.BoundaryFaces(g, bdata).faces
-    mirror = dm.pad(f, "mirror")
+    mirror = dm.pad(f)
     for k, face in enumerate(faces):
         assert (face.axis, face.side) == (k // 2, k % 2)
-        rules = [("mirror",)] * 6
-        rules[k] = ("given", f[face.wall])
+        rules = [(1.0, 0.0)] * 6
+        rules[k] = (0.0, f[face.wall])
         assert np.array_equal(dm.pad(f, tuple(rules)), mirror)
 
 

@@ -78,6 +78,21 @@ def test_restart_rejects_mismatched_grid(tmp_path):
                         resume_from=sp.snapshot_path(str(tmp_path), 10))
 
 
+@pytest.mark.parametrize("t", [0.02, -1e-3, 1.5e-3])
+def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
+    # T = 0.01, dt = 1e-3: past T, before 0, and between two steps
+    sc = sn.default_scenario(grid_cells=4, modes=1, final_time=0.01)
+    setup = sn.build(sc)
+    path = str(tmp_path / "snap.txt")
+    st = setup.state0
+    sp.write_snapshot(path, setup.grid, setup.basis,
+                      State(t, st.rho, st.c, st.q, st.v), setup.stepper._ub_cc)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"snapshot time t = {t!r}"):
+        rn.run_scenario(sc, out_dir=str(out), resume_from=path)
+    assert not out.exists()
+
+
 def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)

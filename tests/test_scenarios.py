@@ -90,6 +90,7 @@ def test_tabulated_rheology_requires_mollification():
     ("rheology_lam", -5.0, r"lam \+ 2\*mu/3"),
     ("picard_tol", 0.0, "tol.picard"),
     ("snapshot_every", -3, "output.snapshot_every"),
+    ("seed", -1, "run.seed"),
     ("init_v", "noise:-1", "init.v noise"),
     ("init_v", "noise:inf", "init.v noise"),
     ("init_rho", "uniform:nan", "init.rho uniform"),
