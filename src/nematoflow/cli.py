@@ -7,8 +7,11 @@ before numpy loads, so this module defers every heavy import into main().
 """
 
 import argparse
+import math
 import os
 import sys
+
+from .errors import ConfigError
 
 
 def _apply_thread_env():
@@ -16,7 +19,7 @@ def _apply_thread_env():
     if not n:
         return
     if not n.isdigit() or int(n) < 1:
-        raise SystemExit(2)
+        raise ConfigError(f"NEMATOFLOW_THREADS must be a positive integer, got {n!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, n)
@@ -78,9 +81,10 @@ def _cmd_check(args):
 
 def _parse_law(spec, delta):
     from . import rheology as rh
-    from .errors import ConfigError
     name, _, args = spec.partition(":")
     parts = [float(a) for a in args.split(",")] if args else []
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise ConfigError(f"law {spec!r} takes at most two finite numbers")
     if name == "newtonian":
         mu = parts[0] if parts else 1.0
         lam = parts[1] if len(parts) > 1 else 0.0
@@ -98,7 +102,6 @@ def _cmd_conjugate(args):
     import numpy as np
 
     from . import rheology as rh
-    from .errors import ConfigError
     law = _parse_law(args.law, args.delta)
     try:
         ns, nsig = (int(x) for x in args.grid.lower().split("x"))
@@ -129,10 +132,9 @@ def _cmd_defect(args):
 
 
 def main(argv=None):
-    _apply_thread_env()
     args = _parser().parse_args(argv)
-    from .errors import ConfigError
     try:
+        _apply_thread_env()
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "check":

@@ -61,7 +61,6 @@ class EnergyMonitor:
         g = st.grid
         ph = st.physics
         u_modes = gk.synthesize(st.basis, state.v)
-        u = u_modes + st._ub_cc
         J = gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc
         D = 0.5 * (J + np.swapaxes(J, -1, -2))
 

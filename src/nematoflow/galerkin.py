@@ -6,12 +6,17 @@ Midpoint quadrature at cell centers is *exactly* orthogonal for these modes
 (discrete sine transform identity) as long as wavenumbers stay below the cell
 count, so the Gram check is a pure floating-point identity.
 
+Every transform is one ``_contract`` over per-axis tables, one axis at a time,
+at cost O(m N^3): synthesis uses the m x N sine tables, projection their
+transposes, derivatives the cosine table on one axis, and the mass matrix the
+pair tables S[k, i] S[K, i].
+
 Coefficient layout: reshape(m, m, m, 3) in C order; the first mode is
 (k, l, m, a) = (1, 1, 1, e_x).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +27,6 @@ from .errors import ConfigError
 class VelocityBasis:
     grid: object
     m: int
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -33,19 +37,21 @@ class VelocityBasis:
         lx, ly, lz = self.grid.extents
         self.norm = math.sqrt(8.0 / (lx * ly * lz))
         ks = np.arange(1, self.m + 1)
+        sin, cos = [], []
         for axis in range(3):
             x = self.grid.centers(axis)
             L = self.grid.extents[axis]
             phase = np.pi * np.outer(ks, x) / L            # (m, N_axis)
-            self._cache[f"S{axis}"] = np.sin(phase)
-            self._cache[f"C{axis}"] = (np.pi * ks / L)[:, None] * np.cos(phase)
+            sin.append(np.sin(phase))
+            cos.append((np.pi * ks / L)[:, None] * np.cos(phase))
+        self.sin = tuple(sin)
+        # grad[d]: the tables of d/dx_d, the cosine table on axis d
+        self.grad = tuple(tuple(cos[a] if a == d else sin[a] for a in range(3))
+                          for d in range(3))
 
     @property
     def n(self):
         return 3 * self.m ** 3
-
-    def factors(self, axis, kind="sin"):
-        return self._cache[f"{'S' if kind == 'sin' else 'C'}{axis}"]
 
 
 def build_basis(grid, m):
@@ -59,55 +65,44 @@ def _coeff_grid(basis, v):
     return v.reshape(basis.m, basis.m, basis.m, 3)
 
 
-def _contract(basis, V, Fx, Fy, Fz):
-    """out[i,j,c,a] = norm * sum_klm V[k,l,m,a] Fx[k,i] Fy[l,j] Fz[m,c].
+def _contract(V, Fx, Fy, Fz):
+    """out[i,j,c,...] = sum_klm V[k,l,m,...] Fx[k,i] Fy[l,j] Fz[m,c].
 
     Sum factorisation: one axis at a time, each a (batched) matrix product,
-    so the cost is O(m N^3) rather than O(m^3 N^3).
+    so the cost is O(K N^3) rather than O(K^3 N^3) for tables of K modes.
     """
-    m = basis.m
-    A = Fx.T @ (basis.norm * V).reshape(m, 3 * m * m)        # [i, (l, m, a)]
-    A = Fy.T @ A.reshape(-1, m, 3 * m)                        # [i, j, (m, a)]
-    return Fz.T @ A.reshape(A.shape[0], A.shape[1], m, 3)     # [i, j, c, a]
+    (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
+    A = Fx.T @ V.reshape(k, -1)                     # [i, (l, m, ...)]
+    A = Fy.T @ A.reshape(i, l, -1)                  # [i, j, (m, ...)]
+    A = Fz.T @ A.reshape(i, j, m, -1)               # [i, j, c, (...)]
+    return A.reshape((i, j, c) + V.shape[3:])
 
 
 def synthesize(basis, v):
     """Grid samples of sum_i v_i w_i at cell centers."""
-    V = _coeff_grid(basis, v)
-    return _contract(basis, V, *(basis.factors(a) for a in range(3)))
+    return _contract(basis.norm * _coeff_grid(basis, v), *basis.sin)
 
 
 def project(basis, f):
     """L2 inner products <f, w_i> by midpoint quadrature."""
-    f = np.asarray(f, dtype=float)
-    Sx, Sy, Sz = (basis.factors(a) for a in range(3))
-    A = np.einsum("ijca,ki->kjca", f, Sx)
-    A = np.einsum("kjca,lj->klca", A, Sy)
-    V = np.einsum("klca,mc->klma", A, Sz)
+    V = _contract(np.asarray(f, dtype=float), *(S.T for S in basis.sin))
     return (basis.grid.cell_volume * basis.norm) * V.reshape(basis.n)
 
 
 def synthesize_jacobian(basis, v):
     """Analytic J[..., a, d] = d(mode part)_a / dx_d on grid nodes."""
-    V = _coeff_grid(basis, v)
-    Sx, Sy, Sz = (basis.factors(a) for a in range(3))
-    Cx, Cy, Cz = (basis.factors(a, "cos") for a in range(3))
+    V = basis.norm * _coeff_grid(basis, v)
     out = np.empty(basis.grid.shape + (3, 3), dtype=float)
-    for d, F in enumerate([(Cx, Sy, Sz), (Sx, Cy, Sz), (Sx, Sy, Cz)]):
-        out[..., :, d] = _contract(basis, V, *F)
+    for d, F in enumerate(basis.grad):
+        out[..., :, d] = _contract(V, *F)
     return out
 
 
 def project_tensor_divergence(basis, T):
     """g_i = int T : grad(w_i) for a tensor field T[..., a, d]."""
     T = np.asarray(T, dtype=float)
-    Sx, Sy, Sz = (basis.factors(a) for a in range(3))
-    Cx, Cy, Cz = (basis.factors(a, "cos") for a in range(3))
-    G = np.zeros((basis.m, basis.m, basis.m, 3), dtype=float)
-    for d, (Fx, Fy, Fz) in enumerate([(Cx, Sy, Sz), (Sx, Cy, Sz), (Sx, Sy, Cz)]):
-        A = np.einsum("ijca,ki->kjca", T[..., :, d], Fx)
-        A = np.einsum("kjca,lj->klca", A, Fy)
-        G += np.einsum("klca,mc->klma", A, Fz)
+    G = sum(_contract(T[..., :, d], *(F.T for F in tables))
+            for d, tables in enumerate(basis.grad))
     return (basis.grid.cell_volume * basis.norm) * G.reshape(basis.n)
 
 
@@ -117,17 +112,13 @@ def mass_matrix(basis, rho):
     Returned shape (m^3, m^3); the full matrix is block-diagonal with this
     block repeated for each vector component.
     """
-    rho = np.asarray(rho, dtype=float)
-    Sx, Sy, Sz = (basis.factors(a) for a in range(3))
-    Px = np.einsum("ki,Ki->kKi", Sx, Sx)
-    Py = np.einsum("lj,Lj->lLj", Sy, Sy)
-    Pz = np.einsum("mc,Mc->mMc", Sz, Sz)
-    A = np.einsum("ijc,kKi->kKjc", rho, Px)
-    A = np.einsum("kKjc,lLj->kKlLc", A, Py)
-    R = np.einsum("kKlLc,mMc->klmKLM", A, Pz)
+    m = basis.m
+    pairs = ((S[:, None, :] * S[None, :, :]).reshape(m * m, -1)
+             for S in basis.sin)                    # P[kK, i] = S[k,i] S[K,i]
+    R = _contract(np.asarray(rho, dtype=float), *(P.T for P in pairs))
+    R = R.reshape((m,) * 6).transpose(0, 2, 4, 1, 3, 5)   # [k,l,m,K,L,M]
     scale = basis.grid.cell_volume * basis.norm ** 2
-    m3 = basis.m ** 3
-    return scale * R.reshape(m3, m3)
+    return scale * R.reshape(m ** 3, m ** 3)
 
 
 def evaluate_at(basis, v, x, y, z):
@@ -152,4 +143,4 @@ def evaluate_at(basis, v, x, y, z):
         s = np.sin(np.pi * np.outer(ks, t))
         s[:, (t == 0.0) | (t == 1.0)] = 0.0
         factors.append(s)
-    return _contract(basis, V, *factors)
+    return _contract(basis.norm * V, *factors)

@@ -174,16 +174,12 @@ class CoupledStepper:
 @dataclass
 class Trajectory:
     """Stored per-step fields for the weak-form and balance checks."""
-    grid: object
-    stepper: CoupledStepper
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    infos: list = field(default_factory=list)
 
-    def record(self, state, info=None):
+    def record(self, state):
         self.times.append(state.t)
         self.states.append(state.copy())
-        self.infos.append(info)
 
 
 def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
@@ -193,7 +189,7 @@ def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
     invoked after every accepted step (the energy ledger hooks in here).
     Returns (final_state, trajectory or None).
     """
-    traj = Trajectory(grid=stepper.grid, stepper=stepper) if record else None
+    traj = Trajectory() if record else None
     state = state0
     if record:
         traj.record(state)
@@ -203,5 +199,5 @@ def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
         if monitor is not None:
             monitor(prev, state, info)
         if record:
-            traj.record(state, info)
+            traj.record(state)
     return state, traj

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output formats, plumbing."""
 
 import numpy as np
+import pytest
 
 from nematoflow import cli
 from nematoflow import scenarios as sn
@@ -81,6 +82,22 @@ def test_conjugate_mollified_newtonian_matches_raw_table(capsys):
 
 def test_conjugate_bad_grid_exits_2(capsys):
     assert cli.main(["conjugate", "newtonian", "4by3"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["newtonian:1,0.5,3", "power_law:1,inf"])
+def test_conjugate_bad_law_exits_2(spec, capsys):
+    assert cli.main(["conjugate", spec, "2x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
+
+
+def test_bad_thread_env_exits_2_with_message(monkeypatch, capsys):
+    monkeypatch.setenv("NEMATOFLOW_THREADS", "abc")
+    assert cli.main(["check", "--suite", "tensors"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: NEMATOFLOW_THREADS must be a positive "
+        "integer, got 'abc'\n")
 
 
 def test_defect_identical_runs_pass(tmp_path, capsys):

@@ -17,6 +17,11 @@ def unit_grid(n=16, extents=(1.0, 1.0, 1.0)):
     return dm.Grid(extents=extents, shape=(n, n, n))
 
 
+def noncubic_grid():
+    """Unequal cell counts and extents: a swapped axis cannot hide here."""
+    return dm.Grid(extents=(2.0, 1.0, 1.5), shape=(16, 12, 8))
+
+
 def mode_field(grid, k, l, m, alpha):
     """Direct formula for one basis mode, written out independently."""
     lx, ly, lz = grid.extents
@@ -119,8 +124,9 @@ def test_mass_matrix_identity_for_unit_density():
     assert np.max(np.abs(R - np.eye(8))) < 1e-12
 
 
-def test_mass_matrix_against_brute_quadrature():
-    g = unit_grid(8)
+@pytest.mark.parametrize("g", [unit_grid(8), noncubic_grid()],
+                         ids=["cube8", "noncubic"])
+def test_mass_matrix_against_brute_quadrature(g):
     basis = gk.build_basis(g, 2)
     X, Y, Z = g.coords()
     rho = 1.0 + 0.3 * np.sin(np.pi * X) * np.cos(np.pi * Y) * Z
@@ -155,23 +161,60 @@ def test_jacobian_matches_closed_form():
     assert np.max(np.abs(J[..., 2, :])) == 0.0
 
 
-def test_tensor_divergence_projection_against_brute_force():
-    g = unit_grid(8)
-    basis = gk.build_basis(g, 1)
+@pytest.mark.parametrize("g,m", [(unit_grid(8), 1), (noncubic_grid(), 2)],
+                         ids=["cube8-m1", "noncubic-m2"])
+def test_tensor_divergence_projection_against_brute_force(g, m):
+    basis = gk.build_basis(g, m)
     rng = np.random.default_rng(3)
     T = rng.normal(size=g.shape + (3, 3))
     got = gk.project_tensor_divergence(basis, T)
     lx, ly, lz = g.extents
     X, Y, Z = g.coords()
     norm = np.sqrt(8.0 / (lx * ly * lz))
-    for a in range(3):
-        gradw = np.stack([
-            (np.pi / lx) * np.cos(np.pi * X / lx) * np.sin(np.pi * Y / ly) * np.sin(np.pi * Z / lz),
-            (np.pi / ly) * np.sin(np.pi * X / lx) * np.cos(np.pi * Y / ly) * np.sin(np.pi * Z / lz),
-            (np.pi / lz) * np.sin(np.pi * X / lx) * np.sin(np.pi * Y / ly) * np.cos(np.pi * Z / lz),
-        ], axis=-1) * norm
+    for i, (k, l, mm, a) in enumerate(all_mode_indices(m)):
+        sx, cx = np.sin(k * np.pi * X / lx), (k * np.pi / lx) * np.cos(k * np.pi * X / lx)
+        sy, cy = np.sin(l * np.pi * Y / ly), (l * np.pi / ly) * np.cos(l * np.pi * Y / ly)
+        sz, cz = np.sin(mm * np.pi * Z / lz), (mm * np.pi / lz) * np.cos(mm * np.pi * Z / lz)
+        gradw = np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz], axis=-1) * norm
         want = dm.volume_integral(g, np.einsum("...d,...d->...", T[..., a, :], gradw))
-        assert got[a] == pytest.approx(want, abs=1e-13)
+        assert got[i] == pytest.approx(want, abs=1e-13)
+
+
+def test_adjoint_identities_on_noncubic_grid():
+    """project and project_tensor_divergence are the quadrature adjoints of
+    synthesize and synthesize_jacobian, axis by axis."""
+    g = noncubic_grid()
+    basis = gk.build_basis(g, 2)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=basis.n)
+    f = rng.normal(size=g.shape + (3,))
+    T = rng.normal(size=g.shape + (3, 3))
+    vol = g.cell_volume
+    lhs = v @ gk.project(basis, f)
+    rhs = vol * np.sum(gk.synthesize(basis, v) * f)
+    assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+    lhs = v @ gk.project_tensor_divergence(basis, T)
+    rhs = vol * np.sum(gk.synthesize_jacobian(basis, v) * T)
+    assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+def test_transforms_use_no_einsum(monkeypatch):
+    """Every transform runs through the sum-factorised contraction."""
+    g = noncubic_grid()
+    basis = gk.build_basis(g, 2)
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=basis.n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum called by a Galerkin transform")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    gk.synthesize(basis, v)
+    gk.synthesize_jacobian(basis, v)
+    gk.evaluate_at(basis, v, *np.ix_(*(g.centers(a) for a in range(3))))
+    gk.project(basis, rng.normal(size=g.shape + (3,)))
+    gk.project_tensor_divergence(basis, rng.normal(size=g.shape + (3, 3)))
+    gk.mass_matrix(basis, 1.0 + rng.random(g.shape))
 
 
 def test_evaluate_at_matches_grid_synthesis():
