@@ -2,11 +2,11 @@
 
 run_scenario advances a scenario from 0 to T through
 ``simulation.run_coupled``.  Its per-step hook appends one energy-ledger
-row, tracks the solute bounds and the density envelope and writes
-snapshots at the configured cadence; the run closes with a PASS/FAIL
-table.  Trace and symmetry of the order tensor are structural (packed Q),
-so their rows judge the final state only.  The report object only ever
-appends; nothing is revised after the fact.
+row, tracks the solute bounds, the density envelope and the discrete mass
+balance, and writes snapshots at the configured cadence; the run closes
+with a PASS/FAIL table.  Trace and symmetry of the order tensor are
+structural (packed Q), so their rows judge the final state only.  The
+report object only ever appends; nothing is revised after the fact.
 """
 
 import os
@@ -19,6 +19,7 @@ from . import energy as en
 from . import scenarios as sn
 from . import snapshots as sp
 from . import tensors
+from .domain import volume_integral
 from .simulation import run_coupled
 
 
@@ -97,8 +98,10 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     rho_hi0 = max([rho_hi0] + [float(rb.max()) for rb in rho_b_probe])
     rho_lo0 = min([rho_lo0] + [float(rb.min()) for rb in rho_b_probe])
 
+    mass0 = float(volume_integral(grid, state.rho))
+
     worst = {"c_lo": c_lo0, "c_hi": c_hi0, "rho_envelope": 0.0,
-             "div_inf": 0.0}
+             "div_inf": 0.0, "mass_balance": 0.0}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -123,6 +126,11 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         over = max(float(state.rho.max()) - env_hi * (1 + 1e-6), 0.0)
         under = max(env_lo * (1 - 1e-6) - float(state.rho.min()), 0.0)
         worst["rho_envelope"] = max(worst["rho_envelope"], over, under)
+        # vol*sum(rho^{n+1} - rho^n) against the step's boundary mass ledger
+        budget = info["mass_in"] - info["mass_out"] + info["eps_boundary_flux"]
+        defect = abs(float(volume_integral(grid, state.rho - prev.rho))
+                     - budget)
+        worst["mass_balance"] = max(worst["mass_balance"], defect)
         step = start_step + len(report.picard_iters)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
@@ -148,6 +156,9 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         f"range [{worst['c_lo']:.6f}, {worst['c_hi']:.6f}]")
     report.add_check("density envelope", worst["rho_envelope"] == 0.0,
                      f"worst excess {worst['rho_envelope']:.3e}")
+    report.add_check("mass balance",
+                     worst["mass_balance"] <= 1e-12 * (1.0 + abs(mass0)),
+                     f"max defect {worst['mass_balance']:.3e}")
     rows = monitor.rows
     diss_min = min(min(r[k2] for k2 in ("d_visc", "d_conc", "d_relax",
                                         "d_six")) for r in rows)

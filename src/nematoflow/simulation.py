@@ -3,17 +3,30 @@
 Each step resolves the velocity through a fixed-point iteration on the
 Galerkin coefficient vector: a candidate drives one step of the three field
 solvers, the resulting fields feed the projected momentum balance, and the
-momentum solve returns the next candidate.  Candidates are combined by
-Anderson mixing (type II, in the form of Walker & Ni, SIAM J. Numer. Anal.
-49, 2011) over the last ``ANDERSON_DEPTH`` iterates, with mixing factor
-``THETA``; at depth 0 this is the damped Picard step
-``THETA * v_next + (1 - THETA) * v``.  If an increment grows, the history is
-dropped and the mixing factor is halved for the rest of the step.
-Convergence is declared on the l2 increment of the coefficient vector,
-within ``PICARD_MAX_ITER`` iterations or ``FixedPointError``.  The step
-stores the fields of the last sweep with the velocity that sweep returned:
-the fields were advanced by an iterate within ``picard_tol`` of it, so no
-further sweep is run.
+momentum solve returns the next candidate.  The first candidate is the
+linear extrapolation ``2 v^n - v^{n-1}`` when the state carries ``v_prev``
+(every state a step returns does), otherwise ``v^n``; the step is a pure
+function of the state, so a restart from a snapshot that stores ``v_prev``
+follows the same iterates.  Candidates are combined by Anderson mixing
+(type II, in the form of Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over
+the last ``ANDERSON_DEPTH`` iterates, with mixing factor ``THETA``; at
+depth 0 this is the damped Picard step ``THETA * v_next + (1 - THETA) * v``.
+If an increment grows, the history is dropped and the mixing factor is
+halved for the rest of the step.
+
+The iteration stops, within ``PICARD_MAX_ITER`` iterations or
+``FixedPointError``, once the l2 increment ``incr`` of the coefficient
+vector is at most ``picard_tol``, or once the a-posteriori contraction
+bound says the returned velocity is that close to the fixed point: with r
+the ratio of the last two increments, r <= ``BOUND_MAX_RATIO`` and
+``r/(1-r)*incr + |v_mixed - v_next| <= picard_tol``.  The bound r/(1-r)*incr
+(Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995)
+is on the error of the next mixed iterate; r alone does not bound the error
+of ``v_next``, which the plain map contracts more slowly than Anderson
+mixing does.  The step stores the fields of the last sweep with the
+velocity that sweep returned, so no further sweep is run: the fields were
+advanced by an iterate within one increment of it (within ``picard_tol``
+when the plain test stopped the iteration).
 """
 
 from collections import deque
@@ -33,6 +46,11 @@ ANDERSON_DEPTH = 4
 # mixing factor of the new candidate, and the iteration budget of one step
 THETA = 1.0
 PICARD_MAX_ITER = 60
+# largest ratio r of successive increments at which the contraction bound
+# may stop the iteration: Anderson's superlinear tail runs at r ~ 0.01-0.02,
+# where the bound is sharp; a damped iteration (r ~ 0.25-0.5) keeps the
+# plain increment test
+BOUND_MAX_RATIO = 0.1
 
 
 @dataclass
@@ -56,10 +74,12 @@ class State:
     c: np.ndarray
     q: np.ndarray
     v: np.ndarray
+    v_prev: np.ndarray = None    # coefficients one step back, if any
 
     def copy(self):
         return State(self.t, self.rho.copy(), self.c.copy(), self.q.copy(),
-                     self.v.copy())
+                     self.v.copy(),
+                     None if self.v_prev is None else self.v_prev.copy())
 
 
 class CoupledStepper:
@@ -123,11 +143,11 @@ class CoupledStepper:
     def step(self, state):
         """Advance the coupled state by dt; returns (new_state, info)."""
         v0 = state.v
-        v_cur = v0.copy()
+        v_cur = v0.copy() if state.v_prev is None else 2.0 * v0 - state.v_prev
         beta = THETA
         d_v = deque(maxlen=ANDERSON_DEPTH)    # differences of iterates
         d_f = deque(maxlen=ANDERSON_DEPTH)    # differences of residuals
-        v_prev = f_prev = None
+        v_last = f_last = None    # previous iterate and its residual
         increments = []
         for _ in range(PICARD_MAX_ITER):
             u, J, lam = self.velocity_fields(v_cur)
@@ -144,16 +164,22 @@ class CoupledStepper:
                 beta *= 0.5
                 d_v.clear()
                 d_f.clear()
-            elif f_prev is not None:
-                d_v.append(v_cur - v_prev)
-                d_f.append(f - f_prev)
-            v_prev, f_prev = v_cur, f
+            elif f_last is not None:
+                d_v.append(v_cur - v_last)
+                d_f.append(f - f_last)
+            v_last, f_last = v_cur, f
             v_new = beta * v_next + (1.0 - beta) * v_cur
             if d_v:
                 dV = np.stack(d_v, axis=1)
                 dF = np.stack(d_f, axis=1)
                 gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
                 v_new -= (dV + beta * dF) @ gamma
+            # the contraction bound r/(1-r)*incr holds for the mixed iterate
+            # v_new; the stored v_next is within |v_new - v_next| of it
+            r = incr / increments[-2] if len(increments) > 1 else 1.0
+            if r <= BOUND_MAX_RATIO and r / (1.0 - r) * incr + float(
+                    np.linalg.norm(v_new - v_next)) <= self.picard_tol:
+                break
             v_cur = v_new
         else:
             raise FixedPointError(
@@ -161,7 +187,8 @@ class CoupledStepper:
                 f"{PICARD_MAX_ITER} iterations "
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
-        new_state = State(state.t + self.dt, rho_k, c_k, q_k, v_next)
+        new_state = State(state.t + self.dt, rho_k, c_k, q_k, v_next,
+                          v_prev=v0)
         info = {"picard_iters": len(increments), "increments": increments}
         if len(increments) >= 2:
             # geometric mean of the successive increment ratios

@@ -9,6 +9,7 @@ from nematoflow import galerkin as gk
 from nematoflow import runner as rn
 from nematoflow import scenarios as sn
 from nematoflow import snapshots as sp
+from nematoflow.continuity import ContinuitySolver
 from nematoflow.errors import ConfigError
 from nematoflow.simulation import State
 
@@ -29,6 +30,22 @@ def test_zero_scenario_all_checks_pass(tmp_path):
     assert os.path.exists(tmp_path / "report.txt")
     text = (tmp_path / "report.txt").read_text()
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_mass_balance_row_fails_with_flipped_diffusive_flux(monkeypatch):
+    sc = sn.default_scenario(grid_cells=8, final_time=0.01)
+    rep = rn.run_scenario(sc)
+    assert ("mass balance", True) in [c[:2] for c in rep.checks]
+    step = ContinuitySolver.step
+
+    def flipped(self, *args, **kwargs):
+        rho_new, info = step(self, *args, **kwargs)
+        info["eps_boundary_flux"] = -info["eps_boundary_flux"]
+        return rho_new, info
+
+    monkeypatch.setattr(ContinuitySolver, "step", flipped)
+    rep = rn.run_scenario(sc)
+    assert ("mass balance", False) in [c[:2] for c in rep.checks]
 
 
 def test_quiescent_ledger_is_exactly_conservative(tmp_path):
@@ -69,6 +86,20 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
     assert part_rows[1].rpartition(b",")[0] == resumed[0].rpartition(b",")[0]
 
 
+@pytest.mark.parametrize("resume_step", [0, 1, 10])
+def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
+    # step 0 has no previous coefficients; step 1 is the first snapshot
+    # whose next step starts from the extrapolated iterate
+    sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=1)
+    full, part = tmp_path / "full", tmp_path / "part"
+    rn.run_scenario(sc, out_dir=str(full))
+    snap = sp.snapshot_path(str(full), resume_step)
+    assert ("coeffs_prev =" in open(snap).read()) == (resume_step > 0)
+    rn.run_scenario(sc, out_dir=str(part), resume_from=snap)
+    last = os.path.basename(sp.snapshot_path("x", sc.n_steps()))
+    assert _read_bytes(full / last) == _read_bytes(part / last)
+
+
 def test_restart_rejects_mismatched_grid(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=10)
     rn.run_scenario(sc, out_dir=str(tmp_path))
@@ -107,6 +138,30 @@ def test_snapshot_round_trip(tmp_path):
     assert np.allclose(st.q, setup.state0.q, rtol=0, atol=1e-15)
     assert np.array_equal(st.v, setup.state0.v)
     assert st.t == setup.state0.t
+
+
+def test_snapshot_round_trips_previous_coefficients(tmp_path):
+    # a state without v_prev writes no coeffs_prev line and reads back
+    # without one; a short or non-finite coeffs_prev line is rejected
+    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    st = setup.state0
+    path = tmp_path / "snap.txt"
+    sp.write_snapshot(str(path), setup.grid, setup.basis, st,
+                      setup.stepper._ub_cc)
+    assert "coeffs_prev" not in path.read_text()
+    assert sp.read_snapshot(str(path))[0].v_prev is None
+    v_prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
+    sp.write_snapshot(str(path), setup.grid, setup.basis,
+                      State(1e-3, st.rho, st.c, st.q, st.v, v_prev),
+                      setup.stepper._ub_cc)
+    assert np.array_equal(sp.read_snapshot(str(path))[0].v_prev, v_prev)
+    text = path.read_text()
+    line = next(ln for ln in text.splitlines() if "coeffs_prev =" in ln)
+    head = line.rpartition(" ")[0]
+    for bad in (head, head + " nan"):
+        path.write_text(text.replace(line, bad))
+        with pytest.raises(ConfigError, match="coeffs_prev"):
+            sp.read_snapshot(str(path))
 
 
 @pytest.mark.parametrize("rows_per_write", [sp._ROWS_PER_WRITE, 5])

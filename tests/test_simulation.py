@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nematoflow.domain import BoundaryData, BoundaryVelocity, Grid
 from nematoflow.errors import FixedPointError
 from nematoflow import momentum as mom
+from nematoflow import scenarios as sn
 from nematoflow import simulation
 from nematoflow.galerkin import build_basis
 from nematoflow.pressure import isentropic_law
@@ -173,3 +176,28 @@ def test_boundary_driven_flow_moves_velocity():
     new_state, info = stepper.step(state)
     assert np.linalg.norm(new_state.v) > 1e-8
     assert info["picard_iters"] < 30
+
+
+def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
+    # the default channel flow at 8^3, m=2: the stored v of every step is
+    # within picard_tol of a tight re-solve from the same state; starting
+    # each step from v^n instead of the extrapolation 2 v^n - v^{n-1} costs
+    # sweeps but reaches the same states
+    sc = sn.default_scenario(grid_cells=8)
+    setup = sn.build(sc)
+    stepper = setup.stepper
+    tight = sn.build(dataclasses.replace(sc, picard_tol=1e-14)).stepper
+    state = plain = setup.state0
+    sweeps = plain_sweeps = 0
+    for _ in range(3):
+        ref, _ = tight.step(state)
+        new, info = stepper.step(state)
+        assert np.linalg.norm(new.v - ref.v) <= stepper.picard_tol
+        state, sweeps = new, sweeps + info["picard_iters"]
+        plain, info = stepper.step(dataclasses.replace(plain, v_prev=None))
+        plain_sweeps += info["picard_iters"]
+    assert state.v_prev is not None
+    assert plain_sweeps > sweeps
+    for key in ("rho", "c", "q", "v"):
+        ref, got = getattr(state, key), getattr(plain, key)
+        assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
