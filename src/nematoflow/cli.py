@@ -1,7 +1,8 @@
 """Command line: run a scenario, check invariant suites, tabulate a
 conjugate potential, compare two snapshot directories.
 
-Exit codes: 0 success, 1 a check failed, 2 configuration error.
+Exit codes: 0 success, 1 a check failed or a numerical failure (a
+stability, fixed-point or conditioning error), 2 configuration error.
 NEMATOFLOW_THREADS caps the linear-algebra thread pools; it must be applied
 before numpy loads, so this module defers every heavy import into main().
 """
@@ -11,7 +12,8 @@ import math
 import os
 import sys
 
-from .errors import ConfigError
+from .errors import (ConditioningError, ConfigError, FixedPointError,
+                     StabilityError)
 
 
 def _apply_thread_env():
@@ -146,6 +148,9 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except (StabilityError, FixedPointError, ConditioningError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -3,9 +3,13 @@ inflow/outflow boundary decomposition.
 
 Fields are plain numpy arrays with grid axes first and any component axes
 trailing: scalars (Nx,Ny,Nz), vectors (Nx,Ny,Nz,3), packed Q fields
-(Nx,Ny,Nz,5).  Velocity gradients follow the Jacobian convention
-J[..., a, d] = du_a/dx_d; the skew part is packed as (l12, l13, l23) with
-l_ad = (J_ad - J_da)/2, so plane shear u = (y, 0, 0) has l12 = +1/2.
+(Nx,Ny,Nz,5).  The exception is the velocity Jacobian and the stresses of
+the momentum flux, which are component-first, (3,3,Nx,Ny,Nz), so each entry
+is one contiguous field; ``pad``, ``gradient_padded`` and
+``laplacian_padded`` take ``first=True`` for such arrays (grid axes last).
+Velocity gradients follow the Jacobian convention J[a, d] = du_a/dx_d; the
+skew part is packed as (l12, l13, l23) with l_ad = (J_ad - J_da)/2, so
+plane shear u = (y, 0, 0) has l12 = +1/2.
 
 Differential operators act on ghost-padded arrays; stencils are
 axis-aligned, so padding fills faces only, and every wall condition is one
@@ -61,7 +65,7 @@ class Grid:
 # ------------------------------------------------------------- ghost cells
 
 
-def pad(f, rules=None):
+def pad(f, rules=None, first=False):
     """Ghost-pad the three grid axes of f by one cell.
 
     Every ghost is affine in the adjacent interior value w, ghost = a*w + b.
@@ -70,24 +74,33 @@ def pad(f, rules=None):
     trailing axes of f).  Uses: mirror for the no-flux concentration,
     (-1, 2 Q_B) for the Dirichlet order tensor (``BoundaryFaces.q_rules``),
     (alpha, (1 - alpha) rho_B) for the Robin density (``ContinuitySolver``).
+    first=True: f is component-first, its grid axes last, and so are the
+    face arrays of the rules (leading axes of f plus the two tangential
+    grid axes).
     """
     f = np.asarray(f)
     if rules is not None and len(rules) != 6:
         raise DomainError("need one ghost rule per face (6)")
-    P = np.zeros(tuple(n + 2 for n in f.shape[:3]) + f.shape[3:])
-    P[1:-1, 1:-1, 1:-1] = f
+    lead = f.ndim - 3 if first else 0
+    grid_axes = range(lead, lead + 3)
+    P = np.zeros(tuple(n + 2 if ax in grid_axes else n
+                       for ax, n in enumerate(f.shape)))
+    _shift(P, 0, 0, lead)[...] = f
     for k in range(6):
         axis, side = divmod(k, 2)
-        ghost, inner = [slice(1, -1)] * 3, [slice(1, -1)] * 3
-        ghost[axis], inner[axis] = (0, 1) if side == 0 else (-1, -2)
+        ghost = [slice(None)] * lead + [slice(1, -1)] * 3
+        inner = list(ghost)
+        ghost[lead + axis], inner[lead + axis] = (0, 1) if side == 0 else (-1, -2)
         w = P[tuple(inner)]
         P[tuple(ghost)] = w if rules is None else rules[k][0] * w + rules[k][1]
     return P
 
 
-def _shift(P, axis, step):
-    idx = [slice(1, -1)] * 3
-    idx[axis] = slice(1 + step, P.shape[axis] - 1 + step)
+def _shift(P, axis, step, lead=0):
+    """Interior block of the padded P moved by step cells along grid axis
+    `axis`; the three grid axes of P start at axis `lead`."""
+    idx = [slice(None)] * lead + [slice(1, -1)] * 3
+    idx[lead + axis] = slice(1 + step, P.shape[lead + axis] - 1 + step)
     return P[tuple(idx)]
 
 
@@ -96,12 +109,21 @@ def gradient(grid, f, rules=None):
     return gradient_padded(grid, pad(f, rules))
 
 
-def gradient_padded(grid, P):
-    """Central-difference gradient from an already ghost-padded array."""
-    out = np.empty(P[1:-1, 1:-1, 1:-1].shape + (3,))
+def gradient_padded(grid, P, first=False):
+    """Central-difference gradient from an already ghost-padded array.
+
+    first=False: grid axes first, (nx+2, ny+2, nz+2, ...) -> (nx, ny, nz, ..., 3).
+    first=True: component-first, grid axes last,
+    (..., nx+2, ny+2, nz+2) -> (3, ..., nx, ny, nz), so every component of
+    every derivative is one contiguous block.
+    """
+    lead = P.ndim - 3 if first else 0
+    inner = _shift(P, 0, 0, lead).shape
+    out = np.empty((3,) + inner if first else inner + (3,))
     for axis in range(3):
-        out[..., axis] = (_shift(P, axis, 1) - _shift(P, axis, -1)) \
-            / (2.0 * grid.h[axis])
+        d = out[axis] if first else out[..., axis]
+        np.subtract(_shift(P, axis, 1, lead), _shift(P, axis, -1, lead), out=d)
+        d /= 2.0 * grid.h[axis]
     return out
 
 
@@ -109,13 +131,18 @@ def laplacian(grid, f, rules=None):
     return laplacian_padded(grid, pad(f, rules))
 
 
-def laplacian_padded(grid, P):
-    """Laplacian from an already ghost-padded array."""
-    twice = 2.0 * P[1:-1, 1:-1, 1:-1]
+def laplacian_padded(grid, P, first=False):
+    """Laplacian from an already ghost-padded array; first=True takes a
+    component-first array, grid axes last, as ``gradient_padded`` does."""
+    lead = P.ndim - 3 if first else 0
+    twice = 2.0 * _shift(P, 0, 0, lead)
     out = np.zeros(twice.shape)
+    term = np.empty(twice.shape)
     for axis in range(3):
-        out += (_shift(P, axis, 1) - twice + _shift(P, axis, -1)) \
-            / grid.h[axis] ** 2
+        np.subtract(_shift(P, axis, 1, lead), twice, out=term)
+        term += _shift(P, axis, -1, lead)
+        term /= grid.h[axis] ** 2
+        out += term
     return out
 
 

@@ -61,7 +61,8 @@ class EnergyMonitor:
         g = st.grid
         ph = st.physics
         u_modes = gk.synthesize(st.basis, state.v)
-        J = gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc
+        J = tensors.components_last(
+            gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc)
         D = 0.5 * (J + np.swapaxes(J, -1, -2))
 
         e_kin = volume_integral(
@@ -186,7 +187,7 @@ class EnergyMonitor:
         st = self.stepper
         g = st.grid
         ub = st._ub_cc
-        gb = st._ub_jac_cc
+        gb = tensors.components_last(st._ub_jac_cc)
         gradub_inf = float(np.max(np.abs(gb)))
         gradub_l2sq = float(volume_integral(
             g, np.einsum("...ad,...ad->...", gb, gb)))

@@ -9,7 +9,10 @@ count, so the Gram check is a pure floating-point identity.
 Every transform is one ``_contract`` over per-axis tables, one axis at a time,
 at cost O(m N^3): synthesis uses the m x N sine tables, projection their
 transposes, derivatives the cosine table on one axis, and the mass matrix the
-pair tables S[k, i] S[K, i].
+pair tables S[k, i] S[K, i].  The Jacobian and the tensor-divergence
+projection work on component-first tensor fields T[a, d] of shape
+(3, 3, nx, ny, nz) and use ``_contract_first``, the same contraction batched
+over a leading component axis, with bit-identical results.
 
 Coefficient layout: reshape(m, m, m, 3) in C order; the first mode is
 (k, l, m, a) = (1, 1, 1, e_x).
@@ -78,6 +81,21 @@ def _contract(V, Fx, Fy, Fz):
     return A.reshape((i, j, c) + V.shape[3:])
 
 
+def _contract_first(V, Fx, Fy, Fz):
+    """out[a,i,j,c] = sum_klm V[a,k,l,m] Fx[k,i] Fy[l,j] Fz[m,c].
+
+    ``_contract`` for a component-first V: the same axis order and products,
+    batched over the leading axis, so each component of the result is one
+    contiguous block.
+    """
+    (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
+    a = V.shape[0]
+    A = Fx.T @ V.reshape(a, k, l * m)               # [a, i, (l, m)]
+    A = Fy.T @ A.reshape(a, i, l, m)                # [a, i, j, m]
+    A = A.reshape(-1, m) @ Fz                       # [(a, i, j), c]
+    return A.reshape(a, i, j, c)
+
+
 def synthesize(basis, v):
     """Grid samples of sum_i v_i w_i at cell centers."""
     return _contract(basis.norm * _coeff_grid(basis, v), *basis.sin)
@@ -90,20 +108,21 @@ def project(basis, f):
 
 
 def synthesize_jacobian(basis, v):
-    """Analytic J[..., a, d] = d(mode part)_a / dx_d on grid nodes."""
-    V = basis.norm * _coeff_grid(basis, v)
-    out = np.empty(basis.grid.shape + (3, 3), dtype=float)
-    for d, F in enumerate(basis.grad):
-        out[..., :, d] = _contract(V, *F)
-    return out
+    """Analytic J[a, d] = d(mode part)_a / dx_d on grid nodes, component-first:
+    shape (3, 3, nx, ny, nz)."""
+    V = np.moveaxis(basis.norm * _coeff_grid(basis, v), -1, 0)
+    return np.stack([_contract_first(V, *F) for F in basis.grad], axis=1)
 
 
 def project_tensor_divergence(basis, T):
-    """g_i = int T : grad(w_i) for a tensor field T[..., a, d]."""
+    """g_i = int T : grad(w_i) for a component-first tensor field T[a, d, ...]
+    of shape (3, 3, nx, ny, nz): entry a pairs with velocity component a,
+    entry d with the derivative d/dx_d."""
     T = np.asarray(T, dtype=float)
-    G = sum(_contract(T[..., :, d], *(F.T for F in tables))
-            for d, tables in enumerate(basis.grad))
-    return (basis.grid.cell_volume * basis.norm) * G.reshape(basis.n)
+    G = sum(_contract_first(T[:, d], *(F.T for F in tables))
+            for d, tables in enumerate(basis.grad))          # [a, k, l, m]
+    return (basis.grid.cell_volume * basis.norm) * np.moveaxis(
+        G, 0, -1).reshape(basis.n)
 
 
 def mass_matrix(basis, rho):

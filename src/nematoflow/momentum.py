@@ -4,9 +4,15 @@ The test space is the sine-mode velocity basis; its members vanish on the
 walls, so every stress enters the balance through a pairing with the test
 gradient and no surface terms appear.  The mass pairing M_ij = int rho w_i
 w_j is one m^3 x m^3 block shared by the three velocity components.
-"""
 
-from dataclasses import dataclass
+Layout: the velocity Jacobian J[a, d] = du_a/dx_d, the stresses and the
+total flux T[a, d] are component-first arrays of shape (3, 3, nx, ny, nz),
+so each entry is one contiguous field.  The flux is written entry by entry:
+the six symmetric entries of rho u (x) u + p I - S - tau - sigma_a, then
+the rotational stress, +-r off the diagonal.  The viscous stress S comes
+from the (d, t) core of the rheology (``rheology.subgradient_dt``) applied
+to the entries of D; no (..., 3, 3) array is built.
+"""
 
 import numpy as np
 import scipy.linalg
@@ -21,96 +27,117 @@ from .errors import ConditioningError
 # largest mass-matrix condition number the Cholesky solve accepts
 _COND_LIMIT = 1e12
 
-
-@dataclass
-class StressBundle:
-    viscous: np.ndarray     # (..., 3, 3) symmetric
-    elastic: np.ndarray     # (..., 3, 3) symmetric
-    rotational: np.ndarray  # (..., 3, 3) antisymmetric
-    active: np.ndarray      # (..., 3, 3) symmetric traceless
-    pressure: np.ndarray    # (...,) scalar p(rho)
-
-    def total_flux(self, rho, u):
-        """rho u (x) u + p I - S - tau - sigma_r - sigma_a, the tensor whose
-        pairing with grad w gives the momentum right side."""
-        T = np.einsum("...a,...b->...ab", u, rho[..., None] * u)
-        eye = np.eye(3)
-        T = T + self.pressure[..., None, None] * eye
-        return T - self.viscous - self.elastic - self.rotational - self.active
+# entries a <= b of a symmetric tensor, and the three a < b
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_OFF = ((0, 1), (0, 2), (1, 2))
 
 
 def elastic_stress(grid, P, c_star):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
-    + c*/4 tr^2(Q^2).  P: packed Q ghost-padded by the Dirichlet rules of
-    the wall Q_B."""
-    q = P[1:-1, 1:-1, 1:-1]
-    gq = gradient_padded(grid, P)         # (..., 5, 3)
+    + c*/4 tr^2(Q^2); component-first (3, 3, nx, ny, nz).  P: packed Q
+    ghost-padded by the Dirichlet rules of the wall Q_B, component-first
+    (5, nx+2, ny+2, nz+2)."""
+    gq = gradient_padded(grid, P, first=True)          # (3, 5, ...)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
-    # encoding, so the pairing carries the 33 and off-diagonal weights
-    gq_i = np.moveaxis(gq, -1, 0)            # (3, ..., 5)
-    odot = np.empty(q.shape[:-1] + (3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            val = tensors.packed_dot(gq_i[i], gq_i[j])
-            odot[..., i, j] = val
-            odot[..., j, i] = val
-    t2 = tensors.trace_q2(q)
-    g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
+    # encoding, so the pairing carries the 33 and off-diagonal weights;
+    # the views put each packed component in one contiguous block
+    gq_i = [np.moveaxis(g, 0, -1) for g in gq]
+    odot = {(i, j): tensors.packed_dot(gq_i[i], gq_i[j]) for i, j in _UPPER}
+    t2 = tensors.trace_q2(np.moveaxis(P[:, 1:-1, 1:-1, 1:-1], 0, -1))
+    g_scal = 0.5 * (odot[0, 0] + odot[1, 1] + odot[2, 2]) + 0.5 * t2 \
         + 0.25 * c_star * t2 * t2
-    return g_scal[..., None, None] * np.eye(3) - odot
+    tau = np.empty((3, 3) + t2.shape)
+    for (i, j), val in odot.items():
+        tau[i, j] = tau[j, i] = g_scal - val if i == j else -val
+    return tau
 
 
 def rotational_stress(grid, P):
     """Q L - L Q with L = lap Q, from packed Q ghost-padded by the wall
-    rules; the non-derivative molecular-field terms commute with Q, so only
-    the Laplacian survives the commutator.
+    rules, component-first as in ``elastic_stress``; the non-derivative
+    molecular-field terms commute with Q, so only the Laplacian survives the
+    commutator.
 
     Q and L are symmetric, so Q L - L Q = 2 skew(Q L) and its three
     independent entries are closed forms in the packed components.
     """
-    q11, q12, q13, q22, q23 = np.moveaxis(P[1:-1, 1:-1, 1:-1], -1, 0)
-    l11, l12, l13, l22, l23 = np.moveaxis(laplacian_padded(grid, P), -1, 0)
+    q11, q12, q13, q22, q23 = P[:, 1:-1, 1:-1, 1:-1]
+    l11, l12, l13, l22, l23 = laplacian_padded(grid, P, first=True)
     q33 = -q11 - q22
     l33 = -l11 - l22
-    r12 = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13
-    r13 = (q11 - q33) * l13 + q13 * (l33 - l11) + q12 * l23 - q23 * l12
-    r23 = (q22 - q33) * l23 + q23 * (l33 - l22) + q12 * l13 - q13 * l12
-    r = np.stack([r12, r13, r23], axis=-1)
-    sig = np.zeros(q11.shape + (3, 3))
-    sig[..., (0, 0, 1), (1, 2, 2)] = r
-    sig[..., (1, 2, 2), (0, 0, 1)] = -r
+    sig = np.zeros((3, 3) + q11.shape)
+    sig[0, 1] = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13
+    sig[0, 2] = (q11 - q33) * l13 + q13 * (l33 - l11) + q12 * l23 - q23 * l12
+    sig[1, 2] = (q22 - q33) * l23 + q23 * (l33 - l22) + q12 * l13 - q13 * l12
+    for i, j in _OFF:
+        np.negative(sig[i, j], out=sig[j, i])
     return sig
 
 
 def active_stress(q, c, sigma_star):
-    return sigma_star * (c * c)[..., None, None] * tensors.to_matrix(q)
+    """sigma* c^2 Q from packed q (..., 5); component-first (3, 3, ...)."""
+    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    s = sigma_star * (c * c)
+    sig = np.empty((3, 3) + s.shape)
+    for (i, j), qij in zip(_UPPER, (q11, q12, q13, q22, q23, -q11 - q22)):
+        sig[i, j] = sig[j, i] = s * qij
+    return sig
 
 
-def assemble_stresses(grid, rho, u_jac, c, q, law, pressure_law, q_rules,
+def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
                       c_star, sigma_star):
-    """All five stress fields for the current iterate.
+    """Total momentum flux T = rho u (x) u + p(rho) I - S - tau - sigma_r
+    - sigma_a for the current iterate, component-first (3, 3, nx, ny, nz).
 
-    u_jac: (..., 3, 3) velocity Jacobian of the full velocity v + u_B.
-    q_rules: Dirichlet ghost rules of the wall order tensor; q is padded by
-    them once, for both the gradient and the Laplacian.
+    u: (..., 3) cell-center velocity; u_jac: component-first Jacobian
+    J[a, d] of the full velocity v + u_B.  q_rules: Dirichlet ghost rules of
+    the wall order tensor; q is padded by them once, for both the gradient
+    and the Laplacian.
     """
-    D = 0.5 * (u_jac + np.swapaxes(u_jac, -1, -2))
-    S = rh.subgradient(law, D)
-    P = pad(q, q_rules)
+    J = u_jac
+    D = {(a, b): J[a, a] if a == b else 0.5 * (J[a, b] + J[b, a])
+         for a, b in _UPPER}
+    t = D[0, 0] + D[1, 1] + D[2, 2]
+    frob2 = D[0, 0] * D[0, 0] + D[1, 1] * D[1, 1] + D[2, 2] * D[2, 2] \
+        + 2.0 * (D[0, 1] * D[0, 1] + D[0, 2] * D[0, 2] + D[1, 2] * D[1, 2])
+    scale, ft = rh.subgradient_dt(
+        law, np.sqrt(np.maximum(frob2 - t * t / 3.0, 0.0)), t)
+    t3 = t / 3.0
+    # Q component-first; the views give active_stress contiguous components
+    qc = np.ascontiguousarray(np.moveaxis(q, -1, 0))
+    P = pad(qc, [(a, np.moveaxis(b, -1, 0)) for a, b in q_rules], first=True)
     tau = elastic_stress(grid, P, c_star)
     sig_r = rotational_stress(grid, P)
-    sig_a = active_stress(q, c, sigma_star)
+    sig_a = active_stress(np.moveaxis(qc, 0, -1), c, sigma_star)
     p = pr.pressure(pressure_law, rho)
-    return StressBundle(viscous=S, elastic=tau, rotational=sig_r,
-                        active=sig_a, pressure=p)
+    u_a = [u[..., a] for a in range(3)]
+    rho_u = [rho * ua for ua in u_a]
+    T = np.empty((3, 3) + rho.shape)
+    for a, b in _UPPER:
+        val = np.multiply(u_a[a], rho_u[b], out=T[a, b])
+        if a == b:
+            val += p
+            val -= scale * (D[a, a] - t3) + ft
+        else:
+            val -= scale * D[a, b]
+        val -= tau[a, b]
+        val -= sig_a[a, b]
+        T[b, a] = val
+    for a, b in _OFF:
+        T[a, b] -= sig_r[a, b]
+        T[b, a] -= sig_r[b, a]
+    return T
 
 
-def galerkin_rhs(basis, bundle, rho, u, u_jac, eps, grad_rho):
-    """Projected momentum right side, one entry per basis mode."""
-    T = bundle.total_flux(rho, u)
+def galerkin_rhs(basis, T, u_jac, eps, grad_rho):
+    """Projected momentum right side, one entry per basis mode, for the
+    component-first flux T and Jacobian J[a, d] of ``assemble_stresses``."""
     rhs = gk.project_tensor_divergence(basis, T)
     # coupling term: -eps * (grad rho . grad) u tested against w
-    f = np.einsum("...d,...ad->...a", grad_rho, u_jac)
+    g = [grad_rho[..., d] for d in range(3)]
+    f = np.empty(grad_rho.shape)
+    for a in range(3):
+        f[..., a] = g[0] * u_jac[a, 0] + g[1] * u_jac[a, 1] + g[2] * u_jac[a, 2]
     return rhs - eps * gk.project(basis, f)
 
 

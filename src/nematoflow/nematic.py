@@ -101,7 +101,7 @@ def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
 
     The stages stay in the packed encoding, so the result is symmetric
     traceless by construction and is returned as computed.  Raises
-    ValueError if it holds a non-finite entry.
+    StabilityError if it holds a non-finite entry.
 
     lam: packed skew part [l12, l13, l23] of the velocity gradient.
     q_rules: the Dirichlet ghost rules of the wall order tensor.
@@ -112,5 +112,5 @@ def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
     q2 = q1 - dt * tensors.commutator(q1, lam)
     q3 = q2 + dt * gamma * molecular_field(grid, q2, c, b, c_star, q_rules)
     if not np.all(np.isfinite(q3)):
-        raise ValueError("step_q: non-finite entries")
+        raise StabilityError("step_q: non-finite entries")
     return q3

@@ -251,19 +251,26 @@ def potential(law, D):
     return law.value_dt(d, t)
 
 
-def subgradient(law, D):
-    """A member of dF(D); for newtonian with delta=0: mu D + lam (tr D) I.
+def subgradient_dt(law, d, t):
+    """(f_d / d, f_t) at (d, t) = (|dev D|, tr D): the member of dF(D) is
+    S = (f_d / d) dev D + f_t I, with f_d / d taken as 0 where d < 1e-14.
 
     Tabulated laws must be mollified first (delta > 0) so the gradient exists
     everywhere; that precondition is a configuration error, not a crash site.
     """
     if law.kind == "tabulated" and law.delta == 0.0:
         raise RheologyError("tabulated laws need delta > 0 before subgradient evaluation")
-    D = np.asarray(D, dtype=float)
-    d, t = reduce_sym(D)
     fd, ft = law.partials_dt(d, t)
     tiny = d < 1.0e-14
-    scale = np.where(tiny, 0.0, fd / np.where(tiny, 1.0, d))
+    return np.where(tiny, 0.0, fd / np.where(tiny, 1.0, d)), ft
+
+
+def subgradient(law, D):
+    """A member of dF(D) for a stack of (..., 3, 3) tensors; for newtonian
+    with delta=0: mu D + lam (tr D) I.  See ``subgradient_dt``."""
+    D = np.asarray(D, dtype=float)
+    d, t = reduce_sym(D)
+    scale, ft = subgradient_dt(law, d, t)
     devD = D.copy()
     t3 = t / 3.0
     for i in range(3):

@@ -98,19 +98,22 @@ class CoupledStepper:
                                            boundary=self.boundary)
         X, Y, Z = grid.coords()
         self._ub_cc = bdata.u_b(X, Y, Z)
-        self._ub_jac_cc = bdata.u_b.jacobian(X, Y, Z)
+        # component-first J[a, d], as ``galerkin.synthesize_jacobian``
+        self._ub_jac_cc = np.ascontiguousarray(
+            np.moveaxis(bdata.u_b.jacobian(X, Y, Z), (-2, -1), (0, 1)))
         self._ub_faces = face_lift(grid, bdata.u_b)
 
     # ------------------------------------------------------- field helpers
 
     def velocity_fields(self, v):
-        """Cell-center velocity, Jacobian, and packed skew part for v."""
+        """Cell-center velocity (..., 3), component-first Jacobian
+        J[a, d] (3, 3, ...), and packed skew part (..., 3) for v."""
         u = gk.synthesize(self.basis, v) + self._ub_cc
         J = gk.synthesize_jacobian(self.basis, v) + self._ub_jac_cc
         lam = np.empty(self.grid.shape + (3,))
-        lam[..., 0] = 0.5 * (J[..., 0, 1] - J[..., 1, 0])
-        lam[..., 1] = 0.5 * (J[..., 0, 2] - J[..., 2, 0])
-        lam[..., 2] = 0.5 * (J[..., 1, 2] - J[..., 2, 1])
+        lam[..., 0] = 0.5 * (J[0, 1] - J[1, 0])
+        lam[..., 1] = 0.5 * (J[0, 2] - J[2, 0])
+        lam[..., 2] = 0.5 * (J[1, 2] - J[2, 1])
         return u, J, lam
 
     def advance_fields(self, state, v, u, lam):
@@ -130,13 +133,12 @@ class CoupledStepper:
 
     def momentum_rhs(self, rho, c, q, u, J):
         """Projected momentum right-hand side for fields rho, c, q and the
-        cell-center velocity u with Jacobian J."""
-        bundle = mom.assemble_stresses(
-            self.grid, rho, J, c, q, self.law, self.pressure_law,
+        cell-center velocity u with component-first Jacobian J."""
+        T = mom.assemble_stresses(
+            self.grid, rho, u, J, c, q, self.law, self.pressure_law,
             self.boundary.q_rules, self.physics.c_star, self.physics.sigma_star)
         grad_rho = self.continuity.grad_rho(rho)
-        return mom.galerkin_rhs(self.basis, bundle, rho, u, J,
-                                self.physics.eps, grad_rho)
+        return mom.galerkin_rhs(self.basis, T, J, self.physics.eps, grad_rho)
 
     # ------------------------------------------------------------ stepping
 

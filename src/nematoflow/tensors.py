@@ -13,7 +13,10 @@ corotation Q Lambda - Lambda Q = 2 sym(Q Lambda) is symmetric traceless
 (``bulk_molecular_field``), and for symmetric Q, L the rotational stress
 Q L - L Q = 2 skew(Q L) has three independent entries
 (``momentum.rotational_stress``).  ``to_matrix`` is for output, checks and
-oracles.
+oracles; no stepping path calls it, and the momentum flux builds its
+entries from the packed components.  ``components_last`` turns a
+component-first (3, 3, ...) field into a stack of matrices for the ledger
+and the weak residuals.
 """
 
 import numpy as np
@@ -24,6 +27,13 @@ def to_matrix(q5):
     q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(q5, dtype=float), -1, 0)
     entries = [q11, q12, q13, q12, q22, q23, q13, q23, -q11 - q22]
     return np.stack(entries, axis=-1).reshape(q11.shape + (3, 3))
+
+
+def components_last(T):
+    """(..., 3, 3) copy of a component-first (3, 3, ...) tensor field, laid
+    out as a stack of matrices, for the matrix routes of the ledger and the
+    weak residuals."""
+    return np.ascontiguousarray(np.moveaxis(T, (0, 1), (-2, -1)))
 
 
 def from_matrix(m):

@@ -55,8 +55,9 @@ class TensorTest:
 
 def _identity_flux(grid, ph, law, pressure_law, q_rules, st, u, J):
     """The paired tensor of the momentum identity, assembled from the field
-    formulas directly (not through the solver's stress bundle), so a defect
-    in the solver's assembly shows up as an O(1) residual."""
+    formulas directly on (..., 3, 3) matrices (not through the solver's
+    component-first flux), so a defect in the solver's assembly shows up as
+    an O(1) residual.  J: (..., 3, 3) velocity Jacobian."""
     T = np.einsum("...a,...b->...ab", u, st.rho[..., None] * u)
     T = T + np.asarray(pr.pressure(pressure_law, st.rho))[..., None, None] \
         * np.eye(3)
@@ -207,8 +208,9 @@ def weak_residuals_dissipative(traj, stepper):
 
     w_vals = [gk.synthesize(stepper.basis, mt.coeffs)
               for mt in momentum_tests]
-    gw_vals = [gk.synthesize_jacobian(stepper.basis, mt.coeffs)
-               for mt in momentum_tests]
+    gw_vals = [tensors.components_last(
+        gk.synthesize_jacobian(stepper.basis, mt.coeffs))
+        for mt in momentum_tests]
     chi_vals = [nt.chi(X, Y, Z)[..., None] * nt.direction
                 for nt in nematic_tests]
 
@@ -222,6 +224,7 @@ def weak_residuals_dissipative(traj, stepper):
         t0, t1 = times[n], times[n + 1]
         dt = t1 - t0
         u, J, lam = stepper.velocity_fields(st.v)
+        J = tensors.components_last(J)
         rho_u = st.rho[..., None] * u
         flux = _identity_flux(g, ph, stepper.law, stepper.pressure_law,
                               q_rules, st, u, J)

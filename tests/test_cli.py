@@ -30,6 +30,18 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def test_run_numerical_failure_exits_1_with_message(tmp_path, capsys):
+    # dt = 0.02 at 8^3 breaks the D0 diffusion guard (limit 0.009375)
+    cfg = _write_scenario(tmp_path, sn.default_scenario(grid_cells=8,
+                                                         dt=0.02))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines == ["numerical failure: dt = 0.02 exceeds "
+                     "0.9*h^2/(6*D0) = 0.009375"]
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_run_missing_file_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
 

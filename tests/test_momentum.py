@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from nematoflow import tensors
 from nematoflow.domain import (
     BoundaryData,
     BoundaryFaces,
     BoundaryVelocity,
     Grid,
+    gradient,
     laplacian,
     pad,
+    volume_integral,
 )
 from nematoflow.errors import ConditioningError
-from nematoflow.galerkin import build_basis
+from nematoflow.galerkin import build_basis, synthesize, synthesize_jacobian
 from nematoflow.momentum import (
     active_stress,
     assemble_stresses,
@@ -21,8 +24,14 @@ from nematoflow.momentum import (
     step_momentum,
 )
 from nematoflow.nematic import molecular_field
-from nematoflow.pressure import isentropic_law
-from nematoflow.rheology import newtonian_law
+from nematoflow.pressure import isentropic_law, pressure
+from nematoflow.rheology import (
+    mollify,
+    newtonian_law,
+    power_law,
+    subgradient,
+    tabulated_law,
+)
 from nematoflow.tensors import from_matrix, to_matrix, uniaxial
 
 
@@ -39,12 +48,22 @@ def zero_q_faces(grid):
     return uniform_q_faces(grid, np.zeros(5))
 
 
+def padded_first(q, rules):
+    """Packed q ghost-padded by rules, viewed component-first."""
+    return np.moveaxis(pad(q, rules), -1, 0)
+
+
+def matrices(T):
+    """(..., 3, 3) view of a component-first (3, 3, ...) tensor field."""
+    return np.moveaxis(T, (0, 1), (-2, -1))
+
+
 def test_active_stress_frozen():
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
     c = np.ones((4, 4, 4))
     q = np.broadcast_to(q5, (4, 4, 4, 5)).copy()
     sig = active_stress(q, c, sigma_star=-1.0)
-    assert np.max(np.abs(sig - (-to_matrix(q)))) < 1e-15
+    assert np.max(np.abs(matrices(sig) - (-to_matrix(q)))) < 1e-15
 
 
 def test_elastic_stress_uniform_frozen():
@@ -54,15 +73,14 @@ def test_elastic_stress_uniform_frozen():
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     faces = uniform_q_faces(grid, q5)
-    tau = elastic_stress(grid, pad(q, faces), c_star=1.0)
+    tau = elastic_stress(grid, padded_first(q, faces), c_star=1.0)
     expected = (4.0 / 9.0) * np.eye(3)
-    assert np.max(np.abs(tau - expected)) < 1e-13
+    assert np.max(np.abs(matrices(tau) - expected)) < 1e-13
 
 
 def test_elastic_stress_nonuniform_matrix_route():
     # recompute grad Q (.) grad Q by unpacking every directional slice to
     # full matrices; the packed pairing must agree entry for entry
-    from nematoflow.domain import gradient
     from nematoflow.tensors import frobenius, trace_q2
 
     grid = make_grid()
@@ -73,7 +91,7 @@ def test_elastic_stress_nonuniform_matrix_route():
     q[..., 3] = -0.07 * np.sin(np.pi * Y)
     q[..., 4] = 0.03 * X * Y
     faces = zero_q_faces(grid)
-    tau = elastic_stress(grid, pad(q, faces), c_star=1.3)
+    tau = elastic_stress(grid, padded_first(q, faces), c_star=1.3)
 
     gq = gradient(grid, q, faces)
     slices = [to_matrix(gq[..., i]) for i in range(3)]
@@ -85,7 +103,7 @@ def test_elastic_stress_nonuniform_matrix_route():
     g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
         + 0.25 * 1.3 * t2 * t2
     expected = g_scal[..., None, None] * np.eye(3) - odot
-    assert np.max(np.abs(tau - expected)) < 1e-12
+    assert np.max(np.abs(matrices(tau) - expected)) < 1e-12
     assert np.max(np.abs(odot)) > 1e-3
 
 
@@ -94,7 +112,7 @@ def test_rotational_stress_uniform_zero():
     q5 = uniaxial(0.3, np.array([0.0, 1.0, 0.0]))
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     faces = uniform_q_faces(grid, q5)
-    sig = rotational_stress(grid, pad(q, faces))
+    sig = rotational_stress(grid, padded_first(q, faces))
     assert np.max(np.abs(sig)) < 1e-13
 
 
@@ -113,8 +131,8 @@ def test_rotational_stress_equals_full_molecular_commutator():
     h_full = molecular_field(grid, q, c, b=0.7, c_star=1.3, q_rules=faces)
     qm, hm = to_matrix(q), to_matrix(h_full)
     direct = qm @ hm - hm @ qm
-    shortcut = rotational_stress(grid, pad(q, faces))
-    assert np.max(np.abs(direct - shortcut)) < 1e-12
+    shortcut = rotational_stress(grid, padded_first(q, faces))
+    assert np.max(np.abs(direct - matrices(shortcut))) < 1e-12
 
 
 def test_rotational_stress_antisymmetric():
@@ -122,8 +140,8 @@ def test_rotational_stress_antisymmetric():
     X, Y, Z = grid.coords()
     q = np.zeros(grid.shape + (5,))
     q[..., 1] = 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Z)
-    sig = rotational_stress(grid, pad(q, zero_q_faces(grid)))
-    assert np.max(np.abs(sig + np.swapaxes(sig, -1, -2))) < 1e-15
+    sig = rotational_stress(grid, padded_first(q, zero_q_faces(grid)))
+    assert np.max(np.abs(sig + np.swapaxes(sig, 0, 1))) < 1e-15
 
 
 def test_packed_rotational_stress_matches_matrix_route_on_fields():
@@ -135,7 +153,7 @@ def test_packed_rotational_stress_matches_matrix_route_on_fields():
     faces = uniform_q_faces(grid, rng.normal(size=5))
     qm, lm = to_matrix(q), to_matrix(laplacian(grid, q, faces))
     want = qm @ lm - lm @ qm
-    got = rotational_stress(grid, pad(q, faces))
+    got = matrices(rotational_stress(grid, padded_first(q, faces)))
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-15
 
 
@@ -143,15 +161,18 @@ def test_viscous_stress_shear_oracle():
     # u = (y, 0, 0): D has D12 = D21 = 1/2, so S = mu D for the linear law
     grid = make_grid()
     law = newtonian_law(mu=2.0, lam=0.0)
-    J = np.zeros(grid.shape + (3, 3))
-    J[..., 0, 1] = 1.0
+    J = np.zeros((3, 3) + grid.shape)
+    J[0, 1] = 1.0
     rho = np.ones(grid.shape)
     c = np.zeros(grid.shape)
     q = np.zeros(grid.shape + (5,))
-    bundle = assemble_stresses(grid, rho, J, c, q, law, isentropic_law(1.0, 2.0),
-                               zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
-    D = 0.5 * (J + np.swapaxes(J, -1, -2))
-    assert np.max(np.abs(bundle.viscous - 2.0 * D)) < 1e-14
+    u = np.zeros(grid.shape + (3,))
+    T = assemble_stresses(grid, rho, u, J, c, q, law, isentropic_law(1.0, 2.0),
+                          zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
+    # u = 0, Q = 0 and c = 0 leave T = p I - S, with p(1) = 1
+    viscous = np.eye(3) - matrices(T)
+    D = 0.5 * (matrices(J) + np.swapaxes(matrices(J), -1, -2))
+    assert np.max(np.abs(viscous - 2.0 * D)) < 1e-14
 
 
 def test_rhs_rest_state_zero():
@@ -162,12 +183,12 @@ def test_rhs_rest_state_zero():
     rho = np.ones(grid.shape)
     c = np.ones(grid.shape)
     q = np.zeros(grid.shape + (5,))
-    J = np.zeros(grid.shape + (3, 3))
+    J = np.zeros((3, 3) + grid.shape)
     u = np.zeros(grid.shape + (3,))
-    bundle = assemble_stresses(grid, rho, J, c, q, law, plaw,
-                               zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
+    T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
+                          zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
     grad_rho = np.zeros(grid.shape + (3,))
-    rhs = galerkin_rhs(basis, bundle, rho, u, J, eps=0.05, grad_rho=grad_rho)
+    rhs = galerkin_rhs(basis, T, J, eps=0.05, grad_rho=grad_rho)
     assert np.max(np.abs(rhs)) < 1e-12
 
 
@@ -183,11 +204,11 @@ def test_rhs_pressure_gradient_1d_oracle():
     rho = 1.0 + 0.1 * np.sin(np.pi * X)
     c = np.zeros(grid.shape)
     q = np.zeros(grid.shape + (5,))
-    J = np.zeros(grid.shape + (3, 3))
+    J = np.zeros((3, 3) + grid.shape)
     u = np.zeros(grid.shape + (3,))
-    bundle = assemble_stresses(grid, rho, J, c, q, law, plaw,
-                               zero_q_faces(grid), c_star=1.0, sigma_star=0.0)
-    rhs = galerkin_rhs(basis, bundle, rho, u, J, eps=0.05,
+    T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
+                          zero_q_faces(grid), c_star=1.0, sigma_star=0.0)
+    rhs = galerkin_rhs(basis, T, J, eps=0.05,
                        grad_rho=np.zeros(grid.shape + (3,)))
     x = grid.centers(0)
     h = grid.h[0]
@@ -210,18 +231,116 @@ def test_rhs_linear_in_active_stress():
     c = 1.0 + 0.3 * np.sin(np.pi * Y)
     q = np.zeros(grid.shape + (5,))
     q[..., 0] = 0.1 * np.sin(np.pi * Z)
-    J = np.zeros(grid.shape + (3, 3))
+    J = np.zeros((3, 3) + grid.shape)
     u = np.zeros(grid.shape + (3,))
     grad_rho = np.zeros(grid.shape + (3,))
 
     def rhs_for(sig):
-        bundle = assemble_stresses(grid, rho, J, c, q, law, plaw,
-                                   zero_q_faces(grid), c_star=1.0,
-                                   sigma_star=sig)
-        return galerkin_rhs(basis, bundle, rho, u, J, 0.05, grad_rho)
+        T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
+                              zero_q_faces(grid), c_star=1.0, sigma_star=sig)
+        return galerkin_rhs(basis, T, J, 0.05, grad_rho)
 
     r0, r1, r2 = rhs_for(0.0), rhs_for(0.1), rhs_for(0.2)
     assert np.max(np.abs((r2 - r1) - (r1 - r0))) < 1e-12
+
+
+def _tabulated():
+    d = np.linspace(0.0, 6.0, 121)
+    t = np.linspace(-6.0, 6.0, 121)
+    D, T = np.meshgrid(d, t, indexing="ij")
+    return mollify(tabulated_law(d, t, 0.75 * D ** (4.0 / 3.0) + T * T / 6.0,
+                                 mu0=1.0), 0.05)
+
+
+def _wall_q(x, y, z):
+    x, y, z = np.broadcast_arrays(x, y, z)
+    return np.stack([0.2 * np.sin(x + y), 0.1 * np.cos(z), 0.05 * x * y,
+                     -0.1 * z, 0.07 + 0.0 * x], axis=-1)
+
+
+def _random_flux_inputs(seed=21):
+    """Random fields on a non-cubic grid with non-zero wall Q_B."""
+    grid = Grid(extents=(2.0, 1.0, 1.5), shape=(16, 12, 8))
+    rng = np.random.default_rng(seed)
+    rules = BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+                                             1.0, _wall_q)).q_rules
+    return dict(grid=grid, rules=rules,
+                rho=1.0 + 0.3 * rng.random(grid.shape),
+                u=rng.normal(size=grid.shape + (3,)),
+                J=0.5 * rng.normal(size=(3, 3) + grid.shape),
+                c=1.0 + 0.5 * rng.random(grid.shape),
+                q=0.3 * rng.normal(size=grid.shape + (5,)),
+                grad_rho=rng.normal(size=grid.shape + (3,)))
+
+
+def matrix_route_flux(grid, rho, u, Jm, c, q, law, plaw, rules, c_star,
+                      sigma_star):
+    """rho u (x) u + p I - S - tau - sigma_r - sigma_a on (..., 3, 3)
+    matrices: einsum products, the matrix subgradient and to_matrix."""
+    T = np.einsum("...a,...b->...ab", u, rho[..., None] * u)
+    T = T + pressure(plaw, rho)[..., None, None] * np.eye(3)
+    T = T - subgradient(law, 0.5 * (Jm + np.swapaxes(Jm, -1, -2)))
+    gq = gradient(grid, q, rules)
+    G = np.stack([to_matrix(gq[..., i]) for i in range(3)], axis=-3)
+    odot = np.einsum("...iab,...jab->...ij", G, G)
+    qm = to_matrix(q)
+    t2 = np.einsum("...ab,...ba->...", qm, qm)
+    g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
+        + 0.25 * c_star * t2 * t2
+    T = T - (g_scal[..., None, None] * np.eye(3) - odot)
+    lm = to_matrix(laplacian(grid, q, rules))
+    T = T - (qm @ lm - lm @ qm)
+    return T - sigma_star * (c * c)[..., None, None] * qm
+
+
+LAWS = [newtonian_law(1.3, 0.4), mollify(power_law(0.8), 0.05), _tabulated()]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["newtonian", "power_law",
+                                           "tabulated"])
+def test_flux_and_rhs_match_matrix_route(law):
+    f = _random_flux_inputs()
+    grid, J = f["grid"], f["J"]
+    plaw = isentropic_law(1.0, 2.0)
+    want = matrix_route_flux(grid, f["rho"], f["u"], matrices(J), f["c"],
+                             f["q"], law, plaw, f["rules"], 1.3, 0.7)
+    T = assemble_stresses(grid, f["rho"], f["u"], J, f["c"], f["q"], law,
+                          plaw, f["rules"], c_star=1.3, sigma_star=0.7)
+    assert T.shape == (3, 3) + grid.shape
+    assert np.max(np.abs(matrices(T) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    # the right side against mode-by-mode pairings with the matrix flux
+    basis = build_basis(grid, 2)
+    coupling = np.einsum("...d,...ad->...a", f["grad_rho"], matrices(J))
+    oracle = np.empty(basis.n)
+    for i in range(basis.n):
+        e = np.zeros(basis.n)
+        e[i] = 1.0
+        gw = matrices(synthesize_jacobian(basis, e))
+        oracle[i] = volume_integral(grid, np.sum(want * gw, axis=(-2, -1))) \
+            - 0.05 * volume_integral(
+                grid, np.sum(coupling * synthesize(basis, e), axis=-1))
+    rhs = galerkin_rhs(basis, T, J, eps=0.05, grad_rho=f["grad_rho"])
+    assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_flux_builds_no_matrices(monkeypatch):
+    # the flux and the right side stay component-first: with np.einsum and
+    # tensors.to_matrix unavailable they still run
+    f = _random_flux_inputs()
+    grid = f["grid"]
+    basis = build_basis(grid, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("einsum or to_matrix called by the flux")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(tensors, "to_matrix", forbidden)
+    for law in LAWS[:2]:
+        T = assemble_stresses(grid, f["rho"], f["u"], f["J"], f["c"], f["q"],
+                              law, isentropic_law(1.0, 2.0), f["rules"],
+                              c_star=1.3, sigma_star=0.7)
+        galerkin_rhs(basis, T, f["J"], eps=0.05, grad_rho=f["grad_rho"])
 
 
 def test_step_momentum_identity_mass():

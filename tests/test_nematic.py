@@ -174,7 +174,7 @@ def test_step_q_rejects_nonfinite_order_tensor():
     q = np.broadcast_to(q5, grid.shape + (5,)).copy()
     q[3, 4, 5, 1] = np.nan
     zero3 = np.zeros(grid.shape + (3,))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(StabilityError, match="non-finite"):
         step_q(grid, q, zero3, zero3, np.ones(grid.shape), dt=1e-3,
                gamma=0.25, b=0.2, c_star=1.0,
                q_rules=uniform_q_faces(grid, q5))

@@ -146,7 +146,7 @@ def test_sweep_products_build_no_matrices(monkeypatch):
     tn.bulk_molecular_field(q, c, b=0.2, c_star=1.0)
     step_q(grid, q, np.zeros(grid.shape + (3,)), lam, c, dt=1e-3, gamma=0.25,
            b=0.2, c_star=1.0, q_rules=rules)
-    rotational_stress(grid, pad(q, rules))
+    rotational_stress(grid, np.moveaxis(pad(q, rules), -1, 0))
 
 
 def test_scalar_invariants_frozen():
