@@ -28,8 +28,8 @@ def _row(name, passed, detail=""):
 
 def suite_tensors(sc=None):
     rng = np.random.default_rng(11)
-    a = rng.standard_normal((400, 5))
-    b = rng.standard_normal((400, 5))
+    a = rng.standard_normal((400, 5)).T
+    b = rng.standard_normal((400, 5)).T
     ma, mb = tensors.to_matrix(a), tensors.to_matrix(b)
     gap = np.max(np.abs(tensors.packed_dot(a, b) - tensors.frobenius(ma, mb)))
     rows = [_row("packed pairing matches matrix pairing", gap < 1e-12,

@@ -28,11 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import galerkin as gk
-from .domain import gradient, volume_integral
+from .domain import gradient, slab, volume_integral
 from .errors import StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
+# the lower and the upper n of n + 1 entries along an axis
+_LO, _HI = slice(None, -1), slice(1, None)
 
 
 def _face_mesh(grid, axis):
@@ -44,7 +46,7 @@ def _face_mesh(grid, axis):
 
 def face_lift(grid, u_b):
     """u_B . e_axis at every face plane, per axis; fixed for a run."""
-    return [u_b(*_face_mesh(grid, axis))[..., axis] for axis in range(3)]
+    return [u_b(*_face_mesh(grid, axis))[axis] for axis in range(3)]
 
 
 def face_velocities(grid, basis, v, lift):
@@ -55,20 +57,15 @@ def face_velocities(grid, basis, v, lift):
     the fixed boundary lift from ``face_lift``.  The modes vanish on the
     walls, so wall planes carry the lift alone.
     """
-    return [gk.evaluate_at(basis, v, *_face_mesh(grid, axis))[..., axis] + lift[axis]
+    return [gk.evaluate_at(basis, v, *_face_mesh(grid, axis))[axis] + lift[axis]
             for axis in range(3)]
 
 
 def face_divergence(grid, fv):
     """Discrete divergence of the face velocity field (per cell)."""
     div = np.zeros(grid.shape)
-    for axis in range(3):
-        U = fv[axis]
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        div += (U[tuple(hi)] - U[tuple(lo)]) / grid.h[axis]
+    for axis, U in enumerate(fv):
+        div += (U[slab(axis, _HI)] - U[slab(axis, _LO)]) / grid.h[axis]
     return div
 
 
@@ -118,11 +115,10 @@ class ContinuitySolver:
         sit in ``neg_lap_diag``; off the diagonal only interior neighbours."""
         out = self.neg_lap_diag * x
         for axis, h in enumerate(self.grid.h):
-            lo, hi = [slice(None)] * 3, [slice(None)] * 3
-            lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+            lo, hi = slab(axis, _LO), slab(axis, _HI)
             xs = x / h ** 2
-            out[tuple(lo)] -= xs[tuple(hi)]
-            out[tuple(hi)] -= xs[tuple(lo)]
+            out[lo] -= xs[hi]
+            out[hi] -= xs[lo]
         return out
 
     def _solve_diffusion(self, rhs):
@@ -157,17 +153,19 @@ class ContinuitySolver:
     # ----------------------------------------------------------- stepping
 
     def check_stability(self, fv):
+        """StabilityError unless dt is within the diffusion and CFL limits
+        and the advective weight is at most 1; a NaN fails the tests."""
         g = self.grid
         umax = max(float(np.max(np.abs(U))) for U in fv)
         h_min = min(g.h)
         limit = 0.9 * min(h_min ** 2 / (6.0 * self.eps),
                           h_min / umax if umax > 0 else np.inf)
-        if self.dt > limit:
+        if not self.dt <= limit:
             raise StabilityError(
                 f"dt = {self.dt:g} exceeds 0.9*min(h^2/6eps, h/|u|) = {limit:g}")
         weight = self.dt * sum(float(np.max(np.abs(U))) / g.h[a]
                                for a, U in enumerate(fv))
-        if weight > 1.0:
+        if not weight <= 1.0:
             raise StabilityError(
                 f"advective weight dt*sum(|u_d|/h_d) = {weight:g} > 1")
 
@@ -187,22 +185,14 @@ class ContinuitySolver:
             # the wall face plane of U and the wall cell layer of rho
             lo = faces[2 * axis].wall
             hi = faces[2 * axis + 1].wall
-            up_shape = list(g.shape)
-            up_shape[axis] += 1
-            up = np.empty(up_shape)
-            sl_interior = [slice(None)] * 3
-            sl_interior[axis] = slice(1, -1)
-            U_int = U[tuple(sl_interior)]
-            lidx = [slice(None)] * 3
-            lidx[axis] = slice(0, -1)
-            ridx = [slice(None)] * 3
-            ridx[axis] = slice(1, None)
-            up[tuple(sl_interior)] = np.where(U_int > 0.0, rho[tuple(lidx)],
-                                              rho[tuple(ridx)])
+            up = np.empty(U.shape)
+            inner = slab(axis, slice(1, -1))
+            left, right = slab(axis, _LO), slab(axis, _HI)
+            up[inner] = np.where(U[inner] > 0.0, rho[left], rho[right])
             up[lo] = np.where(U[lo] > 0.0, rho_b_lo, rho[lo])
             up[hi] = np.where(U[hi] > 0.0, rho[hi], rho_b_hi)
             F = U * up
-            div += (F[tuple(ridx)] - F[tuple(lidx)]) / g.h[axis]
+            div += (F[right] - F[left]) / g.h[axis]
             # outward boundary fluxes: low wall outward = -F_lo, high = +F_hi
             flux_lo = -F[lo]
             flux_hi = F[hi]
@@ -276,23 +266,17 @@ def run_continuity(solver, rho0, fv, n_steps, t0=0.0):
 # --------------------------------------------------------- weak residuals
 
 
-def _cell_velocity_from_faces(grid, fv):
-    """Cell-center velocity by averaging the two bounding faces, per axis."""
-    u = np.zeros(grid.shape + (3,))
-    for axis in range(3):
-        U = fv[axis]
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        u[..., axis] = 0.5 * (U[tuple(lo)] + U[tuple(hi)])
-    return u
+def _cell_velocity_from_faces(fv):
+    """Cell-center velocity (3, nx, ny, nz) by averaging the two bounding
+    faces, per axis."""
+    return np.stack([0.5 * (U[slab(axis, _LO)] + U[slab(axis, _HI)])
+                     for axis, U in enumerate(fv)])
 
 
 def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
     """Space-time weak-form residual along a stored trajectory.
 
-    phi, dphi_dt: callables (x, y, z, t) -> array; grad_phi -> (..., 3).
+    phi, dphi_dt: callables (x, y, z, t) -> array; grad_phi -> (3, ...).
     Time integrals use the left-rectangle rule; the boundary terms use the
     scheme's own upwind/Robin flux realization, so the residual measures
     discretization error only.
@@ -309,13 +293,13 @@ def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
         dt = traj.times[k + 1] - t
         rho = traj.rhos[k]
         fv = traj.fvs[k]
-        u = _cell_velocity_from_faces(g, fv)
+        u = _cell_velocity_from_faces(fv)
         gphi = grad_phi(X, Y, Z, t)
         grad_rho = solver.grad_rho(rho)
         interior = volume_integral(
             g, rho * dphi_dt(X, Y, Z, t)
-            + rho * np.einsum("...a,...a->...", u, gphi)
-            - solver.eps * np.einsum("...a,...a->...", grad_rho, gphi))
+            + rho * np.einsum("a...,a...->...", u, gphi)
+            - solver.eps * np.einsum("a...,a...->...", grad_rho, gphi))
         if source is not None:
             interior += volume_integral(g, source(X, Y, Z, t) * phi(X, Y, Z, t))
         boundary = 0.0
@@ -370,7 +354,7 @@ def renormalized_balance(traj, b_name="square", chi=None, dchi_dt=None):
         rules = solver.robin_rules(
             [rho_b - chi(t) for rho_b in solver.boundary.rho_b])
         grad_r = gradient(g, r, rules)
-        grad_r2 = np.einsum("...a,...a->...", grad_r, grad_r)
+        grad_r2 = np.einsum("a...,a...->...", grad_r, grad_r)
         eps_term = -solver.eps * volume_integral(g, Bpp(r) * grad_r2)
         eps_term_total += dt * eps_term
         bulk = volume_integral(g, Bp(r) * (-div_flux - dchi_dt(t))) + eps_term

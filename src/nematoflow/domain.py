@@ -1,12 +1,13 @@
 """Uniform box grid, ghost-cell finite differences, quadrature, and the
 inflow/outflow boundary decomposition.
 
-Fields are plain numpy arrays with grid axes first and any component axes
-trailing: scalars (Nx,Ny,Nz), vectors (Nx,Ny,Nz,3), packed Q fields
-(Nx,Ny,Nz,5).  The exception is the velocity Jacobian and the stresses of
-the momentum flux, which are component-first, (3,3,Nx,Ny,Nz), so each entry
-is one contiguous field; ``pad``, ``gradient_padded`` and
-``laplacian_padded`` take ``first=True`` for such arrays (grid axes last).
+Fields are plain numpy arrays whose grid axes are the last three axes, with
+any component axes in front: scalars (Nx,Ny,Nz), vectors (3,Nx,Ny,Nz),
+packed Q fields (5,Nx,Ny,Nz), velocity Jacobians and stresses
+(3,3,Nx,Ny,Nz).  Each component is then one contiguous field, and every
+stencil here works on any number of leading axes.  The one exception is
+``State.q``, kept as (Nx,Ny,Nz,5) for snapshots and callers and converted
+by ``simulation.q_components`` and ``simulation.q_exchange``.
 Velocity gradients follow the Jacobian convention J[a, d] = du_a/dx_d; the
 skew part is packed as (l12, l13, l23) with l_ad = (J_ad - J_da)/2, so
 plane shear u = (y, 0, 0) has l12 = +1/2.
@@ -65,65 +66,57 @@ class Grid:
 # ------------------------------------------------------------- ghost cells
 
 
-def pad(f, rules=None, first=False):
-    """Ghost-pad the three grid axes of f by one cell.
+def slab(axis, index, rest=slice(None)):
+    """Index of the last three (grid) axes: `index` on grid axis `axis`,
+    `rest` on the other two; leading component axes are kept whole."""
+    idx = [Ellipsis, rest, rest, rest]
+    idx[1 + axis] = index
+    return tuple(idx)
+
+
+def pad(f, rules=None):
+    """Ghost-pad the last three (grid) axes of f by one cell.
 
     Every ghost is affine in the adjacent interior value w, ghost = a*w + b.
     rules: None (mirror, a = 1, b = 0) or six (a, b) pairs in face order;
-    a, b are scalars or face arrays (two tangential grid axes plus the
-    trailing axes of f).  Uses: mirror for the no-flux concentration,
+    a, b are scalars or face arrays (the leading axes of f, then the two
+    tangential grid axes).  Uses: mirror for the no-flux concentration,
     (-1, 2 Q_B) for the Dirichlet order tensor (``BoundaryFaces.q_rules``),
     (alpha, (1 - alpha) rho_B) for the Robin density (``ContinuitySolver``).
-    first=True: f is component-first, its grid axes last, and so are the
-    face arrays of the rules (leading axes of f plus the two tangential
-    grid axes).
     """
     f = np.asarray(f)
     if rules is not None and len(rules) != 6:
         raise DomainError("need one ghost rule per face (6)")
-    lead = f.ndim - 3 if first else 0
-    grid_axes = range(lead, lead + 3)
-    P = np.zeros(tuple(n + 2 if ax in grid_axes else n
-                       for ax, n in enumerate(f.shape)))
-    _shift(P, 0, 0, lead)[...] = f
+    P = np.zeros(f.shape[:-3] + tuple(n + 2 for n in f.shape[-3:]))
+    _shift(P, 0, 0)[...] = f
     for k in range(6):
         axis, side = divmod(k, 2)
-        ghost = [slice(None)] * lead + [slice(1, -1)] * 3
-        inner = list(ghost)
-        ghost[lead + axis], inner[lead + axis] = (0, 1) if side == 0 else (-1, -2)
-        w = P[tuple(inner)]
-        P[tuple(ghost)] = w if rules is None else rules[k][0] * w + rules[k][1]
+        w = P[slab(axis, (1, -2)[side], slice(1, -1))]
+        P[slab(axis, (0, -1)[side], slice(1, -1))] = \
+            w if rules is None else rules[k][0] * w + rules[k][1]
     return P
 
 
-def _shift(P, axis, step, lead=0):
+def _shift(P, axis, step):
     """Interior block of the padded P moved by step cells along grid axis
-    `axis`; the three grid axes of P start at axis `lead`."""
-    idx = [slice(None)] * lead + [slice(1, -1)] * 3
-    idx[lead + axis] = slice(1 + step, P.shape[lead + axis] - 1 + step)
-    return P[tuple(idx)]
+    `axis`."""
+    n = P.shape[axis - 3]
+    return P[slab(axis, slice(1 + step, n - 1 + step), slice(1, -1))]
 
 
 def gradient(grid, f, rules=None):
-    """Central-difference gradient; returns (..., 3) with grid axes first."""
+    """Central-difference gradient; returns (3, ...) with the derivative
+    axis first."""
     return gradient_padded(grid, pad(f, rules))
 
 
-def gradient_padded(grid, P, first=False):
-    """Central-difference gradient from an already ghost-padded array.
-
-    first=False: grid axes first, (nx+2, ny+2, nz+2, ...) -> (nx, ny, nz, ..., 3).
-    first=True: component-first, grid axes last,
-    (..., nx+2, ny+2, nz+2) -> (3, ..., nx, ny, nz), so every component of
-    every derivative is one contiguous block.
-    """
-    lead = P.ndim - 3 if first else 0
-    inner = _shift(P, 0, 0, lead).shape
-    out = np.empty((3,) + inner if first else inner + (3,))
+def gradient_padded(grid, P):
+    """Central-difference gradient from an already ghost-padded array,
+    (..., nx+2, ny+2, nz+2) -> (3, ..., nx, ny, nz)."""
+    out = np.empty((3,) + _shift(P, 0, 0).shape)
     for axis in range(3):
-        d = out[axis] if first else out[..., axis]
-        np.subtract(_shift(P, axis, 1, lead), _shift(P, axis, -1, lead), out=d)
-        d /= 2.0 * grid.h[axis]
+        np.subtract(_shift(P, axis, 1), _shift(P, axis, -1), out=out[axis])
+        out[axis] /= 2.0 * grid.h[axis]
     return out
 
 
@@ -131,34 +124,30 @@ def laplacian(grid, f, rules=None):
     return laplacian_padded(grid, pad(f, rules))
 
 
-def laplacian_padded(grid, P, first=False):
-    """Laplacian from an already ghost-padded array; first=True takes a
-    component-first array, grid axes last, as ``gradient_padded`` does."""
-    lead = P.ndim - 3 if first else 0
-    twice = 2.0 * _shift(P, 0, 0, lead)
+def laplacian_padded(grid, P):
+    """Laplacian from an already ghost-padded array."""
+    twice = 2.0 * _shift(P, 0, 0)
     out = np.zeros(twice.shape)
     term = np.empty(twice.shape)
     for axis in range(3):
-        np.subtract(_shift(P, axis, 1, lead), twice, out=term)
-        term += _shift(P, axis, -1, lead)
+        np.subtract(_shift(P, axis, 1), twice, out=term)
+        term += _shift(P, axis, -1)
         term /= grid.h[axis] ** 2
         out += term
     return out
 
 
 def advect_upwind(grid, P, u):
-    """u . grad(f) with first-order upwinding; P is the ghost-padded field."""
-    out = np.zeros(P[1:-1, 1:-1, 1:-1].shape)
+    """u . grad(f) with first-order upwinding; P is the ghost-padded field,
+    u the (3, nx, ny, nz) velocity."""
+    out = np.zeros(_shift(P, 0, 0).shape)
     for axis in range(3):
-        ua = u[..., axis].reshape(u.shape[:3] + (1,) * (P.ndim - 3))
         # difference quotients on the n + 1 faces along the axis: cell i
         # has its backward one on face i and its forward one on face i + 1
-        idx = [slice(1, -1)] * 3
-        idx[axis] = slice(None)
-        d = np.diff(P[tuple(idx)], axis=axis) / grid.h[axis]
-        bwd, fwd = [slice(None)] * 3, [slice(None)] * 3
-        bwd[axis], fwd[axis] = slice(None, -1), slice(1, None)
-        out += ua * np.where(ua > 0.0, d[tuple(bwd)], d[tuple(fwd)])
+        d = np.diff(P[slab(axis, slice(None), slice(1, -1))],
+                    axis=axis - 3) / grid.h[axis]
+        bwd, fwd = d[slab(axis, slice(None, -1))], d[slab(axis, slice(1, None))]
+        out += u[axis] * np.where(u[axis] > 0.0, bwd, fwd)
     return out
 
 
@@ -166,9 +155,9 @@ def advect_upwind(grid, P, u):
 
 
 def volume_integral(grid, f):
-    """Midpoint rule over cell centers; f may carry trailing component axes."""
+    """Midpoint rule over cell centers; f may carry leading component axes."""
     f = np.asarray(f)
-    return grid.cell_volume * f.sum(axis=(0, 1, 2))
+    return grid.cell_volume * f.sum(axis=(-3, -2, -1))
 
 
 # ---------------------------------------------------- boundary description
@@ -184,7 +173,7 @@ class Face:
     normal: np.ndarray      # outward unit normal
     area_element: float     # tangential cell area
     xyz: tuple              # coordinate arrays on face centroids (2-D each)
-    ub: np.ndarray          # boundary velocity at centroids (..., 3)
+    ub: np.ndarray          # boundary velocity at centroids (3, n1, n2)
     ubn: np.ndarray         # u_B . n  (2-D)
     inflow: np.ndarray      # boolean mask, u_B . n < 0
 
@@ -194,10 +183,9 @@ class Face:
 
     @property
     def wall(self):
-        """Index of the wall-adjacent cell layer: ``f[face.wall]``."""
-        idx = [slice(None)] * 3
-        idx[self.axis] = 0 if self.side == 0 else -1
-        return tuple(idx)
+        """Index of the wall-adjacent cell layer of the last three axes:
+        ``f[face.wall]``."""
+        return slab(self.axis, 0 if self.side == 0 else -1)
 
 
 def decompose_boundary(grid, u_b):
@@ -219,7 +207,7 @@ def decompose_boundary(grid, u_b):
             normal = np.zeros(3)
             normal[axis] = -1.0 if side == 0 else 1.0
             ub = u_b(xyz[0], xyz[1], xyz[2])
-            ubn = ub @ normal
+            ubn = np.tensordot(normal, ub, axes=1)
             faces.append(Face(axis=axis, side=side, normal=normal,
                               area_element=grid.h[t1] * grid.h[t2],
                               xyz=tuple(xyz), ub=ub, ubn=ubn,
@@ -232,12 +220,13 @@ class BoundaryFaces:
 
     Built once per stepper from (grid, bdata).  Every per-face list is in
     ``pad`` rule order: entry k belongs to ``faces[k]``, and the ghost layer
-    that rule k of ``pad`` writes lies next to ``f[faces[k].wall]``.
+    that rule k of ``pad`` writes lies next to ``f[faces[k].wall]``.  Face
+    arrays have the two tangential grid axes last, like the fields.
 
       faces     the six Face records (axis k // 2, side k % 2)
       rho_b     inflow density rho_B on each face; DomainError unless it
                 is positive on every face centroid
-      q_b       wall order tensor Q_B on each face, packed (..., 5)
+      q_b       wall order tensor Q_B on each face, packed (5, n1, n2)
       q_rules   ghost rules (-1, 2 Q_B), ghost = 2 Q_B - w, imposing Q_B
     """
 
@@ -258,6 +247,8 @@ class BoundaryFaces:
 
 class BoundaryVelocity:
     """Closed-form boundary velocity from a small catalog, C1 on the box.
+
+    Returns (3, ...) velocities and (3, 3, ...) Jacobians, components first.
 
     kinds:
       zero
@@ -280,28 +271,28 @@ class BoundaryVelocity:
     def __call__(self, x, y, z):
         x, y, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                       np.asarray(z, float))
-        out = np.zeros(x.shape + (3,), dtype=float)
+        out = np.zeros((3,) + x.shape, dtype=float)
         if self.kind == "constant":
-            out[...] = self.vector
+            out[...] = self.vector.reshape((3,) + (1,) * x.ndim)
         elif self.kind == "shear":
-            out[..., 0] = self.rate * y
+            out[0] = self.rate * y
         elif self.kind == "channel":
             _, ly, lz = self.grid.extents
-            out[..., 0] = self.peak * 16.0 * y * (ly - y) * z * (lz - z) / (ly * ly * lz * lz)
+            out[0] = self.peak * 16.0 * y * (ly - y) * z * (lz - z) / (ly * ly * lz * lz)
         return out
 
     def jacobian(self, x, y, z):
-        """Exact J[..., a, d] = du_a/dx_d of the catalog expression."""
+        """Exact J[a, d, ...] = du_a/dx_d of the catalog expression."""
         x, y, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                       np.asarray(z, float))
-        J = np.zeros(x.shape + (3, 3), dtype=float)
+        J = np.zeros((3, 3) + x.shape, dtype=float)
         if self.kind == "shear":
-            J[..., 0, 1] = self.rate
+            J[0, 1] = self.rate
         elif self.kind == "channel":
             _, ly, lz = self.grid.extents
             s = self.peak * 16.0 / (ly * ly * lz * lz)
-            J[..., 0, 1] = s * (ly - 2.0 * y) * z * (lz - z)
-            J[..., 0, 2] = s * y * (ly - y) * (lz - 2.0 * z)
+            J[0, 1] = s * (ly - 2.0 * y) * z * (lz - z)
+            J[0, 2] = s * y * (ly - y) * (lz - 2.0 * z)
         return J
 
 
@@ -329,7 +320,7 @@ def _constant_scalar(v):
 def _constant_q(q5):
     def f(x, y, z):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape + (5,), dtype=float)
-        out[...] = q5
+        out = np.empty((5,) + x.shape, dtype=float)
+        out[...] = q5.reshape((5,) + (1,) * x.ndim)
         return out
     return f

@@ -16,6 +16,10 @@ The budget check over [0, tau], with left-rectangle time quadrature:
 reported as residual = RHS - LHS, PASS iff residual >= -tol with
 tol = 1e-6 (E(0)+1) + 10 (dt + h^2) tau (1 + E(0) + max weighted
 dissipation); C_growth and C_const come from the boundary data norms.
+
+Fields have their grid axes last, as in the solver (packed Q read through
+``simulation.q_components``); the viscous terms take the (..., 3, 3) matrix
+route of the rheology.
 """
 
 import csv
@@ -29,6 +33,7 @@ from . import rheology as rh
 from . import tensors
 from .domain import gradient, gradient_padded, laplacian_padded, pad, volume_integral
 from .errors import ConfigError
+from .simulation import q_components
 
 LEDGER_COLUMNS = [
     "t", "E_kin", "E_press", "E_conc", "E_Q", "E_total",
@@ -60,20 +65,23 @@ class EnergyMonitor:
         st = self.stepper
         g = st.grid
         ph = st.physics
+        q = q_components(state.q)
         u_modes = gk.synthesize(st.basis, state.v)
-        J = tensors.components_last(
-            gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc)
+        # a contiguous stack of matrices, so the reductions of the matrix
+        # route run in one order
+        J = np.ascontiguousarray(np.moveaxis(
+            gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc,
+            (0, 1), (-2, -1)))
         D = 0.5 * (J + np.swapaxes(J, -1, -2))
 
         e_kin = volume_integral(
-            g, 0.5 * state.rho * np.einsum("...a,...a->...", u_modes, u_modes))
+            g, 0.5 * state.rho * np.einsum("a...,a...->...", u_modes, u_modes))
         e_press = volume_integral(g, pr.potential(st.pressure_law, state.rho))
         e_conc = volume_integral(g, 0.5 * state.c ** 2)
-        P = pad(state.q, st.boundary.q_rules)
+        P = pad(q, st.boundary.q_rules)
         gq = gradient_padded(g, P)
-        grad_q2 = sum(tensors.packed_dot(gq[..., i], gq[..., i])
-                      for i in range(3))
-        t2 = tensors.trace_q2(state.q)
+        grad_q2 = sum(tensors.packed_dot(gq[i], gq[i]) for i in range(3))
+        t2 = tensors.trace_q2(q)
         e_q = volume_integral(
             g, 0.5 * t2 + 0.5 * grad_q2 + 0.25 * ph.c_star * t2 * t2)
 
@@ -85,7 +93,7 @@ class EnergyMonitor:
 
         gc = gradient(g, state.c)
         d_conc = ph.d0 * volume_integral(
-            g, np.einsum("...a,...a->...", gc, gc))
+            g, np.einsum("a...,a...->...", gc, gc))
         lap_q = laplacian_padded(g, P)
         d_relax = ph.gamma * volume_integral(
             g, tensors.packed_dot(lap_q, lap_q))
@@ -100,7 +108,7 @@ class EnergyMonitor:
         grad_rho = st.continuity.grad_rho(state.rho)
         flux_eps = ph.eps * volume_integral(
             g, pr.potential_second(st.pressure_law, state.rho)
-            * np.einsum("...a,...a->...", grad_rho, grad_rho))
+            * np.einsum("a...,a...->...", grad_rho, grad_rho))
         boundary = st.boundary
         for face, rho_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
                                          boundary.q_b, self._qb_normal_deriv):
@@ -187,11 +195,11 @@ class EnergyMonitor:
         st = self.stepper
         g = st.grid
         ub = st._ub_cc
-        gb = tensors.components_last(st._ub_jac_cc)
+        gb = st._ub_jac_cc
         gradub_inf = float(np.max(np.abs(gb)))
         gradub_l2sq = float(volume_integral(
-            g, np.einsum("...ad,...ad->...", gb, gb)))
-        conv = np.einsum("...d,...ad->...a", ub, gb)
+            g, np.einsum("ad...,ad...->...", gb, gb)))
+        conv = np.einsum("d...,ad...->a...", ub, gb)
         conv_inf = float(np.max(np.abs(conv)))
         c_growth = 1.0 + 4.0 * gradub_inf + conv_inf
         c_const = 1.0 + gradub_l2sq + conv_inf
@@ -234,7 +242,7 @@ class EnergyMonitor:
 @dataclass
 class DefectEstimate:
     energy_defect: np.ndarray      # coarse-grid scalar field
-    stress_defect: np.ndarray      # coarse-grid (..., 3, 3) field
+    stress_defect: np.ndarray      # coarse-grid (3, 3, ...) field
     d_lo: float
     d_hi: float
     rate: float                    # sandwich pass rate on active cells
@@ -243,14 +251,14 @@ class DefectEstimate:
 
 
 def block_average(f, factor):
-    """Average factor^3 blocks of a cell field; trailing axes untouched."""
-    nx, ny, nz = f.shape[:3]
-    trail = f.shape[3:]
+    """Average factor^3 blocks of the last three (grid) axes of a cell
+    field; leading component axes are untouched."""
+    *lead, nx, ny, nz = f.shape
     if nx % factor or ny % factor or nz % factor:
         raise ConfigError("field shape not divisible by coarsening factor")
-    shaped = f.reshape((nx // factor, factor, ny // factor, factor,
-                        nz // factor, factor) + trail)
-    return shaped.mean(axis=(1, 3, 5))
+    shaped = f.reshape(tuple(lead) + (nx // factor, factor, ny // factor,
+                                      factor, nz // factor, factor))
+    return shaped.mean(axis=(-5, -3, -1))
 
 
 def defect_diagnostic(rho_coarse, u_coarse, rho_fine, u_fine,
@@ -259,7 +267,8 @@ def defect_diagnostic(rho_coarse, u_coarse, rho_fine, u_fine,
 
     Coarse-grains the fine-run momentum flux rho u (x) u + p I and energy
     density rho|u|^2/2 + P onto the coarse grid and subtracts the coarse-run
-    values.  The compatibility exponents only exist for power pressure laws.
+    values; u_coarse, u_fine are (3, ...) cell-center velocities.  The
+    compatibility exponents only exist for power pressure laws.
     """
     if pressure_law.kind != "isentropic":
         raise ConfigError("defect exponents need an isentropic pressure law")
@@ -274,14 +283,15 @@ def defect_diagnostic(rho_coarse, u_coarse, rho_fine, u_fine,
     else:
         raise ConfigError(
             f"fine shape {sf} is neither equal to nor twice coarse {sc}")
-    if u_coarse.shape != sc + (3,) or u_fine.shape != sf + (3,):
+    if u_coarse.shape != (3,) + sc or u_fine.shape != (3,) + sf:
         raise ConfigError("velocity shapes do not match their grids")
 
     def flux_and_energy(rho, u):
-        flux = np.einsum("...,...a,...b->...ab", rho, u, u)
+        flux = np.einsum("...,a...,b...->ab...", rho, u, u)
         p = pr.pressure(pressure_law, rho)
-        flux = flux + p[..., None, None] * np.eye(3)
-        en = 0.5 * rho * np.einsum("...a,...a->...", u, u) \
+        for a in range(3):
+            flux[a, a] += p
+        en = 0.5 * rho * np.einsum("a...,a...->...", u, u) \
             + pr.potential(pressure_law, rho)
         return flux, en
 
@@ -293,7 +303,7 @@ def defect_diagnostic(rho_coarse, u_coarse, rho_fine, u_fine,
     gamma = pressure_law.gamma
     d_lo = min(2.0, 3.0 * (gamma - 1.0))
     d_hi = max(2.0, 3.0 * (gamma - 1.0))
-    tr_r = np.trace(stress_defect, axis1=-2, axis2=-1)
+    tr_r = np.trace(stress_defect)
     active = energy_defect > threshold
     n_active = int(active.sum())
     if n_active:

@@ -9,13 +9,16 @@ count, so the Gram check is a pure floating-point identity.
 Every transform is one ``_contract`` over per-axis tables, one axis at a time,
 at cost O(m N^3): synthesis uses the m x N sine tables, projection their
 transposes, derivatives the cosine table on one axis, and the mass matrix the
-pair tables S[k, i] S[K, i].  The Jacobian and the tensor-divergence
-projection work on component-first tensor fields T[a, d] of shape
-(3, 3, nx, ny, nz) and use ``_contract_first``, the same contraction batched
-over a leading component axis, with bit-identical results.
+pair tables S[k, i] S[K, i].  Fields have their grid axes last, as everywhere
+in the package but ``State.q``: a velocity is (3, nx, ny, nz), the Jacobian
+J[a, d] and a tensor field T[a, d] are (3, 3, nx, ny, nz), and ``_contract``
+treats the component axis as a batch, so each component is one contiguous
+block.
 
 Coefficient layout: reshape(m, m, m, 3) in C order; the first mode is
-(k, l, m, a) = (1, 1, 1, e_x).
+(k, l, m, a) = (1, 1, 1, e_x).  It is the order of snapshots and of the
+mass solve's right-hand sides; ``_coeff_grid`` and ``_pairings`` are its two
+transposes to and from the component-first (3, m, m, m) grid.
 """
 
 import math
@@ -62,67 +65,60 @@ def build_basis(grid, m):
 
 
 def _coeff_grid(basis, v):
+    """Coefficient vector v as the component-first grid V[a, k, l, m]."""
     v = np.asarray(v, dtype=float)
     if v.shape != (basis.n,):
         raise ConfigError(f"expected {basis.n} coefficients, got {v.shape}")
-    return v.reshape(basis.m, basis.m, basis.m, 3)
+    return v.reshape(basis.m, basis.m, basis.m, 3).transpose(3, 0, 1, 2)
+
+
+def _pairings(basis, V):
+    """Quadrature pairings V[a, k, l, m] as a coefficient vector."""
+    scale = basis.grid.cell_volume * basis.norm
+    return scale * V.transpose(1, 2, 3, 0).reshape(basis.n)
 
 
 def _contract(V, Fx, Fy, Fz):
-    """out[i,j,c,...] = sum_klm V[k,l,m,...] Fx[k,i] Fy[l,j] Fz[m,c].
+    """out[..., i, j, c] = sum_klm V[..., k, l, m] Fx[k, i] Fy[l, j] Fz[m, c].
 
     Sum factorisation: one axis at a time, each a (batched) matrix product,
     so the cost is O(K N^3) rather than O(K^3 N^3) for tables of K modes.
+    The axes in front of the last three are a batch: every entry of the
+    batch gives one contiguous block of the result.
     """
     (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
-    A = Fx.T @ V.reshape(k, -1)                     # [i, (l, m, ...)]
-    A = Fy.T @ A.reshape(i, l, -1)                  # [i, j, (m, ...)]
-    A = Fz.T @ A.reshape(i, j, m, -1)               # [i, j, c, (...)]
-    return A.reshape((i, j, c) + V.shape[3:])
-
-
-def _contract_first(V, Fx, Fy, Fz):
-    """out[a,i,j,c] = sum_klm V[a,k,l,m] Fx[k,i] Fy[l,j] Fz[m,c].
-
-    ``_contract`` for a component-first V: the same axis order and products,
-    batched over the leading axis, so each component of the result is one
-    contiguous block.
-    """
-    (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
-    a = V.shape[0]
-    A = Fx.T @ V.reshape(a, k, l * m)               # [a, i, (l, m)]
-    A = Fy.T @ A.reshape(a, i, l, m)                # [a, i, j, m]
+    A = Fx.T @ V.reshape(-1, k, l * m)              # [a, i, (l, m)]
+    A = Fy.T @ A.reshape(-1, i, l, m)               # [a, i, j, m]
     A = A.reshape(-1, m) @ Fz                       # [(a, i, j), c]
-    return A.reshape(a, i, j, c)
+    return A.reshape(V.shape[:-3] + (i, j, c))
 
 
 def synthesize(basis, v):
-    """Grid samples of sum_i v_i w_i at cell centers."""
+    """Grid samples of sum_i v_i w_i at cell centers, shape (3, nx, ny, nz)."""
     return _contract(basis.norm * _coeff_grid(basis, v), *basis.sin)
 
 
 def project(basis, f):
-    """L2 inner products <f, w_i> by midpoint quadrature."""
-    V = _contract(np.asarray(f, dtype=float), *(S.T for S in basis.sin))
-    return (basis.grid.cell_volume * basis.norm) * V.reshape(basis.n)
+    """L2 inner products <f, w_i> by midpoint quadrature; f is a
+    (3, nx, ny, nz) vector field."""
+    return _pairings(basis, _contract(np.asarray(f, dtype=float),
+                                      *(S.T for S in basis.sin)))
 
 
 def synthesize_jacobian(basis, v):
-    """Analytic J[a, d] = d(mode part)_a / dx_d on grid nodes, component-first:
-    shape (3, 3, nx, ny, nz)."""
-    V = np.moveaxis(basis.norm * _coeff_grid(basis, v), -1, 0)
-    return np.stack([_contract_first(V, *F) for F in basis.grad], axis=1)
+    """Analytic J[a, d] = d(mode part)_a / dx_d on grid nodes, shape
+    (3, 3, nx, ny, nz)."""
+    V = basis.norm * _coeff_grid(basis, v)
+    return np.stack([_contract(V, *F) for F in basis.grad], axis=1)
 
 
 def project_tensor_divergence(basis, T):
-    """g_i = int T : grad(w_i) for a component-first tensor field T[a, d, ...]
-    of shape (3, 3, nx, ny, nz): entry a pairs with velocity component a,
-    entry d with the derivative d/dx_d."""
+    """g_i = int T : grad(w_i) for a tensor field T[a, d] of shape
+    (3, 3, nx, ny, nz): entry a pairs with velocity component a, entry d
+    with the derivative d/dx_d."""
     T = np.asarray(T, dtype=float)
-    G = sum(_contract_first(T[:, d], *(F.T for F in tables))
-            for d, tables in enumerate(basis.grad))          # [a, k, l, m]
-    return (basis.grid.cell_volume * basis.norm) * np.moveaxis(
-        G, 0, -1).reshape(basis.n)
+    return _pairings(basis, sum(_contract(T[:, d], *(F.T for F in tables))
+                                for d, tables in enumerate(basis.grad)))
 
 
 def mass_matrix(basis, rho):
@@ -144,7 +140,7 @@ def evaluate_at(basis, v, x, y, z):
     """Mode-part velocity on the tensor mesh x * y * z; exactly zero on the walls.
 
     x, y, z form an open mesh in the ``np.ix_`` layout: shapes (nx,1,1),
-    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz, 3).  One m x n
+    (1,ny,1) and (1,1,nz).  The result has shape (3, nx, ny, nz).  One m x n
     sine table per axis is contracted one axis at a time (sum factorisation),
     as in ``synthesize``; points at 0 or L along an axis get an exact zero.
     Raises ConfigError for any other layout.

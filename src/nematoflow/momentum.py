@@ -5,11 +5,14 @@ walls, so every stress enters the balance through a pairing with the test
 gradient and no surface terms appear.  The mass pairing M_ij = int rho w_i
 w_j is one m^3 x m^3 block shared by the three velocity components.
 
-Layout: the velocity Jacobian J[a, d] = du_a/dx_d, the stresses and the
-total flux T[a, d] are component-first arrays of shape (3, 3, nx, ny, nz),
-so each entry is one contiguous field.  The flux is written entry by entry:
-the six symmetric entries of rho u (x) u + p I - S - tau - sigma_a, then
-the rotational stress, +-r off the diagonal.  The viscous stress S comes
+Layout: grid axes last, as in every module.  The velocity u is
+(3, nx, ny, nz), packed Q is (5, nx, ny, nz) (``State.q`` reaches here
+through ``simulation.q_components``), and the velocity Jacobian
+J[a, d] = du_a/dx_d, the stresses and the total flux T[a, d] are
+(3, 3, nx, ny, nz), so each entry is one contiguous field.  The flux is
+written entry by entry: the six symmetric entries of
+rho u (x) u + p I - S - tau - sigma_a, then the rotational stress, +-r off
+the diagonal.  The viscous stress S comes
 from the (d, t) core of the rheology (``rheology.subgradient_dt``) applied
 to the entries of D; no (..., 3, 3) array is built.
 """
@@ -34,16 +37,13 @@ _OFF = ((0, 1), (0, 2), (1, 2))
 
 def elastic_stress(grid, P, c_star):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
-    + c*/4 tr^2(Q^2); component-first (3, 3, nx, ny, nz).  P: packed Q
-    ghost-padded by the Dirichlet rules of the wall Q_B, component-first
-    (5, nx+2, ny+2, nz+2)."""
-    gq = gradient_padded(grid, P, first=True)          # (3, 5, ...)
+    + c*/4 tr^2(Q^2); shape (3, 3, nx, ny, nz).  P: packed Q (5, ...)
+    ghost-padded by the Dirichlet rules of the wall Q_B."""
+    gq = gradient_padded(grid, P)                      # (3, 5, ...)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
-    # encoding, so the pairing carries the 33 and off-diagonal weights;
-    # the views put each packed component in one contiguous block
-    gq_i = [np.moveaxis(g, 0, -1) for g in gq]
-    odot = {(i, j): tensors.packed_dot(gq_i[i], gq_i[j]) for i, j in _UPPER}
-    t2 = tensors.trace_q2(np.moveaxis(P[:, 1:-1, 1:-1, 1:-1], 0, -1))
+    # encoding, so the pairing carries the 33 and off-diagonal weights
+    odot = {(i, j): tensors.packed_dot(gq[i], gq[j]) for i, j in _UPPER}
+    t2 = tensors.trace_q2(P[..., 1:-1, 1:-1, 1:-1])
     g_scal = 0.5 * (odot[0, 0] + odot[1, 1] + odot[2, 2]) + 0.5 * t2 \
         + 0.25 * c_star * t2 * t2
     tau = np.empty((3, 3) + t2.shape)
@@ -54,15 +54,14 @@ def elastic_stress(grid, P, c_star):
 
 def rotational_stress(grid, P):
     """Q L - L Q with L = lap Q, from packed Q ghost-padded by the wall
-    rules, component-first as in ``elastic_stress``; the non-derivative
-    molecular-field terms commute with Q, so only the Laplacian survives the
-    commutator.
+    rules, as in ``elastic_stress``; the non-derivative molecular-field
+    terms commute with Q, so only the Laplacian survives the commutator.
 
     Q and L are symmetric, so Q L - L Q = 2 skew(Q L) and its three
     independent entries are closed forms in the packed components.
     """
-    q11, q12, q13, q22, q23 = P[:, 1:-1, 1:-1, 1:-1]
-    l11, l12, l13, l22, l23 = laplacian_padded(grid, P, first=True)
+    q11, q12, q13, q22, q23 = P[..., 1:-1, 1:-1, 1:-1]
+    l11, l12, l13, l22, l23 = laplacian_padded(grid, P)
     q33 = -q11 - q22
     l33 = -l11 - l22
     sig = np.zeros((3, 3) + q11.shape)
@@ -75,8 +74,8 @@ def rotational_stress(grid, P):
 
 
 def active_stress(q, c, sigma_star):
-    """sigma* c^2 Q from packed q (..., 5); component-first (3, 3, ...)."""
-    q11, q12, q13, q22, q23 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    """sigma* c^2 Q from packed q (5, ...); shape (3, 3, ...)."""
+    q11, q12, q13, q22, q23 = np.asarray(q, dtype=float)
     s = sigma_star * (c * c)
     sig = np.empty((3, 3) + s.shape)
     for (i, j), qij in zip(_UPPER, (q11, q12, q13, q22, q23, -q11 - q22)):
@@ -87,12 +86,12 @@ def active_stress(q, c, sigma_star):
 def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
                       c_star, sigma_star):
     """Total momentum flux T = rho u (x) u + p(rho) I - S - tau - sigma_r
-    - sigma_a for the current iterate, component-first (3, 3, nx, ny, nz).
+    - sigma_a for the current iterate, shape (3, 3, nx, ny, nz).
 
-    u: (..., 3) cell-center velocity; u_jac: component-first Jacobian
-    J[a, d] of the full velocity v + u_B.  q_rules: Dirichlet ghost rules of
-    the wall order tensor; q is padded by them once, for both the gradient
-    and the Laplacian.
+    u: (3, ...) cell-center velocity; u_jac: Jacobian J[a, d] of the full
+    velocity v + u_B; q: packed Q (5, ...).  q_rules: Dirichlet ghost rules
+    of the wall order tensor; q is padded by them once, for both the
+    gradient and the Laplacian.
     """
     J = u_jac
     D = {(a, b): J[a, a] if a == b else 0.5 * (J[a, b] + J[b, a])
@@ -103,18 +102,15 @@ def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
     scale, ft = rh.subgradient_dt(
         law, np.sqrt(np.maximum(frob2 - t * t / 3.0, 0.0)), t)
     t3 = t / 3.0
-    # Q component-first; the views give active_stress contiguous components
-    qc = np.ascontiguousarray(np.moveaxis(q, -1, 0))
-    P = pad(qc, [(a, np.moveaxis(b, -1, 0)) for a, b in q_rules], first=True)
+    P = pad(q, q_rules)
     tau = elastic_stress(grid, P, c_star)
     sig_r = rotational_stress(grid, P)
-    sig_a = active_stress(np.moveaxis(qc, 0, -1), c, sigma_star)
+    sig_a = active_stress(q, c, sigma_star)
     p = pr.pressure(pressure_law, rho)
-    u_a = [u[..., a] for a in range(3)]
-    rho_u = [rho * ua for ua in u_a]
+    rho_u = rho * u
     T = np.empty((3, 3) + rho.shape)
     for a, b in _UPPER:
-        val = np.multiply(u_a[a], rho_u[b], out=T[a, b])
+        val = np.multiply(u[a], rho_u[b], out=T[a, b])
         if a == b:
             val += p
             val -= scale * (D[a, a] - t3) + ft
@@ -131,13 +127,14 @@ def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
 
 def galerkin_rhs(basis, T, u_jac, eps, grad_rho):
     """Projected momentum right side, one entry per basis mode, for the
-    component-first flux T and Jacobian J[a, d] of ``assemble_stresses``."""
+    flux T and Jacobian J[a, d] of ``assemble_stresses`` and the (3, ...)
+    density gradient."""
     rhs = gk.project_tensor_divergence(basis, T)
     # coupling term: -eps * (grad rho . grad) u tested against w
-    g = [grad_rho[..., d] for d in range(3)]
+    g0, g1, g2 = grad_rho
     f = np.empty(grad_rho.shape)
     for a in range(3):
-        f[..., a] = g[0] * u_jac[a, 0] + g[1] * u_jac[a, 1] + g[2] * u_jac[a, 2]
+        f[a] = g0 * u_jac[a, 0] + g1 * u_jac[a, 1] + g2 * u_jac[a, 2]
     return rhs - eps * gk.project(basis, f)
 
 

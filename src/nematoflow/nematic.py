@@ -13,6 +13,10 @@ upwind advection, corotation, explicit relaxation.  Every stage maps packed
 Q to packed Q (the corotation and the bulk field are closed-form packed
 products), so symmetry and tracelessness hold by the encoding and no final
 projection is needed.
+
+Layout: grid axes last; Q is (5, nx, ny, nz), u and lam (3, nx, ny, nz)
+(``State.q`` reaches here through ``simulation.q_components``).  A NaN
+fails every step guard, so a non-finite velocity raises StabilityError.
 """
 
 import numpy as np
@@ -25,8 +29,8 @@ from .errors import StabilityError
 
 def _advective_guard(grid, u, dt):
     weight = dt * sum(
-        float(np.max(np.abs(u[..., a]))) / grid.h[a] for a in range(3))
-    if weight > 1.0:
+        float(np.max(np.abs(u[a]))) / grid.h[a] for a in range(3))
+    if not weight <= 1.0:
         raise StabilityError(
             f"advective weight dt*sum(|u_d|/h_d) = {weight:g} > 1")
 
@@ -34,7 +38,7 @@ def _advective_guard(grid, u, dt):
 def _diffusion_guard(grid, coeff, dt, label):
     h_min = min(grid.h)
     limit = 0.9 * h_min ** 2 / (6.0 * coeff) if coeff > 0 else np.inf
-    if dt > limit:
+    if not dt <= limit:
         raise StabilityError(
             f"dt = {dt:g} exceeds 0.9*h^2/(6*{label}) = {limit:g}")
 
@@ -82,7 +86,7 @@ def ldg_energy(grid, q, c, b, c_star, boundary):
     vol = grid.cell_volume
     grad_part = 0.0
     for axis in range(3):
-        d = np.diff(q, axis=axis)
+        d = np.diff(q, axis=axis - 3)
         grad_part += 0.5 * float(tensors.packed_dot(d, d).sum()) \
             * vol / grid.h[axis] ** 2
     for face, q_b in zip(boundary.faces, boundary.q_b):
@@ -103,7 +107,8 @@ def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
     traceless by construction and is returned as computed.  Raises
     StabilityError if it holds a non-finite entry.
 
-    lam: packed skew part [l12, l13, l23] of the velocity gradient.
+    q: packed Q (5, ...); u: velocity (3, ...); lam: packed skew part
+    [l12, l13, l23] of the velocity gradient, (3, ...).
     q_rules: the Dirichlet ghost rules of the wall order tensor.
     """
     _diffusion_guard(grid, gamma, dt, "Gamma")

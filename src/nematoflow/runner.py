@@ -20,7 +20,7 @@ from . import scenarios as sn
 from . import snapshots as sp
 from . import tensors
 from .domain import volume_integral
-from .simulation import run_coupled
+from .simulation import q_components, run_coupled
 
 
 @dataclass
@@ -143,7 +143,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
                            record=False, monitor=observe_step)
     report.timings["stepping"] = time.perf_counter() - t_wall
 
-    m = tensors.to_matrix(final.q)
+    m = tensors.to_matrix(q_components(final.q))
     tr_q = float(np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])))
     asym_q = float(np.max(np.abs(m - np.swapaxes(m, -1, -2))))
     report.add_check("order tensor trace free", tr_q == 0.0,

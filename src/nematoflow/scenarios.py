@@ -20,7 +20,7 @@ from . import pressure as pr
 from . import rheology as rh
 from . import tensors
 from .errors import ConfigError
-from .simulation import CoupledStepper, Physics, State
+from .simulation import CoupledStepper, Physics, State, q_exchange
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,11 @@ def _init_q(expr, grid):
     if name == "bump":
         (amp,) = _floats(parts, 1, "init.q bump")
         bump = (np.sin(np.pi * X) * np.sin(np.pi * Y) * np.sin(np.pi * Z))
-        q = np.zeros(grid.shape + (5,))
-        q[..., 0] = amp * bump
-        q[..., 1] = 0.6 * amp * bump
-        q[..., 3] = -0.5 * amp * bump
-        return tensors.project_s30(tensors.to_matrix(q))
+        q = np.zeros((5,) + grid.shape)
+        q[0] = amp * bump
+        q[1] = 0.6 * amp * bump
+        q[3] = -0.5 * amp * bump
+        return q_exchange(tensors.project_s30(tensors.to_matrix(q)))
     if name == "uniaxial":
         s, nx, ny, nz = _floats(parts, 4, "init.q uniaxial")
         q5 = tensors.uniaxial(s, np.array([nx, ny, nz]))

@@ -27,6 +27,10 @@ mixing does.  The step stores the fields of the last sweep with the
 velocity that sweep returned, so no further sweep is run: the fields were
 advanced by an iterate within one increment of it (within ``picard_tol``
 when the plain test stopped the iteration).
+
+Layout: the solvers work on fields with grid axes last.  ``State.q`` alone
+keeps the (nx, ny, nz, 5) exchange layout of snapshots and callers;
+``q_components`` and ``q_exchange`` are its only conversions.
 """
 
 from collections import deque
@@ -51,6 +55,8 @@ PICARD_MAX_ITER = 60
 # where the bound is sharp; a damped iteration (r ~ 0.25-0.5) keeps the
 # plain increment test
 BOUND_MAX_RATIO = 0.1
+# entries (a, d) of the three skew components l12, l13, l23
+_SKEW = ((0, 0, 1), (1, 2, 2))
 
 
 @dataclass
@@ -82,6 +88,18 @@ class State:
                      None if self.v_prev is None else self.v_prev.copy())
 
 
+def q_components(q):
+    """Packed Q (5, nx, ny, nz), contiguous, from a ``State.q`` array
+    (nx, ny, nz, 5); no copy when q is a ``q_exchange`` view."""
+    return np.ascontiguousarray(np.moveaxis(q, -1, 0))
+
+
+def q_exchange(q):
+    """``State.q`` view (nx, ny, nz, 5) of a packed Q (5, nx, ny, nz); its
+    ravel is the exchange order of snapshots and digests."""
+    return np.moveaxis(q, 0, -1)
+
+
 class CoupledStepper:
     def __init__(self, grid, basis, physics, law, pressure_law, bdata, dt,
                  picard_tol=1e-10):
@@ -98,42 +116,38 @@ class CoupledStepper:
                                            boundary=self.boundary)
         X, Y, Z = grid.coords()
         self._ub_cc = bdata.u_b(X, Y, Z)
-        # component-first J[a, d], as ``galerkin.synthesize_jacobian``
-        self._ub_jac_cc = np.ascontiguousarray(
-            np.moveaxis(bdata.u_b.jacobian(X, Y, Z), (-2, -1), (0, 1)))
+        self._ub_jac_cc = bdata.u_b.jacobian(X, Y, Z)
         self._ub_faces = face_lift(grid, bdata.u_b)
 
     # ------------------------------------------------------- field helpers
 
     def velocity_fields(self, v):
-        """Cell-center velocity (..., 3), component-first Jacobian
-        J[a, d] (3, 3, ...), and packed skew part (..., 3) for v."""
+        """Cell-center velocity u (3, nx, ny, nz), Jacobian J[a, d]
+        (3, 3, nx, ny, nz) and packed skew part lam (3, nx, ny, nz) for v,
+        grid axes last like every field but ``State.q``."""
         u = gk.synthesize(self.basis, v) + self._ub_cc
         J = gk.synthesize_jacobian(self.basis, v) + self._ub_jac_cc
-        lam = np.empty(self.grid.shape + (3,))
-        lam[..., 0] = 0.5 * (J[0, 1] - J[1, 0])
-        lam[..., 1] = 0.5 * (J[0, 2] - J[2, 0])
-        lam[..., 2] = 0.5 * (J[1, 2] - J[2, 1])
-        return u, J, lam
+        a, d = _SKEW
+        return u, J, 0.5 * (J[a, d] - J[d, a])
 
     def advance_fields(self, state, v, u, lam):
         """One step of rho, c, Q driven by the velocity for v.
 
         u, lam: cell-center velocity and packed skew part for v, as returned
-        by ``velocity_fields``.
+        by ``velocity_fields``.  The new Q is returned packed, (5, ...).
         """
         fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
         rho_new, cont_info = self.continuity.step(state.rho, fv, t=state.t)
         c_new = step_concentration(self.grid, state.c, u, self.physics.d0,
                                    self.dt)
-        q_new = step_q(self.grid, state.q, u, lam, state.c, self.dt,
-                       self.physics.gamma, self.physics.b, self.physics.c_star,
-                       self.boundary.q_rules)
+        q_new = step_q(self.grid, q_components(state.q), u, lam, state.c,
+                       self.dt, self.physics.gamma, self.physics.b,
+                       self.physics.c_star, self.boundary.q_rules)
         return rho_new, c_new, q_new, cont_info
 
     def momentum_rhs(self, rho, c, q, u, J):
-        """Projected momentum right-hand side for fields rho, c, q and the
-        cell-center velocity u with component-first Jacobian J."""
+        """Projected momentum right-hand side for fields rho, c, packed
+        q (5, ...) and the cell-center velocity u with Jacobian J."""
         T = mom.assemble_stresses(
             self.grid, rho, u, J, c, q, self.law, self.pressure_law,
             self.boundary.q_rules, self.physics.c_star, self.physics.sigma_star)
@@ -189,8 +203,8 @@ class CoupledStepper:
                 f"{PICARD_MAX_ITER} iterations "
                 f"(last increment {increments[-1]:.3e})",
                 last_increment=increments[-1])
-        new_state = State(state.t + self.dt, rho_k, c_k, q_k, v_next,
-                          v_prev=v0)
+        new_state = State(state.t + self.dt, rho_k, c_k, q_exchange(q_k),
+                          v_next, v_prev=v0)
         info = {"picard_iters": len(increments), "increments": increments}
         if len(increments) >= 2:
             # geometric mean of the successive increment ratios

@@ -37,7 +37,7 @@ def _coeff_line(key, v):
 def write_snapshot(path, grid, basis, state, ub_cc):
     u = gk.synthesize(basis, state.v) + ub_cc
     X, Y, Z = grid.coords()
-    cols = [X, Y, Z, state.rho, u[..., 0], u[..., 1], u[..., 2], state.c]
+    cols = [X, Y, Z, state.rho, u[0], u[1], u[2], state.c]
     cols += [state.q[..., i] for i in range(5)]
     data = np.stack([c.reshape(-1) for c in cols], axis=1)
     header = (f"t = {state.t:.17g}\n"
@@ -108,9 +108,10 @@ def _parse_snapshot(path):
 
 
 def read_velocity_fields(path):
-    """(rho, u) sampled at cell centers, for the two-grid defect check."""
+    """(rho, u) sampled at cell centers, u as (3, nx, ny, nz), for the
+    two-grid defect check."""
     state, shape, _, data = _parse_snapshot(path)
-    return state.rho, data[:, 4:7].reshape(shape + (3,))
+    return state.rho, data[:, 4:7].T.reshape((3,) + shape)
 
 
 def latest_snapshot(out_dir):

@@ -16,6 +16,10 @@ requirement of the momentum and order-tensor identities.
 The order-tensor identity is assembled with the relaxation term entering as
 +Gamma H on the right side, consistent with the strong equation and the
 gradient-flow behavior of the relaxation step.
+
+Fields have their grid axes last, as in the solver (packed Q read through
+``simulation.q_components``); the paired momentum flux is the one
+(..., 3, 3) matrix route.
 """
 
 from dataclasses import dataclass, field
@@ -29,13 +33,14 @@ from . import rheology as rh
 from . import tensors
 from .domain import gradient, laplacian, volume_integral
 from .nematic import molecular_field
+from .simulation import q_components
 
 
 @dataclass(frozen=True)
 class ScalarTest:
     name: str
     value: Callable    # (X, Y, Z, t) -> scalar field
-    grad: Callable     # (X, Y, Z, t) -> (..., 3) field
+    grad: Callable     # (X, Y, Z, t) -> (3, ...) field
 
 
 @dataclass(frozen=True)
@@ -53,44 +58,42 @@ class TensorTest:
     theta: Callable = field(default=None)
 
 
-def _identity_flux(grid, ph, law, pressure_law, q_rules, st, u, J):
+def _identity_flux(grid, ph, law, pressure_law, q_rules, st, q, u, J):
     """The paired tensor of the momentum identity, assembled from the field
     formulas directly on (..., 3, 3) matrices (not through the solver's
-    component-first flux), so a defect in the solver's assembly shows up as
-    an O(1) residual.  J: (..., 3, 3) velocity Jacobian."""
-    T = np.einsum("...a,...b->...ab", u, st.rho[..., None] * u)
+    entry-by-entry flux), so a defect in the solver's assembly shows up as
+    an O(1) residual.  q: packed Q (5, ...); u: (3, ...) velocity; J:
+    (3, 3, ...) velocity Jacobian, taken as a contiguous stack of
+    matrices."""
+    T = np.einsum("a...,b...->...ab", u, st.rho * u)
     T = T + np.asarray(pr.pressure(pressure_law, st.rho))[..., None, None] \
         * np.eye(3)
+    J = np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
     D = 0.5 * (J + np.swapaxes(J, -1, -2))
     T = T - rh.subgradient(law, D)
-    gq = gradient(grid, st.q, q_rules)
-    gq_i = np.moveaxis(gq, -1, 0)
-    odot = np.empty(st.q.shape[:-1] + (3, 3))
+    gq = gradient(grid, q, q_rules)
+    odot = np.empty(st.rho.shape + (3, 3))
     for i in range(3):
         for j in range(i, 3):
-            val = tensors.packed_dot(gq_i[i], gq_i[j])
+            val = tensors.packed_dot(gq[i], gq[j])
             odot[..., i, j] = val
             odot[..., j, i] = val
-    t2 = tensors.trace_q2(st.q)
+    t2 = tensors.trace_q2(q)
     g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
         + 0.25 * ph.c_star * t2 * t2
     T = T - (g_scal[..., None, None] * np.eye(3) - odot)
     # Q lap Q - lap Q Q on dense matrices, not through the packed closed
     # form of momentum.rotational_stress, so this residual checks the solver
     # against an independent route
-    qm = tensors.to_matrix(st.q)
-    lm = tensors.to_matrix(laplacian(grid, st.q, q_rules))
+    qm = tensors.to_matrix(q)
+    lm = tensors.to_matrix(laplacian(grid, q, q_rules))
     T = T - (qm @ lm - lm @ qm)
     T = T - ph.sigma_star * (st.c * st.c)[..., None, None] * qm
     return T
 
 
 def _stack_grad(gx, gy, gz, like):
-    out = np.zeros(np.shape(like) + (3,))
-    out[..., 0] = gx
-    out[..., 1] = gy
-    out[..., 2] = gz
-    return out
+    return np.stack(np.broadcast_arrays(gx, gy, gz, like)[:3])
 
 
 def scalar_catalog():
@@ -104,7 +107,7 @@ def scalar_catalog():
     return [
         mk("one",
            lambda X, Y, Z, t: np.ones_like(X),
-           lambda X, Y, Z, t: np.zeros(X.shape + (3,))),
+           lambda X, Y, Z, t: np.zeros((3,) + X.shape)),
         mk("x_t",
            lambda X, Y, Z, t: X * t,
            lambda X, Y, Z, t: _stack_grad(t * np.ones_like(X), 0.0, 0.0, X)),
@@ -208,10 +211,9 @@ def weak_residuals_dissipative(traj, stepper):
 
     w_vals = [gk.synthesize(stepper.basis, mt.coeffs)
               for mt in momentum_tests]
-    gw_vals = [tensors.components_last(
-        gk.synthesize_jacobian(stepper.basis, mt.coeffs))
-        for mt in momentum_tests]
-    chi_vals = [nt.chi(X, Y, Z)[..., None] * nt.direction
+    gw_vals = [gk.synthesize_jacobian(stepper.basis, mt.coeffs)
+               for mt in momentum_tests]
+    chi_vals = [np.multiply.outer(nt.direction, nt.chi(X, Y, Z))
                 for nt in nematic_tests]
 
     acc_cont = np.zeros(len(scalar_tests))
@@ -223,30 +225,30 @@ def weak_residuals_dissipative(traj, stepper):
         st = states[n]
         t0, t1 = times[n], times[n + 1]
         dt = t1 - t0
+        q = q_components(st.q)
         u, J, lam = stepper.velocity_fields(st.v)
-        J = tensors.components_last(J)
-        rho_u = st.rho[..., None] * u
+        rho_u = st.rho * u
         flux = _identity_flux(g, ph, stepper.law, stepper.pressure_law,
-                              q_rules, st, u, J)
+                              q_rules, st, q, u, J)
         grad_c = gradient(g, st.c)
-        u_dot_gc = np.einsum("...a,...a->...", u, grad_c)
-        gq = gradient(g, st.q, q_rules)
-        u_dot_gq = np.einsum("...cd,...d->...c", gq, u)
-        comm = tensors.commutator(st.q, lam)
-        h_field = molecular_field(g, st.q, st.c, ph.b, ph.c_star, q_rules)
+        u_dot_gc = np.einsum("a...,a...->...", u, grad_c)
+        gq = gradient(g, q, q_rules)
+        u_dot_gq = np.einsum("dc...,d...->c...", gq, u)
+        comm = tensors.commutator(q, lam)
+        h_field = molecular_field(g, q, st.c, ph.b, ph.c_star, q_rules)
 
         for k, sc in enumerate(scalar_tests):
             phi0 = sc.value(X, Y, Z, t0)
             dphi = sc.value(X, Y, Z, t1) - phi0
             gphi = sc.grad(X, Y, Z, t0)
-            u_gphi = np.einsum("...a,...a->...", u, gphi)
+            u_gphi = np.einsum("a...,a...->...", u, gphi)
             acc_cont[k] -= volume_integral(g, st.rho * dphi) \
                 + dt * volume_integral(g, st.rho * u_gphi)
             acc_conc[k] -= volume_integral(g, st.c * dphi)
             acc_conc[k] += dt * (
                 volume_integral(g, u_dot_gc * phi0)
                 + ph.d0 * volume_integral(
-                    g, np.einsum("...a,...a->...", grad_c, gphi)))
+                    g, np.einsum("a...,a...->...", grad_c, gphi)))
             for face, rho_b in zip(boundary.faces, boundary.rho_b):
                 rho_w = st.rho[face.wall]
                 trace = np.where(face.inflow, rho_b, rho_w)
@@ -258,16 +260,16 @@ def weak_residuals_dissipative(traj, stepper):
             th0 = mt.theta(t0)
             dth = mt.theta(t1) - th0
             acc_mom[k] -= dth * volume_integral(
-                g, np.einsum("...a,...a->...", rho_u, w_vals[k]))
+                g, np.einsum("a...,a...->...", rho_u, w_vals[k]))
             acc_mom[k] -= dt * th0 * volume_integral(
-                g, np.einsum("...ab,...ab->...", flux, gw_vals[k]))
+                g, np.einsum("...ab,ab...->...", flux, gw_vals[k]))
 
         for k, nt in enumerate(nematic_tests):
             th0 = nt.theta(t0)
             dth = nt.theta(t1) - th0
             psi = chi_vals[k]
             acc_nem[k] -= dth * volume_integral(
-                g, tensors.packed_dot(st.q, psi))
+                g, tensors.packed_dot(q, psi))
             acc_nem[k] += dt * th0 * volume_integral(
                 g, tensors.packed_dot(u_dot_gq, psi)
                 + tensors.packed_dot(comm, psi)
@@ -290,16 +292,16 @@ def weak_residuals_dissipative(traj, stepper):
     out_mom = {}
     for k, mt in enumerate(momentum_tests):
         endpoints = (mt.theta(t_end) * volume_integral(
-            g, last.rho * np.einsum("...a,...a->...", u_end, w_vals[k]))
+            g, last.rho * np.einsum("a...,a...->...", u_end, w_vals[k]))
             - mt.theta(times[0]) * volume_integral(
-            g, first.rho * np.einsum("...a,...a->...", u_start, w_vals[k])))
+            g, first.rho * np.einsum("a...,a...->...", u_start, w_vals[k])))
         out_mom[mt.name] = endpoints + acc_mom[k]
     out_nem = {}
     for k, nt in enumerate(nematic_tests):
         endpoints = (nt.theta(t_end) * volume_integral(
-            g, tensors.packed_dot(last.q, chi_vals[k]))
+            g, tensors.packed_dot(q_components(last.q), chi_vals[k]))
             - nt.theta(times[0]) * volume_integral(
-            g, tensors.packed_dot(first.q, chi_vals[k])))
+            g, tensors.packed_dot(q_components(first.q), chi_vals[k])))
         out_nem[nt.name] = endpoints + acc_nem[k]
 
     report = {"continuity": out_cont, "momentum": out_mom,

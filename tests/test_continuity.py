@@ -72,7 +72,7 @@ def test_face_velocities_match_brute_force_mode_sum(ub_kind, ub_kw):
                         * np.sin(k * np.pi * X[0] / L[0]) \
                         * np.sin(l * np.pi * X[1] / L[1]) \
                         * np.sin(mm * np.pi * X[2] / L[2])
-        ubn = u_b(*X)[..., axis]
+        ubn = u_b(*X)[axis]
         assert fv[axis].shape == X[0].shape
         assert np.max(np.abs(fv[axis] - (norm * modes + ubn))) < 1e-13
         for wall in (0, -1):
@@ -97,6 +97,15 @@ def test_stability_guard_diffusion():
     rho = np.ones(grid.shape)
     with pytest.raises(StabilityError):
         solver_bad.step(rho, fv)
+
+
+def test_nan_face_velocity_raises():
+    # NaN fails every comparison, so a guard written dt > limit lets it
+    # through and CG returns a NaN density
+    grid, solver, fv, _ = make_setup()
+    fv[1][3, 4, 5] = np.nan
+    with pytest.raises(StabilityError, match="advective weight"):
+        solver.step(np.ones(grid.shape), fv)
 
 
 def test_stability_guard_advection():
@@ -167,7 +176,7 @@ def test_weak_residual_mass_balance_stationary():
     traj = run_continuity(solver, rho0, fv, 20)
     one = lambda x, y, z, t: np.ones_like(x)
     zero = lambda x, y, z, t: np.zeros_like(x)
-    zero3 = lambda x, y, z, t: np.zeros(x.shape + (3,))
+    zero3 = lambda x, y, z, t: np.zeros((3,) + x.shape)
     res = weak_residual_continuity(traj, one, zero, zero3)
     assert abs(res) < 1e-12
 
@@ -179,8 +188,8 @@ def test_weak_residual_linear_in_time_stationary():
     phi = lambda x, y, z, t: x * t
     dphi = lambda x, y, z, t: x
     def gphi(x, y, z, t):
-        g = np.zeros(x.shape + (3,))
-        g[..., 0] = t
+        g = np.zeros((3,) + x.shape)
+        g[0] = t
         return g
     res = weak_residual_continuity(traj, phi, dphi, gphi)
     assert abs(res) < 1e-10
@@ -206,9 +215,9 @@ def _mms_residual(n, dt, n_steps):
     phi = lambda x, y, z, t: np.sin(np.pi * x) + 0.5 * y
     dphi = lambda x, y, z, t: np.zeros_like(x)
     def gphi(x, y, z, t):
-        g = np.zeros(x.shape + (3,))
-        g[..., 0] = np.pi * np.cos(np.pi * x)
-        g[..., 1] = 0.5
+        g = np.zeros((3,) + x.shape)
+        g[0] = np.pi * np.cos(np.pi * x)
+        g[1] = 0.5
         return g
     return weak_residual_continuity(traj, phi, dphi, gphi,
                                     source=source)

@@ -42,9 +42,9 @@ def test_gradient_exact_on_linear():
     X, Y, Z = g.coords()
     f = X.copy()
     grad = dm.gradient(g, f, exact_ghost_rules(g, lambda x, y, z: x))
-    assert np.max(np.abs(grad[..., 0] - 1.0)) < 1e-12
-    assert np.max(np.abs(grad[..., 1])) < 1e-12
-    assert np.max(np.abs(grad[..., 2])) < 1e-12
+    assert np.max(np.abs(grad[0] - 1.0)) < 1e-12
+    assert np.max(np.abs(grad[1])) < 1e-12
+    assert np.max(np.abs(grad[2])) < 1e-12
 
 
 def test_laplacian_exact_on_quadratic():
@@ -58,18 +58,18 @@ def test_laplacian_exact_on_quadratic():
 def test_shear_divergence_and_skew():
     g = unit_grid(8)
     X, Y, Z = g.coords()
-    u = np.zeros(g.shape + (3,))
-    u[..., 0] = Y
+    u = np.zeros((3,) + g.shape)
+    u[0] = Y
     rules = exact_ghost_rules(g, lambda x, y, z: y)
-    div = sum(dm.gradient(g, u[..., a])[..., a] for a in range(3))
+    div = sum(dm.gradient(g, u[a])[a] for a in range(3))
     assert np.max(np.abs(div)) < 1e-12     # u1 depends on y only
-    J = np.empty(g.shape + (3, 3))
+    J = np.empty((3, 3) + g.shape)
     for a in range(3):
         r = rules if a == 0 else None
-        J[..., a, :] = dm.gradient(g, u[..., a], r)
-    D = 0.5 * (J + np.swapaxes(J, -1, -2))
-    lam12 = 0.5 * (J[..., 0, 1] - J[..., 1, 0])
-    assert np.allclose(D[..., 0, 1], 0.5, atol=1e-12)
+        J[a] = dm.gradient(g, u[a], r)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    lam12 = 0.5 * (J[0, 1] - J[1, 0])
+    assert np.allclose(D[0, 1], 0.5, atol=1e-12)
     assert np.allclose(lam12, 0.5, atol=1e-12)
 
 
@@ -152,14 +152,14 @@ def test_boundary_data_validates_density():
     vals = bd.rho_b(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     assert vals.shape == (2, 2)
     qv = bd.q_b(np.zeros(3), np.zeros(3), np.zeros(3))
-    assert qv.shape == (3, 5)
+    assert qv.shape == (5, 3)
 
 
 def test_boundary_faces_share_pad_rule_order():
     # rule k of pad must write the ghost layer next to f[faces[k].wall]: a
     # ghost (0, w) given as that layer reproduces the mirror padding exactly
     g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
-    f = np.random.default_rng(3).standard_normal(g.shape + (2,))
+    f = np.random.default_rng(3).standard_normal((2,) + g.shape)
     bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))
     faces = dm.BoundaryFaces(g, bdata).faces
     mirror = dm.pad(f)
@@ -207,8 +207,8 @@ def test_upwind_advection_exact_on_linear():
     f = 2.0 * X
     P = dm.pad(f, exact_ghost_rules(g, lambda x, y, z: 2.0 * x))
     for sgn in (+1.0, -1.0):
-        u = np.zeros(g.shape + (3,))
-        u[..., 0] = sgn * 0.7
+        u = np.zeros((3,) + g.shape)
+        u[0] = sgn * 0.7
         adv = dm.advect_upwind(g, P, u)
         assert np.allclose(adv, sgn * 1.4, atol=1e-12)
 
@@ -219,10 +219,10 @@ def _smooth_f(x, y, z):
 
 def _smooth_v(x, y, z):
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
-    v = np.zeros(shape + (3,))
-    v[..., 0] = np.sin(np.pi * y) + z * z
-    v[..., 1] = np.cos(np.pi * z) * x
-    v[..., 2] = x * y * (1.0 + 0.5 * z)
+    v = np.zeros((3,) + shape)
+    v[0] = np.sin(np.pi * y) + z * z
+    v[1] = np.cos(np.pi * z) * x
+    v[2] = x * y * (1.0 + 0.5 * z)
     return v
 
 
@@ -234,14 +234,14 @@ def ibp_residual(n):
     rules_f = exact_ghost_rules(g, _smooth_f)
     div_v = np.zeros(g.shape)
     for a in range(3):
-        rules_a = exact_ghost_rules(g, lambda x, y, z, a=a: _smooth_v(x, y, z)[..., a])
-        div_v += dm.gradient(g, v[..., a], rules_a)[..., a]
+        rules_a = exact_ghost_rules(g, lambda x, y, z, a=a: _smooth_v(x, y, z)[a])
+        div_v += dm.gradient(g, v[a], rules_a)[a]
     grad_f = dm.gradient(g, f, rules_f)
-    bulk = dm.volume_integral(g, f * div_v + np.einsum("...i,...i->...", v, grad_f))
+    bulk = dm.volume_integral(g, f * div_v + np.einsum("i...,i...->...", v, grad_f))
     faces = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))
     surf = 0.0
     for fc in faces:
-        vals = _smooth_f(*fc.xyz) * (_smooth_v(*fc.xyz) @ fc.normal)
+        vals = _smooth_f(*fc.xyz) * np.tensordot(fc.normal, _smooth_v(*fc.xyz), axes=1)
         surf += fc.area_element * vals.sum()
     return abs(bulk - surf)
 
@@ -261,7 +261,34 @@ def test_operator_refinement_order():
         grad = dm.gradient(g, f, exact_ghost_rules(g, _smooth_f))
         exact = np.stack([np.exp(X) * np.cos(np.pi * Y),
                           -np.pi * np.exp(X) * np.sin(np.pi * Y),
-                          0.9 * Z ** 2], axis=-1)
+                          0.9 * Z ** 2])
         errs.append(np.max(np.abs(grad - exact)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
+
+
+def test_stencils_on_packed_field_match_componentwise_calls():
+    # one layout, grid axes last: on a (5, nx, ny, nz) field every stencil
+    # equals the stacked calls on its scalar components, bit for bit
+    g = dm.Grid(extents=(2.0, 1.0, 1.5), shape=(7, 5, 6))
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal((5,) + g.shape)
+    u = rng.standard_normal((3,) + g.shape)
+    face_rules = []
+    for axis in range(3):
+        tangential = tuple(g.shape[a] for a in range(3) if a != axis)
+        for _ in range(2):
+            face_rules.append((rng.standard_normal(tangential),
+                               rng.standard_normal((5,) + tangential)))
+    for rules in (None, tuple(face_rules)):
+        P = dm.pad(q, rules)
+        parts = [dm.pad(q[k], None if rules is None
+                        else tuple((a, b[k]) for a, b in rules))
+                 for k in range(5)]
+        assert np.array_equal(P, np.stack(parts))
+        assert np.array_equal(dm.gradient_padded(g, P), np.stack(
+            [dm.gradient_padded(g, p) for p in parts], axis=1))
+        assert np.array_equal(dm.laplacian_padded(g, P), np.stack(
+            [dm.laplacian_padded(g, p) for p in parts]))
+        assert np.array_equal(dm.advect_upwind(g, P, u), np.stack(
+            [dm.advect_upwind(g, p, u) for p in parts]))

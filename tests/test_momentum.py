@@ -48,20 +48,20 @@ def zero_q_faces(grid):
     return uniform_q_faces(grid, np.zeros(5))
 
 
-def padded_first(q, rules):
-    """Packed q ghost-padded by rules, viewed component-first."""
-    return np.moveaxis(pad(q, rules), -1, 0)
+def uniform(q5, shape):
+    """Packed (5, ...) field equal to q5 everywhere."""
+    return np.broadcast_to(q5[:, None, None, None], (5,) + shape).copy()
 
 
 def matrices(T):
-    """(..., 3, 3) view of a component-first (3, 3, ...) tensor field."""
+    """(..., 3, 3) view of a (3, 3, ...) tensor field."""
     return np.moveaxis(T, (0, 1), (-2, -1))
 
 
 def test_active_stress_frozen():
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
     c = np.ones((4, 4, 4))
-    q = np.broadcast_to(q5, (4, 4, 4, 5)).copy()
+    q = uniform(q5, (4, 4, 4))
     sig = active_stress(q, c, sigma_star=-1.0)
     assert np.max(np.abs(matrices(sig) - (-to_matrix(q)))) < 1e-15
 
@@ -71,9 +71,9 @@ def test_elastic_stress_uniform_frozen():
     # G = 1/3 + (1/4)(4/9) = 4/9, gradient term zero
     grid = make_grid()
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     faces = uniform_q_faces(grid, q5)
-    tau = elastic_stress(grid, padded_first(q, faces), c_star=1.0)
+    tau = elastic_stress(grid, pad(q, faces), c_star=1.0)
     expected = (4.0 / 9.0) * np.eye(3)
     assert np.max(np.abs(matrices(tau) - expected)) < 1e-13
 
@@ -85,16 +85,16 @@ def test_elastic_stress_nonuniform_matrix_route():
 
     grid = make_grid()
     X, Y, Z = grid.coords()
-    q = np.zeros(grid.shape + (5,))
-    q[..., 0] = 0.1 * np.sin(np.pi * X) * np.cos(np.pi * Y)
-    q[..., 1] = 0.05 * np.cos(np.pi * Z)
-    q[..., 3] = -0.07 * np.sin(np.pi * Y)
-    q[..., 4] = 0.03 * X * Y
+    q = np.zeros((5,) + grid.shape)
+    q[0] = 0.1 * np.sin(np.pi * X) * np.cos(np.pi * Y)
+    q[1] = 0.05 * np.cos(np.pi * Z)
+    q[3] = -0.07 * np.sin(np.pi * Y)
+    q[4] = 0.03 * X * Y
     faces = zero_q_faces(grid)
-    tau = elastic_stress(grid, padded_first(q, faces), c_star=1.3)
+    tau = elastic_stress(grid, pad(q, faces), c_star=1.3)
 
     gq = gradient(grid, q, faces)
-    slices = [to_matrix(gq[..., i]) for i in range(3)]
+    slices = [to_matrix(gq[i]) for i in range(3)]
     odot = np.empty(grid.shape + (3, 3))
     for i in range(3):
         for j in range(3):
@@ -110,9 +110,9 @@ def test_elastic_stress_nonuniform_matrix_route():
 def test_rotational_stress_uniform_zero():
     grid = make_grid()
     q5 = uniaxial(0.3, np.array([0.0, 1.0, 0.0]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     faces = uniform_q_faces(grid, q5)
-    sig = rotational_stress(grid, padded_first(q, faces))
+    sig = rotational_stress(grid, pad(q, faces))
     assert np.max(np.abs(sig)) < 1e-13
 
 
@@ -122,25 +122,25 @@ def test_rotational_stress_equals_full_molecular_commutator():
     rng = np.random.default_rng(11)
     grid = make_grid()
     X, Y, Z = grid.coords()
-    q = np.zeros(grid.shape + (5,))
-    q[..., 0] = 0.1 * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    q[..., 2] = 0.05 * np.sin(np.pi * Z)
-    q[..., 3] = -0.04 * np.sin(np.pi * X)
+    q = np.zeros((5,) + grid.shape)
+    q[0] = 0.1 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    q[2] = 0.05 * np.sin(np.pi * Z)
+    q[3] = -0.04 * np.sin(np.pi * X)
     faces = zero_q_faces(grid)
     c = 1.0 + 0.2 * np.sin(np.pi * X)
     h_full = molecular_field(grid, q, c, b=0.7, c_star=1.3, q_rules=faces)
     qm, hm = to_matrix(q), to_matrix(h_full)
     direct = qm @ hm - hm @ qm
-    shortcut = rotational_stress(grid, padded_first(q, faces))
+    shortcut = rotational_stress(grid, pad(q, faces))
     assert np.max(np.abs(direct - matrices(shortcut))) < 1e-12
 
 
 def test_rotational_stress_antisymmetric():
     grid = make_grid()
     X, Y, Z = grid.coords()
-    q = np.zeros(grid.shape + (5,))
-    q[..., 1] = 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Z)
-    sig = rotational_stress(grid, padded_first(q, zero_q_faces(grid)))
+    q = np.zeros((5,) + grid.shape)
+    q[1] = 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Z)
+    sig = rotational_stress(grid, pad(q, zero_q_faces(grid)))
     assert np.max(np.abs(sig + np.swapaxes(sig, 0, 1))) < 1e-15
 
 
@@ -149,11 +149,11 @@ def test_packed_rotational_stress_matches_matrix_route_on_fields():
     # on a random 16^3 field with random wall values
     rng = np.random.default_rng(12)
     grid = make_grid(16)
-    q = rng.normal(size=grid.shape + (5,))
+    q = rng.normal(size=(5,) + grid.shape)
     faces = uniform_q_faces(grid, rng.normal(size=5))
     qm, lm = to_matrix(q), to_matrix(laplacian(grid, q, faces))
     want = qm @ lm - lm @ qm
-    got = matrices(rotational_stress(grid, padded_first(q, faces)))
+    got = matrices(rotational_stress(grid, pad(q, faces)))
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-15
 
 
@@ -165,8 +165,8 @@ def test_viscous_stress_shear_oracle():
     J[0, 1] = 1.0
     rho = np.ones(grid.shape)
     c = np.zeros(grid.shape)
-    q = np.zeros(grid.shape + (5,))
-    u = np.zeros(grid.shape + (3,))
+    q = np.zeros((5,) + grid.shape)
+    u = np.zeros((3,) + grid.shape)
     T = assemble_stresses(grid, rho, u, J, c, q, law, isentropic_law(1.0, 2.0),
                           zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
     # u = 0, Q = 0 and c = 0 leave T = p I - S, with p(1) = 1
@@ -182,12 +182,12 @@ def test_rhs_rest_state_zero():
     plaw = isentropic_law(1.0, 2.0)
     rho = np.ones(grid.shape)
     c = np.ones(grid.shape)
-    q = np.zeros(grid.shape + (5,))
+    q = np.zeros((5,) + grid.shape)
     J = np.zeros((3, 3) + grid.shape)
-    u = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
     T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
                           zero_q_faces(grid), c_star=1.0, sigma_star=0.1)
-    grad_rho = np.zeros(grid.shape + (3,))
+    grad_rho = np.zeros((3,) + grid.shape)
     rhs = galerkin_rhs(basis, T, J, eps=0.05, grad_rho=grad_rho)
     assert np.max(np.abs(rhs)) < 1e-12
 
@@ -203,13 +203,13 @@ def test_rhs_pressure_gradient_1d_oracle():
     X, Y, Z = grid.coords()
     rho = 1.0 + 0.1 * np.sin(np.pi * X)
     c = np.zeros(grid.shape)
-    q = np.zeros(grid.shape + (5,))
+    q = np.zeros((5,) + grid.shape)
     J = np.zeros((3, 3) + grid.shape)
-    u = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
     T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
                           zero_q_faces(grid), c_star=1.0, sigma_star=0.0)
     rhs = galerkin_rhs(basis, T, J, eps=0.05,
-                       grad_rho=np.zeros(grid.shape + (3,)))
+                       grad_rho=np.zeros((3,) + grid.shape))
     x = grid.centers(0)
     h = grid.h[0]
     norm = np.sqrt(8.0)
@@ -229,11 +229,11 @@ def test_rhs_linear_in_active_stress():
     X, Y, Z = grid.coords()
     rho = 1.0 + 0.1 * np.sin(np.pi * X)
     c = 1.0 + 0.3 * np.sin(np.pi * Y)
-    q = np.zeros(grid.shape + (5,))
-    q[..., 0] = 0.1 * np.sin(np.pi * Z)
+    q = np.zeros((5,) + grid.shape)
+    q[0] = 0.1 * np.sin(np.pi * Z)
     J = np.zeros((3, 3) + grid.shape)
-    u = np.zeros(grid.shape + (3,))
-    grad_rho = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
+    grad_rho = np.zeros((3,) + grid.shape)
 
     def rhs_for(sig):
         T = assemble_stresses(grid, rho, u, J, c, q, law, plaw,
@@ -255,7 +255,7 @@ def _tabulated():
 def _wall_q(x, y, z):
     x, y, z = np.broadcast_arrays(x, y, z)
     return np.stack([0.2 * np.sin(x + y), 0.1 * np.cos(z), 0.05 * x * y,
-                     -0.1 * z, 0.07 + 0.0 * x], axis=-1)
+                     -0.1 * z, 0.07 + 0.0 * x])
 
 
 def _random_flux_inputs(seed=21):
@@ -266,22 +266,22 @@ def _random_flux_inputs(seed=21):
                                              1.0, _wall_q)).q_rules
     return dict(grid=grid, rules=rules,
                 rho=1.0 + 0.3 * rng.random(grid.shape),
-                u=rng.normal(size=grid.shape + (3,)),
+                u=rng.normal(size=(3,) + grid.shape),
                 J=0.5 * rng.normal(size=(3, 3) + grid.shape),
                 c=1.0 + 0.5 * rng.random(grid.shape),
-                q=0.3 * rng.normal(size=grid.shape + (5,)),
-                grad_rho=rng.normal(size=grid.shape + (3,)))
+                q=0.3 * rng.normal(size=(5,) + grid.shape),
+                grad_rho=rng.normal(size=(3,) + grid.shape))
 
 
 def matrix_route_flux(grid, rho, u, Jm, c, q, law, plaw, rules, c_star,
                       sigma_star):
     """rho u (x) u + p I - S - tau - sigma_r - sigma_a on (..., 3, 3)
     matrices: einsum products, the matrix subgradient and to_matrix."""
-    T = np.einsum("...a,...b->...ab", u, rho[..., None] * u)
+    T = np.einsum("a...,b...->...ab", u, rho * u)
     T = T + pressure(plaw, rho)[..., None, None] * np.eye(3)
     T = T - subgradient(law, 0.5 * (Jm + np.swapaxes(Jm, -1, -2)))
     gq = gradient(grid, q, rules)
-    G = np.stack([to_matrix(gq[..., i]) for i in range(3)], axis=-3)
+    G = np.stack([to_matrix(gq[i]) for i in range(3)], axis=-3)
     odot = np.einsum("...iab,...jab->...ij", G, G)
     qm = to_matrix(q)
     t2 = np.einsum("...ab,...ba->...", qm, qm)
@@ -311,7 +311,7 @@ def test_flux_and_rhs_match_matrix_route(law):
 
     # the right side against mode-by-mode pairings with the matrix flux
     basis = build_basis(grid, 2)
-    coupling = np.einsum("...d,...ad->...a", f["grad_rho"], matrices(J))
+    coupling = np.einsum("d...,ad...->a...", f["grad_rho"], J)
     oracle = np.empty(basis.n)
     for i in range(basis.n):
         e = np.zeros(basis.n)
@@ -319,7 +319,7 @@ def test_flux_and_rhs_match_matrix_route(law):
         gw = matrices(synthesize_jacobian(basis, e))
         oracle[i] = volume_integral(grid, np.sum(want * gw, axis=(-2, -1))) \
             - 0.05 * volume_integral(
-                grid, np.sum(coupling * synthesize(basis, e), axis=-1))
+                grid, np.sum(coupling * synthesize(basis, e), axis=0))
     rhs = galerkin_rhs(basis, T, J, eps=0.05, grad_rho=f["grad_rho"])
     assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 

@@ -39,10 +39,15 @@ def uniform_q_faces(grid, q5):
     return uniform_boundary(grid, q5).q_rules
 
 
+def uniform(q5, shape):
+    """Packed (5, ...) field equal to q5 everywhere."""
+    return np.broadcast_to(q5[:, None, None, None], (5,) + shape).copy()
+
+
 def test_concentration_uniform_stationary():
     grid = make_grid()
     c = np.full(grid.shape, 0.7)
-    u = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
     for _ in range(5):
         c = step_concentration(grid, c, u, d0=0.25, dt=1e-3)
     assert np.max(np.abs(c - 0.7)) < 1e-14
@@ -56,7 +61,7 @@ def test_concentration_diffusion_eigenmode_exact():
     i = np.arange(N)
     mode = np.cos(np.pi * k * (i + 0.5) / N)
     c = np.broadcast_to(mode[:, None, None], grid.shape).copy()
-    u = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
     lam = (2.0 - 2.0 * np.cos(np.pi * k / N)) / grid.h[0] ** 2
     expected = c / (1.0 + d0 * dt * lam)
     out = step_concentration(grid, c, u, d0, dt)
@@ -81,7 +86,7 @@ def test_concentration_max_principle_and_mass():
     # perturbs it only through div u, bounded by the step budget
     c2 = rng.random(grid.shape)
     m2 = volume_integral(grid, c2)
-    zero_u = np.zeros(grid.shape + (3,))
+    zero_u = np.zeros((3,) + grid.shape)
     for _ in range(20):
         c2 = step_concentration(grid, c2, zero_u, d0=0.25, dt=1e-3)
     assert abs(volume_integral(grid, c2) - m2) < 1e-13
@@ -90,7 +95,7 @@ def test_concentration_max_principle_and_mass():
 def test_concentration_stability_guard():
     grid = make_grid(8)
     c = np.ones(grid.shape)
-    u = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
     with pytest.raises(StabilityError):
         step_concentration(grid, c, u, d0=0.25, dt=2e-2)
 
@@ -101,12 +106,12 @@ def test_molecular_field_frozen_uniform():
     # diag(1/9, 1/9, -2/9)
     grid = make_grid(8)
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     c = np.ones(grid.shape)
     faces = uniform_q_faces(grid, q5)
     h = molecular_field(grid, q, c, b=1.0, c_star=1.0, q_rules=faces)
     expected = from_matrix(np.diag([1.0 / 9, 1.0 / 9, -2.0 / 9]))
-    assert np.max(np.abs(h - expected)) < 1e-12
+    assert np.max(np.abs(h - expected[:, None, None, None])) < 1e-12
 
 
 def test_q_amplitude_ode_oracle():
@@ -116,22 +121,22 @@ def test_q_amplitude_ode_oracle():
     gamma, c_star, dt = 0.25, 1.0, 1e-3
     q5 = uniaxial(0.6, np.array([1.0, 0.0, 0.0]))
     amp0 = np.sqrt(trace_q2(q5))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     c = np.full(grid.shape, c_star)
-    u = np.zeros(grid.shape + (3,))
-    lam = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
+    lam = np.zeros((3,) + grid.shape)
     faces = uniform_q_faces(grid, q5)
     n_steps = 1000
     for k in range(n_steps):
         # walls follow the same uniform evolution: rebuild face data from the
         # current uniform value so the Laplacian stays zero
-        faces = uniform_q_faces(grid, q[0, 0, 0])
+        faces = uniform_q_faces(grid, q[:, 0, 0, 0])
         q = step_q(grid, q, u, lam, c, dt, gamma, 0.0, c_star, faces)
-    amp = np.sqrt(trace_q2(q[0, 0, 0]))
+    amp = np.sqrt(trace_q2(q[:, 0, 0, 0]))
     exact = amp0 / np.sqrt(1.0 + 2.0 * gamma * c_star * amp0 ** 2 * 1.0)
     assert abs(amp - exact) / exact < 0.01
     # field stayed uniform
-    assert np.max(np.abs(q - q[0, 0, 0])) < 1e-12
+    assert np.max(np.abs(q - q[:, :1, :1, :1])) < 1e-12
 
 
 def test_q_corotation_rotates_director():
@@ -140,28 +145,28 @@ def test_q_corotation_rotates_director():
     grid = make_grid(8)
     dt, t_end = 1e-3, 0.5
     q5 = uniaxial(0.5, np.array([1.0, 0.0, 0.0]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     c = np.ones(grid.shape)
-    u = np.zeros(grid.shape + (3,))   # uniform Q: advection is irrelevant
-    lam = np.zeros(grid.shape + (3,))
-    lam[..., 0] = -1.0
+    u = np.zeros((3,) + grid.shape)   # uniform Q: advection is irrelevant
+    lam = np.zeros((3,) + grid.shape)
+    lam[0] = -1.0
     faces = uniform_q_faces(grid, q5)
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
-        faces = uniform_q_faces(grid, q[0, 0, 0])
+        faces = uniform_q_faces(grid, q[:, 0, 0, 0])
         q = step_q(grid, q, u, lam, c, dt, gamma=0.0, b=0.0, c_star=1.0,
                    q_rules=faces)
     expected = uniaxial(0.5, np.array([np.cos(t_end), np.sin(t_end), 0.0]))
-    assert np.max(np.abs(q[0, 0, 0] - expected)) < 5e-3
+    assert np.max(np.abs(q[:, 0, 0, 0] - expected)) < 5e-3
 
 
 def test_q_stability_guard():
     grid = make_grid(8)
     q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
+    q = uniform(q5, grid.shape)
     c = np.ones(grid.shape)
-    u = np.zeros(grid.shape + (3,))
-    lam = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
+    lam = np.zeros((3,) + grid.shape)
     faces = uniform_q_faces(grid, q5)
     with pytest.raises(StabilityError):
         step_q(grid, q, u, lam, c, dt=2e-2, gamma=0.25, b=0.2, c_star=1.0,
@@ -171,9 +176,9 @@ def test_q_stability_guard():
 def test_step_q_rejects_nonfinite_order_tensor():
     grid = make_grid()
     q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
-    q = np.broadcast_to(q5, grid.shape + (5,)).copy()
-    q[3, 4, 5, 1] = np.nan
-    zero3 = np.zeros(grid.shape + (3,))
+    q = uniform(q5, grid.shape)
+    q[1, 3, 4, 5] = np.nan
+    zero3 = np.zeros((3,) + grid.shape)
     with pytest.raises(StabilityError, match="non-finite"):
         step_q(grid, q, zero3, zero3, np.ones(grid.shape), dt=1e-3,
                gamma=0.25, b=0.2, c_star=1.0,
@@ -185,11 +190,11 @@ def _descent_setup(n=8):
     X, Y, Z = grid.coords()
     qb = uniform_boundary(grid, np.zeros(5))
     bump = np.sin(np.pi * X) * np.sin(np.pi * Y) * np.sin(np.pi * Z)
-    q = np.zeros(grid.shape + (5,))
-    q[..., 0] = 0.15 * bump
-    q[..., 1] = 0.1 * bump * np.cos(np.pi * Z)
-    q[..., 3] = -0.08 * bump
-    q[..., 4] = 0.05 * bump * np.cos(np.pi * X)
+    q = np.zeros((5,) + grid.shape)
+    q[0] = 0.15 * bump
+    q[1] = 0.1 * bump * np.cos(np.pi * Z)
+    q[3] = -0.08 * bump
+    q[4] = 0.05 * bump * np.cos(np.pi * X)
     q = project_s30(to_matrix(q))
     return grid, q, qb
 
@@ -201,7 +206,7 @@ def test_ldg_energy_gradient_is_molecular_field():
     grid, q, qb = _descent_setup()
     c = np.full(grid.shape, 3.0)
     rng = np.random.default_rng(5)
-    dq = project_s30(to_matrix(rng.standard_normal(grid.shape + (5,))))
+    dq = project_s30(to_matrix(rng.standard_normal((5,) + grid.shape)))
     h = molecular_field(grid, q, c, b=0.5, c_star=1.0, q_rules=qb.q_rules)
     pred = -grid.cell_volume * float(packed_dot(h, dq).sum())
     eps = 1e-6
@@ -216,8 +221,8 @@ def test_relaxation_descends_free_energy():
     # step lowers the discrete free energy
     grid, q, qb = _descent_setup()
     c = np.full(grid.shape, 3.0)
-    u = np.zeros(grid.shape + (3,))
-    lam = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
+    lam = np.zeros((3,) + grid.shape)
     gamma, b, c_star, dt = 0.1, 0.5, 1.0, 1e-3
     e_prev = ldg_energy(grid, q, c, b, c_star, qb)
     e0 = e_prev
@@ -232,18 +237,46 @@ def test_relaxation_descends_free_energy():
 def test_q_wall_anchoring_pulls_interior():
     grid = make_grid(8)
     q_wall = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
-    q = np.zeros(grid.shape + (5,))
+    q = np.zeros((5,) + grid.shape)
     c = np.ones(grid.shape)
-    u = np.zeros(grid.shape + (3,))
-    lam = np.zeros(grid.shape + (3,))
+    u = np.zeros((3,) + grid.shape)
+    lam = np.zeros((3,) + grid.shape)
     faces = uniform_q_faces(grid, q_wall)
-    err0 = np.max(np.abs(q - q_wall))
+    err0 = np.max(np.abs(q - q_wall[:, None, None, None]))
     for _ in range(200):
         q = step_q(grid, q, u, lam, c, dt=5e-3, gamma=0.25, b=0.2, c_star=1.0,
                    q_rules=faces)
-    err = np.max(np.abs(q - q_wall))
+    err = np.max(np.abs(q - q_wall[:, None, None, None]))
     assert err < 0.5 * err0
     # packing invariants survive the run
     m = to_matrix(q)
     assert np.max(np.abs(m - np.swapaxes(m, -1, -2))) == 0.0
     assert np.max(np.abs(np.trace(m, axis1=-2, axis2=-1))) < 1e-15
+
+
+def nan_velocity(grid):
+    u = np.zeros((3,) + grid.shape)
+    u[2, 1, 2, 3] = np.nan
+    return u
+
+
+# NaN fails every comparison, so a guard written weight > 1 lets a NaN
+# velocity through: step_concentration returned a NaN field, and step_q
+# failed only later, on its non-finite result
+
+
+def test_nan_velocity_raises_in_concentration_step():
+    grid = make_grid()
+    with pytest.raises(StabilityError, match="advective weight"):
+        step_concentration(grid, np.ones(grid.shape), nan_velocity(grid),
+                           d0=0.25, dt=1e-3)
+
+
+def test_nan_velocity_raises_in_q_step():
+    grid = make_grid()
+    q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(StabilityError, match="advective weight"):
+        step_q(grid, uniform(q5, grid.shape), nan_velocity(grid),
+               np.zeros((3,) + grid.shape), np.ones(grid.shape), dt=1e-3,
+               gamma=0.25, b=0.2, c_star=1.0,
+               q_rules=uniform_q_faces(grid, q5))

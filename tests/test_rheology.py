@@ -24,12 +24,14 @@ def random_sym(rng, scale=1.0):
 # ---------------------------------------------------------------- oracles
 
 
-def oracle_conjugate(law, S, d_max=8.0, n=801):
+def oracle_conjugate(law, S, d_max=8.0, n=801, n_t=201, rounds=8, n_fine=41):
     """sup_D S:D - F(D) by brute grid search along the aligned slice.
 
     For an isotropic law the supremum is attained at D = d * devS/|devS|
-    + (t/3) I, so a 2-D scan in (d, t) is exhaustive.  Refines the best
-    cell with a secondary fine scan.
+    + (t/3) I, so a 2-D scan in (d, t) is exhaustive.  The first scan takes
+    n x n_t points; each of the `rounds` refinements rescans the cells
+    around the best point with n_fine x n_fine.  F is convex, so the
+    scanned function is concave and the best cell brackets its maximum.
     """
     s, sigma = rh.reduce_sym(S)
     s, sigma = float(s), float(sigma)
@@ -38,17 +40,17 @@ def oracle_conjugate(law, S, d_max=8.0, n=801):
         return s * d + sigma * t / 3.0 - law.value_dt(d, t)
 
     d_grid = np.linspace(0.0, d_max, n)
-    t_grid = np.linspace(-d_max, d_max, 201)
+    t_grid = np.linspace(-d_max, d_max, n_t)
     vals = g(d_grid[:, None], t_grid[None, :])
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     best = vals[i, j]
-    for _ in range(8):
+    for _ in range(rounds):
         dl = d_grid[max(i - 1, 0)]
         dh = d_grid[min(i + 1, d_grid.size - 1)]
         tl = t_grid[max(j - 1, 0)]
         th = t_grid[min(j + 1, t_grid.size - 1)]
-        d_grid = np.linspace(dl, dh, 41)
-        t_grid = np.linspace(tl, th, 41)
+        d_grid = np.linspace(dl, dh, n_fine)
+        t_grid = np.linspace(tl, th, n_fine)
         vals = g(d_grid[:, None], t_grid[None, :])
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = vals[i, j]
@@ -229,7 +231,11 @@ def test_tabulated_conjugate_matches_grid_oracle():
     law = rh.mollify(base, 0.05)
     S = sym(0.5, -0.2, -0.3, 0.1, 0.0, 0.05)
     got = rh.conjugate_batch(law, *rh.reduce_sym(S))
-    want = oracle_conjugate(law, S, d_max=4.0, n=401)
+    # each point is a kernel quadrature: a coarse first scan and more,
+    # smaller refinement rounds reach the value of the 401 x 201 scan
+    # (to 1.4e-16) in a tenth of the points
+    want = oracle_conjugate(law, S, d_max=4.0, n=101, n_t=51, rounds=12,
+                            n_fine=21)
     assert got == pytest.approx(want, abs=1e-6)
 
 

@@ -181,7 +181,7 @@ def test_snapshot_text_matches_savetxt(tmp_path, monkeypatch, rows_per_write):
     sp.write_snapshot(str(path), grid, basis, state, setup.stepper._ub_cc)
 
     u = gk.synthesize(basis, state.v) + setup.stepper._ub_cc
-    cols = [*grid.coords(), rho, u[..., 0], u[..., 1], u[..., 2], c]
+    cols = [*grid.coords(), rho, u[0], u[1], u[2], c]
     cols += [q[..., i] for i in range(5)]
     data = np.stack([col.reshape(-1) for col in cols], axis=1)
     header = "\n".join(line[2:] for line in path.read_text().splitlines()
@@ -210,7 +210,7 @@ def test_read_velocity_fields_parses_the_file_once(tmp_path, monkeypatch):
     rho, u = sp.read_velocity_fields(path)
     assert len(calls) == 1
     assert np.array_equal(rho, data[:, 3].reshape(setup.grid.shape))
-    assert np.array_equal(u, data[:, 4:7].reshape(setup.grid.shape + (3,)))
+    assert np.array_equal(u, data[:, 4:7].T.reshape((3,) + setup.grid.shape))
     assert np.array_equal(rho, setup.state0.rho)
 
 

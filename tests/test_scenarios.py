@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nematoflow import scenarios as sn
 from nematoflow import tensors
 from nematoflow.errors import ConfigError
+from nematoflow.simulation import q_components
 
 
 def test_parse_round_trip():
@@ -123,7 +124,7 @@ def test_default_scenario_builds_admissible_state():
     setup = sn.build(sn.default_scenario(grid_cells=8))
     st = setup.state0
     assert np.all(st.rho > 0)
-    m = tensors.to_matrix(st.q)
+    m = tensors.to_matrix(q_components(st.q))
     assert np.max(np.abs(np.trace(m, axis1=-2, axis2=-1))) < 1e-13
     assert np.max(np.abs(m - np.swapaxes(m, -1, -2))) == 0.0
 
@@ -131,7 +132,7 @@ def test_default_scenario_builds_admissible_state():
 def test_uniaxial_selectors():
     sc = sn.zero_scenario(init_q="uniaxial:0.5,1,0,0", bc_q="uniaxial:0.5,1,0,0")
     setup = sn.build(sc)
-    qm = tensors.to_matrix(setup.state0.q)
+    qm = tensors.to_matrix(q_components(setup.state0.q))
     n = np.array([1.0, 0.0, 0.0])
     expect = 0.5 * (np.outer(n, n) - np.eye(3) / 3.0)
     assert np.max(np.abs(qm - expect)) < 1e-14
@@ -155,8 +156,8 @@ def test_channel_boundary_profile_vanishes_at_walls():
     # zero tangential speed while the midplane carries the peak.
     X, Y, Z = g.coords()
     vals = ub(X, Y, Z)
-    assert vals.shape == X.shape + (3,)
+    assert vals.shape == (3,) + X.shape
     lo = ub(X[:1] * 0, Y[:1] * 0, Z[:1] * 0)
     assert np.max(np.abs(lo)) < 1e-14
-    mid = vals[:, g.shape[1] // 2, g.shape[2] // 2, 0]
+    mid = vals[0, :, g.shape[1] // 2, g.shape[2] // 2]
     assert np.max(np.abs(mid)) > 0.1

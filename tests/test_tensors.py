@@ -81,9 +81,9 @@ def test_commutator_frozen_example():
 
 
 def skew(lam):
-    """Dense skew matrices from packed [l12, l13, l23], shape (..., 3, 3)."""
-    L = np.zeros(lam.shape[:-1] + (3, 3))
-    L[..., 0, 1], L[..., 0, 2], L[..., 1, 2] = np.moveaxis(lam, -1, 0)
+    """Dense skew matrices (..., 3, 3) from packed [l12, l13, l23] (3, ...)."""
+    L = np.zeros(lam.shape[1:] + (3, 3))
+    L[..., 0, 1], L[..., 0, 2], L[..., 1, 2] = lam
     return L - np.swapaxes(L, -1, -2)
 
 
@@ -108,8 +108,8 @@ def max_rel_gap(got, want):
 def test_packed_commutator_and_bulk_field_match_matrix_route_on_fields():
     # closed-form packed products against 3x3 matmuls on random 16^3 fields
     rng = np.random.default_rng(6)
-    q = rng.normal(size=(16, 16, 16, 5))
-    lam = rng.normal(size=(16, 16, 16, 3))
+    q = rng.normal(size=(5, 16, 16, 16))
+    lam = rng.normal(size=(3, 16, 16, 16))
     c = rng.uniform(0.0, 2.0, size=(16, 16, 16))
     Q, L = tn.to_matrix(q), skew(lam)
     assert max_rel_gap(tn.to_matrix(tn.commutator(q, lam)),
@@ -136,17 +136,17 @@ def test_sweep_products_build_no_matrices(monkeypatch):
 
     grid = Grid(extents=(1.0, 1.0, 1.0), shape=(6, 6, 6))
     rng = np.random.default_rng(7)
-    q = 0.1 * rng.normal(size=grid.shape + (5,))
-    lam = rng.normal(size=grid.shape + (3,))
+    q = 0.1 * rng.normal(size=(5,) + grid.shape)
+    lam = rng.normal(size=(3,) + grid.shape)
     c = np.ones(grid.shape)
     rules = BoundaryFaces(grid, BoundaryData(
         BoundaryVelocity("zero", grid), 1.0, 0.1 * rng.normal(size=5))).q_rules
     monkeypatch.setattr(tn, "to_matrix", no_matrix)
     tn.commutator(q, lam)
     tn.bulk_molecular_field(q, c, b=0.2, c_star=1.0)
-    step_q(grid, q, np.zeros(grid.shape + (3,)), lam, c, dt=1e-3, gamma=0.25,
+    step_q(grid, q, np.zeros((3,) + grid.shape), lam, c, dt=1e-3, gamma=0.25,
            b=0.2, c_star=1.0, q_rules=rules)
-    rotational_stress(grid, np.moveaxis(pad(q, rules), -1, 0))
+    rotational_stress(grid, pad(q, rules))
 
 
 def test_scalar_invariants_frozen():
@@ -217,14 +217,14 @@ def test_bulk_field_commutes_with_q():
 
 def test_broadcasting_over_fields():
     rng = np.random.default_rng(5)
-    q = rng.normal(size=(4, 6, 5))
-    lam = rng.normal(size=(4, 6, 3))
+    q = rng.normal(size=(5, 4, 6))
+    lam = rng.normal(size=(3, 4, 6))
     out = tn.commutator(q, lam)
-    assert out.shape == (4, 6, 5)
+    assert out.shape == (5, 4, 6)
     for i in range(4):
         for j in range(6):
-            single = tn.commutator(q[i, j], lam[i, j])
-            assert np.allclose(out[i, j], single, atol=1e-14)
+            single = tn.commutator(q[:, i, j], lam[:, i, j])
+            assert np.allclose(out[:, i, j], single, atol=1e-14)
     m = tn.to_matrix(q)
     assert m.shape == (4, 6, 3, 3)
     assert np.allclose(tn.from_matrix(m), q, atol=1e-15)
@@ -238,8 +238,8 @@ def test_frobenius_and_dev():
 
 def test_packed_dot_matches_matrix_pairing():
     rng = np.random.default_rng(9)
-    a = rng.normal(size=(4, 7, 5))
-    b = rng.normal(size=(4, 7, 5))
+    a = rng.normal(size=(5, 4, 7))
+    b = rng.normal(size=(5, 4, 7))
     expected = tn.frobenius(tn.to_matrix(a), tn.to_matrix(b))
     assert np.allclose(tn.packed_dot(a, b), expected, atol=1e-13)
     assert np.allclose(tn.packed_dot(a, a), tn.trace_q2(a), atol=1e-13)

@@ -7,7 +7,8 @@ from nematoflow import pressure as pr
 from nematoflow import rheology as rh
 from nematoflow import tensors
 from nematoflow import weakforms as wf
-from nematoflow.simulation import CoupledStepper, Physics, State, run_coupled
+from nematoflow.simulation import (CoupledStepper, Physics, State, q_exchange,
+                                  run_coupled)
 
 
 def make_stepper(n, m, dt, eps, ub_kind="channel", peak=0.25):
@@ -32,11 +33,11 @@ def rich_state(grid, basis):
     rho = 1.0 + 0.05 * np.sin(np.pi * X) * np.cos(np.pi * Y)
     c = 1.0 + 0.2 * np.cos(np.pi * X) * np.sin(np.pi * Z)
     bump = np.sin(np.pi * X) * np.sin(np.pi * Y) * np.sin(np.pi * Z)
-    q = np.zeros(shp + (5,))
-    q[..., 0] = 0.1 * bump
-    q[..., 1] = 0.06 * bump
-    q[..., 3] = -0.05 * bump
-    q = tensors.project_s30(tensors.to_matrix(q))
+    q = np.zeros((5,) + shp)
+    q[0] = 0.1 * bump
+    q[1] = 0.06 * bump
+    q[3] = -0.05 * bump
+    q = q_exchange(tensors.project_s30(tensors.to_matrix(q)))
     return State(0.0, rho, c, q, np.zeros(basis.n))
 
 
