@@ -13,7 +13,9 @@ through ghost cells rho_g = alpha * rho_i + (1 - alpha) * rho_B with
 alpha = (eps/h + ubn_neg/2) / (eps/h - ubn_neg/2), a convex combination, so
 the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
-Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13.
+Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13,
+started from the right side or the density of the previous coupling sweep;
+a non-finite residual raises StabilityError, the cap ConditioningError.
 
 ``ContinuitySolver.rules`` holds the six affine ``pad`` rules
 (alpha, (1 - alpha) rho_B) in face order; the density gradient, the
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import galerkin as gk
 from .domain import gradient, slab, volume_integral
-from .errors import StabilityError
+from .errors import ConditioningError, StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
@@ -121,22 +123,26 @@ class ContinuitySolver:
             out[hi] -= xs[lo]
         return out
 
-    def _solve_diffusion(self, rhs):
-        """(I + eps*dt*(-L)) rho = rhs by Jacobi-preconditioned CG."""
+    def _solve_diffusion(self, rhs, start=None):
+        """(I + eps*dt*(-L)) rho = rhs, Jacobi-preconditioned CG from start."""
         a = self.eps * self.dt
         M_inv = 1.0 / (1.0 + a * self.neg_lap_diag)
 
         def apply_A(x):
             return x + a * self._neg_lap_hom(x)
 
-        x = rhs.copy()
+        x = (rhs if start is None else start).copy()
         r = rhs - apply_A(x)
         z = M_inv * r
         p = z.copy()
         rz = float((r * z).sum())
         norm0 = float(np.sqrt((rhs * rhs).sum())) or 1.0
         iters = 0
-        while np.sqrt((r * r).sum()) > _CG_TOL * norm0 and iters < _CG_MAXITER:
+        while not (res := np.sqrt((r * r).sum())) <= _CG_TOL * norm0:
+            if not np.isfinite(res):
+                raise StabilityError("density CG: non-finite residual")
+            if iters >= _CG_MAXITER:
+                raise ConditioningError(f"density CG failed in {iters} iterations")
             Ap = apply_A(p)
             alpha = rz / float((p * Ap).sum())
             x += alpha * p
@@ -146,8 +152,6 @@ class ContinuitySolver:
             p = z + (rz_new / rz) * p
             rz = rz_new
             iters += 1
-        if iters >= _CG_MAXITER:
-            raise RuntimeError("diffusion solve failed to converge")
         return x, iters
 
     # ----------------------------------------------------------- stepping
@@ -205,21 +209,20 @@ class ContinuitySolver:
         """Central-difference gradient using this solver's boundary ghosts."""
         return gradient(self.grid, rho, self.rules)
 
-    def step(self, rho, fv, t=0.0):
-        """One step; returns (rho_new, info dict)."""
+    def step(self, rho, fv, t=0.0, start=None):
+        """One step with the CG from start; returns (rho_new, info dict)."""
         self.check_stability(fv)
         g = self.grid
         div, mass_in, mass_out = self.advective_flux_divergence(rho, fv)
-        star = rho - self.dt * div
+        rhs = rho - self.dt * div
         if self.source is not None:
             X, Y, Z = g.coords()
-            star = star + self.dt * self.source(X, Y, Z, t)
+            rhs = rhs + self.dt * self.source(X, Y, Z, t)
         # implicit diffusion: affine boundary term moves to the right side
-        rhs = star.copy()
         a = self.eps * self.dt
         for face, (_, b) in zip(self.boundary.faces, self.rules):
             rhs[face.wall] += a * (b / g.h[face.axis] ** 2)
-        rho_new, iters = self._solve_diffusion(rhs)
+        rho_new, iters = self._solve_diffusion(rhs, start)
         # diffusive boundary flux at the new state (outward normal direction)
         eps_flux = sum(face.area_element * float(flux.sum()) for face, flux
                        in zip(self.boundary.faces, self.wall_fluxes(rho_new)))

@@ -18,7 +18,8 @@ affine ghost rule ghost = a * w + b (``pad``: mirror, Dirichlet Q_B, Robin
 density).  The six ghost rules of ``pad`` and the six faces of
 ``decompose_boundary`` and ``BoundaryFaces`` share one order, x-, x+, y-,
 y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
-up by index.
+up by index.  ``upwind_differences`` depend on the field alone, so a
+coupled step builds them once and ``advect_upwind`` only selects.
 """
 
 from dataclasses import dataclass
@@ -137,15 +138,18 @@ def laplacian_padded(grid, P):
     return out
 
 
-def advect_upwind(grid, P, u):
-    """u . grad(f) with first-order upwinding; P is the ghost-padded field,
-    u the (3, nx, ny, nz) velocity."""
-    out = np.zeros(_shift(P, 0, 0).shape)
-    for axis in range(3):
-        # difference quotients on the n + 1 faces along the axis: cell i
-        # has its backward one on face i and its forward one on face i + 1
-        d = np.diff(P[slab(axis, slice(None), slice(1, -1))],
-                    axis=axis - 3) / grid.h[axis]
+def upwind_differences(grid, P):
+    """Per grid axis, the difference quotients of the padded P on the n + 1
+    faces: cell i has its backward one on face i, its forward one on i + 1."""
+    return [np.diff(P[slab(axis, slice(None), slice(1, -1))],
+                    axis=axis - 3) / grid.h[axis] for axis in range(3)]
+
+
+def advect_upwind(grid, diffs, u):
+    """u . grad(f) with first-order upwinding; diffs: the face quotients
+    of f from ``upwind_differences``, u the (3, nx, ny, nz) velocity."""
+    out = np.zeros(diffs[0].shape[:-3] + grid.shape)
+    for axis, d in enumerate(diffs):
         bwd, fwd = d[slab(axis, slice(None, -1))], d[slab(axis, slice(1, None))]
         out += u[axis] * np.where(u[axis] > 0.0, bwd, fwd)
     return out

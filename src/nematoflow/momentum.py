@@ -5,16 +5,16 @@ walls, so every stress enters the balance through a pairing with the test
 gradient and no surface terms appear.  The mass pairing M_ij = int rho w_i
 w_j is one m^3 x m^3 block shared by the three velocity components.
 
-Layout: grid axes last, as in every module.  The velocity u is
-(3, nx, ny, nz), packed Q is (5, nx, ny, nz) (``State.q`` reaches here
-through ``simulation.q_components``), and the velocity Jacobian
-J[a, d] = du_a/dx_d, the stresses and the total flux T[a, d] are
-(3, 3, nx, ny, nz), so each entry is one contiguous field.  The flux is
-written entry by entry: the six symmetric entries of
-rho u (x) u + p I - S - tau - sigma_a, then the rotational stress, +-r off
-the diagonal.  The viscous stress S comes
-from the (d, t) core of the rheology (``rheology.subgradient_dt``) applied
-to the entries of D; no (..., 3, 3) array is built.
+Layout: grid axes last, as in every module: u is (3, nx, ny, nz), packed
+Q (5, ...) (``State.q`` reaches here through ``simulation.q_components``),
+the Jacobian J[a, d] = du_a/dx_d and the flux T[a, d] (3, 3, ...).  The
+stresses keep packed encodings: tau its six upper entries (6, ...),
+sigma_a = sigma* c^2 Q packed like Q, the skew sigma_r as (r12, r13, r23)
+like lam.  T is written entry by entry: each upper entry of
+rho u (x) u + p I - S - tau - sigma_a once, mirrored, then +-r off the
+diagonal.  S comes from the (d, t) core of the rheology
+(``rheology.subgradient_dt``) applied to the entries of D; T is the one
+(3, 3, ...) array built.
 """
 
 import numpy as np
@@ -37,18 +37,17 @@ _OFF = ((0, 1), (0, 2), (1, 2))
 
 def elastic_stress(grid, P, c_star):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
-    + c*/4 tr^2(Q^2); shape (3, 3, nx, ny, nz).  P: packed Q (5, ...)
-    ghost-padded by the Dirichlet rules of the wall Q_B."""
+    + c*/4 tr^2(Q^2), as its upper entries (6, nx, ny, nz) in ``_UPPER``
+    order.  P: packed Q (5, ...) padded by the Dirichlet rules of Q_B."""
     gq = gradient_padded(grid, P)                      # (3, 5, ...)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
     # encoding, so the pairing carries the 33 and off-diagonal weights
-    odot = {(i, j): tensors.packed_dot(gq[i], gq[j]) for i, j in _UPPER}
+    tau = np.stack([tensors.packed_dot(gq[i], gq[j]) for i, j in _UPPER])
     t2 = tensors.trace_q2(P[..., 1:-1, 1:-1, 1:-1])
-    g_scal = 0.5 * (odot[0, 0] + odot[1, 1] + odot[2, 2]) + 0.5 * t2 \
+    g_scal = 0.5 * (tau[0] + tau[3] + tau[5]) + 0.5 * t2 \
         + 0.25 * c_star * t2 * t2
-    tau = np.empty((3, 3) + t2.shape)
-    for (i, j), val in odot.items():
-        tau[i, j] = tau[j, i] = g_scal - val if i == j else -val
+    np.negative(tau, out=tau)
+    tau[[0, 3, 5]] += g_scal                           # the diagonal of _UPPER
     return tau
 
 
@@ -57,30 +56,23 @@ def rotational_stress(grid, P):
     rules, as in ``elastic_stress``; the non-derivative molecular-field
     terms commute with Q, so only the Laplacian survives the commutator.
 
-    Q and L are symmetric, so Q L - L Q = 2 skew(Q L) and its three
-    independent entries are closed forms in the packed components.
+    Q and L are symmetric, so Q L - L Q = 2 skew(Q L): its entries
+    (r12, r13, r23), (3, nx, ny, nz), are closed forms in the packed ones.
     """
     q11, q12, q13, q22, q23 = P[..., 1:-1, 1:-1, 1:-1]
     l11, l12, l13, l22, l23 = laplacian_padded(grid, P)
     q33 = -q11 - q22
     l33 = -l11 - l22
-    sig = np.zeros((3, 3) + q11.shape)
-    sig[0, 1] = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13
-    sig[0, 2] = (q11 - q33) * l13 + q13 * (l33 - l11) + q12 * l23 - q23 * l12
-    sig[1, 2] = (q22 - q33) * l23 + q23 * (l33 - l22) + q12 * l13 - q13 * l12
-    for i, j in _OFF:
-        np.negative(sig[i, j], out=sig[j, i])
+    sig = np.empty((3,) + q11.shape)
+    sig[0] = (q11 - q22) * l12 + q12 * (l22 - l11) + q13 * l23 - q23 * l13
+    sig[1] = (q11 - q33) * l13 + q13 * (l33 - l11) + q12 * l23 - q23 * l12
+    sig[2] = (q22 - q33) * l23 + q23 * (l33 - l22) + q12 * l13 - q13 * l12
     return sig
 
 
 def active_stress(q, c, sigma_star):
-    """sigma* c^2 Q from packed q (5, ...); shape (3, 3, ...)."""
-    q11, q12, q13, q22, q23 = np.asarray(q, dtype=float)
-    s = sigma_star * (c * c)
-    sig = np.empty((3, 3) + s.shape)
-    for (i, j), qij in zip(_UPPER, (q11, q12, q13, q22, q23, -q11 - q22)):
-        sig[i, j] = sig[j, i] = s * qij
-    return sig
+    """sigma* c^2 Q from packed q (5, ...), packed like q."""
+    return sigma_star * (c * c) * np.asarray(q, dtype=float)
 
 
 def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
@@ -91,7 +83,7 @@ def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
     u: (3, ...) cell-center velocity; u_jac: Jacobian J[a, d] of the full
     velocity v + u_B; q: packed Q (5, ...).  q_rules: Dirichlet ghost rules
     of the wall order tensor; q is padded by them once, for both the
-    gradient and the Laplacian.
+    gradient and the Laplacian.  T is the one (3, 3, ...) array built.
     """
     J = u_jac
     D = {(a, b): J[a, a] if a == b else 0.5 * (J[a, b] + J[b, a])
@@ -109,19 +101,19 @@ def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
     p = pr.pressure(pressure_law, rho)
     rho_u = rho * u
     T = np.empty((3, 3) + rho.shape)
-    for a, b in _UPPER:
+    for k, (a, b) in enumerate(_UPPER):
         val = np.multiply(u[a], rho_u[b], out=T[a, b])
         if a == b:
             val += p
             val -= scale * (D[a, a] - t3) + ft
         else:
             val -= scale * D[a, b]
-        val -= tau[a, b]
-        val -= sig_a[a, b]
+        val -= tau[k]
+        val -= sig_a[k] if k < 5 else -(sig_a[0] + sig_a[3])
         T[b, a] = val
-    for a, b in _OFF:
-        T[a, b] -= sig_r[a, b]
-        T[b, a] -= sig_r[b, a]
+    for r, (a, b) in zip(sig_r, _OFF):
+        T[a, b] -= r
+        T[b, a] += r
     return T
 
 

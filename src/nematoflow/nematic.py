@@ -14,6 +14,8 @@ Q to packed Q (the corotation and the bulk field are closed-form packed
 products), so symmetry and tracelessness hold by the encoding and no final
 projection is needed.
 
+Both advections select from face differences of the old field
+(``domain.upwind_differences``), which a coupled step builds once.
 Layout: grid axes last; Q is (5, nx, ny, nz), u and lam (3, nx, ny, nz)
 (``State.q`` reaches here through ``simulation.q_components``).  A NaN
 fails every step guard, so a non-finite velocity raises StabilityError.
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.fft
 
 from . import tensors
-from .domain import advect_upwind, laplacian, pad
+from .domain import advect_upwind, laplacian
 from .errors import StabilityError
 
 
@@ -57,11 +59,11 @@ def diffuse_neumann(grid, f, coeff, dt):
     return scipy.fft.idctn(fh / denom, type=2, norm="ortho")
 
 
-def step_concentration(grid, c, u, d0, dt):
-    """One transport-diffusion step for the concentration field."""
+def step_concentration(grid, c, diffs, u, d0, dt):
+    """One transport-diffusion step of c; diffs: its upwind differences."""
     _diffusion_guard(grid, d0, dt, "D0")
     _advective_guard(grid, u, dt)
-    star = c - dt * advect_upwind(grid, pad(c), u)
+    star = c - dt * advect_upwind(grid, diffs, u)
     return diffuse_neumann(grid, star, d0, dt)
 
 
@@ -100,20 +102,20 @@ def ldg_energy(grid, q, c, b, c_star, boundary):
     return grad_part + float(bulk.sum()) * vol
 
 
-def step_q(grid, q, u, lam, c, dt, gamma, b, c_star, q_rules):
+def step_q(grid, q, diffs, u, lam, c, dt, gamma, b, c_star, q_rules):
     """One split step: advection, corotation, relaxation.
 
     The stages stay in the packed encoding, so the result is symmetric
     traceless by construction and is returned as computed.  Raises
     StabilityError if it holds a non-finite entry.
 
-    q: packed Q (5, ...); u: velocity (3, ...); lam: packed skew part
-    [l12, l13, l23] of the velocity gradient, (3, ...).
+    q: packed Q (5, ...) and diffs its upwind differences; u: velocity
+    (3, ...); lam: packed skew part [l12, l13, l23] of grad u, (3, ...).
     q_rules: the Dirichlet ghost rules of the wall order tensor.
     """
     _diffusion_guard(grid, gamma, dt, "Gamma")
     _advective_guard(grid, u, dt)
-    q1 = q - dt * advect_upwind(grid, pad(q, q_rules), u)
+    q1 = q - dt * advect_upwind(grid, diffs, u)
     q2 = q1 - dt * tensors.commutator(q1, lam)
     q3 = q2 + dt * gamma * molecular_field(grid, q2, c, b, c_star, q_rules)
     if not np.all(np.isfinite(q3)):

@@ -26,7 +26,9 @@ of ``v_next``, which the plain map contracts more slowly than Anderson
 mixing does.  The step stores the fields of the last sweep with the
 velocity that sweep returned, so no further sweep is run: the fields were
 advanced by an iterate within one increment of it (within ``picard_tol``
-when the plain test stopped the iteration).
+when the plain test stopped the iteration).  Built once per step: the
+packed old Q and the upwind differences of c^n and Q^n.  The density CG of
+each sweep starts from the density of the sweep before.
 
 Layout: the solvers work on fields with grid axes last.  ``State.q`` alone
 keeps the (nx, ny, nz, 5) exchange layout of snapshots and callers;
@@ -41,7 +43,7 @@ import numpy as np
 from . import galerkin as gk
 from . import momentum as mom
 from .continuity import ContinuitySolver, face_lift, face_velocities
-from .domain import BoundaryFaces
+from .domain import BoundaryFaces, pad, upwind_differences
 from .errors import FixedPointError
 from .nematic import step_concentration, step_q
 
@@ -130,17 +132,19 @@ class CoupledStepper:
         a, d = _SKEW
         return u, J, 0.5 * (J[a, d] - J[d, a])
 
-    def advance_fields(self, state, v, u, lam):
+    def advance_fields(self, state, q, diffs, rho_start, v, u, lam):
         """One step of rho, c, Q driven by the velocity for v.
 
-        u, lam: cell-center velocity and packed skew part for v, as returned
-        by ``velocity_fields``.  The new Q is returned packed, (5, ...).
+        q, diffs: packed state.q and the upwind differences of state.c and
+        q; rho_start: first density CG iterate; u, lam: cell-center velocity
+        and packed skew part for v (``velocity_fields``).  Returns Q packed.
         """
         fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
-        rho_new, cont_info = self.continuity.step(state.rho, fv, t=state.t)
-        c_new = step_concentration(self.grid, state.c, u, self.physics.d0,
-                                   self.dt)
-        q_new = step_q(self.grid, q_components(state.q), u, lam, state.c,
+        rho_new, cont_info = self.continuity.step(state.rho, fv, t=state.t,
+                                                  start=rho_start)
+        c_new = step_concentration(self.grid, state.c, diffs[0], u,
+                                   self.physics.d0, self.dt)
+        q_new = step_q(self.grid, q, diffs[1], u, lam, state.c,
                        self.dt, self.physics.gamma, self.physics.b,
                        self.physics.c_star, self.boundary.q_rules)
         return rho_new, c_new, q_new, cont_info
@@ -163,12 +167,15 @@ class CoupledStepper:
         beta = THETA
         d_v = deque(maxlen=ANDERSON_DEPTH)    # differences of iterates
         d_f = deque(maxlen=ANDERSON_DEPTH)    # differences of residuals
-        v_last = f_last = None    # previous iterate and its residual
+        v_last = f_last = rho_k = None    # last iterate, residual, density
         increments = []
+        q = q_components(state.q)
+        diffs = [upwind_differences(self.grid, P) for P in
+                 (pad(state.c), pad(q, self.boundary.q_rules))]
         for _ in range(PICARD_MAX_ITER):
             u, J, lam = self.velocity_fields(v_cur)
-            rho_k, c_k, q_k, cont_info = self.advance_fields(state, v_cur, u,
-                                                             lam)
+            rho_k, c_k, q_k, cont_info = self.advance_fields(
+                state, q, diffs, rho_k, v_cur, u, lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
             f = v_next - v_cur

@@ -100,6 +100,8 @@ def _parse_snapshot(path):
         raise ConfigError(
             f"snapshot {path}: expected {n_cells} rows x 13 columns, got "
             f"{data.shape}")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(data))):
+        raise ConfigError(f"snapshot {path}: non-finite coeffs or data values")
     rho = data[:, 3].reshape(shape)
     c = data[:, 7].reshape(shape)
     q = data[:, 8:13].reshape(shape + (5,))

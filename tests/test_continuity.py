@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from nematoflow import continuity
 from nematoflow.continuity import (
     ContinuitySolver,
     face_divergence,
@@ -21,7 +22,7 @@ from nematoflow.domain import (
     laplacian,
     volume_integral,
 )
-from nematoflow.errors import StabilityError
+from nematoflow.errors import ConditioningError, StabilityError
 from nematoflow.galerkin import build_basis
 from nematoflow.tensors import uniaxial
 
@@ -321,3 +322,56 @@ def test_diffusion_solve_pads_nothing(monkeypatch):
     a = solver.eps * solver.dt
     ax = x + a * _homogeneous_robin_reference(solver, x)
     assert np.max(np.abs(ax - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+def test_warm_started_cg_meets_the_residual_bound():
+    # from any start the accepted iterate meets the bound of a cold start;
+    # from the exact solution no iteration runs
+    grid, solver, _, _ = make_setup(n=12, ub_kind="channel", peak=0.3)
+    a = solver.eps * solver.dt
+
+    def apply_a(x):
+        return x + a * solver._neg_lap_hom(x)
+
+    rng = np.random.default_rng(4)
+    rhs = 1.0 + 0.2 * rng.random(grid.shape)
+    cold, cold_iters = solver._solve_diffusion(rhs)
+    norm = np.linalg.norm
+    for start in (rng.random(grid.shape), cold + 1e-6 * rng.random(grid.shape)):
+        x, iters = solver._solve_diffusion(rhs, start)
+        assert norm(apply_a(x) - rhs) <= continuity._CG_TOL * norm(rhs)
+        assert np.max(np.abs(x - cold)) <= 1e-12
+    assert iters < cold_iters
+    exact = rng.random(grid.shape)
+    x, iters = solver._solve_diffusion(apply_a(exact), exact)
+    assert iters == 0
+    assert np.array_equal(x, exact)
+
+
+@pytest.mark.parametrize("where", ["rhs", "start", "start_inf"])
+def test_cg_rejects_non_finite_input(where):
+    # NaN fails every comparison: a stop test written res > tol returned
+    # the NaN right side after 0 iterations
+    grid, solver, _, _ = make_setup(n=8)
+    rhs = np.ones(grid.shape)
+    start = rhs.copy()
+    bad = rhs if where == "rhs" else start
+    bad[2, 3, 4] = np.inf if where == "start_inf" else np.nan
+    with pytest.raises(StabilityError, match="non-finite"):
+        solver._solve_diffusion(rhs, start)
+
+
+def test_density_step_rejects_nan_density():
+    grid, solver, fv, _ = make_setup(n=8)
+    rho = np.ones(grid.shape)
+    rho[1, 2, 3] = np.nan
+    with pytest.raises(StabilityError, match="non-finite"):
+        solver.step(rho, fv)
+
+
+def test_cg_iteration_cap_raises_conditioning_error(monkeypatch):
+    grid, solver, _, _ = make_setup(n=8)
+    rhs = 1.0 + 0.2 * np.random.default_rng(3).random(grid.shape)
+    monkeypatch.setattr(continuity, "_CG_MAXITER", 1)
+    with pytest.raises(ConditioningError, match="failed in 1 iterations"):
+        solver._solve_diffusion(rhs)

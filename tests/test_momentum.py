@@ -58,12 +58,25 @@ def matrices(T):
     return np.moveaxis(T, (0, 1), (-2, -1))
 
 
+def unpack(entries, skew=False):
+    """(..., 3, 3) matrices from the six upper entries (11, 12, 13, 22, 23,
+    33) of a symmetric field, or from (r12, r13, r23) of a skew one."""
+    if skew:
+        r12, r13, r23 = entries
+        z = np.zeros_like(r12)
+        rows = (z, r12, r13, -r12, z, r23, -r13, -r23, z)
+    else:
+        t11, t12, t13, t22, t23, t33 = entries
+        rows = (t11, t12, t13, t12, t22, t23, t13, t23, t33)
+    return np.stack(rows, axis=-1).reshape(entries[0].shape + (3, 3))
+
+
 def test_active_stress_frozen():
     q5 = from_matrix(np.diag([-1.0 / 3, -1.0 / 3, 2.0 / 3]))
     c = np.ones((4, 4, 4))
     q = uniform(q5, (4, 4, 4))
     sig = active_stress(q, c, sigma_star=-1.0)
-    assert np.max(np.abs(matrices(sig) - (-to_matrix(q)))) < 1e-15
+    assert np.max(np.abs(to_matrix(sig) - (-to_matrix(q)))) < 1e-15
 
 
 def test_elastic_stress_uniform_frozen():
@@ -75,7 +88,7 @@ def test_elastic_stress_uniform_frozen():
     faces = uniform_q_faces(grid, q5)
     tau = elastic_stress(grid, pad(q, faces), c_star=1.0)
     expected = (4.0 / 9.0) * np.eye(3)
-    assert np.max(np.abs(matrices(tau) - expected)) < 1e-13
+    assert np.max(np.abs(unpack(tau) - expected)) < 1e-13
 
 
 def test_elastic_stress_nonuniform_matrix_route():
@@ -103,7 +116,7 @@ def test_elastic_stress_nonuniform_matrix_route():
     g_scal = 0.5 * np.einsum("...ii->...", odot) + 0.5 * t2 \
         + 0.25 * 1.3 * t2 * t2
     expected = g_scal[..., None, None] * np.eye(3) - odot
-    assert np.max(np.abs(matrices(tau) - expected)) < 1e-12
+    assert np.max(np.abs(unpack(tau) - expected)) < 1e-12
     assert np.max(np.abs(odot)) > 1e-3
 
 
@@ -132,7 +145,7 @@ def test_rotational_stress_equals_full_molecular_commutator():
     qm, hm = to_matrix(q), to_matrix(h_full)
     direct = qm @ hm - hm @ qm
     shortcut = rotational_stress(grid, pad(q, faces))
-    assert np.max(np.abs(direct - matrices(shortcut))) < 1e-12
+    assert np.max(np.abs(direct - unpack(shortcut, skew=True))) < 1e-12
 
 
 def test_rotational_stress_antisymmetric():
@@ -140,8 +153,9 @@ def test_rotational_stress_antisymmetric():
     X, Y, Z = grid.coords()
     q = np.zeros((5,) + grid.shape)
     q[1] = 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Z)
-    sig = rotational_stress(grid, pad(q, zero_q_faces(grid)))
-    assert np.max(np.abs(sig + np.swapaxes(sig, 0, 1))) < 1e-15
+    sig = unpack(rotational_stress(grid, pad(q, zero_q_faces(grid))),
+                 skew=True)
+    assert np.max(np.abs(sig + np.swapaxes(sig, -1, -2))) < 1e-15
 
 
 def test_packed_rotational_stress_matches_matrix_route_on_fields():
@@ -153,7 +167,7 @@ def test_packed_rotational_stress_matches_matrix_route_on_fields():
     faces = uniform_q_faces(grid, rng.normal(size=5))
     qm, lm = to_matrix(q), to_matrix(laplacian(grid, q, faces))
     want = qm @ lm - lm @ qm
-    got = matrices(rotational_stress(grid, pad(q, faces)))
+    got = unpack(rotational_stress(grid, pad(q, faces)), skew=True)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-15
 
 
@@ -341,6 +355,27 @@ def test_flux_builds_no_matrices(monkeypatch):
                               law, isentropic_law(1.0, 2.0), f["rules"],
                               c_star=1.3, sigma_star=0.7)
         galerkin_rhs(basis, T, f["J"], eps=0.05, grad_rho=f["grad_rho"])
+
+
+def test_flux_allocates_one_tensor_field(monkeypatch):
+    # tau, sigma_r and sigma_a stay in their packed encodings (6, 3 and 5
+    # entries), so the flux T is the one (3, 3, ...) array the assembly
+    # makes; the parent built four (tau, a zero-filled sigma_r, sigma_a, T)
+    f = _random_flux_inputs()
+    made = []
+    for name in ("empty", "zeros", "ones", "full", "stack", "empty_like",
+                 "zeros_like", "negative", "multiply"):
+        def recording(*args, _make=getattr(np, name), **kwargs):
+            out = _make(*args, **kwargs)
+            made.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(np, name, recording)
+    T = assemble_stresses(f["grid"], f["rho"], f["u"], f["J"], f["c"],
+                          f["q"], LAWS[1], isentropic_law(1.0, 2.0),
+                          f["rules"], c_star=1.3, sigma_star=0.7)
+    monkeypatch.undo()
+    assert [shape for shape in made if shape[:2] == (3, 3)] == [T.shape]
 
 
 def test_step_momentum_identity_mass():

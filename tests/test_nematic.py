@@ -6,6 +6,8 @@ from nematoflow.domain import (
     BoundaryFaces,
     BoundaryVelocity,
     Grid,
+    pad,
+    upwind_differences,
     volume_integral,
 )
 from nematoflow.errors import StabilityError
@@ -44,12 +46,18 @@ def uniform(q5, shape):
     return np.broadcast_to(q5[:, None, None, None], (5,) + shape).copy()
 
 
+def diffs(grid, f, rules=None):
+    """The upwind differences a coupled step builds once for f."""
+    return upwind_differences(grid, pad(f, rules))
+
+
 def test_concentration_uniform_stationary():
     grid = make_grid()
     c = np.full(grid.shape, 0.7)
     u = np.zeros((3,) + grid.shape)
     for _ in range(5):
-        c = step_concentration(grid, c, u, d0=0.25, dt=1e-3)
+        c = step_concentration(grid, c, diffs(grid, c), u, d0=0.25,
+                               dt=1e-3)
     assert np.max(np.abs(c - 0.7)) < 1e-14
 
 
@@ -64,7 +72,7 @@ def test_concentration_diffusion_eigenmode_exact():
     u = np.zeros((3,) + grid.shape)
     lam = (2.0 - 2.0 * np.cos(np.pi * k / N)) / grid.h[0] ** 2
     expected = c / (1.0 + d0 * dt * lam)
-    out = step_concentration(grid, c, u, d0, dt)
+    out = step_concentration(grid, c, diffs(grid, c), u, d0, dt)
     assert np.max(np.abs(out - expected)) < 1e-13
 
 
@@ -79,7 +87,8 @@ def test_concentration_max_principle_and_mass():
     lo, hi = c.min(), c.max()
     mass = volume_integral(grid, c)
     for _ in range(50):
-        c = step_concentration(grid, c, u, d0=0.25, dt=1e-3)
+        c = step_concentration(grid, c, diffs(grid, c), u, d0=0.25,
+                               dt=1e-3)
     assert c.min() >= lo - 1e-12
     assert c.max() <= hi + 1e-12
     # pure diffusion preserves the mean exactly; advective-form transport
@@ -88,7 +97,8 @@ def test_concentration_max_principle_and_mass():
     m2 = volume_integral(grid, c2)
     zero_u = np.zeros((3,) + grid.shape)
     for _ in range(20):
-        c2 = step_concentration(grid, c2, zero_u, d0=0.25, dt=1e-3)
+        c2 = step_concentration(grid, c2, diffs(grid, c2), zero_u,
+                                d0=0.25, dt=1e-3)
     assert abs(volume_integral(grid, c2) - m2) < 1e-13
 
 
@@ -97,7 +107,7 @@ def test_concentration_stability_guard():
     c = np.ones(grid.shape)
     u = np.zeros((3,) + grid.shape)
     with pytest.raises(StabilityError):
-        step_concentration(grid, c, u, d0=0.25, dt=2e-2)
+        step_concentration(grid, c, diffs(grid, c), u, d0=0.25, dt=2e-2)
 
 
 def test_molecular_field_frozen_uniform():
@@ -131,7 +141,8 @@ def test_q_amplitude_ode_oracle():
         # walls follow the same uniform evolution: rebuild face data from the
         # current uniform value so the Laplacian stays zero
         faces = uniform_q_faces(grid, q[:, 0, 0, 0])
-        q = step_q(grid, q, u, lam, c, dt, gamma, 0.0, c_star, faces)
+        q = step_q(grid, q, diffs(grid, q, faces), u, lam, c, dt, gamma,
+                   0.0, c_star, faces)
     amp = np.sqrt(trace_q2(q[:, 0, 0, 0]))
     exact = amp0 / np.sqrt(1.0 + 2.0 * gamma * c_star * amp0 ** 2 * 1.0)
     assert abs(amp - exact) / exact < 0.01
@@ -154,8 +165,8 @@ def test_q_corotation_rotates_director():
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
         faces = uniform_q_faces(grid, q[:, 0, 0, 0])
-        q = step_q(grid, q, u, lam, c, dt, gamma=0.0, b=0.0, c_star=1.0,
-                   q_rules=faces)
+        q = step_q(grid, q, diffs(grid, q, faces), u, lam, c, dt,
+                   gamma=0.0, b=0.0, c_star=1.0, q_rules=faces)
     expected = uniaxial(0.5, np.array([np.cos(t_end), np.sin(t_end), 0.0]))
     assert np.max(np.abs(q[:, 0, 0, 0] - expected)) < 5e-3
 
@@ -169,8 +180,8 @@ def test_q_stability_guard():
     lam = np.zeros((3,) + grid.shape)
     faces = uniform_q_faces(grid, q5)
     with pytest.raises(StabilityError):
-        step_q(grid, q, u, lam, c, dt=2e-2, gamma=0.25, b=0.2, c_star=1.0,
-               q_rules=faces)
+        step_q(grid, q, diffs(grid, q, faces), u, lam, c, dt=2e-2,
+               gamma=0.25, b=0.2, c_star=1.0, q_rules=faces)
 
 
 def test_step_q_rejects_nonfinite_order_tensor():
@@ -179,10 +190,11 @@ def test_step_q_rejects_nonfinite_order_tensor():
     q = uniform(q5, grid.shape)
     q[1, 3, 4, 5] = np.nan
     zero3 = np.zeros((3,) + grid.shape)
+    faces = uniform_q_faces(grid, q5)
     with pytest.raises(StabilityError, match="non-finite"):
-        step_q(grid, q, zero3, zero3, np.ones(grid.shape), dt=1e-3,
-               gamma=0.25, b=0.2, c_star=1.0,
-               q_rules=uniform_q_faces(grid, q5))
+        step_q(grid, q, diffs(grid, q, faces), zero3, zero3,
+               np.ones(grid.shape), dt=1e-3, gamma=0.25, b=0.2, c_star=1.0,
+               q_rules=faces)
 
 
 def _descent_setup(n=8):
@@ -227,7 +239,8 @@ def test_relaxation_descends_free_energy():
     e_prev = ldg_energy(grid, q, c, b, c_star, qb)
     e0 = e_prev
     for _ in range(100):
-        q = step_q(grid, q, u, lam, c, dt, gamma, b, c_star, qb.q_rules)
+        q = step_q(grid, q, diffs(grid, q, qb.q_rules), u, lam, c, dt,
+                   gamma, b, c_star, qb.q_rules)
         e = ldg_energy(grid, q, c, b, c_star, qb)
         assert e <= e_prev + 1e-10
         e_prev = e
@@ -244,8 +257,8 @@ def test_q_wall_anchoring_pulls_interior():
     faces = uniform_q_faces(grid, q_wall)
     err0 = np.max(np.abs(q - q_wall[:, None, None, None]))
     for _ in range(200):
-        q = step_q(grid, q, u, lam, c, dt=5e-3, gamma=0.25, b=0.2, c_star=1.0,
-                   q_rules=faces)
+        q = step_q(grid, q, diffs(grid, q, faces), u, lam, c, dt=5e-3,
+                   gamma=0.25, b=0.2, c_star=1.0, q_rules=faces)
     err = np.max(np.abs(q - q_wall[:, None, None, None]))
     assert err < 0.5 * err0
     # packing invariants survive the run
@@ -267,16 +280,17 @@ def nan_velocity(grid):
 
 def test_nan_velocity_raises_in_concentration_step():
     grid = make_grid()
+    c = np.ones(grid.shape)
     with pytest.raises(StabilityError, match="advective weight"):
-        step_concentration(grid, np.ones(grid.shape), nan_velocity(grid),
+        step_concentration(grid, c, diffs(grid, c), nan_velocity(grid),
                            d0=0.25, dt=1e-3)
 
 
 def test_nan_velocity_raises_in_q_step():
     grid = make_grid()
     q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
+    q, faces = uniform(q5, grid.shape), uniform_q_faces(grid, q5)
     with pytest.raises(StabilityError, match="advective weight"):
-        step_q(grid, uniform(q5, grid.shape), nan_velocity(grid),
+        step_q(grid, q, diffs(grid, q, faces), nan_velocity(grid),
                np.zeros((3,) + grid.shape), np.ones(grid.shape), dt=1e-3,
-               gamma=0.25, b=0.2, c_star=1.0,
-               q_rules=uniform_q_faces(grid, q5))
+               gamma=0.25, b=0.2, c_star=1.0, q_rules=faces)

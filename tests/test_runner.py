@@ -164,6 +164,28 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
             sp.read_snapshot(str(path))
 
 
+@pytest.mark.parametrize("field", ["coeffs", "rho", "q23"])
+def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
+    # a nan density used to pass the reader and end a resumed run in
+    # "SVD did not converge" from the mass solve
+    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    path = tmp_path / "snap.txt"
+    sp.write_snapshot(str(path), setup.grid, setup.basis, setup.state0,
+                      setup.stepper._ub_cc)
+    lines = path.read_text().splitlines()
+    if field == "coeffs":
+        k = next(i for i, ln in enumerate(lines) if "coeffs =" in ln)
+        lines[k] = lines[k].rpartition(" ")[0] + " nan"
+    else:
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        row = lines[k].split()
+        row[sp.COLUMNS.split().index(field)] = "inf" if field == "q23" else "nan"
+        lines[k] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"snapshot {path}: non-finite"):
+        sp.read_snapshot(str(path))
+
+
 @pytest.mark.parametrize("rows_per_write", [sp._ROWS_PER_WRITE, 5])
 def test_snapshot_text_matches_savetxt(tmp_path, monkeypatch, rows_per_write):
     # the block writer prints the bytes np.savetxt(fmt="%.17g") would,

@@ -159,6 +159,53 @@ def test_step_runs_one_field_sweep_per_picard_iteration(monkeypatch):
                      "advance_fields": info["picard_iters"]}
 
 
+def test_step_builds_upwind_differences_once(monkeypatch):
+    # the face differences of c^n and Q^n do not depend on the iterate: one
+    # build each per step, whatever the sweep count
+    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    built = []
+    build = simulation.upwind_differences
+
+    def counted(g, P):
+        built.append(P.shape)
+        return build(g, P)
+
+    monkeypatch.setattr(simulation, "upwind_differences", counted)
+    sweeps = set()
+    for tol in (1e-5, 1e-8, 1e-13):
+        stepper.picard_tol = tol
+        built.clear()
+        _, info = stepper.step(uniform_state(grid, basis))
+        sweeps.add(info["picard_iters"])
+        assert built == [(10, 10, 10), (5, 10, 10, 10)]
+    assert len(sweeps) == 3
+
+
+def test_density_cg_starts_from_the_previous_sweep(monkeypatch):
+    # the first sweep starts the density CG from its right side, each later
+    # one from the density of the sweep before; the accepted solve is the
+    # last one and takes fewer iterations than the first
+    setup = sn.build(sn.default_scenario(grid_cells=8))
+    solver = setup.stepper.continuity
+    starts, results, iters = [], [], []
+    step = solver.step
+
+    def recording(rho, fv, t=0.0, start=None):
+        starts.append(start)
+        rho_new, info = step(rho, fv, t=t, start=start)
+        results.append(rho_new)
+        iters.append(info["cg_iters"])
+        return rho_new, info
+
+    monkeypatch.setattr(solver, "step", recording)
+    new_state, info = setup.stepper.step(setup.state0)
+    assert len(starts) == info["picard_iters"] > 2
+    assert starts[0] is None
+    assert all(s is r for s, r in zip(starts[1:], results))
+    assert new_state.rho is results[-1]
+    assert info["cg_iters"] == iters[-1] < iters[0]
+
+
 def test_run_records_trajectory():
     grid, basis, stepper = make_stepper()
     state = uniform_state(grid, basis)

@@ -127,7 +127,8 @@ def test_sweep_products_build_no_matrices(monkeypatch):
     # the per-sweep Q products stay in the packed encoding: with to_matrix
     # unavailable they still run
     from nematoflow.domain import (BoundaryData, BoundaryFaces,
-                                   BoundaryVelocity, Grid, pad)
+                                   BoundaryVelocity, Grid, pad,
+                                   upwind_differences)
     from nematoflow.momentum import rotational_stress
     from nematoflow.nematic import step_q
 
@@ -144,7 +145,8 @@ def test_sweep_products_build_no_matrices(monkeypatch):
     monkeypatch.setattr(tn, "to_matrix", no_matrix)
     tn.commutator(q, lam)
     tn.bulk_molecular_field(q, c, b=0.2, c_star=1.0)
-    step_q(grid, q, np.zeros((3,) + grid.shape), lam, c, dt=1e-3, gamma=0.25,
+    step_q(grid, q, upwind_differences(grid, pad(q, rules)),
+           np.zeros((3,) + grid.shape), lam, c, dt=1e-3, gamma=0.25,
            b=0.2, c_star=1.0, q_rules=rules)
     rotational_stress(grid, pad(q, rules))
 
