@@ -20,6 +20,7 @@ density).  The six ghost rules of ``pad`` and the six faces of
 y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
 up by index.  ``upwind_differences`` depend on the field alone, so a
 coupled step builds them once and ``advect_upwind`` only selects.
+``contract``, one table per grid axis, serves galerkin and nematic alike.
 """
 
 from dataclasses import dataclass
@@ -153,6 +154,21 @@ def advect_upwind(grid, diffs, u):
         bwd, fwd = d[slab(axis, slice(None, -1))], d[slab(axis, slice(1, None))]
         out += u[axis] * np.where(u[axis] > 0.0, bwd, fwd)
     return out
+
+
+def contract(V, Fx, Fy, Fz):
+    """out[..., i, j, c] = sum_klm V[..., k, l, m] Fx[k, i] Fy[l, j] Fz[m, c].
+
+    Sum factorisation: one axis at a time, each a (batched) matrix product,
+    so the cost is O(K N^3) rather than O(K^3 N^3) for tables of K modes.
+    The axes in front of the last three are a batch: every entry of the
+    batch gives one contiguous block of the result.
+    """
+    (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
+    A = Fx.T @ V.reshape(-1, k, l * m)              # [a, i, (l, m)]
+    A = Fy.T @ A.reshape(-1, i, l, m)               # [a, i, j, m]
+    A = A.reshape(-1, m) @ Fz                       # [(a, i, j), c]
+    return A.reshape(V.shape[:-3] + (i, j, c))
 
 
 # -------------------------------------------------------------- quadrature

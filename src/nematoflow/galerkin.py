@@ -6,14 +6,14 @@ Midpoint quadrature at cell centers is *exactly* orthogonal for these modes
 (discrete sine transform identity) as long as wavenumbers stay below the cell
 count, so the Gram check is a pure floating-point identity.
 
-Every transform is one ``_contract`` over per-axis tables, one axis at a time,
-at cost O(m N^3): synthesis uses the m x N sine tables, projection their
-transposes, derivatives the cosine table on one axis, and the mass matrix the
-pair tables S[k, i] S[K, i].  Fields have their grid axes last, as everywhere
-in the package but ``State.q``: a velocity is (3, nx, ny, nz), the Jacobian
-J[a, d] and a tensor field T[a, d] are (3, 3, nx, ny, nz), and ``_contract``
-treats the component axis as a batch, so each component is one contiguous
-block.
+Every transform is one ``domain.contract`` over per-axis tables, one axis
+at a time, at cost O(m N^3): synthesis uses the m x N sine tables,
+projection their transposes, derivatives the cosine table on one axis, and
+the mass matrix the pair tables S[k, i] S[K, i].  Fields have their grid
+axes last, as everywhere in the package but ``State.q``: a velocity is
+(3, nx, ny, nz), the Jacobian J[a, d] and a tensor field T[a, d] are
+(3, 3, nx, ny, nz), and ``contract`` treats the component axis as a batch,
+so each component is one contiguous block.
 
 Coefficient layout: reshape(m, m, m, 3) in C order; the first mode is
 (k, l, m, a) = (1, 1, 1, e_x).  It is the order of snapshots and of the
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import contract
 from .errors import ConfigError
 
 
@@ -78,38 +79,23 @@ def _pairings(basis, V):
     return scale * V.transpose(1, 2, 3, 0).reshape(basis.n)
 
 
-def _contract(V, Fx, Fy, Fz):
-    """out[..., i, j, c] = sum_klm V[..., k, l, m] Fx[k, i] Fy[l, j] Fz[m, c].
-
-    Sum factorisation: one axis at a time, each a (batched) matrix product,
-    so the cost is O(K N^3) rather than O(K^3 N^3) for tables of K modes.
-    The axes in front of the last three are a batch: every entry of the
-    batch gives one contiguous block of the result.
-    """
-    (k, i), (l, j), (m, c) = Fx.shape, Fy.shape, Fz.shape
-    A = Fx.T @ V.reshape(-1, k, l * m)              # [a, i, (l, m)]
-    A = Fy.T @ A.reshape(-1, i, l, m)               # [a, i, j, m]
-    A = A.reshape(-1, m) @ Fz                       # [(a, i, j), c]
-    return A.reshape(V.shape[:-3] + (i, j, c))
-
-
 def synthesize(basis, v):
     """Grid samples of sum_i v_i w_i at cell centers, shape (3, nx, ny, nz)."""
-    return _contract(basis.norm * _coeff_grid(basis, v), *basis.sin)
+    return contract(basis.norm * _coeff_grid(basis, v), *basis.sin)
 
 
 def project(basis, f):
     """L2 inner products <f, w_i> by midpoint quadrature; f is a
     (3, nx, ny, nz) vector field."""
-    return _pairings(basis, _contract(np.asarray(f, dtype=float),
-                                      *(S.T for S in basis.sin)))
+    return _pairings(basis, contract(np.asarray(f, dtype=float),
+                                     *(S.T for S in basis.sin)))
 
 
 def synthesize_jacobian(basis, v):
     """Analytic J[a, d] = d(mode part)_a / dx_d on grid nodes, shape
     (3, 3, nx, ny, nz)."""
     V = basis.norm * _coeff_grid(basis, v)
-    return np.stack([_contract(V, *F) for F in basis.grad], axis=1)
+    return np.stack([contract(V, *F) for F in basis.grad], axis=1)
 
 
 def project_tensor_divergence(basis, T):
@@ -117,7 +103,7 @@ def project_tensor_divergence(basis, T):
     (3, 3, nx, ny, nz): entry a pairs with velocity component a, entry d
     with the derivative d/dx_d."""
     T = np.asarray(T, dtype=float)
-    return _pairings(basis, sum(_contract(T[:, d], *(F.T for F in tables))
+    return _pairings(basis, sum(contract(T[:, d], *(F.T for F in tables))
                                 for d, tables in enumerate(basis.grad)))
 
 
@@ -130,7 +116,7 @@ def mass_matrix(basis, rho):
     m = basis.m
     pairs = ((S[:, None, :] * S[None, :, :]).reshape(m * m, -1)
              for S in basis.sin)                    # P[kK, i] = S[k,i] S[K,i]
-    R = _contract(np.asarray(rho, dtype=float), *(P.T for P in pairs))
+    R = contract(np.asarray(rho, dtype=float), *(P.T for P in pairs))
     R = R.reshape((m,) * 6).transpose(0, 2, 4, 1, 3, 5)   # [k,l,m,K,L,M]
     scale = basis.grid.cell_volume * basis.norm ** 2
     return scale * R.reshape(m ** 3, m ** 3)
@@ -158,4 +144,4 @@ def evaluate_at(basis, v, x, y, z):
         s = np.sin(np.pi * np.outer(ks, t))
         s[:, (t == 0.0) | (t == 1.0)] = 0.0
         factors.append(s)
-    return _contract(basis.norm * V, *factors)
+    return contract(basis.norm * V, *factors)

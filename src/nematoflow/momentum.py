@@ -18,7 +18,6 @@ diagonal.  S comes from the (d, t) core of the rheology
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import galerkin as gk
 from . import pressure as pr
@@ -27,7 +26,7 @@ from . import tensors
 from .domain import gradient_padded, laplacian_padded, pad
 from .errors import ConditioningError
 
-# largest mass-matrix condition number the Cholesky solve accepts
+# largest mass-matrix condition number lam_max / lam_min the eigen-solve accepts
 _COND_LIMIT = 1e12
 
 # entries a <= b of a symmetric tensor, and the three a < b
@@ -131,14 +130,18 @@ def galerkin_rhs(basis, T, u_jac, eps, grad_rho):
 
 
 def mass_solve(basis, rho, rhs):
-    """Solve the block mass system M(rho) x = rhs for each component."""
+    """Solve M(rho) x = rhs per component by one symmetric eigen-solve;
+    ConditioningError if M is not finite, not SPD or too ill-conditioned."""
     M = gk.mass_matrix(basis, rho)
-    cond = np.linalg.cond(M)
-    if cond > _COND_LIMIT:
+    if not np.all(np.isfinite(M)):
+        raise ConditioningError("mass matrix is not finite: non-finite density")
+    lam, V = np.linalg.eigh(M)
+    if not lam[0] > 0.0:
+        raise ConditioningError("mass matrix not positive definite: a density <= 0")
+    if (cond := lam[-1] / lam[0]) > _COND_LIMIT:
         raise ConditioningError(
             f"mass matrix condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
-    cf = scipy.linalg.cho_factor(M)
-    return scipy.linalg.cho_solve(cf, rhs.reshape(M.shape[0], 3)).reshape(-1)
+    return (V @ (V.T @ rhs.reshape(-1, 3) / lam[:, None])).reshape(-1)
 
 
 def step_momentum(basis, v, rho, rhs, dt):

@@ -5,7 +5,8 @@ is explicit upwind advection (advective form, a convex combination under the
 step-size guard) followed by an exact implicit diffusion solve: the
 mirror-ghost Laplacian is diagonalized by the type-II cosine transform, so
 the implicit operator inverts in closed form and the discrete maximum
-principle holds to rounding.
+principle holds to rounding.  The transform applies each axis's dense
+orthonormal DCT-II table through ``domain.contract``, as galerkin does.
 
 Order tensor: dQ/dt + u . grad Q + Q*Lambda - Lambda*Q = Gamma * H[Q, c]
 with H = lap Q + bulk terms, fixed wall values Q_B.  Sequential splitting:
@@ -22,10 +23,9 @@ fails every step guard, so a non-finite velocity raises StabilityError.
 """
 
 import numpy as np
-import scipy.fft
 
 from . import tensors
-from .domain import advect_upwind, laplacian
+from .domain import advect_upwind, contract, laplacian
 from .errors import StabilityError
 
 
@@ -45,9 +45,17 @@ def _diffusion_guard(grid, coeff, dt, label):
             f"dt = {dt:g} exceeds 0.9*h^2/(6*{label}) = {limit:g}")
 
 
+def _dct_table(n):
+    """Orthonormal DCT-II: sqrt(2/n) cos(pi k (i + 1/2) / n), row 0 / sqrt(2)."""
+    C = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(np.arange(n), np.arange(0.5, n)))
+    C[0] *= np.sqrt(0.5)
+    return C
+
+
 def diffuse_neumann(grid, f, coeff, dt):
     """Solve (I - coeff*dt*lap_N) g = f exactly via DCT-II."""
-    fh = scipy.fft.dctn(f, type=2, norm="ortho")
+    tables = [_dct_table(n) for n in grid.shape]
+    fh = contract(np.asarray(f, dtype=float), *(C.T for C in tables))
     denom = np.ones(grid.shape)
     for axis in range(3):
         k = np.arange(grid.shape[axis])
@@ -56,7 +64,7 @@ def diffuse_neumann(grid, f, coeff, dt):
         shape = [1, 1, 1]
         shape[axis] = grid.shape[axis]
         denom = denom + coeff * dt * lam.reshape(shape)
-    return scipy.fft.idctn(fh / denom, type=2, norm="ortho")
+    return contract(fh / denom, *tables)
 
 
 def step_concentration(grid, c, diffs, u, d0, dt):

@@ -2,6 +2,7 @@
 
 Two kinds: a closed-form isentropic law p = a rho^gamma, and a general law
 built from monotone samples by piecewise-cubic (shape-preserving) interpolation.
+SciPy's PCHIP is imported only when the first general law is built.
 The pressure potential P solves P'(rho) rho - P(rho) = p(rho) with P(0) = 0;
 for general laws it is realized as
 
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 _GL10 = np.polynomial.legendre.leggauss(10)
 _CONVEXITY_SLACK = 1.0e-10
@@ -62,6 +62,7 @@ class PressureLaw:
             raise PressureError(f"unknown pressure kind {self.kind!r}")
 
     def _build_general(self):
+        from scipy.interpolate import PchipInterpolator
         interp = PchipInterpolator(self.rho_nodes, self.p_nodes)
         eps0 = 1.0e-8 * self.rho_max
         u_lo, u_hi = math.log(eps0), math.log(self.rho_max)

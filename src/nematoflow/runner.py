@@ -10,6 +10,7 @@ report object only ever appends; nothing is revised after the fact.
 """
 
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -54,10 +55,10 @@ def _write_report(path, report):
         fh.write(report.table() + "\n")
         if report.picard_iters:
             fh.write(f"picard max {max(report.picard_iters)} "
-                     f"mean {np.mean(report.picard_iters):.2f}\n")
+                     f"mean {statistics.fmean(report.picard_iters):.2f}\n")
         if report.contractions:
             fh.write(f"picard contraction p50 "
-                     f"{np.median(report.contractions):.3g} "
+                     f"{statistics.median(report.contractions):.3g} "
                      f"max {max(report.contractions):.3g}\n")
         for key, val in report.timings.items():
             fh.write(f"time {key} {val:.3f}s\n")

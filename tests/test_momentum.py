@@ -408,3 +408,49 @@ def test_mass_solve_conditioning_error():
     rho[0, 0, 0] = 1e300
     with pytest.raises(ConditioningError):
         mass_solve(basis, rho, np.ones(basis.n))
+
+
+def dense_mass_matrix(basis, rho):
+    """M_ij = int rho w_i . w_j by midpoint quadrature of the synthesized
+    modes: the full 3 m^3 matrix, built without ``mass_matrix``."""
+    W = np.stack([synthesize(basis, e) for e in np.eye(basis.n)])
+    return basis.grid.cell_volume * np.einsum("iaxyz,jaxyz,xyz->ij", W, W, rho)
+
+
+def test_mass_solve_matches_dense_solve():
+    # non-cubic, non-unit grid; m = 2 needs at least 8 cells per axis
+    grid = Grid(extents=(1.0, 1.5, 0.7), shape=(8, 10, 12))
+    basis = build_basis(grid, 2)
+    rng = np.random.default_rng(3)
+    rho = 0.5 + rng.random(grid.shape)
+    rhs = rng.standard_normal(basis.n)
+    ref = np.linalg.solve(dense_mass_matrix(basis, rho), rhs)
+    out = mass_solve(basis, rho, rhs)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _bad_density(kind, shape):
+    rho = np.ones(shape)
+    if kind == "nan":
+        rho[1, 2, 3] = np.nan
+    elif kind == "inf":
+        rho[1, 2, 3] = np.inf
+    elif kind == "negative_half":
+        rho[shape[0] // 2:] = -1.0
+    else:
+        rho = -rho
+    return rho
+
+
+@pytest.mark.parametrize("kind, cause", [
+    ("nan", "not finite"), ("inf", "not finite"),
+    ("negative_half", "not positive definite"),
+    ("all_negative", "not positive definite")])
+def test_mass_solve_bad_density_is_a_conditioning_error(kind, cause, capfd):
+    grid = make_grid()
+    basis = build_basis(grid, 2)
+    with pytest.raises(ConditioningError, match=cause) as info:
+        mass_solve(basis, _bad_density(kind, grid.shape), np.ones(basis.n))
+    # a numerical failure, not a configuration error (ValueError, exit 2)
+    assert not isinstance(info.value, ValueError)
+    assert capfd.readouterr().err == ""

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from nematoflow.domain import (
     BoundaryData,
     BoundaryFaces,
     BoundaryVelocity,
     Grid,
+    laplacian,
     pad,
     upwind_differences,
     volume_integral,
@@ -13,6 +15,8 @@ from nematoflow.domain import (
 from nematoflow.errors import StabilityError
 from nematoflow.galerkin import build_basis, synthesize
 from nematoflow.nematic import (
+    _dct_table,
+    diffuse_neumann,
     ldg_energy,
     molecular_field,
     step_concentration,
@@ -100,6 +104,44 @@ def test_concentration_max_principle_and_mass():
         c2 = step_concentration(grid, c2, diffs(grid, c2), zero_u,
                                 d0=0.25, dt=1e-3)
     assert abs(volume_integral(grid, c2) - m2) < 1e-13
+
+
+# a non-cubic, non-unit grid, so a swapped axis or extent shows
+ODD_GRID = Grid(extents=(1.0, 1.5, 0.7), shape=(6, 8, 10))
+ODD_COEFF, ODD_DT = 0.3, 0.02
+
+
+def test_diffuse_neumann_matches_scipy_dct():
+    grid = ODD_GRID
+    f = np.random.default_rng(11).standard_normal(grid.shape)
+    denom = np.ones(grid.shape)
+    for axis, (n, h) in enumerate(zip(grid.shape, grid.h)):
+        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h ** 2
+        denom = denom + ODD_COEFF * ODD_DT * np.moveaxis(
+            lam[:, None, None], 0, axis)
+    ref = scipy.fft.idctn(scipy.fft.dctn(f, type=2, norm="ortho") / denom,
+                          type=2, norm="ortho")
+    out = diffuse_neumann(grid, f, ODD_COEFF, ODD_DT)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_diffuse_neumann_inverts_the_mirror_laplacian():
+    grid = ODD_GRID
+    f = np.random.default_rng(12).standard_normal(grid.shape)
+    g = diffuse_neumann(grid, f, ODD_COEFF, ODD_DT)
+    residual = g - ODD_COEFF * ODD_DT * laplacian(grid, g) - f
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))
+    assert abs(g.sum() - f.sum()) <= 1e-13 * np.abs(f).sum()
+    const = np.full(grid.shape, 2.5)
+    out = diffuse_neumann(grid, const, ODD_COEFF, ODD_DT)
+    assert np.max(np.abs(out - const)) <= 1e-14 * 2.5
+
+
+@pytest.mark.parametrize("n", ODD_GRID.shape + (32,))
+def test_dct_table_is_orthonormal(n):
+    C = _dct_table(n)
+    assert np.max(np.abs(C @ C.T - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(C.T @ C - np.eye(n))) <= 1e-14
 
 
 def test_concentration_stability_guard():
