@@ -6,8 +6,8 @@ any component axes in front: scalars (Nx,Ny,Nz), vectors (3,Nx,Ny,Nz),
 packed Q fields (5,Nx,Ny,Nz), velocity Jacobians and stresses
 (3,3,Nx,Ny,Nz).  Each component is then one contiguous field, and every
 stencil here works on any number of leading axes.  The one exception is
-``State.q``, kept as (Nx,Ny,Nz,5) for snapshots and callers and converted
-by ``simulation.q_components`` and ``simulation.q_exchange``.
+``State.q``, kept as (Nx,Ny,Nz,5) for the benchmark's reference digests
+and converted by ``simulation.q_components`` and ``simulation.q_exchange``.
 Velocity gradients follow the Jacobian convention J[a, d] = du_a/dx_d; the
 skew part is packed as (l12, l13, l23) with l_ad = (J_ad - J_da)/2, so
 plane shear u = (y, 0, 0) has l12 = +1/2.

@@ -16,9 +16,9 @@ axes last, as everywhere in the package but ``State.q``: a velocity is
 so each component is one contiguous block.
 
 Coefficient layout: reshape(m, m, m, 3) in C order; the first mode is
-(k, l, m, a) = (1, 1, 1, e_x).  It is the order of snapshots and of the
-mass solve's right-hand sides; ``_coeff_grid`` and ``_pairings`` are its two
-transposes to and from the component-first (3, m, m, m) grid.
+(k, l, m, a) = (1, 1, 1, e_x).  It is the order of snapshot coefficients and
+of the mass solve's right-hand sides; ``_coeff_grid`` and ``_pairings`` are its
+two transposes to and from the component-first (3, m, m, m) grid.
 """
 
 import math

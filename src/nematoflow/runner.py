@@ -80,9 +80,11 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     start_step = 0
     if resume_from is not None:
         snap, shape, extents = sp.read_snapshot(resume_from)
-        if shape != grid.shape or extents != tuple(grid.extents):
+        if shape != grid.shape or extents != tuple(grid.extents) \
+                or snap.v.size != basis.n:
             raise sn.ConfigError(
-                "snapshot grid does not match the scenario grid")
+                f"snapshot {resume_from}: grid or Galerkin modes do not "
+                f"match the scenario")
         state = snap
         when = f"snapshot time t = {snap.t!r}"
         start_step = sc.steps_to(snap.t, when)

@@ -6,9 +6,9 @@ solvers, the resulting fields feed the projected momentum balance, and the
 momentum solve returns the next candidate.  The first candidate is the
 linear extrapolation ``2 v^n - v^{n-1}`` when the state carries ``v_prev``
 (every state a step returns does), otherwise ``v^n``; the step is a pure
-function of the state, so a restart from a snapshot that stores ``v_prev``
-follows the same iterates.  Candidates are combined by Anderson mixing
-(type II, in the form of Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over
+function of the state, so a restart from a snapshot (``v_prev`` stored as
+``coeffs_prev``) follows the same iterates.  Candidates are combined by
+Anderson mixing (type II, Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over
 the last ``ANDERSON_DEPTH`` iterates, with mixing factor ``THETA``; at
 depth 0 this is the damped Picard step ``THETA * v_next + (1 - THETA) * v``.
 If an increment grows, the history is dropped and the mixing factor is
@@ -31,8 +31,8 @@ packed old Q and the upwind differences of c^n and Q^n.  The density CG of
 each sweep starts from the density of the sweep before.
 
 Layout: the solvers work on fields with grid axes last.  ``State.q`` alone
-keeps the (nx, ny, nz, 5) exchange layout of snapshots and callers;
-``q_components`` and ``q_exchange`` are its only conversions.
+keeps the (nx, ny, nz, 5) layout that snapshots store and the benchmark's
+digests sample; ``q_components`` and ``q_exchange`` are its only conversions.
 """
 
 from collections import deque
@@ -98,7 +98,7 @@ def q_components(q):
 
 def q_exchange(q):
     """``State.q`` view (nx, ny, nz, 5) of a packed Q (5, nx, ny, nz); its
-    ravel is the exchange order of snapshots and digests."""
+    ravel is the exchange order of snapshot ``q`` records and digests."""
     return np.moveaxis(q, 0, -1)
 
 

@@ -1,16 +1,29 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-Plain text, one row per cell in C order, columns
-    x y z rho u1 u2 u3 c q11 q12 q13 q22 q23
-preceded by '#' header lines carrying the time, grid shape, extents, and
-the Galerkin coefficient vector (``coeffs =``).  A state past the first
-step also carries the coefficient vector one step back (``coeffs_prev =``),
-from which the next step extrapolates its first iterate; a file without
-that line (the t = 0 snapshot) reads back with ``v_prev=None``.  All floats
-print with 17 significant digits, so parsing returns the identical float64
-values and a restarted run reproduces the original trajectory exactly.  The
-velocity columns are the synthesized cell-center field (modes plus boundary
-lift); restart uses the coefficient vectors, not the sampled velocity.
+A snapshot is binary: nine NPY records (``numpy.lib.format``), one after
+another in one file, in the order of ``_KEYS``:
+
+    t            ()                 time
+    cells        (3,), int64        grid cell counts
+    extent       (3,)               grid extents
+    coeffs       (n,)               Galerkin coefficients v^n
+    coeffs_prev  (n,), or (0,)      v^{n-1}; empty when there is none
+    rho, c       (nx, ny, nz)
+    u            (3, nx, ny, nz)    cell-centre velocity, modes plus boundary
+                                    lift, for ``nematoflow defect``
+    q            (nx, ny, nz, 5)    ``State.q`` as it is
+
+All records but cells are float64, which round-trips exactly, so a
+restarted run reproduces the original trajectory bit for bit; restart uses
+the coefficient vectors, not u, and the next step extrapolates its first
+iterate from ``coeffs_prev``.  Each record is written C-ordered through one
+open file object: the file holds no zip member timestamp (as ``np.savez``
+would stamp), so its bytes depend on the state alone, and it is exactly the
+path given (``np.save`` on a name would append ``.npy``).  Records are read
+back without pickle, so an object array is refused, never unpickled.  The
+price is that a snapshot is no longer greppable text; ``report.txt`` and
+``ledger.csv`` stay text.  Every malformed file raises ``ConfigError``
+naming it.
 """
 
 import os
@@ -21,104 +34,87 @@ from . import galerkin as gk
 from .errors import ConfigError
 from .simulation import State
 
-COLUMNS = "x y z rho u1 u2 u3 c q11 q12 q13 q22 q23"
-# rows formatted by one string operation of write_snapshot
-_ROWS_PER_WRITE = 1024
+_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "rho", "u", "c",
+         "q")
+_SUFFIX = ".bin"
 
 
 def snapshot_path(out_dir, step):
-    return os.path.join(out_dir, f"snap_{step:06d}.txt")
-
-
-def _coeff_line(key, v):
-    return f"{key} = " + " ".join(f"{x:.17g}" for x in v) + "\n"
+    return os.path.join(out_dir, f"snap_{step:06d}{_SUFFIX}")
 
 
 def write_snapshot(path, grid, basis, state, ub_cc):
     u = gk.synthesize(basis, state.v) + ub_cc
-    X, Y, Z = grid.coords()
-    cols = [X, Y, Z, state.rho, u[0], u[1], u[2], state.c]
-    cols += [state.q[..., i] for i in range(5)]
-    data = np.stack([c.reshape(-1) for c in cols], axis=1)
-    header = (f"t = {state.t:.17g}\n"
-              f"cells = {grid.shape[0]} {grid.shape[1]} {grid.shape[2]}\n"
-              f"extent = {grid.extents[0]:.17g} {grid.extents[1]:.17g} "
-              f"{grid.extents[2]:.17g}\n"
-              + _coeff_line("coeffs", state.v)
-              + ("" if state.v_prev is None
-                 else _coeff_line("coeffs_prev", state.v_prev))
-              + COLUMNS)
-    # the text np.savetxt(fmt="%.17g") writes, formatted one block of rows
-    # per operation; blocks keep the transient strings small
-    row_fmt = " ".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# " + header.replace("\n", "\n# ") + "\n")
-        for start in range(0, len(data), _ROWS_PER_WRITE):
-            block = data[start:start + _ROWS_PER_WRITE]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    v_prev = () if state.v_prev is None else state.v_prev
+    values = (state.t, grid.shape, grid.extents, state.v, v_prev, state.rho,
+              u, state.c, state.q)
+    with open(path, "wb") as fh:
+        for key, value in zip(_KEYS, values):
+            dtype = np.int64 if key == "cells" else np.float64
+            np.save(fh, np.asarray(value, dtype, order="C"),
+                    allow_pickle=False)
+
+
+def _read(path):
+    """The arrays of the snapshot at path by key, checked against each
+    other, and the grid shape."""
+    arrays = {}
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(1) == b"#":
+            raise ConfigError(
+                f"snapshot {path}: text snapshot; the snapshot format "
+                f"changed to binary snap_*{_SUFFIX} files, rerun to get one")
+        fh.seek(0)
+        for key in _KEYS:
+            if fh.tell() == size:
+                raise ConfigError(f"snapshot {path}: missing array {key}")
+            try:
+                arrays[key] = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as exc:
+                raise ConfigError(f"snapshot {path}: unreadable array "
+                                  f"{key}: {exc}") from None
+        if fh.tell() != size:
+            raise ConfigError(f"snapshot {path}: data after the last array")
+    cells = arrays.pop("cells")
+    if cells.shape != (3,) or cells.dtype.kind != "i" or np.any(cells < 1):
+        raise ConfigError(
+            f"snapshot {path}: cells must be three positive integers")
+    shape = tuple(int(n) for n in cells)
+    n = arrays["coeffs"].size
+    want = {"t": (), "extent": (3,), "coeffs": (n,),
+            "coeffs_prev": (n,) if arrays["coeffs_prev"].size else (0,),
+            "rho": shape, "u": (3,) + shape, "c": shape, "q": shape + (5,)}
+    for key, a in arrays.items():
+        if a.dtype != np.float64 or a.shape != want[key]:
+            raise ConfigError(
+                f"snapshot {path}: {key} must be float64 of shape "
+                f"{want[key]}, got {a.dtype} of shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ConfigError(f"snapshot {path}: non-finite values in {key}")
+    return arrays, shape
 
 
 def read_snapshot(path):
-    """Returns (state, shape, extents); state.v and state.v_prev from the
-    header lines."""
-    return _parse_snapshot(path)[:3]
-
-
-def _parse_snapshot(path):
-    """(state, shape, extents, data) with the data columns parsed once."""
-    t = None
-    shape = None
-    extents = None
-    v = v_prev = None
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if body.startswith("t ="):
-                t = float(body.partition("=")[2])
-            elif body.startswith("cells ="):
-                shape = tuple(int(s) for s in body.partition("=")[2].split())
-            elif body.startswith("extent ="):
-                extents = tuple(
-                    float(s) for s in body.partition("=")[2].split())
-            elif body.startswith("coeffs ="):
-                v = np.array(
-                    [float(s) for s in body.partition("=")[2].split()])
-            elif body.startswith("coeffs_prev ="):
-                v_prev = np.array(
-                    [float(s) for s in body.partition("=")[2].split()])
-    if t is None or shape is None or extents is None or v is None:
-        raise ConfigError(f"snapshot {path}: missing header fields")
-    if v_prev is not None and (v_prev.shape != v.shape
-                               or not np.all(np.isfinite(v_prev))):
-        raise ConfigError(
-            f"snapshot {path}: coeffs_prev must hold {v.size} finite values")
-    data = np.loadtxt(path)
-    n_cells = shape[0] * shape[1] * shape[2]
-    if data.shape != (n_cells, 13):
-        raise ConfigError(
-            f"snapshot {path}: expected {n_cells} rows x 13 columns, got "
-            f"{data.shape}")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(data))):
-        raise ConfigError(f"snapshot {path}: non-finite coeffs or data values")
-    rho = data[:, 3].reshape(shape)
-    c = data[:, 7].reshape(shape)
-    q = data[:, 8:13].reshape(shape + (5,))
-    state = State(t, rho, c, q, v, v_prev)
-    return state, shape, extents, data
+    """Returns (state, shape, extents); state.v_prev is None when the file
+    stores no previous coefficients."""
+    a, shape = _read(path)
+    v_prev = a["coeffs_prev"] if a["coeffs_prev"].size else None
+    state = State(float(a["t"]), a["rho"], a["c"], a["q"], a["coeffs"],
+                  v_prev)
+    return state, shape, tuple(float(x) for x in a["extent"])
 
 
 def read_velocity_fields(path):
     """(rho, u) sampled at cell centers, u as (3, nx, ny, nz), for the
     two-grid defect check."""
-    state, shape, _, data = _parse_snapshot(path)
-    return state.rho, data[:, 4:7].T.reshape((3,) + shape)
+    a, _ = _read(path)
+    return a["rho"], a["u"]
 
 
 def latest_snapshot(out_dir):
     snaps = sorted(f for f in os.listdir(out_dir)
-                   if f.startswith("snap_") and f.endswith(".txt"))
+                   if f.startswith("snap_") and f.endswith(_SUFFIX))
     if not snaps:
         raise ConfigError(f"no snapshots in {out_dir}")
     return os.path.join(out_dir, snaps[-1])

@@ -129,7 +129,19 @@ def test_resume_flag_round_trip(tmp_path):
     full, part = tmp_path / "full", tmp_path / "part"
     assert cli.main(["run", cfg, "--out", str(full)]) == 0
     assert cli.main(["run", cfg, "--out", str(part),
-                     "--resume", str(full / "snap_000010.txt")]) == 0
-    a = (full / "snap_000020.txt").read_bytes()
-    b = (part / "snap_000020.txt").read_bytes()
+                     "--resume", str(full / "snap_000010.bin")]) == 0
+    a = (full / "snap_000020.bin").read_bytes()
+    b = (part / "snap_000020.bin").read_bytes()
     assert a == b
+
+
+def test_resume_from_text_snapshot_exits_2(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path, sn.default_scenario(grid_cells=4, modes=1))
+    old = tmp_path / "snap_000000.txt"
+    old.write_text("# t = 0\n# cells = 4 4 4\n0 0 0 1 0 0 0 0 0 0 0 0 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out), "--resume", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: snapshot {old}: ")
+    assert "format changed" in err
+    assert not out.exists()

@@ -94,7 +94,7 @@ def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
     full, part = tmp_path / "full", tmp_path / "part"
     rn.run_scenario(sc, out_dir=str(full))
     snap = sp.snapshot_path(str(full), resume_step)
-    assert ("coeffs_prev =" in open(snap).read()) == (resume_step > 0)
+    assert (sp.read_snapshot(snap)[0].v_prev is not None) == (resume_step > 0)
     rn.run_scenario(sc, out_dir=str(part), resume_from=snap)
     last = os.path.basename(sp.snapshot_path("x", sc.n_steps()))
     assert _read_bytes(full / last) == _read_bytes(part / last)
@@ -109,12 +109,22 @@ def test_restart_rejects_mismatched_grid(tmp_path):
                         resume_from=sp.snapshot_path(str(tmp_path), 10))
 
 
+def test_restart_rejects_mismatched_modes(tmp_path):
+    setup = sn.build(sn.default_scenario(grid_cells=8, modes=2))
+    path = str(tmp_path / "snap.bin")
+    sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
+                      setup.stepper._ub_cc)
+    with pytest.raises(ConfigError, match=f"snapshot {path}: .*modes"):
+        rn.run_scenario(sn.default_scenario(grid_cells=8, modes=1),
+                        resume_from=path)
+
+
 @pytest.mark.parametrize("t", [0.02, -1e-3, 1.5e-3])
 def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     # T = 0.01, dt = 1e-3: past T, before 0, and between two steps
     sc = sn.default_scenario(grid_cells=4, modes=1, final_time=0.01)
     setup = sn.build(sc)
-    path = str(tmp_path / "snap.txt")
+    path = str(tmp_path / "snap.bin")
     st = setup.state0
     sp.write_snapshot(path, setup.grid, setup.basis,
                       State(t, st.rho, st.c, st.q, st.v), setup.stepper._ub_cc)
@@ -124,115 +134,189 @@ def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     assert not out.exists()
 
 
+def _records(path):
+    """The NPY records of a snapshot file by key, in file order."""
+    with open(path, "rb") as fh:
+        return {key: np.lib.format.read_array(fh) for key in sp._KEYS}
+
+
+def _write_records(path, records):
+    with open(path, "wb") as fh:
+        for a in records.values():
+            np.save(fh, a)
+
+
 def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)
-    path = str(tmp_path / "snap.txt")
+    path = str(tmp_path / "snap.bin")
     sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
                       setup.stepper._ub_cc)
     st, shape, extents = sp.read_snapshot(path)
     assert shape == setup.grid.shape
     assert extents == tuple(setup.grid.extents)
-    assert np.allclose(st.rho, setup.state0.rho, rtol=0, atol=1e-15)
-    assert np.allclose(st.c, setup.state0.c, rtol=0, atol=1e-15)
-    assert np.allclose(st.q, setup.state0.q, rtol=0, atol=1e-15)
+    assert np.array_equal(st.rho, setup.state0.rho)
+    assert np.array_equal(st.c, setup.state0.c)
+    assert np.array_equal(st.q, setup.state0.q)
     assert np.array_equal(st.v, setup.state0.v)
     assert st.t == setup.state0.t
+    # the bytes depend on the state alone: writing it again, or writing the
+    # state read back (other memory layouts), gives the same file
+    for state in (setup.state0, st):
+        again = str(tmp_path / "again.bin")
+        sp.write_snapshot(again, setup.grid, setup.basis, state,
+                          setup.stepper._ub_cc)
+        assert _read_bytes(again) == _read_bytes(path)
 
 
 def test_snapshot_round_trips_previous_coefficients(tmp_path):
-    # a state without v_prev writes no coeffs_prev line and reads back
-    # without one; a short or non-finite coeffs_prev line is rejected
+    # a state without v_prev writes an empty coeffs_prev and reads back
+    # without one; a short or non-finite coeffs_prev is rejected
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
-    path = tmp_path / "snap.txt"
+    path = tmp_path / "snap.bin"
     sp.write_snapshot(str(path), setup.grid, setup.basis, st,
                       setup.stepper._ub_cc)
-    assert "coeffs_prev" not in path.read_text()
+    assert _records(path)["coeffs_prev"].shape == (0,)
     assert sp.read_snapshot(str(path))[0].v_prev is None
     v_prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
     sp.write_snapshot(str(path), setup.grid, setup.basis,
                       State(1e-3, st.rho, st.c, st.q, st.v, v_prev),
                       setup.stepper._ub_cc)
     assert np.array_equal(sp.read_snapshot(str(path))[0].v_prev, v_prev)
-    text = path.read_text()
-    line = next(ln for ln in text.splitlines() if "coeffs_prev =" in ln)
-    head = line.rpartition(" ")[0]
-    for bad in (head, head + " nan"):
-        path.write_text(text.replace(line, bad))
-        with pytest.raises(ConfigError, match="coeffs_prev"):
+    records = _records(path)
+    for bad in (v_prev[:-1], np.append(v_prev[:-1], np.nan)):
+        _write_records(path, {**records, "coeffs_prev": bad})
+        with pytest.raises(ConfigError,
+                           match=f"snapshot {path}: .*coeffs_prev"):
             sp.read_snapshot(str(path))
 
 
-@pytest.mark.parametrize("field", ["coeffs", "rho", "q23"])
+def _snapshot_with_previous(tmp_path):
+    """A 4^3 snapshot whose every array, coeffs_prev included, is stored."""
+    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    st = setup.state0
+    path = tmp_path / "snap.bin"
+    sp.write_snapshot(str(path), setup.grid, setup.basis,
+                      State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0),
+                      setup.stepper._ub_cc)
+    return path
+
+
+@pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
+                                   "rho", "u", "c", "q23"])
 def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     # a nan density used to pass the reader and end a resumed run in
     # "SVD did not converge" from the mass solve
-    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
-    path = tmp_path / "snap.txt"
-    sp.write_snapshot(str(path), setup.grid, setup.basis, setup.state0,
-                      setup.stepper._ub_cc)
-    lines = path.read_text().splitlines()
-    if field == "coeffs":
-        k = next(i for i, ln in enumerate(lines) if "coeffs =" in ln)
-        lines[k] = lines[k].rpartition(" ")[0] + " nan"
+    path = _snapshot_with_previous(tmp_path)
+    records = _records(path)
+    key = "q" if field == "q23" else field
+    bad = records[key].copy()
+    if field == "q23":
+        bad[1, 2, 3, 4] = np.inf
     else:
-        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-        row = lines[k].split()
-        row[sp.COLUMNS.split().index(field)] = "inf" if field == "q23" else "nan"
-        lines[k] = " ".join(row)
-    path.write_text("\n".join(lines) + "\n")
+        bad.reshape(-1)[-1] = np.nan
+    _write_records(path, {**records, key: bad})
+    with pytest.raises(ConfigError,
+                       match=f"snapshot {path}: non-finite values in {key}"):
+        sp.read_snapshot(str(path))
     with pytest.raises(ConfigError, match=f"snapshot {path}: non-finite"):
+        sp.read_velocity_fields(str(path))
+
+
+def _reshaped(key, shape):
+    def make(data, records):
+        return {**records, key: np.zeros(shape)}
+    return make
+
+
+def _recast(key, dtype):
+    def make(data, records):
+        return {**records, key: records[key].astype(dtype)}
+    return make
+
+
+def _dropped(key):
+    def make(data, records):
+        return {k: a for k, a in records.items() if k != key}
+    return make
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data, records: data[:-7], "unreadable array q"),
+    (lambda data, records: b"", "missing array t"),
+    (lambda data, records: bytes(range(256)) * 8, "unreadable array t"),
+    (lambda data, records: data + data[-64:], "data after the last array"),
+    (lambda data, records: b"# t = 0\n# cells = 4 4 4\n0 0 0 1 0 0 0 0\n",
+     "text snapshot; the snapshot format changed"),
+    (_dropped("q"), "missing array q"),
+    (_dropped("t"), "missing array q"),
+    (_reshaped("rho", (4, 4, 5)), "rho must be float64 of shape"),
+    (_reshaped("c", (64,)), "c must be float64 of shape"),
+    (_reshaped("u", (4, 4, 4, 3)), "u must be float64 of shape"),
+    (_reshaped("q", (5, 4, 4, 4)), "q must be float64 of shape"),
+    (_reshaped("coeffs_prev", (2,)), "coeffs_prev must be float64 of shape"),
+    (_reshaped("t", (1,)), "t must be float64 of shape"),
+    (_recast("cells", np.float64), "cells must be three positive integers"),
+    (_recast("rho", np.float32), "rho must be float64"),
+], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
+        "rho-shape", "c-shape", "u-shape", "q-shape",
+        "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype"])
+def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
+    path = _snapshot_with_previous(tmp_path)
+    bad = damage(path.read_bytes(), _records(path))
+    if isinstance(bad, dict):
+        _write_records(path, bad)
+    else:
+        path.write_bytes(bad)
+    with pytest.raises(ConfigError, match=f"snapshot {path}: {message}"):
         sp.read_snapshot(str(path))
 
 
-@pytest.mark.parametrize("rows_per_write", [sp._ROWS_PER_WRITE, 5])
-def test_snapshot_text_matches_savetxt(tmp_path, monkeypatch, rows_per_write):
-    # the block writer prints the bytes np.savetxt(fmt="%.17g") would,
-    # signed zeros included, whether the 64 rows fill one block or several
-    # with a partial last one
-    monkeypatch.setattr(sp, "_ROWS_PER_WRITE", rows_per_write)
-    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
-    grid, basis = setup.grid, setup.basis
-    rng = np.random.default_rng(8)
-    rho, c = rng.uniform(0.5, 2.0, size=(2,) + grid.shape)
-    q = rng.normal(size=grid.shape + (5,))
-    rho[0, 1, 2], c[1, 1, 1], q[2, 3, 0, 4] = -0.0, -0.0, -0.0
-    state = State(0.125, rho, c, q, rng.normal(size=basis.n))
-    path = tmp_path / "snap.txt"
-    sp.write_snapshot(str(path), grid, basis, state, setup.stepper._ub_cc)
-
-    u = gk.synthesize(basis, state.v) + setup.stepper._ub_cc
-    cols = [*grid.coords(), rho, u[0], u[1], u[2], c]
-    cols += [q[..., i] for i in range(5)]
-    data = np.stack([col.reshape(-1) for col in cols], axis=1)
-    header = "\n".join(line[2:] for line in path.read_text().splitlines()
-                       if line.startswith("#"))
-    want = tmp_path / "want.txt"
-    np.savetxt(str(want), data, fmt="%.17g", header=header)
-    assert b"-0 " in _read_bytes(want)
-    assert _read_bytes(path) == _read_bytes(want)
+_UNPICKLED = []
 
 
-def test_read_velocity_fields_parses_the_file_once(tmp_path, monkeypatch):
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Payload:
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def test_read_snapshot_never_unpickles(tmp_path):
+    # an object array in place of rho is refused before its pickle is read
+    _UNPICKLED.clear()
+    path = _snapshot_with_previous(tmp_path)
+    records = _records(path)
+    with open(path, "wb") as fh:
+        for key, a in records.items():
+            if key == "rho":
+                a = np.array([_Payload()], dtype=object)
+            np.save(fh, a, allow_pickle=True)
+    for read in (sp.read_snapshot, sp.read_velocity_fields):
+        with pytest.raises(ConfigError,
+                           match=f"snapshot {path}: unreadable array rho"):
+            read(str(path))
+    assert _UNPICKLED == []
+    # the file does hold a live pickle
+    with open(path, "rb") as fh:
+        for _ in sp._KEYS[:6]:
+            np.lib.format.read_array(fh, allow_pickle=True)
+    assert _UNPICKLED == [True]
+
+
+def test_read_velocity_fields_returns_the_synthesized_velocity(tmp_path):
     sc = sn.default_scenario(grid_cells=8, init_v="noise:0.01")
     setup = sn.build(sc)
-    path = str(tmp_path / "snap.txt")
+    path = str(tmp_path / "snap.bin")
     sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
                       setup.stepper._ub_cc)
-    data = np.loadtxt(path)
-    calls = []
-    loadtxt = np.loadtxt
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", counted)
     rho, u = sp.read_velocity_fields(path)
-    assert len(calls) == 1
-    assert np.array_equal(rho, data[:, 3].reshape(setup.grid.shape))
-    assert np.array_equal(u, data[:, 4:7].T.reshape((3,) + setup.grid.shape))
+    want = gk.synthesize(setup.basis, setup.state0.v) + setup.stepper._ub_cc
+    assert np.any(want != setup.stepper._ub_cc)
+    assert np.array_equal(u, want)
     assert np.array_equal(rho, setup.state0.rho)
 
 
@@ -244,6 +328,9 @@ def test_read_snapshot_rejects_missing_header(tmp_path):
 
 
 def test_latest_snapshot_orders_by_step(tmp_path):
+    # text snapshots of the old format are not candidates
+    (tmp_path / "snap_000020.txt").write_text("")
     for k in (0, 10, 5):
         (tmp_path / os.path.basename(sp.snapshot_path("x", k))).write_text("")
-    assert sp.latest_snapshot(str(tmp_path)).endswith("snap_000010.txt")
+    assert sp.latest_snapshot(str(tmp_path)) == sp.snapshot_path(
+        str(tmp_path), 10)
