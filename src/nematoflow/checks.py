@@ -148,10 +148,18 @@ def suite_weakforms(sc=None):
     final, traj = run_coupled(setup.stepper, setup.state0, scen.n_steps(),
                               record=True)
     rep = wf.weak_residuals_dissipative(traj, setup.stepper)
+    # Continuity is the solver's own eps-regularised identity, so only the
+    # discretization error remains.  Calibrated on this suite's default
+    # scenario: intact 3.3e-6, eps doubled inside the density solve 4.7e-3;
+    # the bound sits between.  The other rows keep the loose 1e-2.
     rows = []
     for eq, worst in rep["max_abs"].items():
-        rows.append(_row(f"weak residual bounded ({eq})", worst < 1e-2,
-                         f"max {worst:.2e}"))
+        bound, detail = 1e-2, f"max {worst:.2e}"
+        if eq == "continuity":
+            bound = 1e-4
+            detail += ", bound 1e-4 calibrated on the default scenario"
+        rows.append(_row(f"weak residual bounded ({eq})", worst < bound,
+                         detail))
     return rows
 
 

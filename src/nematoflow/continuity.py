@@ -18,14 +18,15 @@ started from the right side or the density of the previous coupling sweep;
 a non-finite residual raises StabilityError, the cap ConditioningError.
 
 ``ContinuitySolver.rules`` holds the six affine ``pad`` rules
-(alpha, (1 - alpha) rho_B) in face order; the density gradient, the
-diffusive boundary flux and the weak residuals read them (or the pairs for
-rho_B - chi), so every layer sees one boundary realization.  The CG
-operator pads nothing: its Robin ghost sits in the diagonal it shares with
-the Jacobi preconditioner, and b / h^2 moves to the right side.
+(alpha, (1 - alpha) rho_B) in face order.  ``grad_rho`` (the eps term of
+the momentum balance), ``wall_fluxes`` (the step's boundary tally) and
+``weak_residual_continuity`` read them, and ``renormalized_balance`` the
+pairs for rho_B - chi, so every layer sees one boundary realization.  The
+CG operator pads nothing: its Robin ghost sits in the diagonal it shares
+with the Jacobi preconditioner, and b / h^2 moves to the right side.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +78,6 @@ class ContinuitySolver:
     eps: float
     dt: float
     boundary: object                   # domain.BoundaryFaces
-    source: object = None              # optional callable (x, y, z, t) -> field
 
     def __post_init__(self):
         if not (self.eps > 0.0 and self.dt > 0.0):
@@ -209,15 +209,12 @@ class ContinuitySolver:
         """Central-difference gradient using this solver's boundary ghosts."""
         return gradient(self.grid, rho, self.rules)
 
-    def step(self, rho, fv, t=0.0, start=None):
+    def step(self, rho, fv, start=None):
         """One step with the CG from start; returns (rho_new, info dict)."""
         self.check_stability(fv)
         g = self.grid
         div, mass_in, mass_out = self.advective_flux_divergence(rho, fv)
         rhs = rho - self.dt * div
-        if self.source is not None:
-            X, Y, Z = g.coords()
-            rhs = rhs + self.dt * self.source(X, Y, Z, t)
         # implicit diffusion: affine boundary term moves to the right side
         a = self.eps * self.dt
         for face, (_, b) in zip(self.boundary.faces, self.rules):
@@ -241,29 +238,13 @@ class ContinuitySolver:
 
 @dataclass
 class ContinuityTrajectory:
+    """Densities at times[k] and the face velocities fvs[k] that carried
+    rhos[k] to rhos[k + 1]."""
     grid: object
     solver: ContinuitySolver
-    times: list = field(default_factory=list)
-    rhos: list = field(default_factory=list)
-    fvs: list = field(default_factory=list)
-
-    def record(self, t, rho, fv):
-        self.times.append(float(t))
-        self.rhos.append(rho.copy())
-        self.fvs.append([U.copy() for U in fv])
-
-
-def run_continuity(solver, rho0, fv, n_steps, t0=0.0):
-    """Constant-velocity convenience driver; returns the trajectory."""
-    traj = ContinuityTrajectory(grid=solver.grid, solver=solver)
-    rho = np.array(rho0, dtype=float)
-    t = t0
-    traj.record(t, rho, fv)
-    for _ in range(n_steps):
-        rho, _ = solver.step(rho, fv, t=t)
-        t += solver.dt
-        traj.record(t, rho, fv)
-    return traj
+    times: list
+    rhos: list
+    fvs: list
 
 
 # --------------------------------------------------------- weak residuals
@@ -276,48 +257,42 @@ def _cell_velocity_from_faces(fv):
                      for axis, U in enumerate(fv)])
 
 
-def weak_residual_continuity(traj, phi, dphi_dt, grad_phi, source=None):
-    """Space-time weak-form residual along a stored trajectory.
+def weak_residual_continuity(traj, phi, grad_phi):
+    """Space-time weak-form residual of the eps-regularised continuity
+    equation along a stored trajectory.
 
-    phi, dphi_dt: callables (x, y, z, t) -> array; grad_phi -> (3, ...).
-    Time integrals use the left-rectangle rule; the boundary terms use the
-    scheme's own upwind/Robin flux realization, so the residual measures
-    discretization error only.
+    phi: callable (x, y, z, t) -> array; grad_phi -> (3, ...).  Step k pairs
+    rho^k with phi(t_{k+1}) - phi(t_k), so stationary states telescope
+    exactly, and takes the flux terms at t_k: the advective flux of rho^k
+    through fvs[k], upwinded with rho_B on inflow walls, and the eps bulk
+    term and Robin wall flux of rho^{k+1}, the implicit half of the step.
+    The boundary terms are the scheme's own, so the residual measures
+    discretization error only; for phi = 1 it is the discrete mass balance.
     """
     g = traj.grid
     solver = traj.solver
     X, Y, Z = g.coords()
-    t_end = traj.times[-1]
-    lhs = volume_integral(g, traj.rhos[-1] * phi(X, Y, Z, t_end)) \
-        - volume_integral(g, traj.rhos[0] * phi(X, Y, Z, traj.times[0]))
-    rhs = 0.0
-    for k in range(len(traj.times) - 1):
-        t = traj.times[k]
-        dt = traj.times[k + 1] - t
-        rho = traj.rhos[k]
-        fv = traj.fvs[k]
-        u = _cell_velocity_from_faces(fv)
-        gphi = grad_phi(X, Y, Z, t)
-        grad_rho = solver.grad_rho(rho)
-        interior = volume_integral(
-            g, rho * dphi_dt(X, Y, Z, t)
-            + rho * np.einsum("a...,a...->...", u, gphi)
-            - solver.eps * np.einsum("a...,a...->...", grad_rho, gphi))
-        if source is not None:
-            interior += volume_integral(g, source(X, Y, Z, t) * phi(X, Y, Z, t))
-        boundary = 0.0
+    times, rhos = traj.times, traj.rhos
+    res = volume_integral(g, rhos[-1] * phi(X, Y, Z, times[-1])) \
+        - volume_integral(g, rhos[0] * phi(X, Y, Z, times[0]))
+    for k in range(len(times) - 1):
+        t = times[k]
+        dt = times[k + 1] - t
+        rho, rho_new = rhos[k], rhos[k + 1]
+        flux = rho * _cell_velocity_from_faces(traj.fvs[k]) \
+            - solver.eps * solver.grad_rho(rho_new)
+        res -= volume_integral(g, rho * (phi(X, Y, Z, times[k + 1])
+                                         - phi(X, Y, Z, t))) \
+            + dt * volume_integral(g, np.einsum("a...,a...->...", flux,
+                                                grad_phi(X, Y, Z, t)))
         for face, diff_flux, rho_b in zip(solver.boundary.faces,
-                                          solver.wall_fluxes(rho),
+                                          solver.wall_fluxes(rho_new),
                                           solver.boundary.rho_b):
-            inner = rho[face.wall]
-            phi_face = phi(*face.xyz, t)
-            # advective flux (outward) with the scheme's upwinding
-            adv_flux = np.where(face.inflow, face.ubn * rho_b,
-                                face.ubn * inner)
-            boundary += face.area_element * float(
-                ((diff_flux - adv_flux) * phi_face).sum())
-        rhs += dt * (interior + boundary)
-    return float(lhs - rhs)
+            # outward advective flux with the scheme's upwind trace
+            adv_flux = face.ubn * np.where(face.inflow, rho_b, rho[face.wall])
+            res -= dt * face.area_element * float(
+                ((diff_flux - adv_flux) * phi(*face.xyz, t)).sum())
+    return float(res)
 
 
 _B_CATALOG = {

@@ -140,7 +140,7 @@ class CoupledStepper:
         and packed skew part for v (``velocity_fields``).  Returns Q packed.
         """
         fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
-        rho_new, cont_info = self.continuity.step(state.rho, fv, t=state.t,
+        rho_new, cont_info = self.continuity.step(state.rho, fv,
                                                   start=rho_start)
         c_new = step_concentration(self.grid, state.c, diffs[0], u,
                                    self.physics.d0, self.dt)

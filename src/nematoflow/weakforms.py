@@ -11,7 +11,11 @@ flux terms, and exact per-step increments for the time-derivative pairing
 states telescope to machine zero for every test function.  Velocity test
 functions live in the Galerkin space and tensor test functions carry a
 scalar envelope vanishing on the walls, matching the compact-support
-requirement of the momentum and order-tensor identities.
+requirement of the momentum and order-tensor identities.  The continuity
+identity is the solver's own, ``continuity.weak_residual_continuity``: the
+eps bulk term and the Robin wall flux at rho^{n+1}, and the advective flux
+of rho^n through the face velocity of v^{n+1}, the velocity the step
+returned.
 
 The order-tensor identity is assembled with the relaxation term entering as
 +Gamma H on the right side, consistent with the strong equation and the
@@ -31,6 +35,8 @@ from . import galerkin as gk
 from . import pressure as pr
 from . import rheology as rh
 from . import tensors
+from .continuity import (ContinuityTrajectory, face_velocities,
+                         weak_residual_continuity)
 from .domain import gradient, laplacian, volume_integral
 from .nematic import molecular_field
 from .simulation import q_components
@@ -206,8 +212,7 @@ def weak_residuals_dissipative(traj, stepper):
     momentum_tests = momentum_catalog(stepper.basis)
     nematic_tests = nematic_catalog()
 
-    boundary = stepper.boundary
-    q_rules = boundary.q_rules
+    q_rules = stepper.boundary.q_rules
 
     w_vals = [gk.synthesize(stepper.basis, mt.coeffs)
               for mt in momentum_tests]
@@ -216,7 +221,6 @@ def weak_residuals_dissipative(traj, stepper):
     chi_vals = [np.multiply.outer(nt.direction, nt.chi(X, Y, Z))
                 for nt in nematic_tests]
 
-    acc_cont = np.zeros(len(scalar_tests))
     acc_conc = np.zeros(len(scalar_tests))
     acc_mom = np.zeros(len(momentum_tests))
     acc_nem = np.zeros(len(nematic_tests))
@@ -241,20 +245,11 @@ def weak_residuals_dissipative(traj, stepper):
             phi0 = sc.value(X, Y, Z, t0)
             dphi = sc.value(X, Y, Z, t1) - phi0
             gphi = sc.grad(X, Y, Z, t0)
-            u_gphi = np.einsum("a...,a...->...", u, gphi)
-            acc_cont[k] -= volume_integral(g, st.rho * dphi) \
-                + dt * volume_integral(g, st.rho * u_gphi)
             acc_conc[k] -= volume_integral(g, st.c * dphi)
             acc_conc[k] += dt * (
                 volume_integral(g, u_dot_gc * phi0)
                 + ph.d0 * volume_integral(
                     g, np.einsum("a...,a...->...", grad_c, gphi)))
-            for face, rho_b in zip(boundary.faces, boundary.rho_b):
-                rho_w = st.rho[face.wall]
-                trace = np.where(face.inflow, rho_b, rho_w)
-                phi_f = sc.value(*face.xyz, t0)
-                acc_cont[k] += dt * face.area_element * float(
-                    (phi_f * trace * face.ubn).sum())
 
         for k, mt in enumerate(momentum_tests):
             th0 = mt.theta(t0)
@@ -279,12 +274,15 @@ def weak_residuals_dissipative(traj, stepper):
     t_end = times[-1]
     u_end = gk.synthesize(stepper.basis, last.v) + stepper._ub_cc
     u_start = gk.synthesize(stepper.basis, first.v) + stepper._ub_cc
-    out_cont, out_conc = {}, {}
+    # the density step n -> n+1 is carried by the velocity it returned
+    cont = ContinuityTrajectory(
+        g, stepper.continuity, times, [st.rho for st in states],
+        [face_velocities(g, stepper.basis, st.v, stepper._ub_faces)
+         for st in states[1:]])
+    out_cont = {sc.name: weak_residual_continuity(cont, sc.value, sc.grad)
+                for sc in scalar_tests}
+    out_conc = {}
     for k, sc in enumerate(scalar_tests):
-        endpoints = volume_integral(
-            g, last.rho * sc.value(X, Y, Z, t_end)) - volume_integral(
-            g, first.rho * sc.value(X, Y, Z, times[0]))
-        out_cont[sc.name] = endpoints + acc_cont[k]
         endpoints_c = volume_integral(
             g, last.c * sc.value(X, Y, Z, t_end)) - volume_integral(
             g, first.c * sc.value(X, Y, Z, times[0]))

@@ -14,10 +14,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ORACLES = {
-    "continuity.run_continuity":
-        "drives ContinuitySolver alone for its only convergence test",
-    "continuity.weak_residual_continuity":
-        "space-time weak form of the density equation, checked under refinement",
     "continuity.renormalized_balance":
         "renormalised continuity balance with its eps-dissipation sign",
     "nematic.ldg_energy":

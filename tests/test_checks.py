@@ -1,5 +1,6 @@
 """Check-suite behavior, including detection of solver-side mutations."""
 
+import copy
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nematoflow import checks
 from nematoflow import momentum as mom
 from nematoflow import scenarios as sn
+from nematoflow.continuity import ContinuitySolver
 from nematoflow.errors import ConfigError
 
 
@@ -44,3 +46,25 @@ def test_energy_suite_fails_under_flipped_active_forcing():
     assert not ok
     failed = [name for name, passed, _ in rows if not passed]
     assert any("active forcing" in name for name in failed), failed
+
+
+def test_weakforms_suite_passes_on_intact_solver():
+    ok, rows = checks.run_checks("weakforms")
+    assert ok, [r for r in rows if not r[1]]
+
+
+def test_weakforms_suite_fails_under_doubled_density_diffusion():
+    # eps doubled in the density solve only: the residual keeps the intact
+    # eps, so the solver and the identity disagree by an eps term
+    orig = ContinuitySolver._solve_diffusion
+
+    def doubled(self, rhs, start=None):
+        twin = copy.copy(self)
+        twin.eps = 2.0 * self.eps
+        return orig(twin, rhs, start)
+
+    with mock.patch.object(ContinuitySolver, "_solve_diffusion", doubled):
+        ok, rows = checks.run_checks("weakforms")
+    assert not ok
+    failed = [name for name, passed, _ in rows if not passed]
+    assert failed == ["weakforms: weak residual bounded (continuity)"], failed

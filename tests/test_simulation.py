@@ -190,9 +190,9 @@ def test_density_cg_starts_from_the_previous_sweep(monkeypatch):
     starts, results, iters = [], [], []
     step = solver.step
 
-    def recording(rho, fv, t=0.0, start=None):
+    def recording(rho, fv, start=None):
         starts.append(start)
-        rho_new, info = step(rho, fv, t=t, start=start)
+        rho_new, info = step(rho, fv, start=start)
         results.append(rho_new)
         iters.append(info["cg_iters"])
         return rho_new, info

@@ -85,6 +85,17 @@ def refinement_pair():
     return out
 
 
+@pytest.mark.parametrize("lbl,n", [("coarse", 8), ("fine", 16)])
+def test_constant_test_function_closes_the_mass_balance(refinement_pair, lbl,
+                                                        n):
+    # phi = 1 leaves only the scheme's own wall fluxes, so the continuity
+    # residual is the discrete mass balance, to the runner's tolerance
+    grid, basis, _ = make_stepper(n, 2, 1e-3, 0.05)
+    mass0 = dom.volume_integral(grid, rich_state(grid, basis).rho)
+    res = refinement_pair[lbl]["continuity"]["one"]
+    assert abs(res) <= 1e-12 * (1.0 + abs(mass0))
+
+
 @pytest.mark.parametrize("eq", ["continuity", "momentum", "concentration",
                                 "nematic"])
 def test_residuals_halve_under_refinement(refinement_pair, eq):
@@ -98,7 +109,7 @@ def test_residuals_halve_under_refinement(refinement_pair, eq):
 def test_refinement_residual_magnitudes(refinement_pair):
     # first-order scheme at dt=2e-3, h=1/8 on a mild channel flow: the
     # worst residual per equation sits in a narrow, reproducible band
-    expect = {"continuity": 1.377e-4, "momentum": 1.640e-3,
+    expect = {"continuity": 3.040e-6, "momentum": 1.640e-3,
               "concentration": 7.981e-5, "nematic": 7.602e-5}
     for eq, val in expect.items():
         got = refinement_pair["coarse"]["max_abs"][eq]
