@@ -240,7 +240,6 @@ class ContinuitySolver:
 class ContinuityTrajectory:
     """Densities at times[k] and the face velocities fvs[k] that carried
     rhos[k] to rhos[k + 1]."""
-    grid: object
     solver: ContinuitySolver
     times: list
     rhos: list
@@ -269,8 +268,8 @@ def weak_residual_continuity(traj, phi, grad_phi):
     The boundary terms are the scheme's own, so the residual measures
     discretization error only; for phi = 1 it is the discrete mass balance.
     """
-    g = traj.grid
     solver = traj.solver
+    g = solver.grid
     X, Y, Z = g.coords()
     times, rhos = traj.times, traj.rhos
     res = volume_integral(g, rhos[-1] * phi(X, Y, Z, times[-1])) \
@@ -314,8 +313,8 @@ def renormalized_balance(traj, b_name="square", chi=None, dchi_dt=None):
     if chi is None:
         chi = lambda t: 0.0
         dchi_dt = lambda t: 0.0
-    g = traj.grid
     solver = traj.solver
+    g = solver.grid
     t_end = traj.times[-1]
     r_end = traj.rhos[-1] - chi(t_end)
     r_start = traj.rhos[0] - chi(traj.times[0])

@@ -193,7 +193,6 @@ class Face:
     normal: np.ndarray      # outward unit normal
     area_element: float     # tangential cell area
     xyz: tuple              # coordinate arrays on face centroids (2-D each)
-    ub: np.ndarray          # boundary velocity at centroids (3, n1, n2)
     ubn: np.ndarray         # u_B . n  (2-D)
     inflow: np.ndarray      # boolean mask, u_B . n < 0
 
@@ -230,7 +229,7 @@ def decompose_boundary(grid, u_b):
             ubn = np.tensordot(normal, ub, axes=1)
             faces.append(Face(axis=axis, side=side, normal=normal,
                               area_element=grid.h[t1] * grid.h[t2],
-                              xyz=tuple(xyz), ub=ub, ubn=ubn,
+                              xyz=tuple(xyz), ubn=ubn,
                               inflow=ubn < 0.0))
     return faces
 

@@ -1,12 +1,14 @@
 """Energy ledger, budget inequality, and the two-grid defect diagnostic.
 
-Every row collects the quadratures of one time level: the energy terms, the
-four dissipation integrals d_visc = int[F(D) + F*(S)], d_conc = D0 int|grad c|^2,
-d_relax = Gamma int|lap Q|^2, d_six = (c*^2 Gamma / 2) int|Q|^6 (the budget
-weights 1/4, 1/2, 1/4, 1 are applied at assembly), the boundary fluxes, and
-the data-dependent right-side terms.  The viscous entry uses the dual route
-F(D) + F*(S), which equals S : D when S is the subgradient, so a broken
-stress path shows up as a Fenchel gap rather than cancelling silently.
+The caller's step loop appends one row per time level to
+``EnergyMonitor.rows``.  A row collects the quadratures of that level: the
+energy terms, the four dissipation integrals d_visc = int[F(D) + F*(S)],
+d_conc = D0 int|grad c|^2, d_relax = Gamma int|lap Q|^2, d_six =
+(c*^2 Gamma / 2) int|Q|^6 (the budget weights 1/4, 1/2, 1/4, 1 are applied
+at assembly), the boundary fluxes, and the data-dependent right-side terms.
+The viscous entry uses the dual route F(D) + F*(S), which equals S : D when
+S is the subgradient, so a broken stress path shows up as a Fenchel gap
+rather than cancelling silently.
 
 The budget check over [0, tau], with left-rectangle time quadrature:
 
@@ -142,14 +144,6 @@ class EnergyMonitor:
             "rhs_qb": rhs_qb, "rhs_pb": rhs_pb, "rhs_qgrad": rhs_qgrad,
             "picard_iters": picard_iters,
         }
-
-    def observe(self, state0):
-        """Record the initial row; returns the run_coupled monitor hook."""
-        self.rows = [self.row(state0)]
-
-        def hook(prev, state, info):
-            self.rows.append(self.row(state, info.get("picard_iters", 0)))
-        return hook
 
     # ----------------------------------------------------------- assembly
 

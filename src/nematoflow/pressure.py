@@ -132,12 +132,12 @@ def potential(law, rho):
     if law.kind == "isentropic":
         return law.a / (law.gamma - 1.0) * rho ** law.gamma
     st = law._state
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = st["c_lin"] * rho
-    big = rho > st["eps0"]
+    r = rho.ravel()
+    out = st["c_lin"] * r
+    big = r > st["eps0"]
     if np.any(big):
-        out[big] += rho[big] * law._log_integral(rho[big])
-    return out if out.size > 1 else float(out[0])
+        out[big] += r[big] * law._log_integral(r[big])
+    return out.reshape(rho.shape)[()]
 
 
 def potential_prime(law, rho):
@@ -147,12 +147,12 @@ def potential_prime(law, rho):
         g = law.gamma
         return law.a * g / (g - 1.0) * rho ** (g - 1.0)
     st = law._state
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.full(rho.shape, st["c_lin"])
-    big = rho > st["eps0"]
+    r = rho.ravel()
+    out = np.full(r.shape, st["c_lin"])
+    big = r > st["eps0"]
     if np.any(big):
-        out[big] += law._log_integral(rho[big]) + st["interp"](rho[big]) / rho[big]
-    return out if out.size > 1 else float(out[0])
+        out[big] += law._log_integral(r[big]) + st["interp"](r[big]) / r[big]
+    return out.reshape(rho.shape)[()]
 
 
 def potential_second(law, rho):
@@ -191,7 +191,7 @@ def certify_s2(law):
                 "gamma_eff": law.gamma, "pass": True}
     grid = np.linspace(0.0, law.rho_max, 1001)
     pv = np.asarray(pressure(law, grid), dtype=float)
-    Pv = np.asarray(potential(law, grid), dtype=float)
+    Pv = potential(law, grid)
     d2p = pv[2:] - 2.0 * pv[1:-1] + pv[:-2]
     d2P = Pv[2:] - 2.0 * Pv[1:-1] + Pv[:-2]
     ok = True
@@ -217,7 +217,7 @@ def certify_s2(law):
     # growth bound fitted above rho = 1 (or the upper half of a short range)
     lo_fit = min(1.0, 0.5 * law.rho_max)
     fit_grid = np.geomspace(max(lo_fit, 1e-6), law.rho_max, 200)
-    Pf = np.asarray(potential(law, fit_grid), dtype=float)
+    Pf = potential(law, fit_grid)
     if np.any(Pf <= 0.0):
         gamma_eff, a_tilde, ok = 0.0, 0.0, False
     else:

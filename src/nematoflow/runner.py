@@ -1,10 +1,10 @@
 """Scenario driver: invariant tracking and reporting around the time loop.
 
-run_scenario advances a scenario from 0 to T through
-``simulation.run_coupled``.  Its per-step hook appends one energy-ledger
-row, tracks the solute bounds, the density envelope and the discrete mass
-balance, and writes snapshots at the configured cadence; the run closes
-with a PASS/FAIL table.  Trace and symmetry of the order tensor are
+run_scenario advances a scenario from 0 to T in its own loop over
+``CoupledStepper.step``.  Each pass appends one energy-ledger row, tracks
+the solute bounds, the density envelope and the discrete mass balance, and
+writes snapshots at the configured cadence; the run closes with a
+PASS/FAIL table.  Trace and symmetry of the order tensor are
 structural (packed Q), so their rows judge the final state only.  The
 report object only ever appends; nothing is revised after the fact.
 """
@@ -21,7 +21,7 @@ from . import scenarios as sn
 from . import snapshots as sp
 from . import tensors
 from .domain import volume_integral
-from .simulation import q_components, run_coupled
+from .simulation import q_components
 
 
 @dataclass
@@ -93,7 +93,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     report = RunReport(scenario=sc)
     monitor = en.EnergyMonitor(stepper)
     report.monitor = monitor
-    hook = monitor.observe(state)
+    monitor.rows.append(monitor.row(state))
 
     c_lo0, c_hi0 = float(state.c.min()), float(state.c.max())
     rho_lo0, rho_hi0 = float(state.rho.min()), float(state.rho.max())
@@ -113,10 +113,11 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         report.snapshots.append(start_step)
 
     tau = 0.0
-
-    def observe_step(prev, state, info):
-        nonlocal tau
-        hook(prev, state, info)
+    t_wall = time.perf_counter()
+    for step in range(start_step + 1, n_steps + 1):
+        prev = state
+        state, info = stepper.step(prev)
+        monitor.rows.append(monitor.row(state, info["picard_iters"]))
         report.picard_iters.append(info["picard_iters"])
         if "contraction" in info:
             report.contractions.append(info["contraction"])
@@ -134,19 +135,14 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         defect = abs(float(volume_integral(grid, state.rho - prev.rho))
                      - budget)
         worst["mass_balance"] = max(worst["mass_balance"], defect)
-        step = start_step + len(report.picard_iters)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
             sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, basis,
                               state, stepper._ub_cc)
             report.snapshots.append(step)
-
-    t_wall = time.perf_counter()
-    final, _ = run_coupled(stepper, state, n_steps - start_step,
-                           record=False, monitor=observe_step)
     report.timings["stepping"] = time.perf_counter() - t_wall
 
-    m = tensors.to_matrix(q_components(final.q))
+    m = tensors.to_matrix(q_components(state.q))
     tr_q = float(np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])))
     asym_q = float(np.max(np.abs(m - np.swapaxes(m, -1, -2))))
     report.add_check("order tensor trace free", tr_q == 0.0,

@@ -30,13 +30,17 @@ when the plain test stopped the iteration).  Built once per step: the
 packed old Q and the upwind differences of c^n and Q^n.  The density CG of
 each sweep starts from the density of the sweep before.
 
+Callers loop over ``CoupledStepper.step`` themselves.  No code mutates a
+state once a step has returned it, so a list of returned states is a
+trajectory.
+
 Layout: the solvers work on fields with grid axes last.  ``State.q`` alone
 keeps the (nx, ny, nz, 5) layout that snapshots store and the benchmark's
 digests sample; ``q_components`` and ``q_exchange`` are its only conversions.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,11 +87,6 @@ class State:
     q: np.ndarray
     v: np.ndarray
     v_prev: np.ndarray = None    # coefficients one step back, if any
-
-    def copy(self):
-        return State(self.t, self.rho.copy(), self.c.copy(), self.q.copy(),
-                     self.v.copy(),
-                     None if self.v_prev is None else self.v_prev.copy())
 
 
 def q_components(q):
@@ -219,35 +218,3 @@ class CoupledStepper:
                 1.0 / (len(increments) - 1))
         info.update(cont_info)
         return new_state, info
-
-
-@dataclass
-class Trajectory:
-    """Stored per-step fields for the weak-form and balance checks."""
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-
-    def record(self, state):
-        self.times.append(state.t)
-        self.states.append(state.copy())
-
-
-def run_coupled(stepper, state0, n_steps, record=True, monitor=None):
-    """Drive n_steps of the coupled system.
-
-    monitor: optional callable (state_before, state_after, info) -> None,
-    invoked after every accepted step (the energy ledger hooks in here).
-    Returns (final_state, trajectory or None).
-    """
-    traj = Trajectory() if record else None
-    state = state0
-    if record:
-        traj.record(state)
-    for _ in range(n_steps):
-        prev = state
-        state, info = stepper.step(state)
-        if monitor is not None:
-            monitor(prev, state, info)
-        if record:
-            traj.record(state)
-    return state, traj

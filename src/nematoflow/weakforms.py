@@ -1,4 +1,4 @@
-"""Weak-identity residual catalog for recorded trajectories.
+"""Weak-identity residual catalog for stored trajectories.
 
 Each equation of the coupled system has an integral identity obtained by
 pairing with a smooth space-time test function.  This module quadratures
@@ -194,17 +194,16 @@ def nematic_catalog():
 
 # --------------------------------------------------------------- residuals
 
-def weak_residuals_dissipative(traj, stepper):
+def weak_residuals_dissipative(states, stepper):
     """Quadrature every stored step against the full catalog in one pass.
 
     Returns {"continuity": {name: residual}, "momentum": ..., and
-    "max_abs": per-equation worst case} for the trajectory in traj, which
-    must have been recorded at every step.
+    "max_abs": per-equation worst case} for states, the list of states that
+    stepper.step returned one after the other, from the initial state on.
     """
     g = stepper.grid
     ph = stepper.physics
-    states = traj.states
-    times = traj.times
+    times = [st.t for st in states]
     if len(states) < 2:
         raise ValueError("trajectory must hold at least two time levels")
     X, Y, Z = g.coords()
@@ -276,7 +275,7 @@ def weak_residuals_dissipative(traj, stepper):
     u_start = gk.synthesize(stepper.basis, first.v) + stepper._ub_cc
     # the density step n -> n+1 is carried by the velocity it returned
     cont = ContinuityTrajectory(
-        g, stepper.continuity, times, [st.rho for st in states],
+        stepper.continuity, times, [st.rho for st in states],
         [face_velocities(g, stepper.basis, st.v, stepper._ub_faces)
          for st in states[1:]])
     out_cont = {sc.name: weak_residual_continuity(cont, sc.value, sc.grad)

@@ -48,8 +48,7 @@ def run_continuity(solver, rho0, fv, n_steps):
     for _ in range(n_steps):
         rhos.append(solver.step(rhos[-1], fv)[0])
     times = [k * solver.dt for k in range(n_steps + 1)]
-    return ContinuityTrajectory(solver.grid, solver, times, rhos,
-                                [fv] * n_steps)
+    return ContinuityTrajectory(solver, times, rhos, [fv] * n_steps)
 
 
 def test_density_data_checked_on_every_face():

@@ -10,7 +10,7 @@ from nematoflow import pressure as pr
 from nematoflow import rheology as rh
 from nematoflow import tensors
 from nematoflow.errors import ConfigError
-from nematoflow.simulation import CoupledStepper, Physics, State, run_coupled
+from nematoflow.simulation import CoupledStepper, Physics, State
 
 
 def make_stepper(n=8, m=2, dt=1e-3, ub_kind="zero", rho_b=1.0, q_amp=0.0,
@@ -99,8 +99,11 @@ def newtonian_decay_monitor(n=8, m=2, dt=1e-3, n_steps=40):
     st0 = State(0.0, np.ones(shp), np.zeros(shp),
                 np.zeros(shp + (5,)), v0)
     mon = en.EnergyMonitor(stepper)
-    hook = mon.observe(st0)
-    run_coupled(stepper, st0, n_steps, record=False, monitor=hook)
+    mon.rows.append(mon.row(st0))
+    state = st0
+    for _ in range(n_steps):
+        state, info = stepper.step(state)
+        mon.rows.append(mon.row(state, info["picard_iters"]))
     return mon
 
 

@@ -91,6 +91,20 @@ def test_potential_prime_consistent_with_fd():
     assert np.allclose(pr.potential_prime(law, rho), fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["isentropic", "general"])
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3)])
+def test_potential_keeps_the_input_shape(kind, shape):
+    law = (pr.isentropic_law(a=1.0, gamma=2.0, rho_max=4.0)
+           if kind == "isentropic" else make_general_from(lambda r: r ** 2))
+    rho = np.linspace(0.5, 3.0, int(np.prod(shape))).reshape(shape)
+    for fn in (pr.potential, pr.potential_prime):
+        out = fn(law, rho)
+        # the same densities among others, so the array path is certain
+        ref = fn(law, np.append(rho.ravel(), 1.0))[:-1].reshape(shape)
+        assert np.shape(out) == shape
+        assert np.array_equal(out, ref)
+
+
 def test_potential_second_identity():
     law = pr.isentropic_law(a=2.0, gamma=1.7)
     rho = np.linspace(0.1, 5.0, 40)

@@ -49,8 +49,12 @@ def test_mass_balance_row_fails_with_flipped_diffusive_flux(monkeypatch):
 
 
 def test_quiescent_ledger_is_exactly_conservative(tmp_path):
-    rep = rn.run_scenario(sn.zero_scenario(), out_dir=str(tmp_path))
+    sc = sn.zero_scenario()
+    rep = rn.run_scenario(sc, out_dir=str(tmp_path))
     rows = rep.monitor.rows
+    # one row per time level, the last at the final time
+    assert len(rows) == sc.n_steps() + 1
+    assert rows[-1]["t"] == pytest.approx(sc.final_time)
     e0 = rows[0]["E_total"]
     drift = max(abs(r["E_total"] - e0) for r in rows)
     assert drift == 0.0

@@ -11,7 +11,7 @@ from nematoflow import simulation
 from nematoflow.galerkin import build_basis
 from nematoflow.pressure import isentropic_law
 from nematoflow.rheology import newtonian_law
-from nematoflow.simulation import CoupledStepper, Physics, State, run_coupled
+from nematoflow.simulation import CoupledStepper, Physics, State
 from nematoflow.tensors import uniaxial
 
 Q_UNIFORM = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
@@ -204,15 +204,6 @@ def test_density_cg_starts_from_the_previous_sweep(monkeypatch):
     assert all(s is r for s, r in zip(starts[1:], results))
     assert new_state.rho is results[-1]
     assert info["cg_iters"] == iters[-1] < iters[0]
-
-
-def test_run_records_trajectory():
-    grid, basis, stepper = make_stepper()
-    state = uniform_state(grid, basis)
-    final, traj = run_coupled(stepper, state, 5)
-    assert len(traj.times) == 6
-    assert traj.times[-1] == pytest.approx(5e-3)
-    assert final.t == pytest.approx(5e-3)
 
 
 def test_boundary_driven_flow_moves_velocity():
