@@ -153,31 +153,26 @@ class EnergyMonitor:
         return (0.25 * row["d_visc"] + 0.5 * row["d_conc"]
                 + 0.25 * row["d_relax"] + row["d_six"])
 
-    def lhs_series(self):
-        """Cumulative left side at each recorded time."""
+    def _running_sum(self, rate):
+        """Left-rectangle integral of rate(row) at each recorded time."""
         rows = self.rows
-        e0 = rows[0]["E_total"]
         out = [0.0]
-        acc = 0.0
         for j in range(len(rows) - 1):
-            dt = rows[j + 1]["t"] - rows[j]["t"]
-            r = rows[j]
-            acc += dt * (self.weighted_dissipation(r) + r["flux_out"]
-                         + r["flux_eps"] + r["gap_in"])
-            out.append(rows[j + 1]["E_total"] - e0 + acc)
+            out.append(out[-1] + (rows[j + 1]["t"] - rows[j]["t"])
+                       * rate(rows[j]))
         return np.array(out)
 
+    def lhs_series(self):
+        """Cumulative left side at each recorded time."""
+        e = np.array([r["E_total"] for r in self.rows])
+        return e - e[0] + self._running_sum(
+            lambda r: self.weighted_dissipation(r) + r["flux_out"]
+            + r["flux_eps"] + r["gap_in"])
+
     def rhs_series(self, c_growth, c_const):
-        rows = self.rows
-        out = [0.0]
-        acc = 0.0
-        for j in range(len(rows) - 1):
-            dt = rows[j + 1]["t"] - rows[j]["t"]
-            r = rows[j]
-            acc += dt * (c_growth * r["E_total"] + r["rhs_qb"] + r["rhs_pb"]
-                         + r["rhs_qgrad"] + c_const)
-            out.append(acc)
-        return np.array(out)
+        return self._running_sum(
+            lambda r: c_growth * r["E_total"] + r["rhs_qb"] + r["rhs_pb"]
+            + r["rhs_qgrad"] + c_const)
 
     def default_constants(self):
         """Growth/offset constants assembled from the boundary data norms.

@@ -1,8 +1,8 @@
 """Concentration and order-tensor dynamics.
 
 Concentration: dc/dt + u . grad c = D0 * lap c with no-flux walls.  One step
-is explicit upwind advection (advective form, a convex combination under the
-step-size guard) followed by an exact implicit diffusion solve: the
+is explicit upwind advection (advective form, a convex combination at
+advective weight <= 1) followed by an exact implicit diffusion solve: the
 mirror-ghost Laplacian is diagonalized by the type-II cosine transform, so
 the implicit operator inverts in closed form and the discrete maximum
 principle holds to rounding.  The transform applies each axis's dense
@@ -18,8 +18,8 @@ projection is needed.
 Both advections select from face differences of the old field
 (``domain.upwind_differences``), which a coupled step builds once.
 Layout: grid axes last; Q is (5, nx, ny, nz), u and lam (3, nx, ny, nz)
-(``State.q`` reaches here through ``simulation.q_components``).  A NaN
-fails every step guard, so a non-finite velocity raises StabilityError.
+(``State.q`` reaches here through ``simulation.q_components``).  The steps
+do numerics only; ``simulation.check_step`` admits dt once per sweep.
 """
 
 import numpy as np
@@ -27,22 +27,6 @@ import numpy as np
 from . import tensors
 from .domain import advect_upwind, contract, laplacian
 from .errors import StabilityError
-
-
-def _advective_guard(grid, u, dt):
-    weight = dt * sum(
-        float(np.max(np.abs(u[a]))) / grid.h[a] for a in range(3))
-    if not weight <= 1.0:
-        raise StabilityError(
-            f"advective weight dt*sum(|u_d|/h_d) = {weight:g} > 1")
-
-
-def _diffusion_guard(grid, coeff, dt, label):
-    h_min = min(grid.h)
-    limit = 0.9 * h_min ** 2 / (6.0 * coeff) if coeff > 0 else np.inf
-    if not dt <= limit:
-        raise StabilityError(
-            f"dt = {dt:g} exceeds 0.9*h^2/(6*{label}) = {limit:g}")
 
 
 def _dct_table(n):
@@ -69,8 +53,6 @@ def diffuse_neumann(grid, f, coeff, dt):
 
 def step_concentration(grid, c, diffs, u, d0, dt):
     """One transport-diffusion step of c; diffs: its upwind differences."""
-    _diffusion_guard(grid, d0, dt, "D0")
-    _advective_guard(grid, u, dt)
     star = c - dt * advect_upwind(grid, diffs, u)
     return diffuse_neumann(grid, star, d0, dt)
 
@@ -121,8 +103,6 @@ def step_q(grid, q, diffs, u, lam, c, dt, gamma, b, c_star, q_rules):
     (3, ...); lam: packed skew part [l12, l13, l23] of grad u, (3, ...).
     q_rules: the Dirichlet ghost rules of the wall order tensor.
     """
-    _diffusion_guard(grid, gamma, dt, "Gamma")
-    _advective_guard(grid, u, dt)
     q1 = q - dt * advect_upwind(grid, diffs, u)
     q2 = q1 - dt * tensors.commutator(q1, lam)
     q3 = q2 + dt * gamma * molecular_field(grid, q2, c, b, c_star, q_rules)

@@ -29,7 +29,8 @@ the bulk-term normalization).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -103,14 +104,14 @@ class RheologyLaw:
     d_nodes: np.ndarray = None    # tabulated grids
     t_nodes: np.ndarray = None
     f_table: np.ndarray = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "newtonian":
             if not (self.mu > 0.0):
                 raise RheologyError("newtonian law needs mu > 0")
-            if self.lam + 2.0 * self.mu / 3.0 < 0.0:
-                raise RheologyError("newtonian law needs lam + 2*mu/3 >= 0")
+            # F convex iff mu/3 + lam >= 0; tested as conjugate_batch's bulk
+            if self.mu + 3.0 * self.lam < 0.0:
+                raise RheologyError("newtonian law needs lam + mu/3 >= 0")
             if self.mu0 == 0.0:
                 # largest constant with F >= mu0 |dev D|^2; the 4/3 bound then
                 # holds on bounded boxes with a finite offset mu2
@@ -182,11 +183,10 @@ class RheologyLaw:
 
     # --- mollified reduced potential ---------------------------------------
 
+    @cached_property
     def _moll_shift(self):
-        key = "shift"
-        if key not in self._cache:
-            self._cache[key] = float(self._kernel_quad(self._raw, 0.0, 0.0))
-        return self._cache[key]
+        """Kernel sum at (0, 0), subtracted so that F_delta(0) = 0."""
+        return float(self._kernel_quad(self._raw, 0.0, 0.0))
 
     def _kernel_quad(self, raw, d, t):
         """Product-rule sums sum_ij w_i w_j raw(d - delta r_i, t - delta r_j).
@@ -215,7 +215,7 @@ class RheologyLaw:
     def value_dt(self, d, t):
         """Reduced potential (mollified when delta > 0)."""
         if self.delta > 0.0:
-            return self._kernel_quad(self._raw, d, t) - self._moll_shift()
+            return self._kernel_quad(self._raw, d, t) - self._moll_shift
         return self._raw(d, t)
 
     def partials_dt(self, d, t):
@@ -224,25 +224,23 @@ class RheologyLaw:
         return self._raw_partials(d, t)
 
 
-def newtonian_law(mu, lam=0.0, delta=0.0):
-    return RheologyLaw(kind="newtonian", mu=mu, lam=lam, delta=delta)
+def newtonian_law(mu, lam=0.0):
+    return RheologyLaw(kind="newtonian", mu=mu, lam=lam)
 
 
-def power_law(mu0, q=4.0 / 3.0, delta=0.0):
-    return RheologyLaw(kind="power_law", mu0=mu0, q=q, delta=delta)
+def power_law(mu0, q=4.0 / 3.0):
+    return RheologyLaw(kind="power_law", mu0=mu0, q=q)
 
 
-def tabulated_law(d_nodes, t_nodes, f_table, mu0, delta=0.0):
-    return RheologyLaw(kind="tabulated", mu0=mu0, delta=delta,
-                       d_nodes=d_nodes, t_nodes=t_nodes, f_table=f_table)
+def tabulated_law(d_nodes, t_nodes, f_table, mu0):
+    return RheologyLaw(kind="tabulated", mu0=mu0, d_nodes=d_nodes,
+                       t_nodes=t_nodes, f_table=f_table)
 
 
 def mollify(law, delta):
     if not delta > 0.0:
         raise RheologyError("mollification radius must be positive")
-    return RheologyLaw(kind=law.kind, mu=law.mu, lam=law.lam, mu0=law.mu0,
-                       q=law.q, delta=delta, d_nodes=law.d_nodes,
-                       t_nodes=law.t_nodes, f_table=law.f_table)
+    return replace(law, delta=delta)
 
 
 def potential(law, D):
@@ -327,9 +325,6 @@ def conjugate_batch(law, s, sigma):
     if law.kind == "newtonian" and law.delta == 0.0:
         bulk = law.mu + 3.0 * law.lam
         dev_part = s * s / (2.0 * law.mu)
-        if bulk < 0.0:
-            # potential unbounded below along the trace axis
-            return np.full(s.shape, np.inf)
         if bulk == 0.0:
             return np.where(np.abs(sigma) <= 1.0e-12 * (1.0 + s), dev_part, np.inf)
         return dev_part + sigma * sigma / (6.0 * bulk)

@@ -31,7 +31,6 @@ class RunReport:
     picard_iters: list = field(default_factory=list)
     contractions: list = field(default_factory=list)  # steps with >= 2 iters
     timings: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)
     monitor: object = None
 
     def add_check(self, name, passed, detail=""):
@@ -110,7 +109,6 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         os.makedirs(out_dir, exist_ok=True)
         sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, basis,
                           state, stepper._ub_cc)
-        report.snapshots.append(start_step)
 
     tau = 0.0
     t_wall = time.perf_counter()
@@ -139,7 +137,6 @@ def run_scenario(sc, out_dir=None, resume_from=None):
                 and step % sc.snapshot_every == 0:
             sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, basis,
                               state, stepper._ub_cc)
-            report.snapshots.append(step)
     report.timings["stepping"] = time.perf_counter() - t_wall
 
     m = tensors.to_matrix(q_components(state.q))

@@ -28,7 +28,8 @@ velocity that sweep returned, so no further sweep is run: the fields were
 advanced by an iterate within one increment of it (within ``picard_tol``
 when the plain test stopped the iteration).  Built once per step: the
 packed old Q and the upwind differences of c^n and Q^n.  The density CG of
-each sweep starts from the density of the sweep before.
+each sweep starts from the density of the sweep before.  ``check_step``
+admits dt for each sweep's velocity before any field moves.
 
 Callers loop over ``CoupledStepper.step`` themselves.  No code mutates a
 state once a step has returned it, so a list of returned states is a
@@ -48,7 +49,7 @@ from . import galerkin as gk
 from . import momentum as mom
 from .continuity import ContinuitySolver, face_lift, face_velocities
 from .domain import BoundaryFaces, pad, upwind_differences
-from .errors import FixedPointError
+from .errors import FixedPointError, StabilityError
 from .nematic import step_concentration, step_q
 
 # number of past iterate/residual differences kept by the Anderson mixing
@@ -101,6 +102,34 @@ def q_exchange(q):
     return np.moveaxis(q, 0, -1)
 
 
+def check_step(grid, dt, fv, u, physics):
+    """StabilityError unless dt is admissible for a sweep with face
+    velocities fv and cell-center velocity u.  In order: the eps and face
+    CFL limits, the advective weight dt*sum(|u_d|/h_d) <= 1 of fv, the D0
+    limit, the weight of u, the Gamma limit.  A NaN fails a weight test.
+    """
+    h_min = min(grid.h)
+
+    def limit(bound, text):
+        if not dt <= bound:
+            raise StabilityError(f"dt = {dt:g} exceeds 0.9*{text} = {bound:g}")
+
+    def weight(vel):
+        w = dt * sum(float(np.max(np.abs(U))) / h for U, h in zip(vel, grid.h))
+        if not w <= 1.0:
+            raise StabilityError(
+                f"advective weight dt*sum(|u_d|/h_d) = {w:g} > 1")
+
+    umax = max(float(np.max(np.abs(U))) for U in fv)
+    limit(0.9 * min(h_min ** 2 / (6.0 * physics.eps),
+                    h_min / umax if umax > 0 else np.inf),
+          "min(h^2/6eps, h/|u|)")
+    weight(fv)
+    limit(0.9 * h_min ** 2 / (6.0 * physics.d0), "h^2/(6*D0)")
+    weight(u)
+    limit(0.9 * h_min ** 2 / (6.0 * physics.gamma), "h^2/(6*Gamma)")
+
+
 class CoupledStepper:
     def __init__(self, grid, basis, physics, law, pressure_law, bdata, dt,
                  picard_tol=1e-10):
@@ -139,6 +168,7 @@ class CoupledStepper:
         and packed skew part for v (``velocity_fields``).  Returns Q packed.
         """
         fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
+        check_step(self.grid, self.dt, fv, u, self.physics)
         rho_new, cont_info = self.continuity.step(state.rho, fv,
                                                   start=rho_start)
         c_new = step_concentration(self.grid, state.c, diffs[0], u,

@@ -22,6 +22,7 @@ from nematoflow.nematic import (
     step_concentration,
     step_q,
 )
+from nematoflow.simulation import Physics, check_step
 from nematoflow.tensors import (
     from_matrix,
     packed_dot,
@@ -144,14 +145,6 @@ def test_dct_table_is_orthonormal(n):
     assert np.max(np.abs(C.T @ C - np.eye(n))) <= 1e-14
 
 
-def test_concentration_stability_guard():
-    grid = make_grid(8)
-    c = np.ones(grid.shape)
-    u = np.zeros((3,) + grid.shape)
-    with pytest.raises(StabilityError):
-        step_concentration(grid, c, diffs(grid, c), u, d0=0.25, dt=2e-2)
-
-
 def test_molecular_field_frozen_uniform():
     # uniform Q = diag(-1/3,-1/3,2/3), c = c*, b = 1, c* = 1, wall value
     # equal to the interior: the Laplacian drops and the bulk terms give
@@ -211,19 +204,6 @@ def test_q_corotation_rotates_director():
                    gamma=0.0, b=0.0, c_star=1.0, q_rules=faces)
     expected = uniaxial(0.5, np.array([np.cos(t_end), np.sin(t_end), 0.0]))
     assert np.max(np.abs(q[:, 0, 0, 0] - expected)) < 5e-3
-
-
-def test_q_stability_guard():
-    grid = make_grid(8)
-    q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
-    q = uniform(q5, grid.shape)
-    c = np.ones(grid.shape)
-    u = np.zeros((3,) + grid.shape)
-    lam = np.zeros((3,) + grid.shape)
-    faces = uniform_q_faces(grid, q5)
-    with pytest.raises(StabilityError):
-        step_q(grid, q, diffs(grid, q, faces), u, lam, c, dt=2e-2,
-               gamma=0.25, b=0.2, c_star=1.0, q_rules=faces)
 
 
 def test_step_q_rejects_nonfinite_order_tensor():
@@ -315,24 +295,32 @@ def nan_velocity(grid):
     return u
 
 
+def still_faces(grid):
+    return [np.zeros(grid.shape[:a] + (grid.shape[a] + 1,) + grid.shape[a + 1:])
+            for a in range(3)]
+
+
 # NaN fails every comparison, so a guard written weight > 1 lets a NaN
-# velocity through: step_concentration returned a NaN field, and step_q
-# failed only later, on its non-finite result
+# velocity through.  The steppers no longer guard dt: check_step admits
+# each sweep's velocity before step_concentration and step_q run
 
 
 def test_nan_velocity_raises_in_concentration_step():
     grid = make_grid()
-    c = np.ones(grid.shape)
     with pytest.raises(StabilityError, match="advective weight"):
-        step_concentration(grid, c, diffs(grid, c), nan_velocity(grid),
-                           d0=0.25, dt=1e-3)
+        check_step(grid, 1e-3, still_faces(grid), nan_velocity(grid),
+                   Physics(d0=0.25))
 
 
 def test_nan_velocity_raises_in_q_step():
     grid = make_grid()
+    with pytest.raises(StabilityError, match="advective weight"):
+        check_step(grid, 1e-3, still_faces(grid), nan_velocity(grid),
+                   Physics(gamma=0.25))
+    # step_q itself still refuses the NaN result it would return
     q5 = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
     q, faces = uniform(q5, grid.shape), uniform_q_faces(grid, q5)
-    with pytest.raises(StabilityError, match="advective weight"):
+    with pytest.raises(StabilityError, match="non-finite"):
         step_q(grid, q, diffs(grid, q, faces), nan_velocity(grid),
                np.zeros((3,) + grid.shape), np.ones(grid.shape), dt=1e-3,
                gamma=0.25, b=0.2, c_star=1.0, q_rules=faces)

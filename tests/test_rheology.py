@@ -179,6 +179,19 @@ def test_mollified_value_zero_at_origin():
         assert abs(rh.potential(law, np.zeros((3, 3)))) < 1.0e-10
 
 
+def test_mollifying_twice_equals_mollifying_once():
+    # the F_delta(0) shift is cached per law; a law mollified again must not
+    # keep the shift of its first radius
+    rng = np.random.default_rng(9)
+    D = np.stack([random_sym(rng, 2.0) for _ in range(8)])
+    for make in [lambda: rh.power_law(mu0=1.0),
+                 lambda: rh.newtonian_law(mu=1.0, lam=0.2)]:
+        once = rh.mollify(make(), 0.05)
+        assert abs(rh.potential(once, np.zeros((3, 3)))) < 1.0e-10
+        twice, ref = rh.mollify(once, 0.1), rh.mollify(make(), 0.1)
+        assert np.array_equal(rh.potential(twice, D), rh.potential(ref, D))
+
+
 def test_tabulated_needs_delta_for_subgradient():
     base = table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)
     with pytest.raises(rh.RheologyError):

@@ -88,7 +88,9 @@ def test_tabulated_rheology_requires_mollification():
     ("rheology_kind", "bingham", "unknown rheology kind"),
     ("pressure_gamma", 0.5, "gamma > 1"),
     ("pressure_a", -1.0, "a > 0"),
-    ("rheology_lam", -5.0, r"lam \+ 2\*mu/3"),
+    ("rheology_lam", -5.0, r"lam \+ mu/3"),
+    # lam + 2*mu/3 >= 0 but F(0.1 I) < F(0): the potential is not convex
+    ("rheology_lam", -0.5, r"lam \+ mu/3"),
     ("picard_tol", 0.0, "tol.picard"),
     ("snapshot_every", -3, "output.snapshot_every"),
     ("seed", -1, "run.seed"),

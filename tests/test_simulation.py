@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nematoflow.domain import BoundaryData, BoundaryVelocity, Grid
-from nematoflow.errors import FixedPointError
+from nematoflow.errors import FixedPointError, StabilityError
 from nematoflow import momentum as mom
 from nematoflow import scenarios as sn
 from nematoflow import simulation
@@ -239,3 +239,73 @@ def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
     for key in ("rho", "c", "q", "v"):
         ref, got = getattr(state, key), getattr(plain, key)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+D0_LIMIT = r"dt = 0\.02 exceeds 0\.9\*h\^2/\(6\*D0\) = 0\.009375"
+WEIGHT = r"advective weight dt\*sum\(\|u_d\|/h_d\)"
+
+# (cells per axis, dt, Physics overrides, face velocity, cell velocity,
+# message or None), velocities as constant vectors.  One case per condition,
+# and one per pair of neighbouring conditions that both fail, which pins the
+# order they raise in.
+STEP_CASES = {
+    "admissible": (8, 1e-3, {}, (0.5, 0.5, 0.5), (0.5, 0.5, 0.5), None),
+    # h = 1/8: 0.9*h^2/(6 eps) = 0.046875 < dt
+    "eps_limit": (8, 0.05, {}, (0, 0, 0), (0, 0, 0),
+                  r"dt = 0\.05 exceeds 0\.9\*min\(h\^2/6eps, h/\|u\|\) "
+                  r"= 0\.046875"),
+    # h/|u| = (1/16)/2, 0.9x = 0.028125 < dt; the eps limit (~5.9) is slack
+    "cfl_limit": (16, 0.03, {"eps": 1e-4}, (2, 0, 0), (0, 0, 0),
+                  r"0\.9\*min\(h\^2/6eps, h/\|u\|\) = 0\.028125"),
+    # NaN fails every comparison: a test written weight > 1 would pass it
+    "nan_face_velocity": (8, 1e-3, {}, (0, np.nan, 0), (0, 0, 0), WEIGHT),
+    # dt*|u|/h = 0.5 per axis is within the CFL limit, weight 1.5 is not
+    "face_weight_before_d0": (8, 2e-2, {}, (3.125,) * 3, (0, 0, 0),
+                              WEIGHT + r" = 1\.5 > 1"),
+    "d0_limit": (8, 2e-2, {}, (0, 0, 0), (0, 0, 0), D0_LIMIT),
+    "d0_before_cell_weight": (8, 2e-2, {}, (0, 0, 0), (100, 0, 0), D0_LIMIT),
+    "nan_cell_velocity": (8, 1e-3, {}, (0, 0, 0), (0, 0, np.nan), WEIGHT),
+    # D0 = 0.1 passes (limit 0.0234), Gamma = 0.25 does not
+    "cell_weight_before_gamma": (8, 2e-2, {"d0": 0.1}, (0, 0, 0), (100, 0, 0),
+                                 WEIGHT + r" = 16 > 1"),
+    "gamma_limit": (8, 2e-2, {"d0": 0.1}, (0, 0, 0), (0, 0, 0),
+                    r"dt = 0\.02 exceeds 0\.9\*h\^2/\(6\*Gamma\) = 0\.009375"),
+}
+
+
+def constant_velocity(shapes, vec):
+    """One array per axis equal to vec[axis]; a NaN component is zero but
+    for one NaN entry."""
+    out = [np.full(shape, np.nan_to_num(float(x)))
+           for shape, x in zip(shapes, vec)]
+    for U, x in zip(out, vec):
+        U[3, 4, 5] = x
+    return out
+
+
+@pytest.mark.parametrize("n,dt,phys,face,cell,message",
+                         STEP_CASES.values(), ids=STEP_CASES.keys())
+def test_check_step(n, dt, phys, face, cell, message):
+    grid = Grid(extents=(1.0, 1.0, 1.0), shape=(n, n, n))
+    fv = constant_velocity([[n + (a == axis) for a in range(3)]
+                            for axis in range(3)], face)
+    u = np.stack(constant_velocity([grid.shape] * 3, cell))
+    if message is None:
+        simulation.check_step(grid, dt, fv, u, Physics(**phys))
+    else:
+        with pytest.raises(StabilityError, match=message):
+            simulation.check_step(grid, dt, fv, u, Physics(**phys))
+
+
+def test_nan_velocity_fails_before_any_field_moves(monkeypatch):
+    grid, basis, stepper = make_stepper()
+
+    def moved(*args, **kwargs):
+        raise AssertionError("a field solver ran on a NaN velocity")
+
+    monkeypatch.setattr(stepper.continuity, "step", moved)
+    monkeypatch.setattr(simulation, "step_concentration", moved)
+    monkeypatch.setattr(simulation, "step_q", moved)
+    state = uniform_state(grid, basis, v=np.full(basis.n, np.nan))
+    with pytest.raises(StabilityError, match="advective weight"):
+        stepper.step(state)
