@@ -11,7 +11,6 @@ import dataclasses
 import numpy as np
 
 from . import energy as en
-from . import galerkin as gk
 from . import pressure as pr
 from . import rheology as rh
 from . import scenarios as sn
@@ -174,7 +173,7 @@ def suite_defect(sc=None):
     out = {}
     for label, scen in (("coarse", coarse), ("fine", fine)):
         setup, states = _states(scen)
-        u = gk.synthesize(setup.basis, states[-1].v) + setup.stepper._ub_cc
+        u = setup.stepper.velocity(states[-1].v)
         out[label] = (states[-1].rho, u, setup)
     est = en.defect_diagnostic(out["coarse"][0], out["coarse"][1],
                                out["fine"][0], out["fine"][1],

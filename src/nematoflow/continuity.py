@@ -3,9 +3,9 @@
 Scheme per step: explicit conservative upwind advection through cell faces,
 then one implicit diffusion solve.  Face-normal velocities are supplied at
 all (N+1) face planes per axis; at the domain walls the modes vanish, so the
-face velocity there is the boundary datum itself, and the upwind rule with
-outside value rho_B reproduces the inflow/outflow flux split without any
-special cases.
+face velocity there is the boundary lift ``BoundaryFaces.u_faces`` alone,
+and the upwind rule with outside value rho_B reproduces the inflow/outflow
+flux split without any special cases.
 
 The diffusion solve imposes the Robin condition
     eps * drho/dn + (rho_B - rho) * min(u_B . n, 0) = 0
@@ -41,27 +41,14 @@ _CG_MAXITER = 2000
 _LO, _HI = slice(None, -1), slice(1, None)
 
 
-def _face_mesh(grid, axis):
-    """Open mesh (np.ix_ layout) of the N+1 face planes normal to `axis`."""
-    coords = [grid.centers(a) for a in range(3)]
-    coords[axis] = np.arange(grid.shape[axis] + 1) * grid.h[axis]
-    return np.ix_(*coords)
-
-
-def face_lift(grid, u_b):
-    """u_B . e_axis at every face plane, per axis; fixed for a run."""
-    return [u_b(*_face_mesh(grid, axis))[axis] for axis in range(3)]
-
-
 def face_velocities(grid, basis, v, lift):
     """Normal velocity at every face plane, per axis; walls carry u_B.
 
     Entry `axis` is indexed like the grid with axis `axis` one longer: the
-    mode part of v, evaluated separably on the face planes' open mesh, plus
-    the fixed boundary lift from ``face_lift``.  The modes vanish on the
-    walls, so wall planes carry the lift alone.
+    modes of v on ``grid.face_mesh(axis)`` plus the lift ``u_faces`` of
+    ``BoundaryFaces``; the modes vanish on the walls, which carry the lift.
     """
-    return [gk.evaluate_at(basis, v, *_face_mesh(grid, axis))[axis] + lift[axis]
+    return [gk.evaluate_at(basis, v, *grid.face_mesh(axis))[axis] + lift[axis]
             for axis in range(3)]
 
 

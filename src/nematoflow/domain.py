@@ -18,8 +18,11 @@ affine ghost rule ghost = a * w + b (``pad``: mirror, Dirichlet Q_B, Robin
 density).  The six ghost rules of ``pad`` and the six faces of
 ``decompose_boundary`` and ``BoundaryFaces`` share one order, x-, x+, y-,
 y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
-up by index.  ``upwind_differences`` depend on the field alone, so a
-coupled step builds them once and ``advect_upwind`` only selects.
+up by index.  ``BoundaryFaces`` alone samples the boundary data: rho_B, Q_B
+and its normal derivative on the walls, u_B . e_axis on the face planes,
+u_B and its Jacobian at the cell centres.  ``upwind_differences`` depend on
+the field alone, so a coupled step builds them once and ``advect_upwind``
+only selects.
 ``contract``, one table per grid axis, serves galerkin and nematic alike.
 """
 
@@ -63,6 +66,12 @@ class Grid:
     def coords(self):
         return np.meshgrid(self.centers(0), self.centers(1), self.centers(2),
                            indexing="ij")
+
+    def face_mesh(self, axis):
+        """Open mesh (np.ix_) of the N+1 face planes normal to `axis`."""
+        coords = [self.centers(a) for a in range(3)]
+        coords[axis] = np.arange(self.shape[axis] + 1) * self.h[axis]
+        return np.ix_(*coords)
 
 
 # ------------------------------------------------------------- ghost cells
@@ -235,18 +244,25 @@ def decompose_boundary(grid, u_b):
 
 
 class BoundaryFaces:
-    """The six walls of a run with the boundary data sampled on them.
+    """The boundary data of a run, sampled once on the walls, the face
+    planes and the cell centres.
 
     Built once per stepper from (grid, bdata).  Every per-face list is in
     ``pad`` rule order: entry k belongs to ``faces[k]``, and the ghost layer
     that rule k of ``pad`` writes lies next to ``f[faces[k].wall]``.  Face
     arrays have the two tangential grid axes last, like the fields.
 
-      faces     the six Face records (axis k // 2, side k % 2)
-      rho_b     inflow density rho_B on each face; DomainError unless it
-                is positive on every face centroid
-      q_b       wall order tensor Q_B on each face, packed (5, n1, n2)
-      q_rules   ghost rules (-1, 2 Q_B), ghost = 2 Q_B - w, imposing Q_B
+      faces      the six Face records (axis k // 2, side k % 2)
+      rho_b      inflow density rho_B on each face; DomainError unless it
+                 is positive on every face centroid
+      q_b        wall order tensor Q_B on each face, packed (5, n1, n2)
+      dq_b       outward normal derivative of Q_B on each face, one-sided
+                 from Q_B half a cell inside (exact for affine Q_B)
+      q_rules    ghost rules (-1, 2 Q_B), ghost = 2 Q_B - w, imposing Q_B
+      u_cells    the lift u_B at the cell centres, (3, nx, ny, nz)
+      jac_cells  its Jacobian J[a, d] = du_a/dx_d, (3, 3, nx, ny, nz)
+      u_faces    u_B . e_axis on the N+1 face planes normal to each axis
+                 (``Grid.face_mesh``), the wall part of ``face_velocities``
     """
 
     def __init__(self, grid, bdata):
@@ -258,7 +274,19 @@ class BoundaryFaces:
                                   f"positive on every face (axis {face.axis}, "
                                   f"side {face.side})")
         self.q_b = [bdata.q_b(*face.xyz) for face in self.faces]
+        self.dq_b = []
+        for face, q_wall in zip(self.faces, self.q_b):
+            h = grid.h[face.axis]
+            inner_xyz = list(face.xyz)
+            inner_xyz[face.axis] = face.xyz[face.axis] + (
+                -0.5 * h if face.side == 1 else 0.5 * h)
+            self.dq_b.append((q_wall - bdata.q_b(*inner_xyz)) / (0.5 * h))
         self.q_rules = tuple((-1.0, 2.0 * q_b) for q_b in self.q_b)
+        X, Y, Z = grid.coords()
+        self.u_cells = bdata.u_b(X, Y, Z)
+        self.jac_cells = bdata.u_b.jacobian(X, Y, Z)
+        self.u_faces = [bdata.u_b(*grid.face_mesh(axis))[axis]
+                        for axis in range(3)]
 
 
 # ------------------------------------------------------ boundary-data catalog

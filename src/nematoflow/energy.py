@@ -49,17 +49,6 @@ class EnergyMonitor:
     def __init__(self, stepper):
         self.stepper = stepper
         self.rows = []
-        g = stepper.grid
-        # normal derivative of the wall order tensor by one-sided sampling
-        # half a cell inside; exact (zero) for constant wall data
-        self._qb_normal_deriv = []
-        for face, q_wall in zip(stepper.boundary.faces, stepper.boundary.q_b):
-            h = g.h[face.axis]
-            inner_xyz = list(face.xyz)
-            shift = -0.5 * h if face.side == 1 else 0.5 * h
-            inner_xyz[face.axis] = face.xyz[face.axis] + shift
-            q_in = stepper.bdata.q_b(*inner_xyz)
-            self._qb_normal_deriv.append((q_wall - q_in) / (0.5 * h))
 
     # ------------------------------------------------------------- one row
 
@@ -68,11 +57,12 @@ class EnergyMonitor:
         g = st.grid
         ph = st.physics
         q = q_components(state.q)
+        # the kinetic energy is of u - u_B, the mode part alone
         u_modes = gk.synthesize(st.basis, state.v)
         # a contiguous stack of matrices, so the reductions of the matrix
         # route run in one order
         J = np.ascontiguousarray(np.moveaxis(
-            gk.synthesize_jacobian(st.basis, state.v) + st._ub_jac_cc,
+            gk.synthesize_jacobian(st.basis, state.v) + st.boundary.jac_cells,
             (0, 1), (-2, -1)))
         D = 0.5 * (J + np.swapaxes(J, -1, -2))
 
@@ -113,7 +103,7 @@ class EnergyMonitor:
             * np.einsum("a...,a...->...", grad_rho, grad_rho))
         boundary = st.boundary
         for face, rho_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
-                                         boundary.q_b, self._qb_normal_deriv):
+                                         boundary.q_b, boundary.dq_b):
             area = face.area_element
             rho_w = state.rho[face.wall]
             ubn = face.ubn
@@ -183,8 +173,8 @@ class EnergyMonitor:
         """
         st = self.stepper
         g = st.grid
-        ub = st._ub_cc
-        gb = st._ub_jac_cc
+        ub = st.boundary.u_cells
+        gb = st.boundary.jac_cells
         gradub_inf = float(np.max(np.abs(gb)))
         gradub_l2sq = float(volume_integral(
             g, np.einsum("ad...,ad...->...", gb, gb)))

@@ -26,7 +26,6 @@ from .simulation import q_components
 
 @dataclass
 class RunReport:
-    scenario: object
     checks: list = field(default_factory=list)   # (name, passed, detail)
     picard_iters: list = field(default_factory=list)
     contractions: list = field(default_factory=list)  # steps with >= 2 iters
@@ -89,7 +88,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         start_step = sc.steps_to(snap.t, when)
         if not 0 <= start_step <= n_steps:
             raise sn.ConfigError(f"{when} is not in [0, {sc.final_time!r}]")
-    report = RunReport(scenario=sc)
+    report = RunReport()
     monitor = en.EnergyMonitor(stepper)
     report.monitor = monitor
     monitor.rows.append(monitor.row(state))
@@ -107,8 +106,8 @@ def run_scenario(sc, out_dir=None, resume_from=None):
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, basis,
-                          state, stepper._ub_cc)
+        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid,
+                          state, stepper.velocity(state.v))
 
     tau = 0.0
     t_wall = time.perf_counter()
@@ -135,8 +134,8 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         worst["mass_balance"] = max(worst["mass_balance"], defect)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
-            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, basis,
-                              state, stepper._ub_cc)
+            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid,
+                              state, stepper.velocity(state.v))
     report.timings["stepping"] = time.perf_counter() - t_wall
 
     m = tensors.to_matrix(q_components(state.q))

@@ -31,9 +31,10 @@ packed old Q and the upwind differences of c^n and Q^n.  The density CG of
 each sweep starts from the density of the sweep before.  ``check_step``
 admits dt for each sweep's velocity before any field moves.
 
-Callers loop over ``CoupledStepper.step`` themselves.  No code mutates a
-state once a step has returned it, so a list of returned states is a
-trajectory.
+``CoupledStepper.velocity`` is the cell-centre velocity of a coefficient
+vector, its modes plus the lift ``BoundaryFaces.u_cells``.  Callers loop
+over ``CoupledStepper.step`` themselves.  No code mutates a state once a
+step has returned it, so a list of returned states is a trajectory.
 
 Layout: the solvers work on fields with grid axes last.  ``State.q`` alone
 keeps the (nx, ny, nz, 5) layout that snapshots store and the benchmark's
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import galerkin as gk
 from . import momentum as mom
-from .continuity import ContinuitySolver, face_lift, face_velocities
+from .continuity import ContinuitySolver, face_velocities
 from .domain import BoundaryFaces, pad, upwind_differences
 from .errors import FixedPointError, StabilityError
 from .nematic import step_concentration, step_q
@@ -104,10 +105,10 @@ def q_exchange(q):
 
 def check_step(grid, dt, fv, u, physics):
     """StabilityError unless dt is admissible for a sweep with face
-    velocities fv and cell-center velocity u.  In order: the eps and face
-    CFL limits, the advective weight dt*sum(|u_d|/h_d) <= 1 of fv, the D0
-    limit, the weight of u, the Gamma limit.  A NaN fails a weight test.
-    """
+    velocities fv and cell-center velocity u.  In order: the face CFL limit,
+    the advective weight dt*sum(|u_d|/h_d) <= 1 of fv, the weight of u, the
+    Gamma limit of the explicit Q relaxation (the diffusion solves are
+    implicit).  A NaN fails a weight test."""
     h_min = min(grid.h)
 
     def limit(bound, text):
@@ -121,11 +122,8 @@ def check_step(grid, dt, fv, u, physics):
                 f"advective weight dt*sum(|u_d|/h_d) = {w:g} > 1")
 
     umax = max(float(np.max(np.abs(U))) for U in fv)
-    limit(0.9 * min(h_min ** 2 / (6.0 * physics.eps),
-                    h_min / umax if umax > 0 else np.inf),
-          "min(h^2/6eps, h/|u|)")
+    limit(0.9 * (h_min / umax) if umax > 0 else np.inf, "h/|u|")
     weight(fv)
-    limit(0.9 * h_min ** 2 / (6.0 * physics.d0), "h^2/(6*D0)")
     weight(u)
     limit(0.9 * h_min ** 2 / (6.0 * physics.gamma), "h^2/(6*Gamma)")
 
@@ -138,25 +136,24 @@ class CoupledStepper:
         self.physics = physics
         self.law = law
         self.pressure_law = pressure_law
-        self.bdata = bdata
         self.dt = float(dt)
         self.picard_tol = float(picard_tol)
         self.boundary = BoundaryFaces(grid, bdata)
         self.continuity = ContinuitySolver(grid=grid, eps=physics.eps, dt=dt,
                                            boundary=self.boundary)
-        X, Y, Z = grid.coords()
-        self._ub_cc = bdata.u_b(X, Y, Z)
-        self._ub_jac_cc = bdata.u_b.jacobian(X, Y, Z)
-        self._ub_faces = face_lift(grid, bdata.u_b)
 
     # ------------------------------------------------------- field helpers
+
+    def velocity(self, v):
+        """Cell-center velocity u = modes of v + u_B, (3, nx, ny, nz)."""
+        return gk.synthesize(self.basis, v) + self.boundary.u_cells
 
     def velocity_fields(self, v):
         """Cell-center velocity u (3, nx, ny, nz), Jacobian J[a, d]
         (3, 3, nx, ny, nz) and packed skew part lam (3, nx, ny, nz) for v,
         grid axes last like every field but ``State.q``."""
-        u = gk.synthesize(self.basis, v) + self._ub_cc
-        J = gk.synthesize_jacobian(self.basis, v) + self._ub_jac_cc
+        u = self.velocity(v)
+        J = gk.synthesize_jacobian(self.basis, v) + self.boundary.jac_cells
         a, d = _SKEW
         return u, J, 0.5 * (J[a, d] - J[d, a])
 
@@ -167,7 +164,7 @@ class CoupledStepper:
         q; rho_start: first density CG iterate; u, lam: cell-center velocity
         and packed skew part for v (``velocity_fields``).  Returns Q packed.
         """
-        fv = face_velocities(self.grid, self.basis, v, self._ub_faces)
+        fv = face_velocities(self.grid, self.basis, v, self.boundary.u_faces)
         check_step(self.grid, self.dt, fv, u, self.physics)
         rho_new, cont_info = self.continuity.step(state.rho, fv,
                                                   start=rho_start)

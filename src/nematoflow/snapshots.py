@@ -9,8 +9,9 @@ another in one file, in the order of ``_KEYS``:
     coeffs       (n,)               Galerkin coefficients v^n
     coeffs_prev  (n,), or (0,)      v^{n-1}; empty when there is none
     rho, c       (nx, ny, nz)
-    u            (3, nx, ny, nz)    cell-centre velocity, modes plus boundary
-                                    lift, for ``nematoflow defect``
+    u            (3, nx, ny, nz)    cell-centre velocity as the caller
+                                    passes it (modes plus boundary lift),
+                                    for ``nematoflow defect``
     q            (nx, ny, nz, 5)    ``State.q`` as it is
 
 All records but cells are float64, which round-trips exactly, so a
@@ -30,7 +31,6 @@ import os
 
 import numpy as np
 
-from . import galerkin as gk
 from .errors import ConfigError
 from .simulation import State
 
@@ -43,8 +43,8 @@ def snapshot_path(out_dir, step):
     return os.path.join(out_dir, f"snap_{step:06d}{_SUFFIX}")
 
 
-def write_snapshot(path, grid, basis, state, ub_cc):
-    u = gk.synthesize(basis, state.v) + ub_cc
+def write_snapshot(path, grid, state, u):
+    """Write state and the cell-centre velocity u (3, nx, ny, nz) to path."""
     v_prev = () if state.v_prev is None else state.v_prev
     values = (state.t, grid.shape, grid.extents, state.v, v_prev, state.rho,
               u, state.c, state.q)

@@ -106,40 +106,37 @@ def scalar_catalog():
     """Space-time scalar test functions for the mass and concentration
     identities; smooth on the closed box, no boundary restriction."""
     pi = np.pi
-
-    def mk(name, value, grad):
-        return ScalarTest(name, value, grad)
-
     return [
-        mk("one",
-           lambda X, Y, Z, t: np.ones_like(X),
-           lambda X, Y, Z, t: np.zeros((3,) + X.shape)),
-        mk("x_t",
-           lambda X, Y, Z, t: X * t,
-           lambda X, Y, Z, t: _stack_grad(t * np.ones_like(X), 0.0, 0.0, X)),
-        mk("sinx_lin",
-           lambda X, Y, Z, t: np.sin(pi * X) + 0.5 * Y,
-           lambda X, Y, Z, t: _stack_grad(pi * np.cos(pi * X),
-                                          0.5 * np.ones_like(Y), 0.0, X)),
-        mk("cosy_z2",
-           lambda X, Y, Z, t: np.cos(pi * Y) * Z ** 2,
-           lambda X, Y, Z, t: _stack_grad(
-               0.0, -pi * np.sin(pi * Y) * Z ** 2,
-               2.0 * np.cos(pi * Y) * Z, X)),
-        mk("decay_sum",
-           lambda X, Y, Z, t: np.exp(-t) * (X + Y + Z),
-           lambda X, Y, Z, t: _stack_grad(
-               np.exp(-t) * np.ones_like(X),
-               np.exp(-t) * np.ones_like(X),
-               np.exp(-t) * np.ones_like(X), X)),
-        mk("quad_mix",
-           lambda X, Y, Z, t: X * X - Z + t * Y,
-           lambda X, Y, Z, t: _stack_grad(
-               2.0 * X, t * np.ones_like(Y), -np.ones_like(Z), X)),
-        mk("t2_cosz",
-           lambda X, Y, Z, t: t * t * np.cos(pi * Z),
-           lambda X, Y, Z, t: _stack_grad(
-               0.0, 0.0, -t * t * pi * np.sin(pi * Z), X)),
+        ScalarTest("one",
+                   lambda X, Y, Z, t: np.ones_like(X),
+                   lambda X, Y, Z, t: np.zeros((3,) + X.shape)),
+        ScalarTest("x_t",
+                   lambda X, Y, Z, t: X * t,
+                   lambda X, Y, Z, t: _stack_grad(t * np.ones_like(X), 0.0,
+                                                  0.0, X)),
+        ScalarTest("sinx_lin",
+                   lambda X, Y, Z, t: np.sin(pi * X) + 0.5 * Y,
+                   lambda X, Y, Z, t: _stack_grad(
+                       pi * np.cos(pi * X), 0.5 * np.ones_like(Y), 0.0, X)),
+        ScalarTest("cosy_z2",
+                   lambda X, Y, Z, t: np.cos(pi * Y) * Z ** 2,
+                   lambda X, Y, Z, t: _stack_grad(
+                       0.0, -pi * np.sin(pi * Y) * Z ** 2,
+                       2.0 * np.cos(pi * Y) * Z, X)),
+        ScalarTest("decay_sum",
+                   lambda X, Y, Z, t: np.exp(-t) * (X + Y + Z),
+                   lambda X, Y, Z, t: _stack_grad(
+                       np.exp(-t) * np.ones_like(X),
+                       np.exp(-t) * np.ones_like(X),
+                       np.exp(-t) * np.ones_like(X), X)),
+        ScalarTest("quad_mix",
+                   lambda X, Y, Z, t: X * X - Z + t * Y,
+                   lambda X, Y, Z, t: _stack_grad(
+                       2.0 * X, t * np.ones_like(Y), -np.ones_like(Z), X)),
+        ScalarTest("t2_cosz",
+                   lambda X, Y, Z, t: t * t * np.cos(pi * Z),
+                   lambda X, Y, Z, t: _stack_grad(
+                       0.0, 0.0, -t * t * pi * np.sin(pi * Z), X)),
     ]
 
 
@@ -271,12 +268,12 @@ def weak_residuals_dissipative(states, stepper):
 
     first, last = states[0], states[-1]
     t_end = times[-1]
-    u_end = gk.synthesize(stepper.basis, last.v) + stepper._ub_cc
-    u_start = gk.synthesize(stepper.basis, first.v) + stepper._ub_cc
+    u_end = stepper.velocity(last.v)
+    u_start = stepper.velocity(first.v)
     # the density step n -> n+1 is carried by the velocity it returned
     cont = ContinuityTrajectory(
         stepper.continuity, times, [st.rho for st in states],
-        [face_velocities(g, stepper.basis, st.v, stepper._ub_faces)
+        [face_velocities(g, stepper.basis, st.v, stepper.boundary.u_faces)
          for st in states[1:]])
     out_cont = {sc.name: weak_residual_continuity(cont, sc.value, sc.grad)
                 for sc in scalar_tests}

@@ -31,14 +31,14 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_run_numerical_failure_exits_1_with_message(tmp_path, capsys):
-    # dt = 0.02 at 8^3 breaks the D0 diffusion guard (limit 0.009375)
+    # dt = 0.02 at 8^3 breaks the Gamma relaxation limit (0.009375)
     cfg = _write_scenario(tmp_path, sn.default_scenario(grid_cells=8,
                                                          dt=0.02))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert lines == ["numerical failure: dt = 0.02 exceeds "
-                     "0.9*h^2/(6*D0) = 0.009375"]
+                     "0.9*h^2/(6*Gamma) = 0.009375"]
     assert "Traceback" not in captured.err + captured.out
 
 

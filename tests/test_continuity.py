@@ -8,7 +8,6 @@ from nematoflow.continuity import (
     ContinuitySolver,
     ContinuityTrajectory,
     face_divergence,
-    face_lift,
     face_velocities,
     renormalized_balance,
     weak_residual_continuity,
@@ -38,7 +37,7 @@ def make_setup(n=8, eps=0.05, dt=1e-3, ub_kind="zero", rho_b=1.0, v=None, m=2,
     basis = build_basis(grid, m)
     if v is None:
         v = np.zeros(basis.n)
-    fv = face_velocities(grid, basis, v, face_lift(grid, u_b))
+    fv = face_velocities(grid, basis, v, boundary.u_faces)
     return grid, solver, fv, basis
 
 
@@ -65,7 +64,8 @@ def test_face_velocities_match_brute_force_mode_sum(ub_kind, ub_kw):
     m = 2
     basis = build_basis(grid, m)
     v = np.random.default_rng(5).standard_normal(basis.n)
-    fv = face_velocities(grid, basis, v, face_lift(grid, u_b))
+    lift = BoundaryFaces(grid, BoundaryData(u_b, 1.0, Q_B)).u_faces
+    fv = face_velocities(grid, basis, v, lift)
     V = v.reshape(m, m, m, 3)
     L = grid.extents
     norm = np.sqrt(8.0 / (L[0] * L[1] * L[2]))

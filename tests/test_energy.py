@@ -77,6 +77,38 @@ def test_uniform_rest_state_oracle():
         assert abs(row[key]) < 1e-14, key
 
 
+def test_wall_gradient_term_of_a_linear_wall_tensor():
+    # Q_B = Q0 + x Q1 is affine in x, so the half-cell one-sided difference
+    # is its exact normal derivative: -Q1 on x = 0, +Q1 on x = Lx, zero on
+    # the y and z walls.  rhs_qgrad is the sum over the walls of
+    # 2 c* Gamma area tr(Q_B^2) (Q_B : dQ_B/dn), here on 3x3 matrices.
+    grid = dom.Grid((1.5, 1.0, 0.8), (8, 6, 4))
+    q0 = tensors.uniaxial(0.3, np.array([1.0, 0.0, 0.0]))
+    q1 = tensors.uniaxial(0.2, np.array([1.0, 1.0, 0.0]))
+
+    def q_b(x, y, z):
+        x = np.broadcast_arrays(x, y, z)[0]
+        return np.multiply.outer(q0, np.ones_like(x)) \
+            + np.multiply.outer(q1, x)
+
+    bdata = dom.BoundaryData(dom.BoundaryVelocity("zero", grid), 1.0, q_b)
+    physics = Physics(c_star=1.3, gamma=0.4)
+    stepper = CoupledStepper(grid, gk.build_basis(grid, 1), physics,
+                             rh.newtonian_law(1.0),
+                             pr.isentropic_law(1.0, 2.0), bdata, 1e-3)
+    row = en.EnergyMonitor(stepper).row(zero_state(grid, stepper.basis, 1.0))
+    m1 = tensors.to_matrix(q1)
+    want = 0.0
+    for x_wall, sign in ((0.0, -1.0), (grid.extents[0], 1.0)):
+        m = tensors.to_matrix(q0 + x_wall * q1)
+        per_cell = 2.0 * physics.c_star * physics.gamma * np.trace(m @ m) \
+            * tensors.frobenius(m, sign * m1)
+        want += grid.h[1] * grid.h[2] * grid.shape[1] * grid.shape[2] \
+            * per_cell
+    assert abs(want) > 1e-3
+    assert row["rhs_qgrad"] == pytest.approx(want, rel=1e-12)
+
+
 def test_outflow_flux_nonnegative_and_gap_convex():
     grid, basis, stepper = make_stepper(ub_kind="channel", q_amp=0.2)
     mon = en.EnergyMonitor(stepper)

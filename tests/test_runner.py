@@ -116,8 +116,8 @@ def test_restart_rejects_mismatched_grid(tmp_path):
 def test_restart_rejects_mismatched_modes(tmp_path):
     setup = sn.build(sn.default_scenario(grid_cells=8, modes=2))
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
-                      setup.stepper._ub_cc)
+    sp.write_snapshot(path, setup.grid, setup.state0,
+                      setup.stepper.velocity(setup.state0.v))
     with pytest.raises(ConfigError, match=f"snapshot {path}: .*modes"):
         rn.run_scenario(sn.default_scenario(grid_cells=8, modes=1),
                         resume_from=path)
@@ -130,8 +130,9 @@ def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
     st = setup.state0
-    sp.write_snapshot(path, setup.grid, setup.basis,
-                      State(t, st.rho, st.c, st.q, st.v), setup.stepper._ub_cc)
+    sp.write_snapshot(path, setup.grid,
+                      State(t, st.rho, st.c, st.q, st.v),
+                      setup.stepper.velocity(st.v))
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"snapshot time t = {t!r}"):
         rn.run_scenario(sc, out_dir=str(out), resume_from=path)
@@ -154,8 +155,8 @@ def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
-                      setup.stepper._ub_cc)
+    sp.write_snapshot(path, setup.grid, setup.state0,
+                      setup.stepper.velocity(setup.state0.v))
     st, shape, extents = sp.read_snapshot(path)
     assert shape == setup.grid.shape
     assert extents == tuple(setup.grid.extents)
@@ -168,8 +169,8 @@ def test_snapshot_round_trip(tmp_path):
     # state read back (other memory layouts), gives the same file
     for state in (setup.state0, st):
         again = str(tmp_path / "again.bin")
-        sp.write_snapshot(again, setup.grid, setup.basis, state,
-                          setup.stepper._ub_cc)
+        sp.write_snapshot(again, setup.grid, state,
+                          setup.stepper.velocity(state.v))
         assert _read_bytes(again) == _read_bytes(path)
 
 
@@ -179,14 +180,14 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid, setup.basis, st,
-                      setup.stepper._ub_cc)
+    sp.write_snapshot(str(path), setup.grid, st,
+                      setup.stepper.velocity(st.v))
     assert _records(path)["coeffs_prev"].shape == (0,)
     assert sp.read_snapshot(str(path))[0].v_prev is None
     v_prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
-    sp.write_snapshot(str(path), setup.grid, setup.basis,
+    sp.write_snapshot(str(path), setup.grid,
                       State(1e-3, st.rho, st.c, st.q, st.v, v_prev),
-                      setup.stepper._ub_cc)
+                      setup.stepper.velocity(st.v))
     assert np.array_equal(sp.read_snapshot(str(path))[0].v_prev, v_prev)
     records = _records(path)
     for bad in (v_prev[:-1], np.append(v_prev[:-1], np.nan)):
@@ -201,9 +202,9 @@ def _snapshot_with_previous(tmp_path):
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid, setup.basis,
+    sp.write_snapshot(str(path), setup.grid,
                       State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0),
-                      setup.stepper._ub_cc)
+                      setup.stepper.velocity(st.v))
     return path
 
 
@@ -315,11 +316,12 @@ def test_read_velocity_fields_returns_the_synthesized_velocity(tmp_path):
     sc = sn.default_scenario(grid_cells=8, init_v="noise:0.01")
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.basis, setup.state0,
-                      setup.stepper._ub_cc)
+    sp.write_snapshot(path, setup.grid, setup.state0,
+                      setup.stepper.velocity(setup.state0.v))
     rho, u = sp.read_velocity_fields(path)
-    want = gk.synthesize(setup.basis, setup.state0.v) + setup.stepper._ub_cc
-    assert np.any(want != setup.stepper._ub_cc)
+    want = gk.synthesize(setup.basis, setup.state0.v) \
+        + setup.stepper.boundary.u_cells
+    assert np.any(want != setup.stepper.boundary.u_cells)
     assert np.array_equal(u, want)
     assert np.array_equal(rho, setup.state0.rho)
 

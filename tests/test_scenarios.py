@@ -152,14 +152,25 @@ def test_seeded_selectors_are_deterministic():
 def test_channel_boundary_profile_vanishes_at_walls():
     sc = sn.zero_scenario(bc_u="channel:0.5")
     setup = sn.build(sc)
-    ub = setup.stepper.bdata.u_b
+    boundary = setup.stepper.boundary
     g = setup.grid
-    # Profile rides on the wall-normal coordinates, so wall faces carry
-    # zero tangential speed while the midplane carries the peak.
-    X, Y, Z = g.coords()
-    vals = ub(X, Y, Z)
-    assert vals.shape == (3,) + X.shape
-    lo = ub(X[:1] * 0, Y[:1] * 0, Z[:1] * 0)
-    assert np.max(np.abs(lo)) < 1e-14
-    mid = vals[0, :, g.shape[1] // 2, g.shape[2] // 2]
+    u = boundary.u_cells
+    assert u.shape == (3,) + g.shape
+    assert boundary.jac_cells.shape == (3, 3) + g.shape
+    # an x-directed profile: no flow through the y and z walls, and every
+    # x face plane carries the profile of the cells
+    assert not np.any(u[1:])
+    assert not np.any(boundary.u_faces[1]) and not np.any(boundary.u_faces[2])
+    assert boundary.u_faces[0].shape == (g.shape[0] + 1,) + g.shape[1:]
+    assert np.array_equal(boundary.u_faces[0],
+                          np.broadcast_to(u[0, :1], boundary.u_faces[0].shape))
+    # the profile is quadratic in y and in z: the exact extrapolation from
+    # the three cells next to a wall, (15 f0 - 10 f1 + 3 f2) / 8, is the
+    # wall speed, zero on all four side walls; the midplane carries the peak
+    for axis in (1, 2):
+        for side in (slice(None), slice(None, None, -1)):
+            f = np.moveaxis(u[0], axis, 0)[side]
+            wall = (15.0 * f[0] - 10.0 * f[1] + 3.0 * f[2]) / 8.0
+            assert np.max(np.abs(wall)) < 1e-14
+    mid = u[0, :, g.shape[1] // 2, g.shape[2] // 2]
     assert np.max(np.abs(mid)) > 0.1

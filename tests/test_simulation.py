@@ -241,7 +241,6 @@ def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
 
 
-D0_LIMIT = r"dt = 0\.02 exceeds 0\.9\*h\^2/\(6\*D0\) = 0\.009375"
 WEIGHT = r"advective weight dt\*sum\(\|u_d\|/h_d\)"
 
 # (cells per axis, dt, Physics overrides, face velocity, cell velocity,
@@ -250,25 +249,24 @@ WEIGHT = r"advective weight dt\*sum\(\|u_d\|/h_d\)"
 # order they raise in.
 STEP_CASES = {
     "admissible": (8, 1e-3, {}, (0.5, 0.5, 0.5), (0.5, 0.5, 0.5), None),
-    # h = 1/8: 0.9*h^2/(6 eps) = 0.046875 < dt
-    "eps_limit": (8, 0.05, {}, (0, 0, 0), (0, 0, 0),
-                  r"dt = 0\.05 exceeds 0\.9\*min\(h\^2/6eps, h/\|u\|\) "
-                  r"= 0\.046875"),
-    # h/|u| = (1/16)/2, 0.9x = 0.028125 < dt; the eps limit (~5.9) is slack
-    "cfl_limit": (16, 0.03, {"eps": 1e-4}, (2, 0, 0), (0, 0, 0),
-                  r"0\.9\*min\(h\^2/6eps, h/\|u\|\) = 0\.028125"),
+    # the density and solute diffusion solves are implicit: dt above
+    # 0.9*h^2/(6 eps) = 0.046875 and 0.9*h^2/(6 D0) = 0.009375 at h = 1/8
+    # is admitted at rest when the Gamma limit is slack
+    "eps_limit": (8, 0.05, {"gamma": 1e-3}, (0, 0, 0), (0, 0, 0), None),
+    "d0_limit": (8, 2e-2, {"gamma": 1e-3}, (0, 0, 0), (0, 0, 0), None),
+    # h/|u| = (1/16)/2, 0.9x = 0.028125 < dt
+    "cfl_limit": (16, 0.03, {"gamma": 1e-3}, (2, 0, 0), (0, 0, 0),
+                  r"dt = 0\.03 exceeds 0\.9\*h/\|u\| = 0\.028125"),
     # NaN fails every comparison: a test written weight > 1 would pass it
     "nan_face_velocity": (8, 1e-3, {}, (0, np.nan, 0), (0, 0, 0), WEIGHT),
     # dt*|u|/h = 0.5 per axis is within the CFL limit, weight 1.5 is not
-    "face_weight_before_d0": (8, 2e-2, {}, (3.125,) * 3, (0, 0, 0),
-                              WEIGHT + r" = 1\.5 > 1"),
-    "d0_limit": (8, 2e-2, {}, (0, 0, 0), (0, 0, 0), D0_LIMIT),
-    "d0_before_cell_weight": (8, 2e-2, {}, (0, 0, 0), (100, 0, 0), D0_LIMIT),
+    "face_weight_before_cell_weight": (8, 2e-2, {}, (3.125,) * 3,
+                                       (100, 0, 0), WEIGHT + r" = 1\.5 > 1"),
     "nan_cell_velocity": (8, 1e-3, {}, (0, 0, 0), (0, 0, np.nan), WEIGHT),
-    # D0 = 0.1 passes (limit 0.0234), Gamma = 0.25 does not
-    "cell_weight_before_gamma": (8, 2e-2, {"d0": 0.1}, (0, 0, 0), (100, 0, 0),
+    # the Gamma limit is 0.009375, below dt
+    "cell_weight_before_gamma": (8, 2e-2, {}, (0, 0, 0), (100, 0, 0),
                                  WEIGHT + r" = 16 > 1"),
-    "gamma_limit": (8, 2e-2, {"d0": 0.1}, (0, 0, 0), (0, 0, 0),
+    "gamma_limit": (8, 2e-2, {}, (0, 0, 0), (0, 0, 0),
                     r"dt = 0\.02 exceeds 0\.9\*h\^2/\(6\*Gamma\) = 0\.009375"),
 }
 
@@ -295,6 +293,28 @@ def test_check_step(n, dt, phys, face, cell, message):
     else:
         with pytest.raises(StabilityError, match=message):
             simulation.check_step(grid, dt, fv, u, Physics(**phys))
+
+
+def test_implicit_solute_diffusion_takes_a_step_past_the_explicit_limit():
+    # 8^3, D0 = 1, Gamma = 0.1: dt = 0.01 is four times the explicit
+    # diffusion limit 0.9*h^2/(6*D0) = 0.00234 and within the Gamma limit
+    # 0.0234.  Without activity, order or a density gradient the flow stays
+    # at rest, so the implicit solute solve alone moves c: it keeps c inside
+    # its initial range and conserves the cell sum.
+    grid = Grid(extents=(1.0, 1.0, 1.0), shape=(8, 8, 8))
+    basis = build_basis(grid, 2)
+    stepper = CoupledStepper(
+        grid, basis, Physics(d0=1.0, gamma=0.1, sigma_star=0.0),
+        newtonian_law(mu=1.0, lam=0.0), isentropic_law(1.0, 2.0),
+        BoundaryData(BoundaryVelocity("zero", grid), 1.0, np.zeros(5)), 1e-2)
+    c0 = np.random.default_rng(8).uniform(0.2, 1.0, grid.shape)
+    state = State(t=0.0, rho=np.ones(grid.shape), c=c0,
+                  q=np.zeros(grid.shape + (5,)), v=np.zeros(basis.n))
+    new_state, _ = stepper.step(state)
+    assert np.max(np.abs(new_state.v)) < 1e-15
+    assert c0.min() <= new_state.c.min() and new_state.c.max() <= c0.max()
+    assert np.ptp(new_state.c) < 0.5 * np.ptp(c0)
+    assert abs(new_state.c.sum() - c0.sum()) <= 1e-12
 
 
 def test_nan_velocity_fails_before_any_field_moves(monkeypatch):
