@@ -169,15 +169,13 @@ def suite_weakforms(sc=None):
 def suite_defect(sc=None):
     coarse = sc or sn.default_scenario(grid_cells=8, final_time=0.05,
                                        snapshot_every=0)
-    fine = dataclasses.replace(coarse, grid_cells=16, modes=4)
-    out = {}
-    for label, scen in (("coarse", coarse), ("fine", fine)):
+    fine = dataclasses.replace(coarse, grid_cells=2 * coarse.grid_cells,
+                               modes=2 * coarse.modes)
+    fields = []
+    for scen in (coarse, fine):
         setup, states = _states(scen)
-        u = setup.stepper.velocity(states[-1].v)
-        out[label] = (states[-1].rho, u, setup)
-    est = en.defect_diagnostic(out["coarse"][0], out["coarse"][1],
-                               out["fine"][0], out["fine"][1],
-                               sn.build_pressure_law(coarse))
+        fields += [states[-1].rho, setup.stepper.velocity(states[-1].v)]
+    est = en.defect_diagnostic(*fields, sn.build_pressure_law(coarse))
     rows = [_row("two-grid sandwich rate", est.rate >= 0.95,
                  f"rate {est.rate:.3f} over {est.n_active} cells")]
     return rows

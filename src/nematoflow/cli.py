@@ -1,5 +1,5 @@
 """Command line: run a scenario, check invariant suites, tabulate a
-conjugate potential, compare two snapshot directories.
+conjugate potential.
 
 Exit codes: 0 success, 1 a check failed or a numerical failure (a
 stability, fixed-point or conditioning error), 2 configuration error.
@@ -52,12 +52,6 @@ def _parser():
     p_conj.add_argument("--sigma-max", type=float, default=3.0)
     p_conj.add_argument("--delta", type=float, default=0.0,
                         help="mollification radius")
-
-    p_def = sub.add_parser("defect", help="two-grid defect compatibility")
-    p_def.add_argument("coarse_dir")
-    p_def.add_argument("fine_dir")
-    p_def.add_argument("--gamma", type=float, default=2.0)
-    p_def.add_argument("--a", type=float, default=1.0)
     return p
 
 
@@ -119,20 +113,6 @@ def _cmd_conjugate(args):
     return 0
 
 
-def _cmd_defect(args):
-    from . import energy as en
-    from . import pressure as pr
-    from . import snapshots as sp
-    law = pr.isentropic_law(args.a, args.gamma)
-    rc, uc = sp.read_velocity_fields(sp.latest_snapshot(args.coarse_dir))
-    rf, uf = sp.read_velocity_fields(sp.latest_snapshot(args.fine_dir))
-    est = en.defect_diagnostic(rc, uc, rf, uf, law)
-    print(f"active cells {est.n_active}")
-    print(f"sandwich rate {est.rate:.4f} with bounds "
-          f"[{est.d_lo:g}, {est.d_hi:g}]")
-    return 0 if est.rate >= 0.95 else 1
-
-
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
@@ -143,8 +123,6 @@ def main(argv=None):
             return _cmd_check(args)
         if args.command == "conjugate":
             return _cmd_conjugate(args)
-        if args.command == "defect":
-            return _cmd_defect(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

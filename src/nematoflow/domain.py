@@ -19,10 +19,11 @@ density).  The six ghost rules of ``pad`` and the six faces of
 ``decompose_boundary`` and ``BoundaryFaces`` share one order, x-, x+, y-,
 y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
 up by index.  ``BoundaryFaces`` alone samples the boundary data: rho_B, Q_B
-and its normal derivative on the walls, u_B . e_axis on the face planes,
-u_B and its Jacobian at the cell centres.  ``upwind_differences`` depend on
-the field alone, so a coupled step builds them once and ``advect_upwind``
-only selects.
+and its normal derivative on the walls, u_B . e_axis on the face planes
+(the first and last planes are the walls, and each face's u_B . n is read
+from them), u_B and its Jacobian at the cell centres.
+``upwind_differences`` depend on the field alone, so a coupled step builds
+them once and ``advect_upwind`` only selects.
 ``contract``, one table per grid axis, serves galerkin and nematic alike.
 """
 
@@ -68,9 +69,11 @@ class Grid:
                            indexing="ij")
 
     def face_mesh(self, axis):
-        """Open mesh (np.ix_) of the N+1 face planes normal to `axis`."""
+        """Open mesh (np.ix_) of the N+1 face planes normal to `axis`; the
+        planes are i * h, the last exactly at the extent (the wall)."""
         coords = [self.centers(a) for a in range(3)]
-        coords[axis] = np.arange(self.shape[axis] + 1) * self.h[axis]
+        coords[axis] = np.linspace(0.0, self.extents[axis],
+                                   self.shape[axis] + 1)
         return np.ix_(*coords)
 
 
@@ -216,11 +219,13 @@ class Face:
         return slab(self.axis, 0 if self.side == 0 else -1)
 
 
-def decompose_boundary(grid, u_b):
+def decompose_boundary(grid, u_faces):
     """Six faces, each split into inflow (u_B.n < 0) and outflow (>= 0).
 
-    Faces come in ``pad`` rule order x-, x+, y-, y+, z-, z+: face k has
-    axis k // 2 and side k % 2.
+    u_faces: u_B . e_axis on the face planes of each axis
+    (``BoundaryFaces.u_faces``); a face's u_B . n is the wall plane of its
+    axis.  Faces come in ``pad`` rule order x-, x+, y-, y+, z-, z+: face k
+    has axis k // 2 and side k % 2.
     """
     faces = []
     for axis in range(3):
@@ -234,8 +239,8 @@ def decompose_boundary(grid, u_b):
             xyz[t1], xyz[t2] = C1, C2
             normal = np.zeros(3)
             normal[axis] = -1.0 if side == 0 else 1.0
-            ub = u_b(xyz[0], xyz[1], xyz[2])
-            ubn = np.tensordot(normal, ub, axes=1)
+            wall = u_faces[axis][slab(axis, (0, -1)[side])]
+            ubn = wall if side else -wall
             faces.append(Face(axis=axis, side=side, normal=normal,
                               area_element=grid.h[t1] * grid.h[t2],
                               xyz=tuple(xyz), ubn=ubn,
@@ -262,11 +267,14 @@ class BoundaryFaces:
       u_cells    the lift u_B at the cell centres, (3, nx, ny, nz)
       jac_cells  its Jacobian J[a, d] = du_a/dx_d, (3, 3, nx, ny, nz)
       u_faces    u_B . e_axis on the N+1 face planes normal to each axis
-                 (``Grid.face_mesh``), the wall part of ``face_velocities``
+                 (``Grid.face_mesh``), the wall part of ``face_velocities``;
+                 its first and last planes give each face's ``ubn``
     """
 
     def __init__(self, grid, bdata):
-        self.faces = decompose_boundary(grid, bdata.u_b)
+        self.u_faces = [bdata.u_b(*grid.face_mesh(axis))[axis]
+                        for axis in range(3)]
+        self.faces = decompose_boundary(grid, self.u_faces)
         self.rho_b = [bdata.rho_b(*face.xyz) for face in self.faces]
         for face, rho_b in zip(self.faces, self.rho_b):
             if not np.all(rho_b > 0.0):
@@ -285,8 +293,6 @@ class BoundaryFaces:
         X, Y, Z = grid.coords()
         self.u_cells = bdata.u_b(X, Y, Z)
         self.jac_cells = bdata.u_b.jacobian(X, Y, Z)
-        self.u_faces = [bdata.u_b(*grid.face_mesh(axis))[axis]
-                        for axis in range(3)]
 
 
 # ------------------------------------------------------ boundary-data catalog

@@ -106,8 +106,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid,
-                          state, stepper.velocity(state.v))
+        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, state)
 
     tau = 0.0
     t_wall = time.perf_counter()
@@ -134,8 +133,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         worst["mass_balance"] = max(worst["mass_balance"], defect)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
-            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid,
-                              state, stepper.velocity(state.v))
+            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, state)
     report.timings["stepping"] = time.perf_counter() - t_wall
 
     m = tensors.to_matrix(q_components(state.q))

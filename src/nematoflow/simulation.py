@@ -77,8 +77,10 @@ class Physics:
     sigma_star: float = 0.1
 
     def __post_init__(self):
-        if not (self.eps > 0 and self.d0 > 0 and self.gamma > 0):
-            raise ValueError("eps, D0, Gamma must be positive")
+        # c* > 0: the quartic 0.25 c* tr^2(Q^2) bounds the Q energy below
+        if not (self.eps > 0 and self.d0 > 0 and self.gamma > 0
+                and self.c_star > 0):
+            raise ValueError("eps, D0, Gamma, c_star must be positive")
 
 
 @dataclass

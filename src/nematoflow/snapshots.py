@@ -1,6 +1,6 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-A snapshot is binary: nine NPY records (``numpy.lib.format``), one after
+A snapshot is binary: eight NPY records (``numpy.lib.format``), one after
 another in one file, in the order of ``_KEYS``:
 
     t            ()                 time
@@ -9,14 +9,12 @@ another in one file, in the order of ``_KEYS``:
     coeffs       (n,)               Galerkin coefficients v^n
     coeffs_prev  (n,), or (0,)      v^{n-1}; empty when there is none
     rho, c       (nx, ny, nz)
-    u            (3, nx, ny, nz)    cell-centre velocity as the caller
-                                    passes it (modes plus boundary lift),
-                                    for ``nematoflow defect``
     q            (nx, ny, nz, 5)    ``State.q`` as it is
 
-All records but cells are float64, which round-trips exactly, so a
-restarted run reproduces the original trajectory bit for bit; restart uses
-the coefficient vectors, not u, and the next step extrapolates its first
+Apart from the grid header (cells, extent) each record is one field of
+``State``, and nothing derived from it is stored.  All records but cells
+are float64, which round-trips exactly, so a restarted run reproduces the
+original trajectory bit for bit; the next step extrapolates its first
 iterate from ``coeffs_prev``.  Each record is written C-ordered through one
 open file object: the file holds no zip member timestamp (as ``np.savez``
 would stamp), so its bytes depend on the state alone, and it is exactly the
@@ -34,8 +32,7 @@ import numpy as np
 from .errors import ConfigError
 from .simulation import State
 
-_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "rho", "u", "c",
-         "q")
+_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "rho", "c", "q")
 _SUFFIX = ".bin"
 
 
@@ -43,11 +40,11 @@ def snapshot_path(out_dir, step):
     return os.path.join(out_dir, f"snap_{step:06d}{_SUFFIX}")
 
 
-def write_snapshot(path, grid, state, u):
-    """Write state and the cell-centre velocity u (3, nx, ny, nz) to path."""
+def write_snapshot(path, grid, state):
+    """Write state on grid to path."""
     v_prev = () if state.v_prev is None else state.v_prev
     values = (state.t, grid.shape, grid.extents, state.v, v_prev, state.rho,
-              u, state.c, state.q)
+              state.c, state.q)
     with open(path, "wb") as fh:
         for key, value in zip(_KEYS, values):
             dtype = np.int64 if key == "cells" else np.float64
@@ -55,9 +52,9 @@ def write_snapshot(path, grid, state, u):
                     allow_pickle=False)
 
 
-def _read(path):
-    """The arrays of the snapshot at path by key, checked against each
-    other, and the grid shape."""
+def read_snapshot(path):
+    """Returns (state, shape, extents); state.v_prev is None when the file
+    stores no previous coefficients."""
     arrays = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -84,7 +81,7 @@ def _read(path):
     n = arrays["coeffs"].size
     want = {"t": (), "extent": (3,), "coeffs": (n,),
             "coeffs_prev": (n,) if arrays["coeffs_prev"].size else (0,),
-            "rho": shape, "u": (3,) + shape, "c": shape, "q": shape + (5,)}
+            "rho": shape, "c": shape, "q": shape + (5,)}
     for key, a in arrays.items():
         if a.dtype != np.float64 or a.shape != want[key]:
             raise ConfigError(
@@ -92,29 +89,7 @@ def _read(path):
                 f"{want[key]}, got {a.dtype} of shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ConfigError(f"snapshot {path}: non-finite values in {key}")
-    return arrays, shape
-
-
-def read_snapshot(path):
-    """Returns (state, shape, extents); state.v_prev is None when the file
-    stores no previous coefficients."""
-    a, shape = _read(path)
-    v_prev = a["coeffs_prev"] if a["coeffs_prev"].size else None
-    state = State(float(a["t"]), a["rho"], a["c"], a["q"], a["coeffs"],
-                  v_prev)
-    return state, shape, tuple(float(x) for x in a["extent"])
-
-
-def read_velocity_fields(path):
-    """(rho, u) sampled at cell centers, u as (3, nx, ny, nz), for the
-    two-grid defect check."""
-    a, _ = _read(path)
-    return a["rho"], a["u"]
-
-
-def latest_snapshot(out_dir):
-    snaps = sorted(f for f in os.listdir(out_dir)
-                   if f.startswith("snap_") and f.endswith(_SUFFIX))
-    if not snaps:
-        raise ConfigError(f"no snapshots in {out_dir}")
-    return os.path.join(out_dir, snaps[-1])
+    prev = arrays["coeffs_prev"]
+    state = State(float(arrays["t"]), arrays["rho"], arrays["c"], arrays["q"],
+                  arrays["coeffs"], prev if prev.size else None)
+    return state, shape, tuple(float(x) for x in arrays["extent"])

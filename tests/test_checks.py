@@ -68,3 +68,21 @@ def test_weakforms_suite_fails_under_doubled_density_diffusion():
     assert not ok
     failed = [name for name, passed, _ in rows if not passed]
     assert failed == ["weakforms: weak residual bounded (continuity)"], failed
+
+
+def test_defect_suite_refines_the_given_scenario():
+    # the fine run is the given one with twice the cells and modes; a fixed
+    # 16^3/m=4 fine run cannot be block-averaged onto a 6^3 grid
+    sc = sn.default_scenario(grid_cells=6, modes=1, final_time=0.01,
+                             snapshot_every=0)
+    built = []
+    build = sn.build
+
+    def spy(scen):
+        built.append((scen.grid_cells, scen.modes))
+        return build(scen)
+
+    with mock.patch.object(sn, "build", spy):
+        ok, rows = checks.run_checks("defect", sc=sc)
+    assert built == [(6, 1), (12, 2)]
+    assert [name for name, _, _ in rows] == ["defect: two-grid sandwich rate"]

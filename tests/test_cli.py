@@ -5,6 +5,7 @@ import pytest
 
 from nematoflow import cli
 from nematoflow import scenarios as sn
+from nematoflow import snapshots as sp
 
 
 def _write_scenario(tmp_path, sc, name="case.cfg"):
@@ -112,15 +113,11 @@ def test_bad_thread_env_exits_2_with_message(monkeypatch, capsys):
         "integer, got 'abc'\n")
 
 
-def test_defect_identical_runs_pass(tmp_path, capsys):
-    sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
-    cfg = _write_scenario(tmp_path, sc)
-    out = tmp_path / "run"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(["defect", str(out), str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "rate" in text
+def test_defect_subcommand_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["defect", "coarse", "fine"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'defect'" in capsys.readouterr().err
 
 
 def test_resume_flag_round_trip(tmp_path):
@@ -144,4 +141,25 @@ def test_resume_from_text_snapshot_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: snapshot {old}: ")
     assert "format changed" in err
+    assert not out.exists()
+
+
+def test_resume_from_nine_record_snapshot_exits_2(tmp_path, capsys):
+    # the layout before the state-only one carried a cell velocity u after
+    # rho; there is no migration, the file is refused by name
+    sc = sn.default_scenario(grid_cells=4, modes=1)
+    cfg = _write_scenario(tmp_path, sc)
+    setup = sn.build(sc)
+    old = tmp_path / "snap_000000.bin"
+    sp.write_snapshot(str(old), setup.grid, setup.state0)
+    with open(old, "rb") as fh:
+        records = [np.lib.format.read_array(fh) for _ in range(8)]
+    records.insert(6, np.zeros((3,) + setup.grid.shape))
+    with open(old, "wb") as fh:
+        for a in records:
+            np.save(fh, a)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out), "--resume", str(old)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: snapshot {old}: data after the last array\n")
     assert not out.exists()

@@ -90,17 +90,22 @@ def test_volume_integral_frozen():
     assert dm.volume_integral(g, X) == pytest.approx(0.5, abs=1e-3)
 
 
+def _faces(g, ub):
+    """The six Face records of boundary velocity ub on grid g."""
+    return dm.BoundaryFaces(g, dm.BoundaryData(ub, 1.0, np.zeros(5))).faces
+
+
 def test_decompose_boundary_constant_flow():
     g = unit_grid(8)
     ub = dm.BoundaryVelocity("constant", g, vector=(1.0, 0.0, 0.0))
-    faces = dm.decompose_boundary(g, ub)
+    faces = _faces(g, ub)
     by_name = {f.name: f for f in faces}
     assert by_name["x-"].inflow.all()
     assert not by_name["x+"].inflow.any()
     for name in ("y-", "y+", "z-", "z+"):
         assert not by_name[name].inflow.any()   # ties go to outflow
     # mirrored flow swaps the x faces
-    faces_m = dm.decompose_boundary(g, dm.BoundaryVelocity("constant", g, vector=(-1.0, 0.0, 0.0)))
+    faces_m = _faces(g, dm.BoundaryVelocity("constant", g, vector=(-1.0, 0.0, 0.0)))
     by_name_m = {f.name: f for f in faces_m}
     assert by_name_m["x+"].inflow.all()
     assert not by_name_m["x-"].inflow.any()
@@ -108,17 +113,42 @@ def test_decompose_boundary_constant_flow():
 
 def test_decompose_boundary_zero_velocity_all_outflow():
     g = unit_grid(8)
-    faces = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))
+    faces = _faces(g, dm.BoundaryVelocity("zero", g))
     assert all(not f.inflow.any() for f in faces)
 
 
 def test_decompose_boundary_shear():
     g = unit_grid(8)
-    faces = dm.decompose_boundary(g, dm.BoundaryVelocity("shear", g, rate=1.0))
+    faces = _faces(g, dm.BoundaryVelocity("shear", g, rate=1.0))
     by_name = {f.name: f for f in faces}
     assert by_name["x-"].inflow.all()          # u.n = -y < 0
     assert not by_name["x+"].inflow.any()
     assert not by_name["y+"].inflow.any()      # tangential walls
+
+
+class _Stretch:
+    """u_B = (x, 0, 0), whose normal part varies along the x normal."""
+
+    def __call__(self, x, y, z):
+        x, y, z = np.broadcast_arrays(x, y, z)
+        return np.stack([1.0 * x, 0.0 * y, 0.0 * z])
+
+    def jacobian(self, x, y, z):
+        J = np.zeros((3, 3) + np.broadcast(x, y, z).shape)
+        J[0, 0] = 1.0
+        return J
+
+
+def test_wall_normal_velocity_is_the_wall_plane_of_the_face_values():
+    # 49 * (1/49) is not 1: the last face plane must be the extent itself,
+    # where the x+ wall lies, for u_B to be sampled once per wall
+    g = dm.Grid((1.0, 1.0, 1.0), (49, 4, 4))
+    assert g.face_mesh(0)[0][-1] == 1.0
+    bf = dm.BoundaryFaces(g, dm.BoundaryData(_Stretch(), 1.0, np.zeros(5)))
+    for face in bf.faces:
+        plane = bf.u_faces[face.axis][dm.slab(face.axis, (0, -1)[face.side])]
+        assert np.array_equal(face.ubn, plane if face.side else -plane)
+    assert np.all(bf.faces[1].ubn == 1.0)
 
 
 def test_channel_profile_shape():
@@ -273,7 +303,7 @@ def ibp_residual(n):
         div_v += dm.gradient(g, v[a], rules_a)[a]
     grad_f = dm.gradient(g, f, rules_f)
     bulk = dm.volume_integral(g, f * div_v + np.einsum("i...,i...->...", v, grad_f))
-    faces = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))
+    faces = _faces(g, dm.BoundaryVelocity("zero", g))
     surf = 0.0
     for fc in faces:
         vals = _smooth_f(*fc.xyz) * np.tensordot(fc.normal, _smooth_v(*fc.xyz), axes=1)

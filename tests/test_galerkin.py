@@ -234,6 +234,7 @@ def test_evaluate_at_rejects_dense_mesh():
     v = np.zeros(basis.n)
     with pytest.raises(ConfigError, match="open mesh"):
         gk.evaluate_at(basis, v, *g.coords())
-    face = dm.decompose_boundary(g, dm.BoundaryVelocity("zero", g))[0]
+    face = dm.BoundaryFaces(g, dm.BoundaryData(
+        dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))).faces[0]
     with pytest.raises(ConfigError, match="open mesh"):
         gk.evaluate_at(basis, v, *face.xyz)

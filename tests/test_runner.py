@@ -1,11 +1,11 @@
 """End-to-end run orchestration: reports, determinism, restart."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from nematoflow import galerkin as gk
 from nematoflow import runner as rn
 from nematoflow import scenarios as sn
 from nematoflow import snapshots as sp
@@ -116,8 +116,7 @@ def test_restart_rejects_mismatched_grid(tmp_path):
 def test_restart_rejects_mismatched_modes(tmp_path):
     setup = sn.build(sn.default_scenario(grid_cells=8, modes=2))
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0,
-                      setup.stepper.velocity(setup.state0.v))
+    sp.write_snapshot(path, setup.grid, setup.state0)
     with pytest.raises(ConfigError, match=f"snapshot {path}: .*modes"):
         rn.run_scenario(sn.default_scenario(grid_cells=8, modes=1),
                         resume_from=path)
@@ -130,9 +129,7 @@ def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
     st = setup.state0
-    sp.write_snapshot(path, setup.grid,
-                      State(t, st.rho, st.c, st.q, st.v),
-                      setup.stepper.velocity(st.v))
+    sp.write_snapshot(path, setup.grid, State(t, st.rho, st.c, st.q, st.v))
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"snapshot time t = {t!r}"):
         rn.run_scenario(sc, out_dir=str(out), resume_from=path)
@@ -155,8 +152,7 @@ def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0,
-                      setup.stepper.velocity(setup.state0.v))
+    sp.write_snapshot(path, setup.grid, setup.state0)
     st, shape, extents = sp.read_snapshot(path)
     assert shape == setup.grid.shape
     assert extents == tuple(setup.grid.extents)
@@ -169,8 +165,7 @@ def test_snapshot_round_trip(tmp_path):
     # state read back (other memory layouts), gives the same file
     for state in (setup.state0, st):
         again = str(tmp_path / "again.bin")
-        sp.write_snapshot(again, setup.grid, state,
-                          setup.stepper.velocity(state.v))
+        sp.write_snapshot(again, setup.grid, state)
         assert _read_bytes(again) == _read_bytes(path)
 
 
@@ -180,14 +175,12 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid, st,
-                      setup.stepper.velocity(st.v))
+    sp.write_snapshot(str(path), setup.grid, st)
     assert _records(path)["coeffs_prev"].shape == (0,)
     assert sp.read_snapshot(str(path))[0].v_prev is None
     v_prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
     sp.write_snapshot(str(path), setup.grid,
-                      State(1e-3, st.rho, st.c, st.q, st.v, v_prev),
-                      setup.stepper.velocity(st.v))
+                      State(1e-3, st.rho, st.c, st.q, st.v, v_prev))
     assert np.array_equal(sp.read_snapshot(str(path))[0].v_prev, v_prev)
     records = _records(path)
     for bad in (v_prev[:-1], np.append(v_prev[:-1], np.nan)):
@@ -203,13 +196,12 @@ def _snapshot_with_previous(tmp_path):
     st = setup.state0
     path = tmp_path / "snap.bin"
     sp.write_snapshot(str(path), setup.grid,
-                      State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0),
-                      setup.stepper.velocity(st.v))
+                      State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0))
     return path
 
 
 @pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
-                                   "rho", "u", "c", "q23"])
+                                   "rho", "c", "q23"])
 def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     # a nan density used to pass the reader and end a resumed run in
     # "SVD did not converge" from the mass solve
@@ -225,8 +217,6 @@ def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     with pytest.raises(ConfigError,
                        match=f"snapshot {path}: non-finite values in {key}"):
         sp.read_snapshot(str(path))
-    with pytest.raises(ConfigError, match=f"snapshot {path}: non-finite"):
-        sp.read_velocity_fields(str(path))
 
 
 def _reshaped(key, shape):
@@ -247,6 +237,16 @@ def _dropped(key):
     return make
 
 
+def _nine_records(data, records):
+    """The layout before the state-only one: a cell velocity u after rho."""
+    out = {}
+    for key, a in records.items():
+        out[key] = a
+        if key == "rho":
+            out["u"] = np.zeros((3,) + a.shape)
+    return out
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda data, records: data[:-7], "unreadable array q"),
     (lambda data, records: b"", "missing array t"),
@@ -258,15 +258,16 @@ def _dropped(key):
     (_dropped("t"), "missing array q"),
     (_reshaped("rho", (4, 4, 5)), "rho must be float64 of shape"),
     (_reshaped("c", (64,)), "c must be float64 of shape"),
-    (_reshaped("u", (4, 4, 4, 3)), "u must be float64 of shape"),
     (_reshaped("q", (5, 4, 4, 4)), "q must be float64 of shape"),
     (_reshaped("coeffs_prev", (2,)), "coeffs_prev must be float64 of shape"),
     (_reshaped("t", (1,)), "t must be float64 of shape"),
     (_recast("cells", np.float64), "cells must be three positive integers"),
     (_recast("rho", np.float32), "rho must be float64"),
+    (_nine_records, "data after the last array"),
 ], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
-        "rho-shape", "c-shape", "u-shape", "q-shape",
-        "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype"])
+        "rho-shape", "c-shape", "q-shape",
+        "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype",
+        "nine-records"])
 def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
     path = _snapshot_with_previous(tmp_path)
     bad = damage(path.read_bytes(), _records(path))
@@ -300,10 +301,9 @@ def test_read_snapshot_never_unpickles(tmp_path):
             if key == "rho":
                 a = np.array([_Payload()], dtype=object)
             np.save(fh, a, allow_pickle=True)
-    for read in (sp.read_snapshot, sp.read_velocity_fields):
-        with pytest.raises(ConfigError,
-                           match=f"snapshot {path}: unreadable array rho"):
-            read(str(path))
+    with pytest.raises(ConfigError,
+                       match=f"snapshot {path}: unreadable array rho"):
+        sp.read_snapshot(str(path))
     assert _UNPICKLED == []
     # the file does hold a live pickle
     with open(path, "rb") as fh:
@@ -312,18 +312,13 @@ def test_read_snapshot_never_unpickles(tmp_path):
     assert _UNPICKLED == [True]
 
 
-def test_read_velocity_fields_returns_the_synthesized_velocity(tmp_path):
-    sc = sn.default_scenario(grid_cells=8, init_v="noise:0.01")
-    setup = sn.build(sc)
-    path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0,
-                      setup.stepper.velocity(setup.state0.v))
-    rho, u = sp.read_velocity_fields(path)
-    want = gk.synthesize(setup.basis, setup.state0.v) \
-        + setup.stepper.boundary.u_cells
-    assert np.any(want != setup.stepper.boundary.u_cells)
-    assert np.array_equal(u, want)
-    assert np.array_equal(rho, setup.state0.rho)
+def test_a_snapshot_holds_the_state_alone():
+    # apart from the grid header every record is one State field, so no
+    # field derived from the state (a cell velocity, say) rides along
+    renamed = {"coeffs": "v", "coeffs_prev": "v_prev"}
+    fields = [renamed.get(key, key) for key in sp._KEYS
+              if key not in ("cells", "extent")]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(State))
 
 
 def test_read_snapshot_rejects_missing_header(tmp_path):
@@ -332,11 +327,3 @@ def test_read_snapshot_rejects_missing_header(tmp_path):
     with pytest.raises(ConfigError):
         sp.read_snapshot(str(path))
 
-
-def test_latest_snapshot_orders_by_step(tmp_path):
-    # text snapshots of the old format are not candidates
-    (tmp_path / "snap_000020.txt").write_text("")
-    for k in (0, 10, 5):
-        (tmp_path / os.path.basename(sp.snapshot_path("x", k))).write_text("")
-    assert sp.latest_snapshot(str(tmp_path)) == sp.snapshot_path(
-        str(tmp_path), 10)

@@ -102,6 +102,8 @@ def test_tabulated_rheology_requires_mollification():
     ("delta", math.nan, "reg.delta"),
     ("sigma_star", math.nan, "material.sigma_star"),
     ("c_star", math.nan, "material.c_star"),
+    ("c_star", -1.0, "c_star must be positive"),
+    ("c_star", 0.0, "c_star must be positive"),
     ("grid_extent", math.inf, "grid.extent"),
     ("dt", math.nan, "time.dt"),
     ("final_time", math.inf, "time.final"),
