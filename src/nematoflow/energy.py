@@ -9,7 +9,9 @@ d_conc = D0 int|grad c|^2, d_relax = Gamma int|lap Q|^2, d_six =
 at assembly), the boundary fluxes, and the data-dependent right-side terms.
 The viscous entry uses the dual route F(D) + F*(S), which equals S : D when
 S is the subgradient, so a broken stress path shows up as a Fenchel gap
-rather than cancelling silently.
+rather than cancelling silently.  F*(S) is evaluated at D's own (d, t),
+certified as its maximiser, and searched for only where that certificate
+fails.
 
 The budget check over [0, tau], with left-rectangle time quadrature:
 
@@ -81,7 +83,8 @@ class EnergyMonitor:
         S = rh.subgradient(st.law, D)
         f_vals = rh.potential(st.law, D)
         s_red, sig_red = rh.reduce_sym(S)
-        fstar_vals = rh.conjugate_batch(st.law, s_red, sig_red)
+        fstar_vals = rh.conjugate_batch(st.law, s_red, sig_red,
+                                        near=rh.reduce_sym(D))
         d_visc = volume_integral(g, f_vals + fstar_vals)
 
         gc = gradient(g, state.c)

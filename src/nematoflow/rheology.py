@@ -17,6 +17,12 @@ yields size-1 t axes and costs a 1-D sum over 64 nodes, not 64 x 64.
 F is convex, so the conjugate's maximiser solves grad F = (s, sigma/3): a
 bracketed root (Illinois regula falsi) of each monotone partial.  The kernel
 lives on (-delta, delta), so F'(d - delta) <= F_delta'(d) <= F'(d + delta).
+Where the caller knows a candidate maximiser, as the energy ledger does
+(S = dF(D), so D's own (d, t) solves grad F = (s, sigma/3)), the candidate
+is certified first: each partial's defect must change sign, to a few ulps,
+across the candidate +- the root tolerance.  Only entries that fail the
+certificate are searched, so a stress that is not the subgradient of its D
+still gets the full search and shows its Fenchel gap.
 
 Laws:
   newtonian   F(D) = (mu/2)|D|^2 + (lam/2)(tr D)^2   =>  dF = mu D + lam (tr D) I
@@ -38,6 +44,9 @@ _GL_NODES = 64
 _BRACKET_HI = 1.0e4
 _ROOT_TOL = 1.0e-10
 _ROOT_MAX_ITER = 150       # 3 steps per halving of a 2e4-wide bracket
+# a flat step of the mollified bilinear table leaves a partial's defect at
+# +-1 ulp at its root, so the certificate's sign test allows a few ulps
+_CERT_SLACK = 8.0 * 2.0 ** -52       # 8 ulps of 1 in float64
 
 
 class RheologyError(ValueError):
@@ -310,14 +319,63 @@ def _monotone_root(g, lo, hi):
     return 0.5 * (a + b)
 
 
-def conjugate_batch(law, s, sigma):
+def _certified(law, s, d, t, sigma=None):
+    """Mask of the entries whose candidate (d, t) maximises the conjugate.
+
+    Each monotone partial's defect g must change sign across the candidate:
+    g(x - _ROOT_TOL) <= eta and g(x + _ROOT_TOL) >= -eta, with eta a few ulps
+    of (1 + |s|) for the d partial at fixed t and of (1 + |sigma|) for the t
+    partial at fixed d.  sigma=None checks the d partial alone (a law
+    constant along t).  All offsets go through one partials_dt call.
+    """
+    tol = _ROOT_TOL
+    d_pts, t_pts = [d - tol, d + tol], [t, t]
+    if sigma is not None:
+        d_pts += [d, d]
+        t_pts += [t - tol, t + tol]
+    fd, ft = law.partials_dt(np.concatenate(d_pts), np.concatenate(t_pts))
+    n = d.size
+
+    def sign_change(g, target):
+        eta = _CERT_SLACK * (1.0 + np.abs(target))
+        return (g[:n] <= eta) & (g[n:] >= -eta)
+
+    ok = sign_change(fd[:2 * n] - np.tile(s, 2), s)
+    if sigma is not None:
+        ok &= sign_change(ft[2 * n:] - np.tile(sigma / 3.0, 2), sigma)
+    return ok
+
+
+def _alternating_roots(law, s, sigma, d_hi, t_lo, t_hi):
+    """Maximiser (d, t) of a generic law by alternating d and t roots."""
+    d_cur = np.zeros(s.shape)
+    t_cur = np.full(s.shape, np.clip(0.0, t_lo, t_hi))
+    for _ in range(80):
+        d_new = _monotone_root(
+            lambda dd, on: law.partials_dt(dd, t_cur[on])[0] - s[on],
+            np.zeros(s.shape), np.full(s.shape, d_hi))
+        t_new = _monotone_root(
+            lambda tt, on: law.partials_dt(d_new[on], tt)[1] - sigma[on] / 3.0,
+            np.full(s.shape, t_lo), np.full(s.shape, t_hi))
+        move = np.maximum(np.abs(d_new - d_cur), np.abs(t_new - t_cur))
+        d_cur, t_cur = d_new, t_new
+        if np.max(move) < 1.0e-9:
+            break
+    return d_cur, t_cur
+
+
+def conjugate_batch(law, s, sigma, near=None):
     """F*(S) on reduced stress coordinates (s, sigma) = (|dev S|, tr S), batched.
 
-    Closed forms for raw Newtonian and power laws.  Otherwise the maximiser is
-    the root of grad F = (s, sigma/3) by _monotone_root: for a mollified power
-    law in d within delta of d0 = (s / (q mu0))^(1/(q-1)), since F'(d - delta)
-    <= F_delta'(d) <= F'(d + delta); for other laws by alternating d and t
-    roots.  A maximiser at the end of its bracket raises RangeError.
+    Closed forms for raw Newtonian and power laws, which ignore near.
+    Otherwise the maximiser is the root of grad F = (s, sigma/3).  near =
+    (d, t), a candidate maximiser per entry (D's own reduced coordinates
+    when S = dF(D)), is taken where _certified proves it; the other entries
+    are searched by _monotone_root: for a mollified power law in d within
+    delta of d0 = (s / (q mu0))^(1/(q-1)), since F'(d - delta) <= F_delta'(d)
+    <= F'(d + delta); for other laws by alternating d and t roots.  Either
+    way F* = s d* + sigma t*/3 - F(d*, t*), and a maximiser at the end of
+    its bracket raises RangeError.
     """
     s = np.asarray(s, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -328,6 +386,9 @@ def conjugate_batch(law, s, sigma):
         if bulk == 0.0:
             return np.where(np.abs(sigma) <= 1.0e-12 * (1.0 + s), dev_part, np.inf)
         return dev_part + sigma * sigma / (6.0 * bulk)
+    if near is not None:
+        d_near, t_near = (np.broadcast_to(np.asarray(x, dtype=float), s.shape)
+                          for x in near)
     if law.kind == "power_law":
         # mollification along t of a t-independent potential changes nothing,
         # so the conjugate is +inf off the deviatoric axis for any delta
@@ -340,10 +401,19 @@ def conjugate_batch(law, s, sigma):
             out[on_axis] = vals[on_axis]
             return out
         sa = s[on_axis]
-        d0 = (np.maximum(sa, 0.0) / (law.q * law.mu0)) ** (1.0 / (law.q - 1.0))
-        hi = np.minimum(d0 + law.delta, _BRACKET_HI)
-        dstar = _monotone_root(lambda dd, on: law.partials_dt(dd, 0.0)[0] - sa[on],
-                               np.minimum(np.maximum(d0 - law.delta, 0.0), hi), hi)
+        dstar = np.zeros(sa.shape)
+        search = np.ones(sa.shape, dtype=bool)
+        if near is not None:
+            dn = d_near[on_axis]
+            search = ~_certified(law, sa, dn, t_near[on_axis])
+            dstar[~search] = dn[~search]
+        if search.any():
+            ss = sa[search]
+            d0 = (np.maximum(ss, 0.0) / (law.q * law.mu0)) ** (1.0 / (law.q - 1.0))
+            hi = np.minimum(d0 + law.delta, _BRACKET_HI)
+            dstar[search] = _monotone_root(
+                lambda dd, on: law.partials_dt(dd, 0.0)[0] - ss[on],
+                np.minimum(np.maximum(d0 - law.delta, 0.0), hi), hi)
         _check_bracket(dstar, 0.0, _BRACKET_HI, s=sa, lower_ok=True)
         out[on_axis] = sa * dstar - law.value_dt(dstar, 0.0)
         return out
@@ -357,19 +427,15 @@ def conjugate_batch(law, s, sigma):
     else:
         d_hi, t_lo, t_hi = _BRACKET_HI, -_BRACKET_HI, _BRACKET_HI
     sf, sigmaf = s.ravel(), sigma.ravel()
-    d_cur = np.zeros(sf.shape)
-    t_cur = np.full(sf.shape, np.clip(0.0, t_lo, t_hi))
-    for _ in range(80):
-        d_new = _monotone_root(
-            lambda dd, on: law.partials_dt(dd, t_cur[on])[0] - sf[on],
-            np.zeros(sf.shape), np.full(sf.shape, d_hi))
-        t_new = _monotone_root(
-            lambda tt, on: law.partials_dt(d_new[on], tt)[1] - sigmaf[on] / 3.0,
-            np.full(sf.shape, t_lo), np.full(sf.shape, t_hi))
-        move = np.maximum(np.abs(d_new - d_cur), np.abs(t_new - t_cur))
-        d_cur, t_cur = d_new, t_new
-        if np.max(move) < 1.0e-9:
-            break
+    d_cur, t_cur = np.zeros(sf.shape), np.zeros(sf.shape)
+    search = np.ones(sf.shape, dtype=bool)
+    if near is not None:
+        dn, tn = d_near.ravel(), t_near.ravel()
+        search = ~_certified(law, sf, dn, tn, sigma=sigmaf)
+        d_cur[~search], t_cur[~search] = dn[~search], tn[~search]
+    if search.any():
+        d_cur[search], t_cur[search] = _alternating_roots(
+            law, sf[search], sigmaf[search], d_hi, t_lo, t_hi)
     _check_bracket(d_cur, 0.0, d_hi, s=sf, lower_ok=True)
     _check_bracket(t_cur, t_lo, t_hi, s=sigmaf)
     val = sf * d_cur + sigmaf * t_cur / 3.0 - law.value_dt(d_cur, t_cur)
@@ -389,14 +455,18 @@ def _check_bracket(x, lo, hi, s, lower_ok=False):
 
 
 def fenchel_young_residual(law, D, S):
-    """S:D - F(D) - F*(S); <= 0 always, = 0 exactly when S is a subgradient at D."""
+    """S:D - F(D) - F*(S); <= 0 always, = 0 exactly when S is a subgradient at D.
+
+    D's own (d, t) is the candidate maximiser of F*(S), so only an S that is
+    not a subgradient at D pays for the root search.
+    """
     D = np.asarray(D, dtype=float)
     S = np.asarray(S, dtype=float)
     pairing = np.einsum("...ij,...ij->...", S, D)
     d, t = reduce_sym(D)
     fval = law.value_dt(d, t)
     s, sigma = reduce_sym(S)
-    fstar = conjugate_batch(law, s, sigma)
+    fstar = conjugate_batch(law, s, sigma, near=(d, t))
     return pairing - fval - fstar
 
 

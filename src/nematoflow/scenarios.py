@@ -189,16 +189,22 @@ def _init_c(expr, grid, rng):
     X, Y, Z = grid.coords()
     if name == "uniform":
         (val,) = _floats(parts, 1, "init.c uniform")
-        return np.full(grid.shape, val)
-    if name == "wave":
+        c = np.full(grid.shape, val)
+    elif name == "wave":
         mid, amp = _floats(parts, 2, "init.c wave")
-        return mid + amp * np.cos(np.pi * X) * np.sin(np.pi * Z)
-    if name == "band":
+        c = mid + amp * np.cos(np.pi * X) * np.sin(np.pi * Z)
+    elif name == "band":
         lo, hi = _floats(parts, 2, "init.c band")
         if not hi > lo:
             raise ConfigError("init.c band needs hi > lo")
-        return lo + (hi - lo) * rng.random(grid.shape)
-    raise ConfigError(f"unknown init.c selector {name!r}")
+        c = lo + (hi - lo) * rng.random(grid.shape)
+    else:
+        raise ConfigError(f"unknown init.c selector {name!r}")
+    # a solute concentration: the step's discrete maximum principle keeps
+    # it >= 0 from a nonnegative start
+    if c.min() < 0.0:
+        raise ConfigError(f"init.c must be nonnegative, minimum {c.min():g}")
+    return c
 
 
 def _init_q(expr, grid):

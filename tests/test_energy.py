@@ -8,6 +8,7 @@ from nematoflow import energy as en
 from nematoflow import galerkin as gk
 from nematoflow import pressure as pr
 from nematoflow import rheology as rh
+from nematoflow import scenarios as sn
 from nematoflow import tensors
 from nematoflow.errors import ConfigError
 from nematoflow.simulation import CoupledStepper, Physics, State
@@ -193,6 +194,36 @@ def test_ledger_csv_round_trip(tmp_path):
     for saved, orig in zip(rows, mon.rows):
         for key in en.LEDGER_COLUMNS:
             assert saved[key] == pytest.approx(orig[key], rel=0, abs=0)
+
+
+def test_tabulated_ledger_row_certifies_its_conjugate(monkeypatch):
+    # a full root search per point kept this row running for over 14 min;
+    # with D's own (d, t) certified as the maximiser the row needs one
+    # partials call for the subgradient and one for the certificate
+    setup = sn.build(sn.default_scenario(grid_cells=8,
+                                         rheology_kind="tabulated"))
+    st = setup.stepper
+    calls = []
+    partials = rh.RheologyLaw.partials_dt
+
+    def counted(self, d, t):
+        calls.append(np.size(d))
+        # fail at the fourth call, not after minutes of root search
+        assert len(calls) <= 3, calls
+        return partials(self, d, t)
+    monkeypatch.setattr(rh.RheologyLaw, "partials_dt", counted)
+    row = en.EnergyMonitor(st).row(setup.state0)
+    monkeypatch.undo()
+    assert 1 <= len(calls) <= 3
+    # at rest (v = 0) D is the symmetric gradient of u_B
+    J = np.moveaxis(st.boundary.jac_cells, (0, 1), (-2, -1))
+    D = 0.5 * (J + np.swapaxes(J, -1, -2))
+    S = rh.subgradient(st.law, D)
+    gap = rh.fenchel_young_residual(st.law, D, S)
+    assert np.max(np.abs(gap)) <= 1e-10
+    pairing = np.einsum("...ij,...ij->...", S, D)
+    assert row["d_visc"] == pytest.approx(
+        dom.volume_integral(st.grid, pairing - gap), rel=1e-12)
 
 
 def test_defect_gamma2_algebraic_identity():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nematoflow import rheology as rh
+from nematoflow import scenarios as sn
 
 
 def sym(a, b, c, d, e, f):
@@ -304,6 +305,116 @@ def test_fenchel_young_nonpositive_and_tight_at_subgradient():
                 continue
             r_bad = rh.fenchel_young_residual(law, D, S_bad)
             assert r_bad <= 1.0e-10
+
+
+# ------------------------------------------------ certified maximiser
+
+
+def _searched(monkeypatch):
+    """Entry counts handed to the root search, one per _monotone_root call."""
+    sizes = []
+    root = rh._monotone_root
+
+    def counted(g, lo, hi):
+        sizes.append(np.size(lo))
+        return root(g, lo, hi)
+    monkeypatch.setattr(rh, "_monotone_root", counted)
+    return sizes
+
+
+def _subgradient_batch(law, n=64, scale=1.0, seed=31):
+    """S = dF(D) and D's own (d, t), for n random symmetric D."""
+    rng = np.random.default_rng(seed)
+    D = np.stack([random_sym(rng, scale) for _ in range(n)])
+    S = rh.subgradient(law, D)
+    return S, rh.reduce_sym(D)
+
+
+def test_certificate_takes_every_subgradient_point(monkeypatch):
+    law = rh.mollify(rh.power_law(mu0=1.0), 0.05)
+    S, near = _subgradient_batch(law)
+    s, sigma = rh.reduce_sym(S)
+    want = rh.conjugate_batch(law, s, sigma)
+    sizes = _searched(monkeypatch)
+    got = rh.conjugate_batch(law, s, sigma, near=near)
+    assert sizes == []
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.0 + 1e-6])
+def test_certificate_rejects_a_perturbed_stress(monkeypatch, factor):
+    law = rh.mollify(rh.power_law(mu0=1.0), 0.05)
+    S, near = _subgradient_batch(law)
+    s, sigma = rh.reduce_sym(factor * S)
+    want = rh.conjugate_batch(law, s, sigma)
+    sizes = _searched(monkeypatch)
+    got = rh.conjugate_batch(law, s, sigma, near=near)
+    assert sizes == [s.size]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_certificate_mixed_batch_matches_separate_calls(monkeypatch):
+    law = rh.mollify(rh.power_law(mu0=1.0), 0.05)
+    S, (d, t) = _subgradient_batch(law, n=16)
+    S[::2] *= 1.1
+    s, sigma = rh.reduce_sym(S)
+    sizes = _searched(monkeypatch)
+    got = rh.conjugate_batch(law, s, sigma, near=(d, t))
+    assert sizes == [8]
+    # to a few ulps: the quadrature's matrix products sum in an order that
+    # may depend on the batch size
+    for i in range(s.size):
+        alone = rh.conjugate_batch(law, s[i:i + 1], sigma[i:i + 1],
+                                   near=(d[i:i + 1], t[i:i + 1]))
+        np.testing.assert_allclose(got[i], alone[0], rtol=4e-15, atol=0.0)
+
+
+def test_certificate_matches_the_search_on_a_tabulated_law(monkeypatch):
+    # the scenario's table: h = delta = 0.05, so each mollified partial is
+    # a staircase whose defect sits at +-1 ulp on the candidate
+    law = sn.build_rheology_law(sn.default_scenario(rheology_kind="tabulated"))
+    S, near = _subgradient_batch(law, n=16, scale=0.4)
+    s, sigma = rh.reduce_sym(S)
+    want = rh.conjugate_batch(law, s, sigma)
+    sizes = _searched(monkeypatch)
+    got = rh.conjugate_batch(law, s, sigma, near=near)
+    assert sizes == []
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_certified_candidate_outside_the_table_raises(monkeypatch):
+    base = table_from_law(rh.newtonian_law(mu=1.0), d_max=2.0, t_max=2.0,
+                          n_d=41, n_t=41, mu0=0.5)
+    law = rh.mollify(base, 0.05)
+    D = np.diag([2.0, -1.0, -1.0])            # d = sqrt(6) > 2
+    s, sigma = rh.reduce_sym(rh.subgradient(law, D))
+    sizes = _searched(monkeypatch)
+    with pytest.raises(rh.RangeError):
+        rh.conjugate_batch(law, s, sigma, near=rh.reduce_sym(D))
+    assert sizes == []
+
+
+def test_fenchel_young_searches_a_stress_that_is_not_the_subgradient(monkeypatch):
+    # S = dF(D) takes the certified path; a scaled or flipped S does not,
+    # so its residual is the full search's and the gap shows
+    rng = np.random.default_rng(29)
+    D = np.stack([random_sym(rng) for _ in range(8)])
+    cases = [(rh.mollify(rh.power_law(mu0=1.0), 0.05), 1.1),
+             (rh.mollify(rh.newtonian_law(mu=1.0, lam=0.5), 0.05), -1.0)]
+    for law, factor in cases:
+        S = rh.subgradient(law, D)
+        sizes = _searched(monkeypatch)
+        assert np.all(np.abs(rh.fenchel_young_residual(law, D, S)) <= 1e-10)
+        assert sizes == []
+        S_bad = factor * S
+        pairing = np.einsum("...ij,...ij->...", S_bad, D)
+        want = (pairing - rh.potential(law, D)
+                - rh.conjugate_batch(law, *rh.reduce_sym(S_bad)))
+        sizes.clear()
+        got = rh.fenchel_young_residual(law, D, S_bad)
+        assert sizes[0] == D.shape[0]
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got < -1e-3)
 
 
 # ------------------------------------------------------------- coercivity

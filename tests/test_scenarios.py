@@ -82,6 +82,9 @@ def test_tabulated_rheology_requires_mollification():
     ("init_rho", "uniform:-2.0", "positive"),
     ("init_rho", "vortex:1.0", "unknown init.rho"),
     ("init_c", "band:2.0,1.0", "hi > lo"),
+    ("init_c", "wave:1.0,5.0", "init.c must be nonnegative"),
+    ("init_c", "uniform:-0.5", "init.c must be nonnegative"),
+    ("init_c", "band:-1.0,0.5", "init.c must be nonnegative"),
     ("init_q", "spiral:0.1", "unknown init.q"),
     ("bc_u", "swirl:1.0", "unknown bc.u"),
     ("pressure_kind", "stiffened", "unknown pressure kind"),
