@@ -18,6 +18,7 @@ from . import tensors
 from . import weakforms as wf
 from .errors import ConfigError
 from .runner import run_scenario
+from .simulation import gamma_step_limit
 
 
 def _row(name, passed, detail=""):
@@ -171,6 +172,14 @@ def suite_defect(sc=None):
                                        snapshot_every=0)
     fine = dataclasses.replace(coarse, grid_cells=2 * coarse.grid_cells,
                                modes=2 * coarse.modes)
+    # the fine run keeps the coarse dt, so check its Q relaxation limit
+    # before either run (build rejects a Gamma that is not positive)
+    bound = (gamma_step_limit(fine.grid_extent / fine.grid_cells,
+                              fine.gamma_q) if fine.gamma_q > 0 else np.inf)
+    if not fine.dt <= bound:
+        raise ConfigError(
+            f"defect suite: dt = {fine.dt:g} exceeds the fine grid's "
+            f"({fine.grid_cells}^3) limit 0.9*h^2/(6*Gamma) = {bound:g}")
     fields = []
     for scen in (coarse, fine):
         setup, states = _states(scen)

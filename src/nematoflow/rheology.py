@@ -14,6 +14,17 @@ values are evaluated on (d - delta r_i) and (t - delta r_j) offsets that
 broadcast against each other, so a law constant along t (the power law)
 yields size-1 t axes and costs a 1-D sum over 64 nodes, not 64 x 64.
 
+The quadrature runs in blocks sized in bytes, not points: each raw array of
+a block stays within _BLOCK_BYTES = 64 KiB, under glibc's 128 KiB mmap
+threshold and within L2.  A point costs 64 doubles for the power law and
+64 x 64 for the other laws, so a block holds 128 and 2 points.  Fixed
+488-point blocks made those arrays 244 KiB and 16 MiB, mapped and
+zero-filled afresh on every block.  One 512-point partials_dt then took
+395 minor faults and 1.1-1.7 ms for the power law, 4259-5281 faults and
+180-230 ms for a tabulated law; with 64 KiB blocks it takes 0 faults and
+0.4-0.7 ms, and 0 faults and 150-190 ms (2-vCPU Xeon, one BLAS thread,
+getrusage of the process itself).  32 KiB blocks were no faster.
+
 F is convex, so the conjugate's maximiser solves grad F = (s, sigma/3): a
 bracketed root (Illinois regula falsi) of each monotone partial.  The kernel
 lives on (-delta, delta), so F'(d - delta) <= F_delta'(d) <= F'(d + delta).
@@ -47,6 +58,7 @@ _ROOT_MAX_ITER = 150       # 3 steps per halving of a 2e4-wide bracket
 # a flat step of the mollified bilinear table leaves a partial's defect at
 # +-1 ulp at its root, so the certificate's sign test allows a few ulps
 _CERT_SLACK = 8.0 * 2.0 ** -52       # 8 ulps of 1 in float64
+_BLOCK_BYTES = 64 * 1024   # largest raw array of a quadrature block
 
 
 class RheologyError(ValueError):
@@ -201,20 +213,31 @@ class RheologyLaw:
         """Product-rule sums sum_ij w_i w_j raw(d - delta r_i, t - delta r_j).
 
         raw returns one array or a tuple of arrays; so does this.  Raw values
-        are computed chunk by chunk on (c, 64, 1) and (c, 1, 64) offsets, and
-        each output is summed one kernel axis at a time.
+        are computed block by block on (c, 64, 1) and (c, 1, 64) offsets, and
+        each output is summed one kernel axis at a time.  The power law takes
+        (c, 1, 1) t offsets instead, so its raw arrays are (c, 64, 1) and its
+        t partial a size-1 zero.  A block holds the c points whose raw array,
+        8 c 64 bytes for the power law and 8 c 64 64 for the other laws, fits
+        in _BLOCK_BYTES = 64 KiB: c = 128 and 2.  Fixed 488-point blocks made
+        those arrays 244 KiB and 16 MiB, which the allocator maps and
+        zero-fills afresh: about 12 400 minor faults per powerlaw8 run,
+        against 600-1 700 now (the module docstring gives per-call faults
+        and timings).
         """
         nodes, w = _KERNEL
         d, t = np.broadcast_arrays(np.asarray(d, dtype=float),
                                    np.asarray(t, dtype=float))
         df, tf = d.reshape(-1), t.reshape(-1)
-        s = self.delta * nodes
-        chunk = max(1, 2_000_000 // (nodes.size * nodes.size))
+        sd = self.delta * nodes
+        # the power law is constant along t: t unshifted keeps its raw
+        # arrays at a size-1 t axis, which _kernel_sum sums in one product
+        st = np.zeros(1) if self.kind == "power_law" else sd
+        chunk = max(1, _BLOCK_BYTES // (8 * sd.size * st.size))
         parts = []
         # at least one pass, so empty input still yields raw's output count
         for k in range(0, max(df.size, 1), chunk):
-            vals = raw(df[k:k + chunk, None, None] - s[None, :, None],
-                       tf[k:k + chunk, None, None] - s[None, None, :])
+            vals = raw(df[k:k + chunk, None, None] - sd[None, :, None],
+                       tf[k:k + chunk, None, None] - st[None, None, :])
             single = not isinstance(vals, tuple)
             parts.append([_kernel_sum(_kernel_sum(v, w), w)
                           for v in ((vals,) if single else vals)])

@@ -109,11 +109,14 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, state)
 
     tau = 0.0
+    t_ledger = 0.0
     t_wall = time.perf_counter()
     for step in range(start_step + 1, n_steps + 1):
         prev = state
         state, info = stepper.step(prev)
+        t_row = time.perf_counter()
         monitor.rows.append(monitor.row(state, info["picard_iters"]))
+        t_ledger += time.perf_counter() - t_row
         report.picard_iters.append(info["picard_iters"])
         if "contraction" in info:
             report.contractions.append(info["contraction"])
@@ -135,6 +138,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
                 and step % sc.snapshot_every == 0:
             sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, state)
     report.timings["stepping"] = time.perf_counter() - t_wall
+    report.timings["ledger"] = t_ledger    # part of stepping
 
     m = tensors.to_matrix(q_components(state.q))
     tr_q = float(np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])))

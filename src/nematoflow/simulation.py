@@ -105,6 +105,12 @@ def q_exchange(q):
     return np.moveaxis(q, 0, -1)
 
 
+def gamma_step_limit(h_min, gamma):
+    """Largest dt the explicit Q relaxation admits on cells of smallest
+    width h_min: 0.9*h^2/(6*Gamma)."""
+    return 0.9 * h_min ** 2 / (6.0 * gamma)
+
+
 def check_step(grid, dt, fv, u, physics):
     """StabilityError unless dt is admissible for a sweep with face
     velocities fv and cell-center velocity u.  In order: the face CFL limit,
@@ -127,7 +133,7 @@ def check_step(grid, dt, fv, u, physics):
     limit(0.9 * (h_min / umax) if umax > 0 else np.inf, "h/|u|")
     weight(fv)
     weight(u)
-    limit(0.9 * h_min ** 2 / (6.0 * physics.gamma), "h^2/(6*Gamma)")
+    limit(gamma_step_limit(h_min, physics.gamma), "h^2/(6*Gamma)")
 
 
 class CoupledStepper:

@@ -67,6 +67,21 @@ def test_check_failure_exits_1(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_defect_rejects_unrunnable_fine_grid_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    # 16^3 at dt = 1e-3: the 32^3 fine grid breaks the Gamma limit
+    cfg = _write_scenario(tmp_path, sn.default_scenario(final_time=0.002,
+                                                        snapshot_every=0))
+    built = []
+    build = sn.build
+    monkeypatch.setattr(sn, "build", lambda sc: built.append(sc) or build(sc))
+    assert cli.main(["check", "--suite", "defect", "--scenario", cfg]) == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "fine grid's (32^3) limit 0.9*h^2/(6*Gamma) = 0.000585937" in err
+
+
 def test_conjugate_table_format(capsys):
     assert cli.main(["conjugate", "newtonian:1.0,0.5", "4x3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

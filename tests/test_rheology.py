@@ -464,16 +464,24 @@ def oracle_mollified(law, d, t):
     return val - shift, fd, ft
 
 
+def mollified_law(name):
+    """One law of each kind, mollified with delta = 0.1."""
+    base = {"newtonian": lambda: rh.newtonian_law(mu=1.3, lam=0.4),
+            "power_law": lambda: rh.power_law(mu0=0.8),
+            "tabulated": lambda: table_from_law(rh.newtonian_law(mu=1.0),
+                                                mu0=0.5)}[name]()
+    return rh.mollify(base, 0.1)
+
+
 @pytest.mark.parametrize("name", ["newtonian", "power_law", "tabulated"])
 def test_mollified_quadrature_matches_double_loop(name):
-    base = {"newtonian": rh.newtonian_law(mu=1.3, lam=0.4),
-            "power_law": rh.power_law(mu0=0.8),
-            "tabulated": table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)}[name]
-    law = rh.mollify(base, 0.1)
+    law = mollified_law(name)
     rng = np.random.default_rng(23)
     d_nm = rng.uniform(0.3, 2.0, size=(3, 4))
+    # (n,) spans blocks: one holds 128 points of the power law, 2 otherwise
+    n = 130 if name == "power_law" else 5
     cases = [(0.7, -0.6),                            # scalar
-             (rng.uniform(0.3, 2.0, 5), rng.uniform(0.2, 1.5, 5)),   # (n,)
+             (rng.uniform(0.3, 2.0, n), rng.uniform(0.2, 1.5, n)),   # (n,)
              (d_nm, -0.9)]                           # (n, m) against scalar t
     for d, t in cases:
         want_v, want_d, want_t = oracle_mollified(law, d, t)
@@ -482,6 +490,54 @@ def test_mollified_quadrature_matches_double_loop(name):
         assert np.shape(got_v) == np.shape(got_d) == np.shape(got_t) == np.shape(want_v)
         for got, want in ((got_v, want_v), (got_d, want_d), (got_t, want_t)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["power_law", "tabulated"])
+def test_quadrature_blocks_stay_within_the_byte_budget(name):
+    # a raw array over glibc's 128 KiB mmap threshold is mapped and
+    # zero-filled afresh on every block
+    law = mollified_law(name)
+    budget = rh._BLOCK_BYTES
+    assert budget < 128 * 1024
+    sizes = []
+
+    def watched(raw):
+        def wrapped(d, t):
+            out = raw(d, t)
+            arrays = [np.broadcast(d, t)] + list(out if isinstance(out, tuple)
+                                                 else (out,))
+            sizes.append(max(8 * a.size for a in arrays))
+            return out
+        return wrapped
+
+    law._raw = watched(law._raw)
+    law._raw_partials = watched(law._raw_partials)
+    n = {"power_law": 300, "tabulated": 9}[name]
+    rng = np.random.default_rng(5)
+    d, t = rng.uniform(0.3, 2.0, n), rng.uniform(0.2, 1.5, n)
+    law.value_dt(d, t)
+    law.partials_dt(d, t)
+    # several blocks per call, none of them over the budget
+    assert len(sizes) >= 6
+    assert max(sizes) <= budget, max(sizes)
+
+
+@pytest.mark.parametrize("name", ["newtonian", "power_law", "tabulated"])
+def test_quadrature_batch_matches_per_point_calls(name):
+    law = mollified_law(name)
+    rng = np.random.default_rng(29)
+    # 260 points cross block boundaries for every law; d and |t| stay off
+    # 0, where a partial is a cancelling sum of rounding size
+    d = rng.uniform(0.3, 2.0, 260)
+    t = rng.choice([-1.0, 1.0], 260) * rng.uniform(0.2, 1.5, 260)
+    got_v = law.value_dt(d, t)
+    got_d, got_t = law.partials_dt(d, t)
+    for k in range(d.size):
+        want_v = law.value_dt(d[k:k + 1], t[k:k + 1])
+        want_d, want_t = law.partials_dt(d[k:k + 1], t[k:k + 1])
+        for got, want in ((got_v, want_v), (got_d, want_d), (got_t, want_t)):
+            np.testing.assert_allclose(got[k:k + 1], want, rtol=1e-14,
+                                       atol=0.0, err_msg=f"point {k}")
 
 
 # --------------------------------------------------- work-count guards

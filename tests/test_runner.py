@@ -2,10 +2,12 @@
 
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
 
+from nematoflow import energy as en
 from nematoflow import runner as rn
 from nematoflow import scenarios as sn
 from nematoflow import snapshots as sp
@@ -58,6 +60,24 @@ def test_quiescent_ledger_is_exactly_conservative(tmp_path):
     e0 = rows[0]["E_total"]
     drift = max(abs(r["E_total"] - e0) for r in rows)
     assert drift == 0.0
+
+
+def test_report_times_the_ledger_rows_of_the_step_loop(tmp_path,
+                                                       monkeypatch):
+    row = en.EnergyMonitor.row
+
+    def slow_row(self, state, picard_iters=0):
+        time.sleep(0.02)
+        return row(self, state, picard_iters)
+
+    monkeypatch.setattr(en.EnergyMonitor, "row", slow_row)
+    sc = sn.zero_scenario(final_time=0.005, snapshot_every=0)
+    rep = rn.run_scenario(sc, out_dir=str(tmp_path))
+    # one row per step, inside the stepping time
+    assert 0.02 * sc.n_steps() <= rep.timings["ledger"] \
+        <= rep.timings["stepping"]
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert f"time ledger {rep.timings['ledger']:.3f}s" in lines
 
 
 def test_repeat_runs_are_bit_identical(tmp_path):
