@@ -67,11 +67,10 @@ def _cmd_run(args):
 def _cmd_check(args):
     from . import scenarios as sn
     from .checks import run_checks
+    from .runner import check_table
     sc = sn.load_scenario(args.scenario) if args.scenario else None
     ok, rows = run_checks(suite=args.suite, sc=sc)
-    for name, passed, detail in rows:
-        mark = "PASS" if passed else "FAIL"
-        print(f"{mark}  {name}" + (f"  [{detail}]" if detail else ""))
+    print(check_table(rows))
     return 0 if ok else 1
 
 
@@ -98,11 +97,17 @@ def _cmd_conjugate(args):
     import numpy as np
 
     from . import rheology as rh
+    for flag, val in (("--s-max", args.s_max), ("--sigma-max", args.sigma_max),
+                      ("--delta", args.delta)):
+        if not 0.0 <= val < math.inf:
+            raise ConfigError(f"{flag} must be finite and >= 0, got {val!r}")
     law = _parse_law(args.law, args.delta)
     try:
         ns, nsig = (int(x) for x in args.grid.lower().split("x"))
     except ValueError:
         raise ConfigError(f"grid must look like 33x33, got {args.grid!r}")
+    if min(ns, nsig) < 1:
+        raise ConfigError(f"grid counts must be >= 1, got {args.grid!r}")
     s = np.linspace(0.0, args.s_max, ns)
     sig = np.linspace(-args.sigma_max, args.sigma_max, nsig)
     S, G = np.meshgrid(s, sig, indexing="ij")

@@ -231,28 +231,26 @@ def weak_residual_continuity(traj, phi, grad_phi):
     equation along a stored trajectory.
 
     phi: callable (x, y, z, t) -> array; grad_phi -> (3, ...).  Step k pairs
-    rho^k with phi(t_{k+1}) - phi(t_k), so stationary states telescope
-    exactly, and takes the flux terms at t_k: the advective flux of rho^k
-    through fvs[k], upwinded with rho_B on inflow walls, and the eps bulk
-    term and Robin wall flux of rho^{k+1}, the implicit half of the step.
-    The boundary terms are the scheme's own, so the residual measures
+    the increment rho^{k+1} - rho^k with phi(t_{k+1}), so stationary states
+    give exactly zero, and takes the flux terms at t_k: the advective flux
+    of rho^k through fvs[k], upwinded with rho_B on inflow walls, and the
+    eps bulk term and Robin wall flux of rho^{k+1}, the implicit half of the
+    step.  The boundary terms are the scheme's own, so the residual measures
     discretization error only; for phi = 1 it is the discrete mass balance.
     """
     solver = traj.solver
     g = solver.grid
     X, Y, Z = g.coords()
     times, rhos = traj.times, traj.rhos
-    res = volume_integral(g, rhos[-1] * phi(X, Y, Z, times[-1])) \
-        - volume_integral(g, rhos[0] * phi(X, Y, Z, times[0]))
+    res = 0.0
     for k in range(len(times) - 1):
-        t = times[k]
-        dt = times[k + 1] - t
+        t, t_new = times[k], times[k + 1]
+        dt = t_new - t
         rho, rho_new = rhos[k], rhos[k + 1]
         flux = rho * _cell_velocity_from_faces(traj.fvs[k]) \
             - solver.eps * solver.grad_rho(rho_new)
-        res -= volume_integral(g, rho * (phi(X, Y, Z, times[k + 1])
-                                         - phi(X, Y, Z, t))) \
-            + dt * volume_integral(g, np.einsum("a...,a...->...", flux,
+        res += volume_integral(g, (rho_new - rho) * phi(X, Y, Z, t_new)) \
+            - dt * volume_integral(g, np.einsum("a...,a...->...", flux,
                                                 grad_phi(X, Y, Z, t)))
         for face, diff_flux, rho_b in zip(solver.boundary.faces,
                                           solver.wall_fluxes(rho_new),

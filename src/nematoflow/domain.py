@@ -195,22 +195,14 @@ def volume_integral(grid, f):
 # ---------------------------------------------------- boundary description
 
 
-_AXIS_NAMES = ("x", "y", "z")
-
-
 @dataclass
 class Face:
     axis: int
     side: int               # 0 = low wall, 1 = high wall
-    normal: np.ndarray      # outward unit normal
     area_element: float     # tangential cell area
     xyz: tuple              # coordinate arrays on face centroids (2-D each)
     ubn: np.ndarray         # u_B . n  (2-D)
     inflow: np.ndarray      # boolean mask, u_B . n < 0
-
-    @property
-    def name(self):
-        return f"{_AXIS_NAMES[self.axis]}{'-' if self.side == 0 else '+'}"
 
     @property
     def wall(self):
@@ -237,11 +229,9 @@ def decompose_boundary(grid, u_faces):
             xyz = [None, None, None]
             xyz[axis] = np.full_like(C1, coord)
             xyz[t1], xyz[t2] = C1, C2
-            normal = np.zeros(3)
-            normal[axis] = -1.0 if side == 0 else 1.0
             wall = u_faces[axis][slab(axis, (0, -1)[side])]
             ubn = wall if side else -wall
-            faces.append(Face(axis=axis, side=side, normal=normal,
+            faces.append(Face(axis=axis, side=side,
                               area_element=grid.h[t1] * grid.h[t2],
                               xyz=tuple(xyz), ubn=ubn,
                               inflow=ubn < 0.0))

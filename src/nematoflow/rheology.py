@@ -153,8 +153,8 @@ class RheologyLaw:
             self.d_nodes, self.t_nodes, self.f_table = d, t, f
         else:
             raise RheologyError(f"unknown rheology kind {self.kind!r}")
-        if self.delta < 0.0:
-            raise RheologyError("delta must be >= 0")
+        if not 0.0 <= self.delta < math.inf:
+            raise RheologyError(f"delta must be finite and >= 0, got {self.delta!r}")
 
     # --- raw reduced potential and its almost-everywhere partials ---------
 
@@ -218,11 +218,8 @@ class RheologyLaw:
         (c, 1, 1) t offsets instead, so its raw arrays are (c, 64, 1) and its
         t partial a size-1 zero.  A block holds the c points whose raw array,
         8 c 64 bytes for the power law and 8 c 64 64 for the other laws, fits
-        in _BLOCK_BYTES = 64 KiB: c = 128 and 2.  Fixed 488-point blocks made
-        those arrays 244 KiB and 16 MiB, which the allocator maps and
-        zero-fills afresh: about 12 400 minor faults per powerlaw8 run,
-        against 600-1 700 now (the module docstring gives per-call faults
-        and timings).
+        in _BLOCK_BYTES = 64 KiB: c = 128 and 2 (the module docstring gives
+        the reason and the measurements).
         """
         nodes, w = _KERNEL
         d, t = np.broadcast_arrays(np.asarray(d, dtype=float),

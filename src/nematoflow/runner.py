@@ -24,6 +24,13 @@ from .domain import volume_integral
 from .simulation import q_components
 
 
+def check_table(rows):
+    """One PASS/FAIL line per (name, passed, detail) row."""
+    return "\n".join(f"{'PASS' if passed else 'FAIL'}  {name}"
+                     + (f"  [{detail}]" if detail else "")
+                     for name, passed, detail in rows)
+
+
 @dataclass
 class RunReport:
     checks: list = field(default_factory=list)   # (name, passed, detail)
@@ -40,12 +47,7 @@ class RunReport:
         return all(p for _, p, _ in self.checks)
 
     def table(self):
-        lines = []
-        for name, passed, detail in self.checks:
-            mark = "PASS" if passed else "FAIL"
-            lines.append(f"{mark}  {name}" + (f"  [{detail}]" if detail
-                                              else ""))
-        return "\n".join(lines)
+        return check_table(self.checks)
 
 
 def _write_report(path, report):

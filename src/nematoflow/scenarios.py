@@ -152,7 +152,7 @@ def scenario_text(sc):
 
 def _selector(expr):
     name, _, args = expr.partition(":")
-    parts = [a for a in args.split(",") if a != ""] if args else []
+    parts = args.split(",") if args else []
     return name.strip(), parts
 
 

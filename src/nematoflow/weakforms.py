@@ -6,16 +6,18 @@ those identities along a stored trajectory and reports the residuals, which
 shrink at first order under simultaneous (dt, h, eps) halving.
 
 Conventions shared by all four residuals: left-rectangle time quadrature for
-flux terms, and exact per-step increments for the time-derivative pairing
-(the state at step n multiplies phi(t_{n+1}) - phi(t_n)), so stationary
-states telescope to machine zero for every test function.  Velocity test
-functions live in the Galerkin space and tensor test functions carry a
-scalar envelope vanishing on the walls, matching the compact-support
-requirement of the momentum and order-tensor identities.  The continuity
-identity is the solver's own, ``continuity.weak_residual_continuity``: the
-eps bulk term and the Robin wall flux at rho^{n+1}, and the advective flux
-of rho^n through the face velocity of v^{n+1}, the velocity the step
-returned.
+flux terms, and for the time-derivative pairing the increment of step n
+(c^{n+1} - c^n, rho^{n+1} u^{n+1} - rho^n u^n, Q^{n+1} - Q^n) against the
+test function at t_{n+1}.  Summed over the steps this is the pairing of the
+change over [0, tau] with the test function; stationary states give machine
+zero for every test function, and a trajectory's residual is the sum of the
+residuals of its steps.  Velocity test functions live in the Galerkin space
+and tensor test functions carry a scalar envelope vanishing on the walls,
+matching the compact-support requirement of the momentum and order-tensor
+identities.  The continuity identity is the solver's own,
+``continuity.weak_residual_continuity``: the eps bulk term and the Robin
+wall flux at rho^{n+1}, and the advective flux of rho^n through the face
+velocity of v^{n+1}, the velocity the step returned.
 
 The order-tensor identity is assembled with the relaxation term entering as
 +Gamma H on the right side, consistent with the strong equation and the
@@ -26,7 +28,7 @@ Fields have their grid axes last, as in the solver (packed Q read through
 (..., 3, 3) matrix route.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,8 +62,8 @@ class ModeTest:
 class TensorTest:
     name: str
     chi: Callable       # (X, Y, Z) -> scalar envelope, zero on walls
-    direction: np.ndarray = field(default=None)  # packed (5,)
-    theta: Callable = field(default=None)
+    direction: np.ndarray  # packed (5,)
+    theta: Callable     # t -> float
 
 
 def _identity_flux(grid, ph, law, pressure_law, q_rules, st, q, u, J):
@@ -197,10 +199,11 @@ def weak_residuals_dissipative(states, stepper):
     Returns {"continuity": {name: residual}, "momentum": ..., and
     "max_abs": per-equation worst case} for states, the list of states that
     stepper.step returned one after the other, from the initial state on.
+    Each residual is a sum over steps, so the residual of a trajectory is
+    the sum of the residuals of its two-state pieces.
     """
     g = stepper.grid
     ph = stepper.physics
-    times = [st.t for st in states]
     if len(states) < 2:
         raise ValueError("trajectory must hold at least two time levels")
     X, Y, Z = g.coords()
@@ -217,17 +220,17 @@ def weak_residuals_dissipative(states, stepper):
     chi_vals = [np.multiply.outer(nt.direction, nt.chi(X, Y, Z))
                 for nt in nematic_tests]
 
-    acc_conc = np.zeros(len(scalar_tests))
-    acc_mom = np.zeros(len(momentum_tests))
-    acc_nem = np.zeros(len(nematic_tests))
+    out_conc = dict.fromkeys((sc.name for sc in scalar_tests), 0.0)
+    out_mom = dict.fromkeys((mt.name for mt in momentum_tests), 0.0)
+    out_nem = dict.fromkeys((nt.name for nt in nematic_tests), 0.0)
 
-    for n in range(len(states) - 1):
-        st = states[n]
-        t0, t1 = times[n], times[n + 1]
+    for st, new in zip(states, states[1:]):
+        t0, t1 = st.t, new.t
         dt = t1 - t0
         q = q_components(st.q)
         u, J, lam = stepper.velocity_fields(st.v)
-        rho_u = st.rho * u
+        d_rho_u = new.rho * stepper.velocity(new.v) - st.rho * u
+        d_q = q_components(new.q) - q
         flux = _identity_flux(g, ph, stepper.law, stepper.pressure_law,
                               q_rules, st, q, u, J)
         grad_c = gradient(g, st.c)
@@ -237,66 +240,36 @@ def weak_residuals_dissipative(states, stepper):
         comm = tensors.commutator(q, lam)
         h_field = molecular_field(g, q, st.c, ph.b, ph.c_star, q_rules)
 
-        for k, sc in enumerate(scalar_tests):
-            phi0 = sc.value(X, Y, Z, t0)
-            dphi = sc.value(X, Y, Z, t1) - phi0
+        for sc in scalar_tests:
             gphi = sc.grad(X, Y, Z, t0)
-            acc_conc[k] -= volume_integral(g, st.c * dphi)
-            acc_conc[k] += dt * (
-                volume_integral(g, u_dot_gc * phi0)
+            out_conc[sc.name] += volume_integral(
+                g, (new.c - st.c) * sc.value(X, Y, Z, t1)) + dt * (
+                volume_integral(g, u_dot_gc * sc.value(X, Y, Z, t0))
                 + ph.d0 * volume_integral(
                     g, np.einsum("a...,a...->...", grad_c, gphi)))
 
-        for k, mt in enumerate(momentum_tests):
-            th0 = mt.theta(t0)
-            dth = mt.theta(t1) - th0
-            acc_mom[k] -= dth * volume_integral(
-                g, np.einsum("a...,a...->...", rho_u, w_vals[k]))
-            acc_mom[k] -= dt * th0 * volume_integral(
-                g, np.einsum("...ab,ab...->...", flux, gw_vals[k]))
+        for mt, w, gw in zip(momentum_tests, w_vals, gw_vals):
+            out_mom[mt.name] += mt.theta(t1) * volume_integral(
+                g, np.einsum("a...,a...->...", d_rho_u, w))
+            out_mom[mt.name] -= dt * mt.theta(t0) * volume_integral(
+                g, np.einsum("...ab,ab...->...", flux, gw))
 
-        for k, nt in enumerate(nematic_tests):
-            th0 = nt.theta(t0)
-            dth = nt.theta(t1) - th0
-            psi = chi_vals[k]
-            acc_nem[k] -= dth * volume_integral(
-                g, tensors.packed_dot(q, psi))
-            acc_nem[k] += dt * th0 * volume_integral(
+        for nt, psi in zip(nematic_tests, chi_vals):
+            out_nem[nt.name] += nt.theta(t1) * volume_integral(
+                g, tensors.packed_dot(d_q, psi))
+            out_nem[nt.name] += dt * nt.theta(t0) * volume_integral(
                 g, tensors.packed_dot(u_dot_gq, psi)
                 + tensors.packed_dot(comm, psi)
                 - ph.gamma * tensors.packed_dot(h_field, psi))
 
-    first, last = states[0], states[-1]
-    t_end = times[-1]
-    u_end = stepper.velocity(last.v)
-    u_start = stepper.velocity(first.v)
     # the density step n -> n+1 is carried by the velocity it returned
     cont = ContinuityTrajectory(
-        stepper.continuity, times, [st.rho for st in states],
+        stepper.continuity, [st.t for st in states],
+        [st.rho for st in states],
         [face_velocities(g, stepper.basis, st.v, stepper.boundary.u_faces)
          for st in states[1:]])
     out_cont = {sc.name: weak_residual_continuity(cont, sc.value, sc.grad)
                 for sc in scalar_tests}
-    out_conc = {}
-    for k, sc in enumerate(scalar_tests):
-        endpoints_c = volume_integral(
-            g, last.c * sc.value(X, Y, Z, t_end)) - volume_integral(
-            g, first.c * sc.value(X, Y, Z, times[0]))
-        out_conc[sc.name] = endpoints_c + acc_conc[k]
-    out_mom = {}
-    for k, mt in enumerate(momentum_tests):
-        endpoints = (mt.theta(t_end) * volume_integral(
-            g, last.rho * np.einsum("a...,a...->...", u_end, w_vals[k]))
-            - mt.theta(times[0]) * volume_integral(
-            g, first.rho * np.einsum("a...,a...->...", u_start, w_vals[k])))
-        out_mom[mt.name] = endpoints + acc_mom[k]
-    out_nem = {}
-    for k, nt in enumerate(nematic_tests):
-        endpoints = (nt.theta(t_end) * volume_integral(
-            g, tensors.packed_dot(q_components(last.q), chi_vals[k]))
-            - nt.theta(times[0]) * volume_integral(
-            g, tensors.packed_dot(q_components(first.q), chi_vals[k])))
-        out_nem[nt.name] = endpoints + acc_nem[k]
 
     report = {"continuity": out_cont, "momentum": out_mom,
               "concentration": out_conc, "nematic": out_nem}

@@ -112,6 +112,26 @@ def test_conjugate_bad_grid_exits_2(capsys):
     assert cli.main(["conjugate", "newtonian", "4by3"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--s-max", "nan"), ("--s-max", "-1"), ("--sigma-max", "inf"),
+    ("--delta", "nan"), ("--delta", "inf"), ("--delta", "-0.1")])
+def test_conjugate_nonfinite_or_negative_range_exits_2(flag, value, capsys):
+    # a NaN or infinite range would tabulate NaN rows
+    assert cli.main(["conjugate", "newtonian", "2x2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be finite and >= 0" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["0x2", "2x0", "0x0"])
+def test_conjugate_empty_grid_exits_2(grid, capsys):
+    # an empty grid would print the header alone
+    assert cli.main(["conjugate", "newtonian", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid counts must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("spec", ["newtonian:1,0.5,3", "power_law:1,inf"])
 def test_conjugate_bad_law_exits_2(spec, capsys):
     assert cli.main(["conjugate", spec, "2x2"]) == 2

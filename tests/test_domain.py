@@ -95,18 +95,22 @@ def _faces(g, ub):
     return dm.BoundaryFaces(g, dm.BoundaryData(ub, 1.0, np.zeros(5))).faces
 
 
+def _by_name(faces):
+    """Faces keyed "x-", "x+", ..., "z+" by their axis and side."""
+    return {"xyz"[f.axis] + "-+"[f.side]: f for f in faces}
+
+
 def test_decompose_boundary_constant_flow():
     g = unit_grid(8)
     ub = dm.BoundaryVelocity("constant", g, vector=(1.0, 0.0, 0.0))
-    faces = _faces(g, ub)
-    by_name = {f.name: f for f in faces}
+    by_name = _by_name(_faces(g, ub))
     assert by_name["x-"].inflow.all()
     assert not by_name["x+"].inflow.any()
     for name in ("y-", "y+", "z-", "z+"):
         assert not by_name[name].inflow.any()   # ties go to outflow
     # mirrored flow swaps the x faces
-    faces_m = _faces(g, dm.BoundaryVelocity("constant", g, vector=(-1.0, 0.0, 0.0)))
-    by_name_m = {f.name: f for f in faces_m}
+    by_name_m = _by_name(
+        _faces(g, dm.BoundaryVelocity("constant", g, vector=(-1.0, 0.0, 0.0))))
     assert by_name_m["x+"].inflow.all()
     assert not by_name_m["x-"].inflow.any()
 
@@ -119,8 +123,7 @@ def test_decompose_boundary_zero_velocity_all_outflow():
 
 def test_decompose_boundary_shear():
     g = unit_grid(8)
-    faces = _faces(g, dm.BoundaryVelocity("shear", g, rate=1.0))
-    by_name = {f.name: f for f in faces}
+    by_name = _by_name(_faces(g, dm.BoundaryVelocity("shear", g, rate=1.0)))
     assert by_name["x-"].inflow.all()          # u.n = -y < 0
     assert not by_name["x+"].inflow.any()
     assert not by_name["y+"].inflow.any()      # tangential walls
@@ -306,7 +309,9 @@ def ibp_residual(n):
     faces = _faces(g, dm.BoundaryVelocity("zero", g))
     surf = 0.0
     for fc in faces:
-        vals = _smooth_f(*fc.xyz) * np.tensordot(fc.normal, _smooth_v(*fc.xyz), axes=1)
+        # outward normal -e_axis on the low wall, +e_axis on the high one
+        sign = 1.0 if fc.side else -1.0
+        vals = _smooth_f(*fc.xyz) * sign * _smooth_v(*fc.xyz)[fc.axis]
         surf += fc.area_element * vals.sum()
     return abs(bulk - surf)
 

@@ -193,6 +193,15 @@ def test_mollifying_twice_equals_mollifying_once():
         assert np.array_equal(rh.potential(twice, D), rh.potential(ref, D))
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -0.1])
+def test_radius_must_be_finite_and_nonnegative(delta):
+    # a NaN or infinite radius would give a law whose values are NaN
+    with pytest.raises(rh.RheologyError):
+        rh.RheologyLaw(kind="newtonian", mu=1.0, delta=delta)
+    with pytest.raises(rh.RheologyError):
+        rh.mollify(rh.newtonian_law(1.0), delta)
+
+
 def test_tabulated_needs_delta_for_subgradient():
     base = table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)
     with pytest.raises(rh.RheologyError):

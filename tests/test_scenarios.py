@@ -111,6 +111,14 @@ def test_tabulated_rheology_requires_mollification():
     ("dt", math.nan, "time.dt"),
     ("final_time", math.inf, "time.final"),
     ("bc_rho", math.nan, "bc.rho"),
+    # an empty argument is an argument, not one to drop
+    ("init_c", "wave:1.0,,0.4", "init.c wave"),
+    ("init_c", "uniform:1.0,", "init.c uniform"),
+    ("init_c", "uniform:,1.0", "init.c uniform"),
+    ("bc_u", "constant:1,,0,0", "bc.u constant"),
+    ("bc_u", "channel:0.25,", "bc.u channel"),
+    ("init_q", "bump:0.1,", "init.q bump"),
+    ("init_rho", "sine:0.05,", "init.rho sine"),
 ])
 def test_build_rejects_invalid_scenarios(field, value, fragment):
     sc = dataclasses.replace(sn.zero_scenario(), **{field: value})

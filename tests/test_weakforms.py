@@ -119,3 +119,17 @@ def test_refinement_residual_magnitudes(refinement_pair):
     for eq, val in expect.items():
         got = refinement_pair["coarse"]["max_abs"][eq]
         assert abs(got - val) < 0.05 * val, (eq, got)
+
+
+def test_residuals_add_up_step_by_step():
+    # every identity pairs each step's increment with the test function at
+    # the step's end, so a trajectory's residual is the sum of its steps'
+    grid, basis, stepper = make_stepper(8, 2, 2e-3, 0.05)
+    states = run_states(stepper, rich_state(grid, basis), 4)
+    whole = wf.weak_residuals_dissipative(states, stepper)
+    steps = [wf.weak_residuals_dissipative(states[k:k + 2], stepper)
+             for k in range(len(states) - 1)]
+    for eq in ("continuity", "momentum", "concentration", "nematic"):
+        for name, val in whole[eq].items():
+            total = sum(rep[eq][name] for rep in steps)
+            assert abs(val - total) <= 1e-15, (eq, name, val - total)
