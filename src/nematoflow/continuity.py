@@ -14,7 +14,7 @@ alpha = (eps/h + ubn_neg/2) / (eps/h - ubn_neg/2), a convex combination, so
 the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13,
-started from the right side or the density of the previous coupling sweep;
+started from the right side or from the start the coupling sweep gives;
 a non-finite residual raises StabilityError, the cap ConditioningError.
 The step assumes an admissible dt (``simulation.check_step``).
 
@@ -45,11 +45,12 @@ def face_velocities(grid, basis, v, lift):
     """Normal velocity at every face plane, per axis; walls carry u_B.
 
     Entry `axis` is indexed like the grid with axis `axis` one longer: the
-    modes of v on ``grid.face_mesh(axis)`` plus the lift ``u_faces`` of
-    ``BoundaryFaces``; the modes vanish on the walls, which carry the lift.
+    component `axis` of the modes of v on ``grid.face_meshes[axis]`` plus
+    the lift ``u_faces`` of ``BoundaryFaces``; the modes vanish on the
+    walls, which carry the lift.
     """
-    return [gk.evaluate_at(basis, v, *grid.face_mesh(axis))[axis] + lift[axis]
-            for axis in range(3)]
+    return [gk.evaluate_at(basis, v, *grid.face_meshes[axis], axis)
+            + lift[axis] for axis in range(3)]
 
 
 def face_divergence(grid, fv):

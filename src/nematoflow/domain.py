@@ -68,13 +68,20 @@ class Grid:
         return np.meshgrid(self.centers(0), self.centers(1), self.centers(2),
                            indexing="ij")
 
-    def face_mesh(self, axis):
-        """Open mesh (np.ix_) of the N+1 face planes normal to `axis`; the
-        planes are i * h, the last exactly at the extent (the wall)."""
-        coords = [self.centers(a) for a in range(3)]
-        coords[axis] = np.linspace(0.0, self.extents[axis],
-                                   self.shape[axis] + 1)
-        return np.ix_(*coords)
+    @cached_property
+    def face_meshes(self):
+        """Per axis, the open mesh (np.ix_) of the N+1 face planes normal to
+        it; the planes are i * h, the last exactly at the extent (the wall).
+        Built once per grid and shared, so read-only."""
+        meshes = []
+        for axis in range(3):
+            coords = [self.centers(a) for a in range(3)]
+            coords[axis] = np.linspace(0.0, self.extents[axis],
+                                       self.shape[axis] + 1)
+            for c in coords:
+                c.flags.writeable = False
+            meshes.append(np.ix_(*coords))
+        return tuple(meshes)
 
 
 # ------------------------------------------------------------- ghost cells
@@ -257,12 +264,12 @@ class BoundaryFaces:
       u_cells    the lift u_B at the cell centres, (3, nx, ny, nz)
       jac_cells  its Jacobian J[a, d] = du_a/dx_d, (3, 3, nx, ny, nz)
       u_faces    u_B . e_axis on the N+1 face planes normal to each axis
-                 (``Grid.face_mesh``), the wall part of ``face_velocities``;
+                 (``Grid.face_meshes``), the wall part of ``face_velocities``;
                  its first and last planes give each face's ``ubn``
     """
 
     def __init__(self, grid, bdata):
-        self.u_faces = [bdata.u_b(*grid.face_mesh(axis))[axis]
+        self.u_faces = [bdata.u_b(*grid.face_meshes[axis])[axis]
                         for axis in range(3)]
         self.faces = decompose_boundary(grid, self.u_faces)
         self.rho_b = [bdata.rho_b(*face.xyz) for face in self.faces]

@@ -122,16 +122,18 @@ def mass_matrix(basis, rho):
     return scale * R.reshape(m ** 3, m ** 3)
 
 
-def evaluate_at(basis, v, x, y, z):
-    """Mode-part velocity on the tensor mesh x * y * z; exactly zero on the walls.
+def evaluate_at(basis, v, x, y, z, component):
+    """Component `component` of the mode-part velocity on the tensor mesh
+    x * y * z; exactly zero on the walls.
 
     x, y, z form an open mesh in the ``np.ix_`` layout: shapes (nx,1,1),
-    (1,ny,1) and (1,1,nz).  The result has shape (3, nx, ny, nz).  One m x n
-    sine table per axis is contracted one axis at a time (sum factorisation),
-    as in ``synthesize``; points at 0 or L along an axis get an exact zero.
+    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz); only that
+    component's coefficients are contracted.  One m x n sine table per axis
+    is contracted one axis at a time (sum factorisation), as in
+    ``synthesize``; points at 0 or L along an axis get an exact zero.
     Raises ConfigError for any other layout.
     """
-    V = _coeff_grid(basis, v)
+    V = _coeff_grid(basis, v)[component]
     pts = [np.asarray(c, dtype=float) for c in (x, y, z)]
     for axis, c in enumerate(pts):
         if c.ndim != 3 or any(c.shape[d] != 1 for d in range(3) if d != axis):

@@ -6,7 +6,8 @@ advective weight <= 1) followed by an exact implicit diffusion solve: the
 mirror-ghost Laplacian is diagonalized by the type-II cosine transform, so
 the implicit operator inverts in closed form and the discrete maximum
 principle holds to rounding.  The transform applies each axis's dense
-orthonormal DCT-II table through ``domain.contract``, as galerkin does.
+orthonormal DCT-II table through ``domain.contract``, as galerkin does; the
+tables and the spectral denominator are built once per grid and D0*dt.
 
 Order tensor: dQ/dt + u . grad Q + Q*Lambda - Lambda*Q = Gamma * H[Q, c]
 with H = lap Q + bulk terms, fixed wall values Q_B.  Sequential splitting:
@@ -22,6 +23,8 @@ Layout: grid axes last; Q is (5, nx, ny, nz), u and lam (3, nx, ny, nz)
 do numerics only; ``simulation.check_step`` admits dt once per sweep.
 """
 
+import functools
+
 import numpy as np
 
 from . import tensors
@@ -36,10 +39,11 @@ def _dct_table(n):
     return C
 
 
-def diffuse_neumann(grid, f, coeff, dt):
-    """Solve (I - coeff*dt*lap_N) g = f exactly via DCT-II."""
+@functools.lru_cache(maxsize=8)
+def _dct_plan(grid, a):
+    """The DCT-II tables of grid's axes and the spectral denominator of
+    I - a*lap_N, built once per grid and a = coeff*dt; read-only."""
     tables = [_dct_table(n) for n in grid.shape]
-    fh = contract(np.asarray(f, dtype=float), *(C.T for C in tables))
     denom = np.ones(grid.shape)
     for axis in range(3):
         k = np.arange(grid.shape[axis])
@@ -47,7 +51,16 @@ def diffuse_neumann(grid, f, coeff, dt):
             / grid.h[axis] ** 2
         shape = [1, 1, 1]
         shape[axis] = grid.shape[axis]
-        denom = denom + coeff * dt * lam.reshape(shape)
+        denom = denom + a * lam.reshape(shape)
+    for arr in tables + [denom]:
+        arr.flags.writeable = False
+    return tables, denom
+
+
+def diffuse_neumann(grid, f, coeff, dt):
+    """Solve (I - coeff*dt*lap_N) g = f exactly via DCT-II."""
+    tables, denom = _dct_plan(grid, coeff * dt)
+    fh = contract(np.asarray(f, dtype=float), *(C.T for C in tables))
     return contract(fh / denom, *tables)
 
 

@@ -211,6 +211,7 @@ def _init_q(expr, grid):
     name, parts = _selector(expr)
     X, Y, Z = grid.coords()
     if name == "zero":
+        _floats(parts, 0, "init.q zero")
         return np.zeros(grid.shape + (5,))
     if name == "bump":
         (amp,) = _floats(parts, 1, "init.q bump")
@@ -232,6 +233,7 @@ def _init_q(expr, grid):
 def _init_v(expr, basis, rng):
     name, parts = _selector(expr)
     if name == "zero":
+        _floats(parts, 0, "init.v zero")
         return np.zeros(basis.n)
     if name == "noise":
         (amp,) = _floats(parts, 1, "init.v noise")
@@ -244,6 +246,7 @@ def _init_v(expr, basis, rng):
 def _boundary_velocity(expr, grid):
     name, parts = _selector(expr)
     if name == "zero":
+        _floats(parts, 0, "bc.u zero")
         return dom.BoundaryVelocity("zero", grid)
     if name == "channel":
         (peak,) = _floats(parts, 1, "bc.u channel")
@@ -260,6 +263,7 @@ def _boundary_velocity(expr, grid):
 def _boundary_q(expr):
     name, parts = _selector(expr)
     if name == "zero":
+        _floats(parts, 0, "bc.q zero")
         return np.zeros(5)
     if name == "uniaxial":
         s, nx, ny, nz = _floats(parts, 4, "bc.q uniaxial")

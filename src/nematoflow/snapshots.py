@@ -1,6 +1,6 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-A snapshot is binary: eight NPY records (``numpy.lib.format``), one after
+A snapshot is binary: nine NPY records (``numpy.lib.format``), one after
 another in one file, in the order of ``_KEYS``:
 
     t            ()                 time
@@ -8,6 +8,7 @@ another in one file, in the order of ``_KEYS``:
     extent       (3,)               grid extents
     coeffs       (n,)               Galerkin coefficients v^n
     coeffs_prev  (n,), or (0,)      v^{n-1}; empty when there is none
+    coeffs_prev2 (n,), or (0,)      v^{n-2}; empty when there is none
     rho, c       (nx, ny, nz)
     q            (nx, ny, nz, 5)    ``State.q`` as it is
 
@@ -15,14 +16,15 @@ Apart from the grid header (cells, extent) each record is one field of
 ``State``, and nothing derived from it is stored.  All records but cells
 are float64, which round-trips exactly, so a restarted run reproduces the
 original trajectory bit for bit; the next step extrapolates its first
-iterate from ``coeffs_prev``.  Each record is written C-ordered through one
-open file object: the file holds no zip member timestamp (as ``np.savez``
-would stamp), so its bytes depend on the state alone, and it is exactly the
-path given (``np.save`` on a name would append ``.npy``).  Records are read
+iterate from ``coeffs_prev`` and ``coeffs_prev2``.  Each record is written
+C-ordered through one open file object: the file holds no zip member
+timestamp (as ``np.savez`` would stamp), so its bytes depend on the state
+alone, and it is exactly the path given (``np.save`` on a name would append ``.npy``).  Records are read
 back without pickle, so an object array is refused, never unpickled.  The
 price is that a snapshot is no longer greppable text; ``report.txt`` and
 ``ledger.csv`` stay text.  Every malformed file raises ``ConfigError``
-naming it.
+naming it; so does a file of the eight-record layout before
+``coeffs_prev2`` (its last record is missing), which is not migrated.
 """
 
 import os
@@ -32,7 +34,10 @@ import numpy as np
 from .errors import ConfigError
 from .simulation import State
 
-_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "rho", "c", "q")
+_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
+         "rho", "c", "q")
+# the records of State fields that may be absent, stored empty then
+_OPTIONAL = ("coeffs_prev", "coeffs_prev2")
 _SUFFIX = ".bin"
 
 
@@ -42,9 +47,9 @@ def snapshot_path(out_dir, step):
 
 def write_snapshot(path, grid, state):
     """Write state on grid to path."""
-    v_prev = () if state.v_prev is None else state.v_prev
-    values = (state.t, grid.shape, grid.extents, state.v, v_prev, state.rho,
-              state.c, state.q)
+    values = (state.t, grid.shape, grid.extents, state.v,
+              *(() if v is None else v for v in (state.v_prev, state.v_prev2)),
+              state.rho, state.c, state.q)
     with open(path, "wb") as fh:
         for key, value in zip(_KEYS, values):
             dtype = np.int64 if key == "cells" else np.float64
@@ -53,8 +58,8 @@ def write_snapshot(path, grid, state):
 
 
 def read_snapshot(path):
-    """Returns (state, shape, extents); state.v_prev is None when the file
-    stores no previous coefficients."""
+    """Returns (state, shape, extents); state.v_prev and state.v_prev2 are
+    None when the file stores no such previous coefficients."""
     arrays = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -80,8 +85,9 @@ def read_snapshot(path):
     shape = tuple(int(n) for n in cells)
     n = arrays["coeffs"].size
     want = {"t": (), "extent": (3,), "coeffs": (n,),
-            "coeffs_prev": (n,) if arrays["coeffs_prev"].size else (0,),
             "rho": shape, "c": shape, "q": shape + (5,)}
+    for key in _OPTIONAL:
+        want[key] = (n,) if arrays[key].size else (0,)
     for key, a in arrays.items():
         if a.dtype != np.float64 or a.shape != want[key]:
             raise ConfigError(
@@ -89,7 +95,8 @@ def read_snapshot(path):
                 f"{want[key]}, got {a.dtype} of shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ConfigError(f"snapshot {path}: non-finite values in {key}")
-    prev = arrays["coeffs_prev"]
+    prev, prev2 = (arrays[key] if arrays[key].size else None
+                   for key in _OPTIONAL)
     state = State(float(arrays["t"]), arrays["rho"], arrays["c"], arrays["q"],
-                  arrays["coeffs"], prev if prev.size else None)
+                  arrays["coeffs"], prev, prev2)
     return state, shape, tuple(float(x) for x in arrays["extent"])

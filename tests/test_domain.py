@@ -146,7 +146,7 @@ def test_wall_normal_velocity_is_the_wall_plane_of_the_face_values():
     # 49 * (1/49) is not 1: the last face plane must be the extent itself,
     # where the x+ wall lies, for u_B to be sampled once per wall
     g = dm.Grid((1.0, 1.0, 1.0), (49, 4, 4))
-    assert g.face_mesh(0)[0][-1] == 1.0
+    assert g.face_meshes[0][0][-1] == 1.0
     bf = dm.BoundaryFaces(g, dm.BoundaryData(_Stretch(), 1.0, np.zeros(5)))
     for face in bf.faces:
         plane = bf.u_faces[face.axis][dm.slab(face.axis, (0, -1)[face.side])]

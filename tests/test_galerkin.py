@@ -112,9 +112,10 @@ def test_boundary_trace_exact_zero():
         for wall in (0.0, g.extents[axis]):
             coords = [g.centers(a) for a in range(3)]
             coords[axis] = np.array([wall])
-            vals = gk.evaluate_at(basis, v, *np.ix_(*coords))
-            assert vals.shape == (3,) + tuple(len(c) for c in coords)
-            assert np.all(vals == 0.0)
+            for comp in range(3):
+                vals = gk.evaluate_at(basis, v, *np.ix_(*coords), comp)
+                assert vals.shape == tuple(len(c) for c in coords)
+                assert np.all(vals == 0.0)
 
 
 def test_mass_matrix_identity_for_unit_density():
@@ -211,7 +212,7 @@ def test_transforms_use_no_einsum(monkeypatch):
     monkeypatch.setattr(np, "einsum", forbidden)
     gk.synthesize(basis, v)
     gk.synthesize_jacobian(basis, v)
-    gk.evaluate_at(basis, v, *np.ix_(*(g.centers(a) for a in range(3))))
+    gk.evaluate_at(basis, v, *np.ix_(*(g.centers(a) for a in range(3))), 0)
     gk.project(basis, rng.normal(size=(3,) + g.shape))
     gk.project_tensor_divergence(basis, rng.normal(size=(3, 3) + g.shape))
     gk.mass_matrix(basis, 1.0 + rng.random(g.shape))
@@ -223,7 +224,9 @@ def test_evaluate_at_matches_grid_synthesis():
     rng = np.random.default_rng(4)
     v = rng.normal(size=basis.n)
     u_grid = gk.synthesize(basis, v)
-    u_pts = gk.evaluate_at(basis, v, *np.ix_(*(g.centers(a) for a in range(3))))
+    mesh = np.ix_(*(g.centers(a) for a in range(3)))
+    u_pts = np.stack([gk.evaluate_at(basis, v, *mesh, comp)
+                      for comp in range(3)])
     assert u_pts.shape == u_grid.shape
     assert np.allclose(u_pts, u_grid, atol=1e-12)
 
@@ -233,8 +236,8 @@ def test_evaluate_at_rejects_dense_mesh():
     basis = gk.build_basis(g, 2)
     v = np.zeros(basis.n)
     with pytest.raises(ConfigError, match="open mesh"):
-        gk.evaluate_at(basis, v, *g.coords())
+        gk.evaluate_at(basis, v, *g.coords(), 0)
     face = dm.BoundaryFaces(g, dm.BoundaryData(
         dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))).faces[0]
     with pytest.raises(ConfigError, match="open mesh"):
-        gk.evaluate_at(basis, v, *face.xyz)
+        gk.evaluate_at(basis, v, *face.xyz, 0)

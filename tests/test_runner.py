@@ -110,15 +110,18 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
     assert part_rows[1].rpartition(b",")[0] == resumed[0].rpartition(b",")[0]
 
 
-@pytest.mark.parametrize("resume_step", [0, 1, 10])
+@pytest.mark.parametrize("resume_step", [0, 1, 2, 10])
 def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
     # step 0 has no previous coefficients; step 1 is the first snapshot
-    # whose next step starts from the extrapolated iterate
+    # whose next step starts from the linear extrapolation, step 2 the
+    # first that carries coeffs_prev2 for the quadratic one
     sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=1)
     full, part = tmp_path / "full", tmp_path / "part"
     rn.run_scenario(sc, out_dir=str(full))
     snap = sp.snapshot_path(str(full), resume_step)
-    assert (sp.read_snapshot(snap)[0].v_prev is not None) == (resume_step > 0)
+    state = sp.read_snapshot(snap)[0]
+    assert (state.v_prev is not None) == (resume_step >= 1)
+    assert (state.v_prev2 is not None) == (resume_step >= 2)
     rn.run_scenario(sc, out_dir=str(part), resume_from=snap)
     last = os.path.basename(sp.snapshot_path("x", sc.n_steps()))
     assert _read_bytes(full / last) == _read_bytes(part / last)
@@ -190,38 +193,43 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_round_trips_previous_coefficients(tmp_path):
-    # a state without v_prev writes an empty coeffs_prev and reads back
-    # without one; a short or non-finite coeffs_prev is rejected
+    # a state without v_prev (v_prev2) writes an empty coeffs_prev
+    # (coeffs_prev2) and reads back without one; a short or non-finite
+    # record is rejected
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid, st)
-    assert _records(path)["coeffs_prev"].shape == (0,)
-    assert sp.read_snapshot(str(path))[0].v_prev is None
-    v_prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
-    sp.write_snapshot(str(path), setup.grid,
-                      State(1e-3, st.rho, st.c, st.q, st.v, v_prev))
-    assert np.array_equal(sp.read_snapshot(str(path))[0].v_prev, v_prev)
-    records = _records(path)
-    for bad in (v_prev[:-1], np.append(v_prev[:-1], np.nan)):
-        _write_records(path, {**records, "coeffs_prev": bad})
-        with pytest.raises(ConfigError,
-                           match=f"snapshot {path}: .*coeffs_prev"):
-            sp.read_snapshot(str(path))
+    prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
+    for key, field in (("coeffs_prev", "v_prev"), ("coeffs_prev2", "v_prev2")):
+        sp.write_snapshot(str(path), setup.grid, st)
+        assert _records(path)[key].shape == (0,)
+        assert getattr(sp.read_snapshot(str(path))[0], field) is None
+        sp.write_snapshot(str(path), setup.grid,
+                          dataclasses.replace(st, t=1e-3, **{field: prev}))
+        assert np.array_equal(getattr(sp.read_snapshot(str(path))[0], field),
+                              prev)
+        records = _records(path)
+        for bad in (prev[:-1], np.append(prev[:-1], np.nan)):
+            _write_records(path, {**records, key: bad})
+            with pytest.raises(ConfigError,
+                               match=f"snapshot {path}: .*{key}"):
+                sp.read_snapshot(str(path))
 
 
 def _snapshot_with_previous(tmp_path):
-    """A 4^3 snapshot whose every array, coeffs_prev included, is stored."""
+    """A 4^3 snapshot whose every array, coeffs_prev and coeffs_prev2
+    included, is stored."""
     setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
     st = setup.state0
     path = tmp_path / "snap.bin"
     sp.write_snapshot(str(path), setup.grid,
-                      State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0))
+                      State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0,
+                            st.v / 4.0))
     return path
 
 
 @pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
-                                   "rho", "c", "q23"])
+                                   "coeffs_prev2", "rho", "c", "q23"])
 def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     # a nan density used to pass the reader and end a resumed run in
     # "SVD did not converge" from the mass solve
@@ -284,10 +292,12 @@ def _nine_records(data, records):
     (_recast("cells", np.float64), "cells must be three positive integers"),
     (_recast("rho", np.float32), "rho must be float64"),
     (_nine_records, "data after the last array"),
+    # the layout before coeffs_prev2: no migration, the file is refused
+    (_dropped("coeffs_prev2"), "missing array q"),
 ], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
         "rho-shape", "c-shape", "q-shape",
         "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype",
-        "nine-records"])
+        "nine-records", "eight-records"])
 def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
     path = _snapshot_with_previous(tmp_path)
     bad = damage(path.read_bytes(), _records(path))
@@ -327,7 +337,7 @@ def test_read_snapshot_never_unpickles(tmp_path):
     assert _UNPICKLED == []
     # the file does hold a live pickle
     with open(path, "rb") as fh:
-        for _ in sp._KEYS[:6]:
+        for _ in sp._KEYS[:sp._KEYS.index("rho") + 1]:
             np.lib.format.read_array(fh, allow_pickle=True)
     assert _UNPICKLED == [True]
 
@@ -335,7 +345,8 @@ def test_read_snapshot_never_unpickles(tmp_path):
 def test_a_snapshot_holds_the_state_alone():
     # apart from the grid header every record is one State field, so no
     # field derived from the state (a cell velocity, say) rides along
-    renamed = {"coeffs": "v", "coeffs_prev": "v_prev"}
+    renamed = {"coeffs": "v", "coeffs_prev": "v_prev",
+               "coeffs_prev2": "v_prev2"}
     fields = [renamed.get(key, key) for key in sp._KEYS
               if key not in ("cells", "extent")]
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(State))

@@ -119,6 +119,11 @@ def test_tabulated_rheology_requires_mollification():
     ("bc_u", "channel:0.25,", "bc.u channel"),
     ("init_q", "bump:0.1,", "init.q bump"),
     ("init_rho", "sine:0.05,", "init.rho sine"),
+    # a selector without arguments refuses any, so zero:0.3 is not bump:0.3
+    ("init_q", "zero:0.3", "init.q zero: expected 0 arguments, got 1"),
+    ("init_v", "zero:5", "init.v zero: expected 0 arguments, got 1"),
+    ("bc_u", "zero:1,2", "bc.u zero: expected 0 arguments, got 2"),
+    ("bc_q", "zero:,", "bc.q zero: expected 0 arguments, got 2"),
 ])
 def test_build_rejects_invalid_scenarios(field, value, fragment):
     sc = dataclasses.replace(sn.zero_scenario(), **{field: value})

@@ -181,29 +181,86 @@ def test_step_builds_upwind_differences_once(monkeypatch):
     assert len(sweeps) == 3
 
 
-def test_density_cg_starts_from_the_previous_sweep(monkeypatch):
-    # the first sweep starts the density CG from its right side, each later
-    # one from the density of the sweep before; the accepted solve is the
-    # last one and takes fewer iterations than the first
-    setup = sn.build(sn.default_scenario(grid_cells=8))
-    solver = setup.stepper.continuity
-    starts, results, iters = [], [], []
-    step = solver.step
+def _third_step():
+    """The 16^3 default channel flow from noise after two steps, the first
+    state whose step starts from the quadratic extrapolation."""
+    setup = sn.build(sn.default_scenario(grid_cells=16, init_v="noise:0.01"))
+    state = setup.state0
+    for _ in range(2):
+        state, _ = setup.stepper.step(state)
+    return setup.stepper, state
 
-    def recording(rho, fv, start=None):
-        starts.append(start)
-        rho_new, info = step(rho, fv, start=start)
-        results.append(rho_new)
-        iters.append(info["cg_iters"])
-        return rho_new, info
 
-    monkeypatch.setattr(solver, "step", recording)
-    new_state, info = setup.stepper.step(setup.state0)
-    assert len(starts) == info["picard_iters"] > 2
-    assert starts[0] is None
-    assert all(s is r for s, r in zip(starts[1:], results))
-    assert new_state.rho is results[-1]
+def _record_sweeps(monkeypatch, stepper, start_rule=None):
+    """Per sweep (v, density CG start, density, CG iterations); start_rule
+    (sweeps so far, start) may replace the start."""
+    sweeps = []
+    advance = stepper.advance_fields
+
+    def recording(state, q, diffs, rho_start, v, u, lam):
+        if start_rule is not None:
+            rho_start = start_rule(sweeps, rho_start)
+        out = advance(state, q, diffs, rho_start, v, u, lam)
+        sweeps.append((v, rho_start, out[0], out[3]["cg_iters"]))
+        return out
+
+    monkeypatch.setattr(stepper, "advance_fields", recording)
+    return sweeps
+
+
+def test_density_cg_starts_from_the_anderson_mixed_density(monkeypatch):
+    # the first sweep starts the density CG from its right side and the
+    # second from the first sweep's density; each later one from
+    # rho_k - dR gamma, dR the differences of the sweep densities and gamma
+    # the Anderson weights of the iterate it is run for.  That start is
+    # closer to the sweep's density than rho_k, and the accepted solve is
+    # the last one and takes fewer iterations than the first
+    stepper, state = _third_step()
+    outputs = []
+    step_momentum = mom.step_momentum
+
+    def momentum(*args):
+        outputs.append(step_momentum(*args))
+        return outputs[-1]
+
+    sweeps = _record_sweeps(monkeypatch, stepper)
+    monkeypatch.setattr(mom, "step_momentum", momentum)
+    new_state, info = stepper.step(state)
+    inc = info["increments"]
+    assert len(sweeps) == info["picard_iters"] > 3
+    assert all(b < a for a, b in zip(inc, inc[1:]))    # no history reset
+    v, starts, rhos, iters = zip(*sweeps)
+    f = [out - vk for out, vk in zip(outputs, v)]
+    assert starts[0] is None and starts[1] is rhos[0]
+    for k in range(1, len(sweeps) - 1):
+        hist = range(max(1, k - simulation.ANDERSON_DEPTH + 1), k + 1)
+        dF = np.stack([f[j] - f[j - 1] for j in hist], axis=1)
+        gamma = np.linalg.lstsq(dF, f[k], rcond=None)[0]
+        want = rhos[k] - sum(g * (rhos[j] - rhos[j - 1])
+                             for g, j in zip(gamma, hist))
+        assert np.max(np.abs(starts[k + 1] - want)) <= 1e-14
+        assert np.linalg.norm(starts[k + 1] - rhos[k + 1]) \
+            < np.linalg.norm(rhos[k] - rhos[k + 1])
+    assert new_state.rho is rhos[-1]
     assert info["cg_iters"] == iters[-1] < iters[0]
+
+
+def test_mixed_density_start_saves_cg_iterations(monkeypatch):
+    # against starting each density CG from the density of the sweep before,
+    # the step takes as many sweeps, fewer CG iterations in all, and fewer
+    # in its accepted solve
+    stepper, state = _third_step()
+    sweeps = _record_sweeps(monkeypatch, stepper)
+    new_state, info = stepper.step(state)
+    monkeypatch.undo()
+    previous = _record_sweeps(
+        monkeypatch, stepper,
+        lambda done, start: done[-1][2] if done else start)
+    old_state, old_info = stepper.step(state)
+    assert len(sweeps) == len(previous) == info["picard_iters"]
+    assert sum(s[3] for s in sweeps) < sum(s[3] for s in previous)
+    assert info["cg_iters"] < old_info["cg_iters"]
+    assert np.linalg.norm(new_state.v - old_state.v) <= stepper.picard_tol
 
 
 def test_boundary_driven_flow_moves_velocity():
@@ -239,6 +296,32 @@ def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
     for key in ("rho", "c", "q", "v"):
         ref, got = getattr(state, key), getattr(plain, key)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+def test_quadratic_start_saves_sweeps_over_the_linear_one(monkeypatch):
+    # the 8^3 channel flow: from the third step on the first iterate is
+    # 3 v^n - 3 v^{n-1} + v^{n-2}; it takes fewer sweeps than the linear
+    # start 2 v^n - v^{n-1} (v_prev2 dropped) and reaches the same states
+    setup = sn.build(sn.default_scenario(grid_cells=8))
+    stepper = setup.stepper
+    quad = lin = setup.state0
+    quad_sweeps = lin_sweeps = 0
+    for _ in range(6):
+        quad, info = stepper.step(quad)
+        quad_sweeps += info["picard_iters"]
+        lin, info = stepper.step(dataclasses.replace(lin, v_prev2=None))
+        lin_sweeps += info["picard_iters"]
+    assert quad_sweeps < lin_sweeps
+    for key in ("rho", "c", "q", "v"):
+        ref, got = getattr(quad, key), getattr(lin, key)
+        assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+    first = []
+    velocity_fields = stepper.velocity_fields
+    monkeypatch.setattr(stepper, "velocity_fields",
+                        lambda v: first.append(v) or velocity_fields(v))
+    stepper.step(quad)
+    assert np.array_equal(first[0],
+                          3.0 * (quad.v - quad.v_prev) + quad.v_prev2)
 
 
 WEIGHT = r"advective weight dt\*sum\(\|u_d\|/h_d\)"
