@@ -203,10 +203,18 @@ class EnergyMonitor:
                    default=0.0)
         tol = 1e-6 * (e0 + 1.0) + 10.0 * (dt + h2) * tau * (1.0 + e0 + rate)
         ok = bool(np.all(residual >= -tol))
+        # the slack RHS - LHS where it is least over t > 0 (at t = 0 both
+        # sides are 0), and RHS/LHS there; None before the first step
+        slack = ratio = None
+        if np.any(tau > 0):
+            k = int(np.argmin(np.where(tau > 0, residual, np.inf)))
+            slack = float(residual[k])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = float(np.divide(rhs[k], lhs[k]))
         return {
             "residual": residual, "tol": tol, "pass": ok,
             "c_growth": c_growth, "c_const": c_const,
-            "margin": float(np.min(residual + tol)),
+            "slack": slack, "ratio": ratio,
         }
 
     # ---------------------------------------------------------------- I/O

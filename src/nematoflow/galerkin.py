@@ -55,6 +55,8 @@ class VelocityBasis:
         # grad[d]: the tables of d/dx_d, the cosine table on axis d
         self.grad = tuple(tuple(cos[a] if a == d else sin[a] for a in range(3))
                           for d in range(3))
+        # evaluate_at's sine tables by (axis, coordinate bytes)
+        self._tables = {}
 
     @property
     def n(self):
@@ -65,12 +67,18 @@ def build_basis(grid, m):
     return VelocityBasis(grid=grid, m=m)
 
 
+def _coeffs(basis, v, batch=False):
+    """Coefficient vector v as V[k, l, m, a] in its own C order; with
+    batch, a (k, n) batch of vectors gives V[j, k, l, m, a]."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (basis.n,) or v.ndim > 1 + batch:
+        raise ConfigError(f"expected {basis.n} coefficients, got {v.shape}")
+    return v.reshape(v.shape[:-1] + (basis.m,) * 3 + (3,))
+
+
 def _coeff_grid(basis, v):
     """Coefficient vector v as the component-first grid V[a, k, l, m]."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (basis.n,):
-        raise ConfigError(f"expected {basis.n} coefficients, got {v.shape}")
-    return v.reshape(basis.m, basis.m, basis.m, 3).transpose(3, 0, 1, 2)
+    return _coeffs(basis, v).transpose(3, 0, 1, 2)
 
 
 def _pairings(basis, V):
@@ -122,28 +130,38 @@ def mass_matrix(basis, rho):
     return scale * R.reshape(m ** 3, m ** 3)
 
 
+def _mesh_table(basis, axis, c):
+    """sin(k pi c / L) along axis for the coordinates c, (m, len(c)), with
+    an exact zero at 0 and L.  Built once per basis and coordinate vector
+    and shared, so read-only."""
+    key = (axis, c.tobytes())
+    table = basis._tables.get(key)
+    if table is None:
+        t = c / basis.grid.extents[axis]
+        table = np.sin(np.pi * np.outer(np.arange(1, basis.m + 1), t))
+        table[:, (t == 0.0) | (t == 1.0)] = 0.0
+        table.flags.writeable = False
+        basis._tables[key] = table
+    return table
+
+
 def evaluate_at(basis, v, x, y, z, component):
     """Component `component` of the mode-part velocity on the tensor mesh
     x * y * z; exactly zero on the walls.
 
     x, y, z form an open mesh in the ``np.ix_`` layout: shapes (nx,1,1),
-    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz); only that
-    component's coefficients are contracted.  One m x n sine table per axis
-    is contracted one axis at a time (sum factorisation), as in
-    ``synthesize``; points at 0 or L along an axis get an exact zero.
+    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz), or
+    (k, nx, ny, nz) for a (k, n) batch v; only that component's
+    coefficients are contracted.  One m x n sine table per axis is
+    contracted one axis at a time (sum factorisation), as in
+    ``synthesize``; the tables of a mesh are built on its first call.
     Raises ConfigError for any other layout.
     """
-    V = _coeff_grid(basis, v)[component]
+    V = _coeffs(basis, v, batch=True)[..., component]
     pts = [np.asarray(c, dtype=float) for c in (x, y, z)]
     for axis, c in enumerate(pts):
         if c.ndim != 3 or any(c.shape[d] != 1 for d in range(3) if d != axis):
             raise ConfigError("evaluate_at expects an open mesh np.ix_(x, y, z); "
                               f"got shapes {[p.shape for p in pts]}")
-    ks = np.arange(1, basis.m + 1)
-    factors = []
-    for axis in range(3):
-        t = pts[axis].reshape(-1) / basis.grid.extents[axis]
-        s = np.sin(np.pi * np.outer(ks, t))
-        s[:, (t == 0.0) | (t == 1.0)] = 0.0
-        factors.append(s)
-    return contract(basis.norm * V, *factors)
+    return contract(basis.norm * V, *(_mesh_table(basis, axis, c.reshape(-1))
+                                      for axis, c in enumerate(pts)))

@@ -78,8 +78,9 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     state = setup.state0
     n_steps = sc.n_steps()
     start_step = 0
+    text = sn.scenario_text(sc)
     if resume_from is not None:
-        snap, shape, extents = sp.read_snapshot(resume_from)
+        snap, shape, extents, snap_text = sp.read_snapshot(resume_from)
         if shape != grid.shape or extents != tuple(grid.extents) \
                 or snap.v.size != basis.n:
             raise sn.ConfigError(
@@ -90,6 +91,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         start_step = sc.steps_to(snap.t, when)
         if not 0 <= start_step <= n_steps:
             raise sn.ConfigError(f"{when} is not in [0, {sc.final_time!r}]")
+        sn.check_resume(sc, snap_text, f"snapshot {resume_from}")
     report = RunReport()
     monitor = en.EnergyMonitor(stepper)
     report.monitor = monitor
@@ -108,7 +110,8 @@ def run_scenario(sc, out_dir=None, resume_from=None):
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, state)
+        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, state,
+                          text)
 
     tau = 0.0
     t_ledger = 0.0
@@ -138,7 +141,8 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         worst["mass_balance"] = max(worst["mass_balance"], defect)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
-            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, state)
+            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, state,
+                              text)
     report.timings["stepping"] = time.perf_counter() - t_wall
     report.timings["ledger"] = t_ledger    # part of stepping
 
@@ -167,8 +171,10 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     report.add_check("inflow convexity gap", gap_min >= -1e-10,
                      f"min {gap_min:.3e}")
     ineq = monitor.inequality_residual()
-    report.add_check("energy inequality", ineq["pass"],
-                     f"margin {ineq['margin']:.3e}")
+    report.add_check("energy inequality", ineq["pass"], "no step taken"
+                     if ineq["slack"] is None else
+                     f"slack min(RHS - LHS) over t > 0 {ineq['slack']:.6g}, "
+                     f"RHS/LHS there {ineq['ratio']:.4g}")
 
     if out_dir is not None:
         monitor.to_csv(os.path.join(out_dir, "ledger.csv"))

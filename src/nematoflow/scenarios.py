@@ -150,6 +150,27 @@ def scenario_text(sc):
     return "\n".join(lines) + "\n"
 
 
+# keys a run resumed from a snapshot does not depend on: where it ends, how
+# often it writes snapshots, and the initial data with the seed that draws
+# them; every other key must match the snapshot's scenario
+RESUME_EXEMPT = ("time.final", "output.snapshot_every", "init.rho", "init.c",
+                 "init.q", "init.v", "run.seed")
+
+
+def check_resume(sc, text, where):
+    """ConfigError naming the first key, outside ``RESUME_EXEMPT``, whose
+    value in sc differs from the one in scenario text (a snapshot's)."""
+    try:
+        stored = parse_scenario(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: unreadable scenario: {exc}") from None
+    for key, name in KEY_MAP.items():
+        was, now = getattr(stored, name), getattr(sc, name)
+        if key not in RESUME_EXEMPT and was != now:
+            raise ConfigError(f"{where}: scenario key {key} is {was!r} in "
+                              f"the snapshot but {now!r} in this run")
+
+
 def _selector(expr):
     name, _, args = expr.partition(":")
     parts = args.split(",") if args else []

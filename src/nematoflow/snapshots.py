@@ -1,30 +1,37 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-A snapshot is binary: nine NPY records (``numpy.lib.format``), one after
-another in one file, in the order of ``_KEYS``:
+A snapshot is binary: thirteen NPY records (``numpy.lib.format``), one
+after another in one file, in the order of ``_KEYS``:
 
-    t            ()                 time
-    cells        (3,), int64        grid cell counts
-    extent       (3,)               grid extents
-    coeffs       (n,)               Galerkin coefficients v^n
-    coeffs_prev  (n,), or (0,)      v^{n-1}; empty when there is none
-    coeffs_prev2 (n,), or (0,)      v^{n-2}; empty when there is none
-    rho, c       (nx, ny, nz)
-    q            (nx, ny, nz, 5)    ``State.q`` as it is
+    t              ()                 time
+    cells          (3,), int64        grid cell counts
+    extent         (3,)               grid extents
+    coeffs         (n,)               Galerkin coefficients v^n
+    coeffs_prev    (n,), or (0,)      v^{n-1}; empty when there is none
+    coeffs_prev2   (n,), or (0,)      v^{n-2}; empty when there is none
+    anderson_dv    (k, n)             carried Anderson history: iterate,
+    anderson_df    (k, n)             residual and density differences,
+    anderson_drho  (k, nx, ny, nz)    0 <= k <= ANDERSON_DEPTH
+    scenario       (L,), uint8        ``scenarios.scenario_text``, UTF-8
+    rho, c         (nx, ny, nz)
+    q              (nx, ny, nz, 5)    ``State.q`` as it is
 
-Apart from the grid header (cells, extent) each record is one field of
-``State``, and nothing derived from it is stored.  All records but cells
-are float64, which round-trips exactly, so a restarted run reproduces the
-original trajectory bit for bit; the next step extrapolates its first
-iterate from ``coeffs_prev`` and ``coeffs_prev2``.  Each record is written
-C-ordered through one open file object: the file holds no zip member
-timestamp (as ``np.savez`` would stamp), so its bytes depend on the state
-alone, and it is exactly the path given (``np.save`` on a name would append ``.npy``).  Records are read
-back without pickle, so an object array is refused, never unpickled.  The
-price is that a snapshot is no longer greppable text; ``report.txt`` and
-``ledger.csv`` stay text.  Every malformed file raises ``ConfigError``
-naming it; so does a file of the eight-record layout before
-``coeffs_prev2`` (its last record is missing), which is not migrated.
+Apart from the grid header (cells, extent) and the scenario each record is
+one field of ``State``, and nothing derived from it is stored.  All state
+records are float64, which round-trips exactly, so a restarted run
+reproduces the original trajectory bit for bit: the next step extrapolates
+its first iterate from ``coeffs_prev`` and ``coeffs_prev2`` and mixes with
+the carried history.  The scenario text lets a resumed run refuse another
+scenario (``scenarios.check_resume``).  Each record is written C-ordered
+through one open file object: the file holds no zip member timestamp (as
+``np.savez`` would stamp), so its bytes depend on the state and scenario
+alone, and it is exactly the path given (``np.save`` on a name would
+append ``.npy``).  Records are read back without pickle, so an object
+array is refused, never unpickled.  The price is that a snapshot is no
+longer greppable text; ``report.txt`` and ``ledger.csv`` stay text.  Every
+malformed file raises ``ConfigError`` naming it; so does a file of an
+earlier layout (the nine-record one before the Anderson history and the
+scenario stops at "missing array scenario"), which is not migrated.
 """
 
 import os
@@ -32,12 +39,14 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import State
+from .simulation import ANDERSON_DEPTH, State
 
 _KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
+         "anderson_dv", "anderson_df", "anderson_drho", "scenario",
          "rho", "c", "q")
 # the records of State fields that may be absent, stored empty then
 _OPTIONAL = ("coeffs_prev", "coeffs_prev2")
+_HISTORY = ("anderson_dv", "anderson_df", "anderson_drho")
 _SUFFIX = ".bin"
 
 
@@ -45,21 +54,29 @@ def snapshot_path(out_dir, step):
     return os.path.join(out_dir, f"snap_{step:06d}{_SUFFIX}")
 
 
-def write_snapshot(path, grid, state):
-    """Write state on grid to path."""
+def write_snapshot(path, grid, state, scenario):
+    """Write state on grid, and the text scenario of its run, to path."""
+    n = state.v.size
+    empty = ((0, n), (0, n), (0,) + grid.shape)
     values = (state.t, grid.shape, grid.extents, state.v,
               *(() if v is None else v for v in (state.v_prev, state.v_prev2)),
+              *(np.empty(shape) if a is None else a for a, shape in zip(
+                  (state.anderson_dv, state.anderson_df, state.anderson_drho),
+                  empty)),
+              np.frombuffer(scenario.encode(), np.uint8),
               state.rho, state.c, state.q)
     with open(path, "wb") as fh:
         for key, value in zip(_KEYS, values):
-            dtype = np.int64 if key == "cells" else np.float64
+            dtype = {"cells": np.int64, "scenario": np.uint8}.get(
+                key, np.float64)
             np.save(fh, np.asarray(value, dtype, order="C"),
                     allow_pickle=False)
 
 
 def read_snapshot(path):
-    """Returns (state, shape, extents); state.v_prev and state.v_prev2 are
-    None when the file stores no such previous coefficients."""
+    """Returns (state, shape, extents, scenario text); state.v_prev,
+    state.v_prev2 and the Anderson history are None when the file stores
+    none."""
     arrays = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -83,8 +100,16 @@ def read_snapshot(path):
         raise ConfigError(
             f"snapshot {path}: cells must be three positive integers")
     shape = tuple(int(n) for n in cells)
+    text = arrays.pop("scenario")
+    if text.dtype != np.uint8 or text.ndim != 1:
+        raise ConfigError(f"snapshot {path}: scenario must be uint8 text, "
+                          f"got {text.dtype} of shape {text.shape}")
     n = arrays["coeffs"].size
+    dv = arrays["anderson_dv"]
+    k = min(dv.shape[0] if dv.ndim else 0, ANDERSON_DEPTH)
     want = {"t": (), "extent": (3,), "coeffs": (n,),
+            "anderson_dv": (k, n), "anderson_df": (k, n),
+            "anderson_drho": (k,) + shape,
             "rho": shape, "c": shape, "q": shape + (5,)}
     for key in _OPTIONAL:
         want[key] = (n,) if arrays[key].size else (0,)
@@ -95,8 +120,13 @@ def read_snapshot(path):
                 f"{want[key]}, got {a.dtype} of shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ConfigError(f"snapshot {path}: non-finite values in {key}")
-    prev, prev2 = (arrays[key] if arrays[key].size else None
-                   for key in _OPTIONAL)
+    prev, prev2, *history = (arrays[key] if arrays[key].size else None
+                             for key in _OPTIONAL + _HISTORY)
     state = State(float(arrays["t"]), arrays["rho"], arrays["c"], arrays["q"],
-                  arrays["coeffs"], prev, prev2)
-    return state, shape, tuple(float(x) for x in arrays["extent"])
+                  arrays["coeffs"], prev, prev2, *history)
+    try:
+        scenario = text.tobytes().decode()
+    except UnicodeDecodeError:
+        raise ConfigError(f"snapshot {path}: scenario is not UTF-8 text") \
+            from None
+    return state, shape, tuple(float(x) for x in arrays["extent"]), scenario

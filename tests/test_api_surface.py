@@ -20,8 +20,6 @@ ORACLES = {
         "renormalised continuity balance with its eps-dissipation sign",
     "nematic.ldg_energy":
         "Lyapunov functional that molecular_field/step_q must decrease",
-    "scenarios.scenario_text":
-        "inverse of parse_scenario for the round-trip tests",
     "scenarios.zero_scenario":
         "quiescent scenario behind the exact-conservation and CLI tests",
     "tensors.trace_q3":

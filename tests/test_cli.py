@@ -179,46 +179,53 @@ def test_resume_from_text_snapshot_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _old_layout_snapshot(tmp_path, sc, cell_velocity):
-    """A snapshot of sc's initial state in the eight-record layout before
-    coeffs_prev2, or with cell_velocity the nine-record one before that,
-    which carried a cell velocity u after rho."""
+def _old_layout_snapshot(tmp_path, sc, layout):
+    """A snapshot of sc's initial state in the old layout `layout`: "nine"
+    before the Anderson history and the scenario, "eight" before
+    coeffs_prev2, or "cell-velocity" before that, which carried a cell
+    velocity u after rho."""
     setup = sn.build(sc)
     old = tmp_path / "snap_000000.bin"
-    sp.write_snapshot(str(old), setup.grid, setup.state0)
+    sp.write_snapshot(str(old), setup.grid, setup.state0, sn.scenario_text(sc))
     with open(old, "rb") as fh:
-        records = [np.lib.format.read_array(fh) for _ in sp._KEYS]
-    del records[sp._KEYS.index("coeffs_prev2")]
-    if cell_velocity:
-        records.insert(6, np.zeros((3,) + setup.grid.shape))
+        records = {key: np.lib.format.read_array(fh) for key in sp._KEYS}
+    keep = ["t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
+            "rho", "c", "q"]
+    if layout != "nine":
+        keep.remove("coeffs_prev2")
+    out = [records[key] for key in keep]
+    if layout == "cell-velocity":
+        out.insert(keep.index("rho") + 1, np.zeros((3,) + setup.grid.shape))
     with open(old, "wb") as fh:
-        for a in records:
+        for a in out:
             np.save(fh, a)
     return old
 
 
-def test_resume_from_nine_record_snapshot_exits_2(tmp_path, capsys):
-    # there is no migration, the file is refused by name: its rho sits
-    # where coeffs_prev2 is read
+def _resume_exits_2(tmp_path, capsys, layout, missing):
+    """--resume from sc's snapshot in an old layout exits 2, naming the
+    file and the first record it lacks; nothing is written."""
     sc = sn.default_scenario(grid_cells=4, modes=1)
     cfg = _write_scenario(tmp_path, sc)
-    old = _old_layout_snapshot(tmp_path, sc, cell_velocity=True)
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out), "--resume", str(old)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"configuration error: snapshot {old}: coeffs_prev2 must be float64 "
-        f"of shape (3,), got float64 of shape (4, 4, 4)")
-    assert not out.exists()
-
-
-def test_resume_from_eight_record_snapshot_exits_2(tmp_path, capsys):
-    # the layout before coeffs_prev2 is one record short; it is refused by
-    # name, not migrated
-    sc = sn.default_scenario(grid_cells=4, modes=1)
-    cfg = _write_scenario(tmp_path, sc)
-    old = _old_layout_snapshot(tmp_path, sc, cell_velocity=False)
+    old = _old_layout_snapshot(tmp_path, sc, layout)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out), "--resume", str(old)]) == 2
     assert capsys.readouterr().err == (
-        f"configuration error: snapshot {old}: missing array q\n")
+        f"configuration error: snapshot {old}: missing array {missing}\n")
     assert not out.exists()
+
+
+def test_resume_from_snapshot_without_history_exits_2(tmp_path, capsys):
+    # the nine-record layout before the Anderson history and the scenario
+    # text: there is no migration, the file is refused by name
+    _resume_exits_2(tmp_path, capsys, "nine", "scenario")
+
+
+def test_resume_from_nine_record_snapshot_exits_2(tmp_path, capsys):
+    # the layout with a cell velocity u after rho, two layouts back
+    _resume_exits_2(tmp_path, capsys, "cell-velocity", "scenario")
+
+
+def test_resume_from_eight_record_snapshot_exits_2(tmp_path, capsys):
+    # the layout before coeffs_prev2
+    _resume_exits_2(tmp_path, capsys, "eight", "anderson_drho")

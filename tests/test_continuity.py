@@ -339,3 +339,29 @@ def test_cg_iteration_cap_raises_conditioning_error(monkeypatch):
     monkeypatch.setattr(continuity, "_CG_MAXITER", 1)
     with pytest.raises(ConditioningError, match="failed in 1 iterations"):
         solver._solve_diffusion(rhs)
+
+
+def test_refreshed_differences_are_the_fixed_upwind_density_response():
+    # for face velocities that flip no upwind choice the step is affine in
+    # them: the density difference of fv + dfv_j and fv is the column
+    # refresh_differences converges to from any start, its error times
+    # s / (1 + s) = 0.071 per Jacobi sweep (s = 6 eps dt / h^2, 16^3 cells)
+    rng = np.random.default_rng(3)
+    v = 1e-2 * rng.normal(size=24)
+    grid, solver, fv, basis = make_setup(n=16, ub_kind="channel", peak=0.3,
+                                         v=v)
+    rho = 1.0 + 0.1 * rng.random(grid.shape)
+    dv = 1e-7 * rng.normal(size=(3, basis.n))
+    dfv = face_velocities(grid, basis, dv)
+    assert [U.shape for U in dfv] == [(3,) + U.shape for U in fv]
+    flips = sum(int(np.sum((U + dU > 0) != (U > 0)))
+                for U, dU in zip(fv, dfv))
+    assert flips == 0
+    base = solver.step(rho, fv)[0]
+    want = np.stack([solver.step(rho, [U + dU[j] for U, dU in zip(fv, dfv)],
+                                 start=base)[0] - base for j in range(3)])
+    for start, factor in ((np.zeros_like(want), 1e-3), (1.01 * want, 1e-4)):
+        got = solver.refresh_differences(start, dfv, rho, fv)
+        for j in range(3):
+            err = np.linalg.norm(got[j] - want[j])
+            assert err <= factor * np.linalg.norm(want[j])

@@ -10,6 +10,7 @@ import pytest
 from nematoflow import energy as en
 from nematoflow import runner as rn
 from nematoflow import scenarios as sn
+from nematoflow import simulation
 from nematoflow import snapshots as sp
 from nematoflow.continuity import ContinuitySolver
 from nematoflow.errors import ConfigError
@@ -32,6 +33,25 @@ def test_zero_scenario_all_checks_pass(tmp_path):
     assert os.path.exists(tmp_path / "report.txt")
     text = (tmp_path / "report.txt").read_text()
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_energy_inequality_row_prints_the_slack_that_moves_with_forcing():
+    # the detail is min(RHS - LHS) over t > 0 and RHS/LHS there, not the
+    # t = 0 tolerance: it differs between the two forcing signs
+    details = []
+    for sigma in (1.0, -1.0):
+        sc = sn.default_scenario(grid_cells=8, final_time=0.005,
+                                 sigma_star=sigma, init_q="bump:0.4")
+        rep = rn.run_scenario(sc)
+        ineq = rep.monitor.inequality_residual()
+        (detail,) = [d for name, _, d in rep.checks
+                     if name == "energy inequality"]
+        slack = float(np.min(ineq["residual"][1:]))
+        assert ineq["slack"] == slack > 10.0 * ineq["tol"][0]
+        assert detail == (f"slack min(RHS - LHS) over t > 0 {slack:.6g}, "
+                          f"RHS/LHS there {ineq['ratio']:.4g}")
+        details.append(detail)
+    assert details[0] != details[1]
 
 
 def test_mass_balance_row_fails_with_flipped_diffusive_flux(monkeypatch):
@@ -136,10 +156,62 @@ def test_restart_rejects_mismatched_grid(tmp_path):
                         resume_from=sp.snapshot_path(str(tmp_path), 10))
 
 
-def test_restart_rejects_mismatched_modes(tmp_path):
-    setup = sn.build(sn.default_scenario(grid_cells=8, modes=2))
+@pytest.mark.parametrize("override, key", [
+    ({"eps": 0.1}, "reg.eps"), ({"gamma_q": 0.1}, "material.gamma"),
+    ({"bc_u": "channel:0.5"}, "bc.u"), ({"dt": 5e-4}, "time.dt"),
+    ({"eps": 0.1, "bc_u": "channel:0.5"}, "reg.eps")])
+def test_restart_rejects_another_scenario(tmp_path, override, key):
+    # a snapshot knows its scenario: resuming it under another value of a
+    # key the trajectory depends on names the first such key, before any
+    # output
+    sc = sn.default_scenario(grid_cells=8, final_time=0.004, snapshot_every=2)
+    rn.run_scenario(sc, out_dir=str(tmp_path / "full"))
+    snap = sp.snapshot_path(str(tmp_path / "full"), 2)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"snapshot {snap}: scenario key "
+                       f"{key} is .* in the snapshot but .* in this run"):
+        rn.run_scenario(dataclasses.replace(sc, **override),
+                        out_dir=str(out), resume_from=snap)
+    assert not out.exists()
+
+
+def test_restart_rejects_an_unreadable_scenario_record(tmp_path):
+    sc = sn.default_scenario(grid_cells=4, modes=1, final_time=0.002)
+    setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0)
+    sp.write_snapshot(path, setup.grid, setup.state0, "grid.cellz = 4\n")
+    with pytest.raises(ConfigError, match=f"snapshot {path}: unreadable "
+                       "scenario: line 1: unknown key 'grid.cellz'"):
+        rn.run_scenario(sc, resume_from=path)
+
+
+def test_restart_ignores_the_keys_a_resumed_run_does_not_read(tmp_path):
+    # the end time, the snapshot cadence, the initial data and the seed
+    # that draws them may differ; the shared steps stay byte-exact
+    sc = sn.default_scenario(grid_cells=8, final_time=0.004, snapshot_every=2)
+    rn.run_scenario(sc, out_dir=str(tmp_path / "full"))
+    other = dataclasses.replace(
+        sc, final_time=0.006, snapshot_every=1, init_rho="uniform:2.0",
+        init_c="uniform:0.5", init_q="zero", init_v="noise:0.1", seed=3)
+    assert {key for key, name in sn.KEY_MAP.items()
+            if getattr(sc, name) != getattr(other, name)} \
+        == set(sn.RESUME_EXEMPT)
+    part = tmp_path / "part"
+    rn.run_scenario(other, out_dir=str(part),
+                    resume_from=sp.snapshot_path(str(tmp_path / "full"), 2))
+    last = os.path.basename(sp.snapshot_path("x", 4))
+    full_records = _records(tmp_path / "full" / last)
+    part_records = _records(part / last)
+    for key in sp._KEYS:
+        if key != "scenario":
+            assert np.array_equal(full_records[key], part_records[key]), key
+
+
+def test_restart_rejects_mismatched_modes(tmp_path):
+    sc = sn.default_scenario(grid_cells=8, modes=2)
+    setup = sn.build(sc)
+    path = str(tmp_path / "snap.bin")
+    sp.write_snapshot(path, setup.grid, setup.state0, sn.scenario_text(sc))
     with pytest.raises(ConfigError, match=f"snapshot {path}: .*modes"):
         rn.run_scenario(sn.default_scenario(grid_cells=8, modes=1),
                         resume_from=path)
@@ -152,7 +224,8 @@ def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
     st = setup.state0
-    sp.write_snapshot(path, setup.grid, State(t, st.rho, st.c, st.q, st.v))
+    sp.write_snapshot(path, setup.grid, State(t, st.rho, st.c, st.q, st.v),
+                      sn.scenario_text(sc))
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"snapshot time t = {t!r}"):
         rn.run_scenario(sc, out_dir=str(out), resume_from=path)
@@ -175,8 +248,9 @@ def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0)
-    st, shape, extents = sp.read_snapshot(path)
+    sp.write_snapshot(path, setup.grid, setup.state0, sn.scenario_text(sc))
+    st, shape, extents, text = sp.read_snapshot(path)
+    assert text == sn.scenario_text(sc)
     assert shape == setup.grid.shape
     assert extents == tuple(setup.grid.extents)
     assert np.array_equal(st.rho, setup.state0.rho)
@@ -188,7 +262,7 @@ def test_snapshot_round_trip(tmp_path):
     # state read back (other memory layouts), gives the same file
     for state in (setup.state0, st):
         again = str(tmp_path / "again.bin")
-        sp.write_snapshot(again, setup.grid, state)
+        sp.write_snapshot(again, setup.grid, state, text)
         assert _read_bytes(again) == _read_bytes(path)
 
 
@@ -196,16 +270,18 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
     # a state without v_prev (v_prev2) writes an empty coeffs_prev
     # (coeffs_prev2) and reads back without one; a short or non-finite
     # record is rejected
-    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    sc = sn.default_scenario(grid_cells=4, modes=1)
+    setup = sn.build(sc)
     st = setup.state0
     path = tmp_path / "snap.bin"
     prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
     for key, field in (("coeffs_prev", "v_prev"), ("coeffs_prev2", "v_prev2")):
-        sp.write_snapshot(str(path), setup.grid, st)
+        sp.write_snapshot(str(path), setup.grid, st, sn.scenario_text(sc))
         assert _records(path)[key].shape == (0,)
         assert getattr(sp.read_snapshot(str(path))[0], field) is None
         sp.write_snapshot(str(path), setup.grid,
-                          dataclasses.replace(st, t=1e-3, **{field: prev}))
+                          dataclasses.replace(st, t=1e-3, **{field: prev}),
+                          sn.scenario_text(sc))
         assert np.array_equal(getattr(sp.read_snapshot(str(path))[0], field),
                               prev)
         records = _records(path)
@@ -216,20 +292,66 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
                 sp.read_snapshot(str(path))
 
 
+def _history(st, k):
+    """k made-up Anderson pairs of the right shapes for state st."""
+    rng = np.random.default_rng(k)
+    return {"anderson_dv": rng.normal(size=(k, st.v.size)),
+            "anderson_df": rng.normal(size=(k, st.v.size)),
+            "anderson_drho": rng.normal(size=(k,) + st.rho.shape)}
+
+
 def _snapshot_with_previous(tmp_path):
-    """A 4^3 snapshot whose every array, coeffs_prev and coeffs_prev2
-    included, is stored."""
-    setup = sn.build(sn.default_scenario(grid_cells=4, modes=1))
+    """A 4^3 snapshot whose every array, coeffs_prev, coeffs_prev2 and a
+    two-pair Anderson history included, is stored."""
+    sc = sn.default_scenario(grid_cells=4, modes=1)
+    setup = sn.build(sc)
     st = setup.state0
     path = tmp_path / "snap.bin"
     sp.write_snapshot(str(path), setup.grid,
                       State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0,
-                            st.v / 4.0))
+                            st.v / 4.0, **_history(st, 2)),
+                      sn.scenario_text(sc))
     return path
 
 
+def test_snapshot_round_trips_the_anderson_history(tmp_path):
+    # a state without history writes three empty records and reads back
+    # without one; a history of k pairs reads back exactly, and one longer
+    # than ANDERSON_DEPTH or with records of different k is refused
+    sc = sn.default_scenario(grid_cells=4, modes=1)
+    setup = sn.build(sc)
+    st = setup.state0
+    path = tmp_path / "snap.bin"
+    sp.write_snapshot(str(path), setup.grid, st, sn.scenario_text(sc))
+    records = _records(path)
+    assert [records[key].shape for key in sp._HISTORY] == [
+        (0, st.v.size), (0, st.v.size), (0, 4, 4, 4)]
+    back = sp.read_snapshot(str(path))[0]
+    assert all(getattr(back, key) is None for key in sp._HISTORY)
+    for k in (1, simulation.ANDERSON_DEPTH):
+        hist = _history(st, k)
+        sp.write_snapshot(str(path), setup.grid,
+                          dataclasses.replace(st, **hist),
+                          sn.scenario_text(sc))
+        back = sp.read_snapshot(str(path))[0]
+        for key, a in hist.items():
+            assert np.array_equal(getattr(back, key), a)
+    too_long = _history(st, simulation.ANDERSON_DEPTH + 1)
+    _write_records(path, {**_records(path), **too_long})
+    with pytest.raises(ConfigError, match=f"snapshot {path}: anderson_dv "
+                       f"must be float64 of shape \\({simulation.ANDERSON_DEPTH}"):
+        sp.read_snapshot(str(path))
+    _write_records(path, {**_records(path), **_history(st, 1),
+                          "anderson_df": _history(st, 2)["anderson_df"]})
+    with pytest.raises(ConfigError,
+                       match=f"snapshot {path}: anderson_df must be float64"):
+        sp.read_snapshot(str(path))
+
+
 @pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
-                                   "coeffs_prev2", "rho", "c", "q23"])
+                                   "coeffs_prev2", "anderson_dv",
+                                   "anderson_df", "anderson_drho", "rho", "c",
+                                   "q23"])
 def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     # a nan density used to pass the reader and end a resumed run in
     # "SVD did not converge" from the mass solve
@@ -253,9 +375,10 @@ def _reshaped(key, shape):
     return make
 
 
-def _recast(key, dtype):
+def _recast(key, dtype, raw=None):
     def make(data, records):
-        return {**records, key: records[key].astype(dtype)}
+        a = records[key] if raw is None else np.frombuffer(raw, np.uint8)
+        return {**records, key: a.astype(dtype)}
     return make
 
 
@@ -263,6 +386,13 @@ def _dropped(key):
     def make(data, records):
         return {k: a for k, a in records.items() if k != key}
     return make
+
+
+def _before_history(data, records):
+    """The nine-record layout of t, cells, extent, three coefficient
+    vectors, rho, c and q."""
+    return {k: a for k, a in records.items()
+            if k not in sp._HISTORY + ("scenario",)}
 
 
 def _nine_records(data, records):
@@ -294,10 +424,18 @@ def _nine_records(data, records):
     (_nine_records, "data after the last array"),
     # the layout before coeffs_prev2: no migration, the file is refused
     (_dropped("coeffs_prev2"), "missing array q"),
+    (_reshaped("anderson_drho", (2, 4, 4, 5)),
+     "anderson_drho must be float64 of shape"),
+    (_recast("scenario", np.float64), "scenario must be uint8 text"),
+    (_recast("scenario", np.uint8, b"\xff\xfe"),
+     "scenario is not UTF-8 text"),
+    # the nine-record layout before the Anderson history and the scenario
+    (_before_history, "missing array scenario"),
 ], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
         "rho-shape", "c-shape", "q-shape",
         "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype",
-        "nine-records", "eight-records"])
+        "nine-records", "eight-records", "anderson-shape", "scenario-dtype",
+        "scenario-utf8", "before-history"])
 def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
     path = _snapshot_with_previous(tmp_path)
     bad = damage(path.read_bytes(), _records(path))
@@ -343,12 +481,13 @@ def test_read_snapshot_never_unpickles(tmp_path):
 
 
 def test_a_snapshot_holds_the_state_alone():
-    # apart from the grid header every record is one State field, so no
-    # field derived from the state (a cell velocity, say) rides along
+    # apart from the grid header and the scenario text every record is one
+    # State field, so no field derived from the state (a cell velocity,
+    # say) rides along
     renamed = {"coeffs": "v", "coeffs_prev": "v_prev",
                "coeffs_prev2": "v_prev2"}
     fields = [renamed.get(key, key) for key in sp._KEYS
-              if key not in ("cells", "extent")]
+              if key not in ("cells", "extent", "scenario")]
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(State))
 
 

@@ -8,6 +8,7 @@ from nematoflow.errors import FixedPointError, StabilityError
 from nematoflow import momentum as mom
 from nematoflow import scenarios as sn
 from nematoflow import simulation
+from nematoflow.continuity import face_divergence, face_velocities
 from nematoflow.galerkin import build_basis
 from nematoflow.pressure import isentropic_law
 from nematoflow.rheology import newtonian_law
@@ -128,6 +129,38 @@ def test_safeguard_recovers_from_oscillating_map(monkeypatch, depth):
     assert np.max(np.abs(new_state.v - v_star)) <= 1e-11
 
 
+def test_safeguard_drops_the_carried_pairs(monkeypatch):
+    # carried pairs that send sweep 2 far away make its increment grow:
+    # the reset drops them with the step's own, so sweep 3 is the plain
+    # damped step from sweep 2, and the step still reaches the fixed point
+    grid, basis, stepper = make_stepper(picard_tol=1e-11)
+    rng = np.random.default_rng(3)
+    v_star = rng.standard_normal(basis.n) * 1e-3
+    seen = []
+    velocity_fields = stepper.velocity_fields
+
+    def recording_fields(v):
+        seen.append(v.copy())
+        return velocity_fields(v)
+
+    monkeypatch.setattr(stepper, "velocity_fields", recording_fields)
+    monkeypatch.setattr(mom, "step_momentum",
+                        lambda *args: v_star - 0.5 * (seen[-1] - v_star))
+    k = simulation.ANDERSON_DEPTH
+    state = dataclasses.replace(
+        uniform_state(grid, basis),
+        anderson_dv=10.0 * rng.standard_normal((k, basis.n)),
+        anderson_df=rng.standard_normal((k, basis.n)),
+        anderson_drho=np.zeros((k,) + grid.shape))
+    new_state, info = stepper.step(state)
+    inc = info["increments"]
+    assert inc[1] > inc[0]
+    assert inc[-1] <= 1e-11
+    assert np.max(np.abs(new_state.v - v_star)) <= 1e-11
+    damped = 0.5 * (v_star - 0.5 * (seen[1] - v_star)) + 0.5 * seen[1]
+    assert np.max(np.abs(seen[2] - damped)) <= 1e-15
+
+
 def test_picard_nonconvergence_reports_increment(monkeypatch):
     grid, basis, stepper = make_stepper(picard_tol=1e-30)
     monkeypatch.setattr(simulation, "PICARD_MAX_ITER", 3)
@@ -191,9 +224,15 @@ def _third_step():
     return setup.stepper, state
 
 
+def _without_history(state):
+    """state with its carried Anderson history dropped."""
+    return dataclasses.replace(state, anderson_dv=None, anderson_df=None,
+                               anderson_drho=None)
+
+
 def _record_sweeps(monkeypatch, stepper, start_rule=None):
-    """Per sweep (v, density CG start, density, CG iterations); start_rule
-    (sweeps so far, start) may replace the start."""
+    """Per sweep (v, density CG start, density, CG iterations, face
+    velocities); start_rule (sweeps so far, start) may replace the start."""
     sweeps = []
     advance = stepper.advance_fields
 
@@ -201,7 +240,7 @@ def _record_sweeps(monkeypatch, stepper, start_rule=None):
         if start_rule is not None:
             rho_start = start_rule(sweeps, rho_start)
         out = advance(state, q, diffs, rho_start, v, u, lam)
-        sweeps.append((v, rho_start, out[0], out[3]["cg_iters"]))
+        sweeps.append((v, rho_start, out[0], out[3]["cg_iters"], out[4]))
         return out
 
     monkeypatch.setattr(stepper, "advance_fields", recording)
@@ -209,13 +248,16 @@ def _record_sweeps(monkeypatch, stepper, start_rule=None):
 
 
 def test_density_cg_starts_from_the_anderson_mixed_density(monkeypatch):
-    # the first sweep starts the density CG from its right side and the
-    # second from the first sweep's density; each later one from
-    # rho_k - dR gamma, dR the differences of the sweep densities and gamma
-    # the Anderson weights of the iterate it is run for.  That start is
-    # closer to the sweep's density than rho_k, and the accepted solve is
-    # the last one and takes fewer iterations than the first
+    # with no carried history the first sweep starts the density CG from
+    # its right side and the second from the first sweep's density; each
+    # later one from rho_k - dR gamma, dR the differences of the sweep
+    # densities and gamma the Anderson weights of the iterate it is run
+    # for.  That start is closer to the sweep's density than rho_k, and the
+    # accepted solve is the last one and takes fewer iterations than the
+    # first.  The step carries its last ANDERSON_DEPTH pairs on, the
+    # converged sweep's own pair last
     stepper, state = _third_step()
+    state = _without_history(state)
     outputs = []
     step_momentum = mom.step_momentum
 
@@ -229,7 +271,7 @@ def test_density_cg_starts_from_the_anderson_mixed_density(monkeypatch):
     inc = info["increments"]
     assert len(sweeps) == info["picard_iters"] > 3
     assert all(b < a for a, b in zip(inc, inc[1:]))    # no history reset
-    v, starts, rhos, iters = zip(*sweeps)
+    v, starts, rhos, iters, _ = zip(*sweeps)
     f = [out - vk for out, vk in zip(outputs, v)]
     assert starts[0] is None and starts[1] is rhos[0]
     for k in range(1, len(sweeps) - 1):
@@ -243,6 +285,62 @@ def test_density_cg_starts_from_the_anderson_mixed_density(monkeypatch):
             < np.linalg.norm(rhos[k] - rhos[k + 1])
     assert new_state.rho is rhos[-1]
     assert info["cg_iters"] == iters[-1] < iters[0]
+    last = range(max(1, len(sweeps) - simulation.ANDERSON_DEPTH), len(sweeps))
+    for key, seq in (("anderson_dv", v), ("anderson_df", f),
+                     ("anderson_drho", rhos)):
+        assert np.array_equal(getattr(new_state, key),
+                              np.stack([seq[j] - seq[j - 1] for j in last]))
+
+
+def test_carried_history_starts_the_second_density_cg_at_the_new_iterate(
+        monkeypatch):
+    # with the history the step before ended with, sweep 1 is mixed at
+    # once: gamma fits f_1 with the carried residual differences, the
+    # carried density differences are refreshed for this step's map, and
+    # sweep 2 starts its CG at rho_1 + x - dR gamma, x the density response
+    # to the residual beta (f_1 - dF gamma) that the mixed iterate keeps.
+    # The refreshed columns match this step's linear density response; on
+    # the fifth step the start is 1e4 times closer to the accepted density
+    # than rho_1, and that solve takes at most one CG iteration
+    stepper, state = _third_step()
+    for _ in range(2):
+        state, _ = stepper.step(state)
+    assert state.anderson_dv.shape[0] == simulation.ANDERSON_DEPTH
+    outputs = []
+    step_momentum = mom.step_momentum
+
+    def momentum(*args):
+        outputs.append(step_momentum(*args))
+        return outputs[-1]
+
+    sweeps = _record_sweeps(monkeypatch, stepper)
+    monkeypatch.setattr(mom, "step_momentum", momentum)
+    new_state, info = stepper.step(state)
+    v, starts, rhos, iters, fvs = zip(*sweeps)
+    assert starts[0] is None
+    f1 = outputs[0] - v[0]
+    dF = state.anderson_df.T
+    gamma = np.linalg.lstsq(dF, f1, rcond=None)[0]
+    assert np.allclose(v[1], v[0] + f1 - (state.anderson_dv.T + dF) @ gamma,
+                       rtol=0.0, atol=1e-15)
+    # this step's linear density response to each carried velocity
+    # difference, with sweep 1's upwind choice, solved by the density CG
+    cont = stepper.continuity
+    dfv = face_velocities(stepper.grid, stepper.basis, state.anderson_dv)
+    up = cont.upwind_values(state.rho, fvs[0])
+    fresh = np.stack([cont._solve_diffusion(-cont.dt * face_divergence(
+        stepper.grid, [dU[j] * u for dU, u in zip(dfv, up)]))[0]
+        for j in range(len(gamma))])
+    moved = cont.refresh_differences(state.anderson_drho, dfv, state.rho,
+                                     fvs[0])
+    for old, new, want in zip(state.anderson_drho, moved, fresh):
+        scale = np.linalg.norm(want)
+        assert np.linalg.norm(old - want) > 1e-4 * scale
+        assert np.linalg.norm(new - want) <= 1e-6 * scale
+    assert len(sweeps) == info["picard_iters"] == 2
+    assert np.linalg.norm(starts[1] - rhos[1]) \
+        < 1e-4 * np.linalg.norm(rhos[0] - rhos[1])
+    assert info["cg_iters"] == iters[-1] <= 1
 
 
 def test_mixed_density_start_saves_cg_iterations(monkeypatch):
@@ -275,8 +373,9 @@ def test_boundary_driven_flow_moves_velocity():
 
 def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
     # the default channel flow at 8^3, m=2: the stored v of every step is
-    # within picard_tol of a tight re-solve from the same state; starting
-    # each step from v^n instead of the extrapolation 2 v^n - v^{n-1} costs
+    # within picard_tol of a tight re-solve from the same state, with and
+    # without its extrapolated start and carried history; starting each
+    # step from v^n instead of the extrapolation 2 v^n - v^{n-1} costs
     # sweeps but reaches the same states
     sc = sn.default_scenario(grid_cells=8)
     setup = sn.build(sc)
@@ -284,18 +383,59 @@ def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
     tight = sn.build(dataclasses.replace(sc, picard_tol=1e-14)).stepper
     state = plain = setup.state0
     sweeps = plain_sweeps = 0
-    for _ in range(3):
-        ref, _ = tight.step(state)
+    for _ in range(6):
         new, info = stepper.step(state)
-        assert np.linalg.norm(new.v - ref.v) <= stepper.picard_tol
+        bare = _without_history(dataclasses.replace(state, v_prev=None,
+                                                    v_prev2=None))
+        for start in (state, bare):
+            ref, _ = tight.step(start)
+            assert np.linalg.norm(new.v - ref.v) <= stepper.picard_tol
         state, sweeps = new, sweeps + info["picard_iters"]
         plain, info = stepper.step(dataclasses.replace(plain, v_prev=None))
         plain_sweeps += info["picard_iters"]
-    assert state.v_prev is not None
+    assert state.v_prev is not None and state.anderson_dv is not None
     assert plain_sweeps > sweeps
     for key in ("rho", "c", "q", "v"):
         ref, got = getattr(state, key), getattr(plain, key)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+def test_carried_history_saves_sweeps_and_keeps_the_states():
+    # the 8^3 channel flow: each step mixes its first sweep with the pairs
+    # the step before ended with; dropping them costs sweeps over 6 steps
+    # and reaches the same states
+    setup = sn.build(sn.default_scenario(grid_cells=8))
+    stepper = setup.stepper
+    kept = dropped = setup.state0
+    kept_sweeps = dropped_sweeps = 0
+    for _ in range(6):
+        kept, info = stepper.step(kept)
+        kept_sweeps += info["picard_iters"]
+        dropped, info = stepper.step(_without_history(dropped))
+        dropped_sweeps += info["picard_iters"]
+    assert kept_sweeps < dropped_sweeps
+    for key in ("rho", "c", "q", "v"):
+        ref, got = getattr(kept, key), getattr(dropped, key)
+        assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+def test_channel_sweep_and_accepted_cg_counts():
+    # the benchmark's 16^3 channel workload (noise:0.01 start, 20 steps)
+    # on seeds 0-3: at most 2.4 sweeps and 1.05 accepted density CG
+    # iterations per step on average
+    picard, cg = [], []
+    for seed in range(4):
+        sc = sn.default_scenario(init_v="noise:0.01", seed=seed,
+                                 final_time=0.02, snapshot_every=20)
+        setup = sn.build(sc)
+        state = setup.state0
+        for _ in range(sc.n_steps()):
+            state, info = setup.stepper.step(state)
+            picard.append(info["picard_iters"])
+            cg.append(info["cg_iters"])
+    assert len(picard) == 80
+    assert np.mean(picard) <= 2.4
+    assert np.mean(cg) <= 1.05
 
 
 def test_quadratic_start_saves_sweeps_over_the_linear_one(monkeypatch):
