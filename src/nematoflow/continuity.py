@@ -14,8 +14,9 @@ alpha = (eps/h + ubn_neg/2) / (eps/h - ubn_neg/2), a convex combination, so
 the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13,
-started from the right side or from the start the coupling sweep gives;
-a non-finite residual raises StabilityError, the cap ConditioningError.
+started from the right side or from the start the coupling sweep gives
+after ``_JACOBI_SWEEPS`` Jacobi sweeps of the system; a non-finite
+residual raises StabilityError, the cap ConditioningError.
 The step assumes an admissible dt (``simulation.check_step``).
 ``upwind_values`` is the one upwind selection: the step's flux and
 ``refresh_differences``, which moves the coupling's carried density
@@ -40,8 +41,9 @@ from .errors import ConditioningError, StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
-# Jacobi sweeps that move an earlier step's density differences to this one
-_REFRESH_SWEEPS = 3
+# Jacobi sweeps of refresh_differences and of a given CG start; each
+# multiplies the error by at most s / (1 + s), s = 6 eps dt / h^2
+_JACOBI_SWEEPS = 3
 # the lower and the upper n of n + 1 entries along an axis
 _LO, _HI = slice(None, -1), slice(1, None)
 
@@ -199,17 +201,21 @@ class ContinuitySolver:
         upwind pattern the step is affine in the face velocities, so the
         column solves A x = -dt div(dfv_j up), A the implicit diffusion
         operator and up the ``upwind_values`` of rho under fv.  Since A and
-        up move by O(dt) per step, ``_REFRESH_SWEEPS`` Jacobi sweeps
-        x <- x + M^{-1} (b - A x) from drho suffice: each multiplies the
-        error by at most s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3
-        with the default eps and dt).
+        up move by O(dt) per step, ``_JACOBI_SWEEPS`` Jacobi sweeps from
+        drho suffice (``_jacobi``).
         """
         b = -self.dt * face_divergence(
             self.grid, [dU * up for dU, up in
                         zip(dfv, self.upwind_values(rho, fv))])
+        return self._jacobi(b, drho)
+
+    def _jacobi(self, b, x):
+        """``_JACOBI_SWEEPS`` Jacobi sweeps x <- x + M^{-1} (b - A x) of the
+        implicit diffusion operator A from x; each multiplies the error by
+        at most s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3 with the
+        default eps and dt)."""
         apply_A, M_inv = self._diffusion()
-        x = drho
-        for _ in range(_REFRESH_SWEEPS):
+        for _ in range(_JACOBI_SWEEPS):
             x = x + M_inv * (b - apply_A(x))
         return x
 
@@ -218,7 +224,14 @@ class ContinuitySolver:
         return gradient(self.grid, rho, self.rules)
 
     def step(self, rho, fv, start=None):
-        """One step with the CG from start; returns (rho_new, info dict)."""
+        """One step with the CG from start; returns (rho_new, info dict).
+
+        A start first takes ``_jacobi`` sweeps of the step's own system.
+        They damp, by (s / (1 + s))^3, what a coupling sweep's start
+        cannot know: a face velocity of this sweep that turned sign (the
+        start's upwind choice is the sweep before's), and on a sweep after
+        the second the density of the residual the mixed iterate keeps.
+        """
         g = self.grid
         div, mass_in, mass_out = self.advective_flux_divergence(rho, fv)
         rhs = rho - self.dt * div
@@ -226,6 +239,8 @@ class ContinuitySolver:
         a = self.eps * self.dt
         for face, (_, b) in zip(self.boundary.faces, self.rules):
             rhs[face.wall] += a * (b / g.h[face.axis] ** 2)
+        if start is not None:
+            start = self._jacobi(rhs, start)
         rho_new, iters = self._solve_diffusion(rhs, start)
         # diffusive boundary flux at the new state (outward normal direction)
         eps_flux = sum(face.area_element * float(flux.sum()) for face, flux

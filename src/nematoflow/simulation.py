@@ -61,9 +61,15 @@ sweep 1 starts from the right side).
 For a fixed upwind pattern the density step is affine in the face
 velocities, and the mixed iterate is an affine combination of past inputs
 plus beta times the mixed residual, so the start is within about that
-residual of the sweep's density.  Only the start moves; the solution is the
-CG's to its own tolerance.  ``check_step`` admits dt for each sweep's
-velocity before any field moves.
+residual of the sweep's density.  What the start cannot know, a face
+velocity that turned sign since the sweep before and on later sweeps the
+density of that residual, decided by the seed whether the accepted solve
+took 0, 1 or 2 CG iterations; ``ContinuitySolver.step`` damps it with
+three Jacobi sweeps of its own system before the CG, so on the 16^3
+channel flow the accepted solve takes none on nearly every step of every
+seed.  Only the start moves; the solution is the CG's to its own
+tolerance.  ``check_step`` admits dt for each sweep's velocity before any
+field moves.
 
 ``CoupledStepper.velocity`` is the cell-centre velocity of a coefficient
 vector, its modes plus the lift ``BoundaryFaces.u_cells``.  Callers loop

@@ -365,3 +365,25 @@ def test_refreshed_differences_are_the_fixed_upwind_density_response():
         for j in range(3):
             err = np.linalg.norm(got[j] - want[j])
             assert err <= factor * np.linalg.norm(want[j])
+
+
+def test_a_given_start_takes_jacobi_sweeps_before_the_cg(monkeypatch):
+    # a start off the step's density by 1e-9 in one cell, about 150 times
+    # the CG tolerance in residual: the step's Jacobi sweeps take it below
+    # the tolerance, so the CG takes no iteration; without them it takes
+    # at least one.  Both reach the density of the cold start
+    rng = np.random.default_rng(7)
+    v = 1e-2 * rng.normal(size=24)
+    grid, solver, fv, _ = make_setup(n=16, ub_kind="channel", peak=0.3, v=v)
+    rho = 1.0 + 0.1 * rng.random(grid.shape)
+    exact, info = solver.step(rho, fv)
+    assert info["cg_iters"] > 3
+    start = exact.copy()
+    start[5, 6, 7] += 1e-9
+    swept, info = solver.step(rho, fv, start=start)
+    assert info["cg_iters"] == 0
+    monkeypatch.setattr(continuity, "_JACOBI_SWEEPS", 0)
+    plain, info = solver.step(rho, fv, start=start)
+    assert info["cg_iters"] >= 1
+    for got in (swept, plain):
+        assert np.max(np.abs(got - exact)) <= 1e-12
