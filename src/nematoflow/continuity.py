@@ -18,9 +18,6 @@ started from the right side or from the start the coupling sweep gives
 after ``_JACOBI_SWEEPS`` Jacobi sweeps of the system; a non-finite
 residual raises StabilityError, the cap ConditioningError.
 The step assumes an admissible dt (``simulation.check_step``).
-``upwind_values`` is the one upwind selection: the step's flux and
-``refresh_differences``, which moves the coupling's carried density
-differences to this step's map, both take it.
 
 ``ContinuitySolver.rules`` holds the six affine ``pad`` rules
 (alpha, (1 - alpha) rho_B) in face order.  ``grad_rho`` (the eps term of
@@ -41,31 +38,28 @@ from .errors import ConditioningError, StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
-# Jacobi sweeps of refresh_differences and of a given CG start; each
-# multiplies the error by at most s / (1 + s), s = 6 eps dt / h^2
-_JACOBI_SWEEPS = 3
+# Jacobi sweeps of a given CG start; each multiplies the error by at most
+# s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3 with the default eps, dt)
+_JACOBI_SWEEPS = 6
 # the lower and the upper n of n + 1 entries along an axis
 _LO, _HI = slice(None, -1), slice(1, None)
 
 
-def face_velocities(grid, basis, v, lift=None):
+def face_velocities(grid, basis, v, lift):
     """Normal velocity at every face plane, per axis; walls carry u_B.
 
     Entry `axis` is indexed like the grid with axis `axis` one longer: the
     component `axis` of the modes of v on ``grid.face_meshes[axis]`` plus
     the lift ``u_faces`` of ``BoundaryFaces``; the modes vanish on the
-    walls, which carry the lift.  Without a lift, the modes alone, and for
-    a (k, n) batch v each entry has a leading axis k.
+    walls, which carry the lift.
     """
-    modes = [gk.evaluate_at(basis, v, *grid.face_meshes[axis], axis)
-             for axis in range(3)]
-    return modes if lift is None else [U + L for U, L in zip(modes, lift)]
+    return [gk.evaluate_at(basis, v, *grid.face_meshes[axis], axis) + L
+            for axis, L in enumerate(lift)]
 
 
 def face_divergence(grid, fv):
-    """Discrete divergence of the face velocity field (per cell); leading
-    axes of the entries are a batch."""
-    div = np.zeros(fv[0].shape[:-3] + grid.shape)
+    """Discrete divergence of the face velocity field (per cell)."""
+    div = np.zeros(grid.shape)
     for axis, U in enumerate(fv):
         div += (U[slab(axis, _HI)] - U[slab(axis, _LO)]) / grid.h[axis]
     return div
@@ -192,33 +186,6 @@ class ContinuitySolver:
                 outflow_mass += area * float(flux_out[flux_out > 0].sum())
         return face_divergence(self.grid, flux), inflow_mass, outflow_mass
 
-    def refresh_differences(self, drho, dfv, rho, fv):
-        """Density differences drho (k, nx, ny, nz) of an earlier step, moved
-        to the density map of this one.
-
-        Column j answers the face-velocity difference dfv[.][j] (the modes
-        alone, from ``face_velocities`` of a (k, n) batch): for a fixed
-        upwind pattern the step is affine in the face velocities, so the
-        column solves A x = -dt div(dfv_j up), A the implicit diffusion
-        operator and up the ``upwind_values`` of rho under fv.  Since A and
-        up move by O(dt) per step, ``_JACOBI_SWEEPS`` Jacobi sweeps from
-        drho suffice (``_jacobi``).
-        """
-        b = -self.dt * face_divergence(
-            self.grid, [dU * up for dU, up in
-                        zip(dfv, self.upwind_values(rho, fv))])
-        return self._jacobi(b, drho)
-
-    def _jacobi(self, b, x):
-        """``_JACOBI_SWEEPS`` Jacobi sweeps x <- x + M^{-1} (b - A x) of the
-        implicit diffusion operator A from x; each multiplies the error by
-        at most s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3 with the
-        default eps and dt)."""
-        apply_A, M_inv = self._diffusion()
-        for _ in range(_JACOBI_SWEEPS):
-            x = x + M_inv * (b - apply_A(x))
-        return x
-
     def grad_rho(self, rho):
         """Central-difference gradient using this solver's boundary ghosts."""
         return gradient(self.grid, rho, self.rules)
@@ -226,11 +193,11 @@ class ContinuitySolver:
     def step(self, rho, fv, start=None):
         """One step with the CG from start; returns (rho_new, info dict).
 
-        A start first takes ``_jacobi`` sweeps of the step's own system.
-        They damp, by (s / (1 + s))^3, what a coupling sweep's start
-        cannot know: a face velocity of this sweep that turned sign (the
-        start's upwind choice is the sweep before's), and on a sweep after
-        the second the density of the residual the mixed iterate keeps.
+        A start first takes ``_JACOBI_SWEEPS`` Jacobi sweeps
+        x <- x + M^{-1} (rhs - A x) of the step's own system, which damp
+        the start's error by at least (1 + s) / s each: the coupling
+        starts each sweep after the first from the density of the sweep
+        before, off by what the velocity moved since.
         """
         g = self.grid
         div, mass_in, mass_out = self.advective_flux_divergence(rho, fv)
@@ -240,7 +207,9 @@ class ContinuitySolver:
         for face, (_, b) in zip(self.boundary.faces, self.rules):
             rhs[face.wall] += a * (b / g.h[face.axis] ** 2)
         if start is not None:
-            start = self._jacobi(rhs, start)
+            apply_A, M_inv = self._diffusion()
+            for _ in range(_JACOBI_SWEEPS):
+                start = start + M_inv * (rhs - apply_A(start))
         rho_new, iters = self._solve_diffusion(rhs, start)
         # diffusive boundary flux at the new state (outward normal direction)
         eps_flux = sum(face.area_element * float(flux.sum()) for face, flux

@@ -67,13 +67,12 @@ def build_basis(grid, m):
     return VelocityBasis(grid=grid, m=m)
 
 
-def _coeffs(basis, v, batch=False):
-    """Coefficient vector v as V[k, l, m, a] in its own C order; with
-    batch, a (k, n) batch of vectors gives V[j, k, l, m, a]."""
+def _coeffs(basis, v):
+    """Coefficient vector v as V[k, l, m, a] in its own C order."""
     v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (basis.n,) or v.ndim > 1 + batch:
+    if v.shape != (basis.n,):
         raise ConfigError(f"expected {basis.n} coefficients, got {v.shape}")
-    return v.reshape(v.shape[:-1] + (basis.m,) * 3 + (3,))
+    return v.reshape((basis.m,) * 3 + (3,))
 
 
 def _coeff_grid(basis, v):
@@ -150,14 +149,14 @@ def evaluate_at(basis, v, x, y, z, component):
     x * y * z; exactly zero on the walls.
 
     x, y, z form an open mesh in the ``np.ix_`` layout: shapes (nx,1,1),
-    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz), or
-    (k, nx, ny, nz) for a (k, n) batch v; only that component's
-    coefficients are contracted.  One m x n sine table per axis is
-    contracted one axis at a time (sum factorisation), as in
+    (1,ny,1) and (1,1,nz).  The result has shape (nx, ny, nz); only that
+    component's coefficients are contracted.  One m x n sine table per
+    axis is contracted one axis at a time (sum factorisation), as in
     ``synthesize``; the tables of a mesh are built on its first call.
-    Raises ConfigError for any other layout.
+    Raises ConfigError for any other layout, and for any v but one vector
+    of n coefficients.
     """
-    V = _coeffs(basis, v, batch=True)[..., component]
+    V = _coeffs(basis, v)[..., component]
     pts = [np.asarray(c, dtype=float) for c in (x, y, z)]
     for axis, c in enumerate(pts):
         if c.ndim != 3 or any(c.shape[d] != 1 for d in range(3) if d != axis):

@@ -19,24 +19,13 @@ If an increment grows, the history, carried pairs included, is dropped and
 the mixing factor is halved for the rest of the step.
 
 The history outlives the step.  A step ends with its last
-``ANDERSON_DEPTH`` (dv, df, drho) triples in ``State.anderson_*``, the
-converged sweep's own pair appended before it stops, so a two-sweep step
-still renews them; the next step starts from them and mixes its first
-sweep at once.  The fixed-point map moves by O(dt) per step, so the old
-secant pairs predict the new correction: on the 16^3 channel flow a step
-takes about 2.3 sweeps instead of 4.1.  Their density columns belong to
-the old step's density map, so after sweep 1 ``ContinuitySolver.
-refresh_differences`` moves them to this one with the upwind choice of
-sweep 1 (three Jacobi sweeps of the CG operator from the old column, all
-columns in one batch).  The same batch carries one more column from zero:
-the density response x to the residual beta (f_1 - dF gamma) that the
-mixed iterate v_2 = v_1 - dV gamma + beta (f_1 - dF gamma) keeps.  So
-sweep 2 starts its CG at rho_1 - dR gamma + x, the linearised density of
-v_2 itself; without x the start is off by the density of that residual,
-which in the first carried steps costs the accepted solve (sweep 2 of a
-two-sweep step) two CG iterations instead of at most one.  The step stays
-a pure function of the state; snapshots store the history, so a restart
-follows the same iterates.
+``ANDERSON_DEPTH`` (dv, df) pairs in ``State.anderson_dv`` and
+``State.anderson_df``, the converged sweep's own pair appended before it
+stops, so a two-sweep step still renews them; the next step starts from
+them and mixes its first sweep at once.  The fixed-point map moves by O(dt)
+per step, so the old secant pairs predict the new correction: on the 16^3
+channel flow a step takes about 2.3 sweeps instead of 4.1.  Snapshots
+store the pairs, so a restart follows the same iterates.
 
 The iteration stops, within ``PICARD_MAX_ITER`` iterations or
 ``FixedPointError``, once the l2 increment ``incr`` of the coefficient
@@ -53,23 +42,12 @@ advanced by an iterate within one increment of it (within ``picard_tol``
 when the plain test stopped the iteration).  Built once per step: the
 packed old Q and the upwind differences of c^n and Q^n.
 
-The density CG of each later sweep starts from the Anderson-mixed density
-rho_k - dR gamma: rho_k is the density of the sweep before, dR the
-differences of the sweep densities aligned with the iterate differences,
-and gamma the weights that built the mixed iterate (no history: rho_k;
-sweep 1 starts from the right side).
-For a fixed upwind pattern the density step is affine in the face
-velocities, and the mixed iterate is an affine combination of past inputs
-plus beta times the mixed residual, so the start is within about that
-residual of the sweep's density.  What the start cannot know, a face
-velocity that turned sign since the sweep before and on later sweeps the
-density of that residual, decided by the seed whether the accepted solve
-took 0, 1 or 2 CG iterations; ``ContinuitySolver.step`` damps it with
-three Jacobi sweeps of its own system before the CG, so on the 16^3
-channel flow the accepted solve takes none on nearly every step of every
-seed.  Only the start moves; the solution is the CG's to its own
-tolerance.  ``check_step`` admits dt for each sweep's velocity before any
-field moves.
+The density CG of sweep 1 starts from its right side, that of each later
+sweep from the density of the sweep before; ``ContinuitySolver.step``
+gives such a start Jacobi sweeps of its own system before the CG, so on
+the 16^3 channel flow the accepted solve takes no CG iteration.  Only the
+start moves; the solution is the CG's to its own tolerance.
+``check_step`` admits dt for each sweep's velocity before any field moves.
 
 ``CoupledStepper.velocity`` is the cell-centre velocity of a coefficient
 vector, its modes plus the lift ``BoundaryFaces.u_cells``.  Callers loop
@@ -133,11 +111,10 @@ class State:
     v_prev: np.ndarray = None    # coefficients one step back, if any
     v_prev2: np.ndarray = None   # coefficients two steps back, if any
     # Anderson history the step to this state ended with: differences of
-    # iterates, residuals and densities, (k, n), (k, n), (k, nx, ny, nz)
-    # with 1 <= k <= ANDERSON_DEPTH; None when it kept none
+    # iterates and residuals, (k, n) with 1 <= k <= ANDERSON_DEPTH; None
+    # when it kept none
     anderson_dv: np.ndarray = None
     anderson_df: np.ndarray = None
-    anderson_drho: np.ndarray = None
 
 
 def q_components(q):
@@ -228,7 +205,7 @@ class CoupledStepper:
         q_new = step_q(self.grid, q, diffs[1], u, lam, state.c,
                        self.dt, self.physics.gamma, self.physics.b,
                        self.physics.c_star, self.boundary.q_rules)
-        return rho_new, c_new, q_new, cont_info, fv
+        return rho_new, c_new, q_new, cont_info
 
     def momentum_rhs(self, rho, c, q, u, J):
         """Projected momentum right-hand side for fields rho, c, packed
@@ -251,20 +228,19 @@ class CoupledStepper:
         else:
             v_cur = 3.0 * (v0 - state.v_prev) + state.v_prev2
         beta = THETA
-        # differences of iterates, residuals and densities, the previous
-        # step's last ones first
-        d_v, d_f, d_r = (deque(() if h is None else h, maxlen=ANDERSON_DEPTH)
-                         for h in (state.anderson_dv, state.anderson_df,
-                                   state.anderson_drho))
-        # last iterate, residual and density; the next density CG start
-        v_last = f_last = rho_last = rho_start = None
+        # differences of iterates and residuals, the previous step's last
+        # ones first
+        d_v, d_f = (deque(() if h is None else h, maxlen=ANDERSON_DEPTH)
+                    for h in (state.anderson_dv, state.anderson_df))
+        # last iterate and residual; the next density CG start
+        v_last = f_last = rho_start = None
         increments = []
         q = q_components(state.q)
         diffs = [upwind_differences(self.grid, P) for P in
                  (pad(state.c), pad(q, self.boundary.q_rules))]
         for _ in range(PICARD_MAX_ITER):
             u, J, lam = self.velocity_fields(v_cur)
-            rho_k, c_k, q_k, cont_info, fv = self.advance_fields(
+            rho_k, c_k, q_k, cont_info = self.advance_fields(
                 state, q, diffs, rho_start, v_cur, u, lam)
             rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
             v_next = mom.step_momentum(self.basis, v0, rho_k, rhs, self.dt)
@@ -275,32 +251,18 @@ class CoupledStepper:
                 beta *= 0.5
                 d_v.clear()
                 d_f.clear()
-                d_r.clear()
             elif f_last is not None:
                 d_v.append(v_cur - v_last)
                 d_f.append(f - f_last)
-                d_r.append(rho_k - rho_last)
             if incr <= self.picard_tol:
                 break
-            v_last, f_last, rho_last = v_cur, f, rho_k
+            v_last, f_last, rho_start = v_cur, f, rho_k
             v_new = beta * v_next + (1.0 - beta) * v_cur
-            rho_start = rho_k
             if d_v:
                 dV = np.stack(d_v, axis=1)
                 dF = np.stack(d_f, axis=1)
                 gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
                 v_new -= (dV + beta * dF) @ gamma
-                if len(increments) == 1:
-                    # carried pairs: their densities moved to this step's
-                    # map, with the response to the residual v_new leaves
-                    *cols, response = self.continuity.refresh_differences(
-                        np.stack([*d_r, np.zeros_like(rho_k)]),
-                        face_velocities(self.grid, self.basis, np.stack(
-                            [*d_v, beta * (f - dF @ gamma)])),
-                        state.rho, fv)
-                    d_r = deque(cols, maxlen=ANDERSON_DEPTH)
-                    rho_start = rho_k + response
-                rho_start = rho_start - np.tensordot(gamma, d_r, axes=1)
             # the contraction bound r/(1-r)*incr holds for the mixed iterate
             # v_new; the stored v_next is within |v_new - v_next| of it
             r = incr / increments[-2] if len(increments) > 1 else 1.0
@@ -316,8 +278,7 @@ class CoupledStepper:
                 last_increment=increments[-1])
         new_state = State(state.t + self.dt, rho_k, c_k, q_exchange(q_k),
                           v_next, v0, state.v_prev,
-                          *(np.stack(d) if d else None
-                            for d in (d_v, d_f, d_r)))
+                          *(np.stack(d) if d else None for d in (d_v, d_f)))
         info = {"picard_iters": len(increments), "increments": increments}
         if len(increments) >= 2:
             # geometric mean of the successive increment ratios

@@ -1,6 +1,6 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-A snapshot is binary: thirteen NPY records (``numpy.lib.format``), one
+A snapshot is binary: twelve NPY records (``numpy.lib.format``), one
 after another in one file, in the order of ``_KEYS``:
 
     t              ()                 time
@@ -9,9 +9,9 @@ after another in one file, in the order of ``_KEYS``:
     coeffs         (n,)               Galerkin coefficients v^n
     coeffs_prev    (n,), or (0,)      v^{n-1}; empty when there is none
     coeffs_prev2   (n,), or (0,)      v^{n-2}; empty when there is none
-    anderson_dv    (k, n)             carried Anderson history: iterate,
-    anderson_df    (k, n)             residual and density differences,
-    anderson_drho  (k, nx, ny, nz)    0 <= k <= ANDERSON_DEPTH
+    anderson_dv    (k, n)             carried Anderson history: iterate
+    anderson_df    (k, n)             and residual differences,
+                                      0 <= k <= ANDERSON_DEPTH
     scenario       (L,), uint8        ``scenarios.scenario_text``, UTF-8
     rho, c         (nx, ny, nz)
     q              (nx, ny, nz, 5)    ``State.q`` as it is
@@ -30,8 +30,8 @@ append ``.npy``).  Records are read back without pickle, so an object
 array is refused, never unpickled.  The price is that a snapshot is no
 longer greppable text; ``report.txt`` and ``ledger.csv`` stay text.  Every
 malformed file raises ``ConfigError`` naming it; so does a file of an
-earlier layout (the nine-record one before the Anderson history and the
-scenario stops at "missing array scenario"), which is not migrated.
+earlier layout (the thirteen-record one with density differences in the
+history stops at "data after the last array"), which is not migrated.
 """
 
 import os
@@ -42,11 +42,10 @@ from .errors import ConfigError
 from .simulation import ANDERSON_DEPTH, State
 
 _KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
-         "anderson_dv", "anderson_df", "anderson_drho", "scenario",
-         "rho", "c", "q")
+         "anderson_dv", "anderson_df", "scenario", "rho", "c", "q")
 # the records of State fields that may be absent, stored empty then
 _OPTIONAL = ("coeffs_prev", "coeffs_prev2")
-_HISTORY = ("anderson_dv", "anderson_df", "anderson_drho")
+_HISTORY = ("anderson_dv", "anderson_df")
 _SUFFIX = ".bin"
 
 
@@ -57,12 +56,10 @@ def snapshot_path(out_dir, step):
 def write_snapshot(path, grid, state, scenario):
     """Write state on grid, and the text scenario of its run, to path."""
     n = state.v.size
-    empty = ((0, n), (0, n), (0,) + grid.shape)
     values = (state.t, grid.shape, grid.extents, state.v,
               *(() if v is None else v for v in (state.v_prev, state.v_prev2)),
-              *(np.empty(shape) if a is None else a for a, shape in zip(
-                  (state.anderson_dv, state.anderson_df, state.anderson_drho),
-                  empty)),
+              *(np.empty((0, n)) if a is None else a
+                for a in (state.anderson_dv, state.anderson_df)),
               np.frombuffer(scenario.encode(), np.uint8),
               state.rho, state.c, state.q)
     with open(path, "wb") as fh:
@@ -109,7 +106,6 @@ def read_snapshot(path):
     k = min(dv.shape[0] if dv.ndim else 0, ANDERSON_DEPTH)
     want = {"t": (), "extent": (3,), "coeffs": (n,),
             "anderson_dv": (k, n), "anderson_df": (k, n),
-            "anderson_drho": (k,) + shape,
             "rho": shape, "c": shape, "q": shape + (5,)}
     for key in _OPTIONAL:
         want[key] = (n,) if arrays[key].size else (0,)

@@ -180,52 +180,63 @@ def test_resume_from_text_snapshot_exits_2(tmp_path, capsys):
 
 
 def _old_layout_snapshot(tmp_path, sc, layout):
-    """A snapshot of sc's initial state in the old layout `layout`: "nine"
-    before the Anderson history and the scenario, "eight" before
-    coeffs_prev2, or "cell-velocity" before that, which carried a cell
-    velocity u after rho."""
+    """A snapshot of sc's initial state in the old layout `layout`:
+    "thirteen" with a record of density differences (k, nx, ny, nz) in
+    the Anderson history, "nine" before the Anderson history and the
+    scenario, "eight" before coeffs_prev2, or "cell-velocity" before
+    that, which carried a cell velocity u after rho."""
     setup = sn.build(sc)
     old = tmp_path / "snap_000000.bin"
     sp.write_snapshot(str(old), setup.grid, setup.state0, sn.scenario_text(sc))
     with open(old, "rb") as fh:
         records = {key: np.lib.format.read_array(fh) for key in sp._KEYS}
-    keep = ["t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
-            "rho", "c", "q"]
-    if layout != "nine":
-        keep.remove("coeffs_prev2")
-    out = [records[key] for key in keep]
-    if layout == "cell-velocity":
-        out.insert(keep.index("rho") + 1, np.zeros((3,) + setup.grid.shape))
+    records["drho"] = np.empty((0,) + setup.grid.shape)
+    records["u"] = np.zeros((3,) + setup.grid.shape)
+    keep = {"thirteen": ["t", "cells", "extent", "coeffs", "coeffs_prev",
+                         "coeffs_prev2", "anderson_dv", "anderson_df",
+                         "drho", "scenario", "rho", "c", "q"],
+            "nine": ["t", "cells", "extent", "coeffs", "coeffs_prev",
+                     "coeffs_prev2", "rho", "c", "q"],
+            "eight": ["t", "cells", "extent", "coeffs", "coeffs_prev", "rho",
+                      "c", "q"],
+            "cell-velocity": ["t", "cells", "extent", "coeffs", "coeffs_prev",
+                              "rho", "u", "c", "q"]}[layout]
     with open(old, "wb") as fh:
-        for a in out:
-            np.save(fh, a)
+        for key in keep:
+            np.save(fh, records[key])
     return old
 
 
-def _resume_exits_2(tmp_path, capsys, layout, missing):
+def _resume_exits_2(tmp_path, capsys, layout, message):
     """--resume from sc's snapshot in an old layout exits 2, naming the
-    file and the first record it lacks; nothing is written."""
+    file and what is wrong with it; nothing is written."""
     sc = sn.default_scenario(grid_cells=4, modes=1)
     cfg = _write_scenario(tmp_path, sc)
     old = _old_layout_snapshot(tmp_path, sc, layout)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out), "--resume", str(old)]) == 2
     assert capsys.readouterr().err == (
-        f"configuration error: snapshot {old}: missing array {missing}\n")
+        f"configuration error: snapshot {old}: {message}\n")
     assert not out.exists()
+
+
+def test_resume_from_snapshot_with_density_history_exits_2(tmp_path, capsys):
+    # the thirteen-record layout whose Anderson history also held density
+    # differences: there is no migration, the file is refused by name
+    _resume_exits_2(tmp_path, capsys, "thirteen", "data after the last array")
 
 
 def test_resume_from_snapshot_without_history_exits_2(tmp_path, capsys):
     # the nine-record layout before the Anderson history and the scenario
-    # text: there is no migration, the file is refused by name
-    _resume_exits_2(tmp_path, capsys, "nine", "scenario")
+    # text
+    _resume_exits_2(tmp_path, capsys, "nine", "missing array rho")
 
 
 def test_resume_from_nine_record_snapshot_exits_2(tmp_path, capsys):
     # the layout with a cell velocity u after rho, two layouts back
-    _resume_exits_2(tmp_path, capsys, "cell-velocity", "scenario")
+    _resume_exits_2(tmp_path, capsys, "cell-velocity", "missing array rho")
 
 
 def test_resume_from_eight_record_snapshot_exits_2(tmp_path, capsys):
     # the layout before coeffs_prev2
-    _resume_exits_2(tmp_path, capsys, "eight", "anderson_drho")
+    _resume_exits_2(tmp_path, capsys, "eight", "missing array scenario")

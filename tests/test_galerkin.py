@@ -241,6 +241,9 @@ def test_evaluate_at_rejects_dense_mesh():
         dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))).faces[0]
     with pytest.raises(ConfigError, match="open mesh"):
         gk.evaluate_at(basis, v, *face.xyz, 0)
+    # one coefficient vector only: a (k, n) batch is refused
+    with pytest.raises(ConfigError, match="coefficients"):
+        gk.evaluate_at(basis, np.stack([v, v]), *g.face_meshes[0], 0)
 
 
 def test_evaluate_at_builds_each_mesh_table_once(monkeypatch):
@@ -268,21 +271,3 @@ def test_evaluate_at_builds_each_mesh_table_once(monkeypatch):
     # a basis of its own builds its own tables
     gk.evaluate_at(other, v, *g.face_meshes[0], 0)
     assert len(calls) == 3
-
-
-def test_evaluate_at_batch_matches_single_vectors():
-    # a (k, n) batch gives one leading axis, each entry the single call's
-    g = noncubic_grid()
-    basis = gk.build_basis(g, 2)
-    V = np.random.default_rng(9).normal(size=(3, basis.n))
-    for axis in range(3):
-        mesh = g.face_meshes[axis]
-        batch = gk.evaluate_at(basis, V, *mesh, axis)
-        for j, vj in enumerate(V):
-            single = gk.evaluate_at(basis, vj, *mesh, axis)
-            assert batch.shape[1:] == single.shape
-            assert np.allclose(batch[j], single, rtol=0.0, atol=1e-15)
-    with pytest.raises(ConfigError, match="coefficients"):
-        gk.evaluate_at(basis, V[None], *g.face_meshes[0], 0)
-    with pytest.raises(ConfigError, match="coefficients"):
-        gk.synthesize(basis, V)

@@ -296,8 +296,7 @@ def _history(st, k):
     """k made-up Anderson pairs of the right shapes for state st."""
     rng = np.random.default_rng(k)
     return {"anderson_dv": rng.normal(size=(k, st.v.size)),
-            "anderson_df": rng.normal(size=(k, st.v.size)),
-            "anderson_drho": rng.normal(size=(k,) + st.rho.shape)}
+            "anderson_df": rng.normal(size=(k, st.v.size))}
 
 
 def _snapshot_with_previous(tmp_path):
@@ -315,7 +314,7 @@ def _snapshot_with_previous(tmp_path):
 
 
 def test_snapshot_round_trips_the_anderson_history(tmp_path):
-    # a state without history writes three empty records and reads back
+    # a state without history writes two empty records and reads back
     # without one; a history of k pairs reads back exactly, and one longer
     # than ANDERSON_DEPTH or with records of different k is refused
     sc = sn.default_scenario(grid_cells=4, modes=1)
@@ -325,7 +324,7 @@ def test_snapshot_round_trips_the_anderson_history(tmp_path):
     sp.write_snapshot(str(path), setup.grid, st, sn.scenario_text(sc))
     records = _records(path)
     assert [records[key].shape for key in sp._HISTORY] == [
-        (0, st.v.size), (0, st.v.size), (0, 4, 4, 4)]
+        (0, st.v.size), (0, st.v.size)]
     back = sp.read_snapshot(str(path))[0]
     assert all(getattr(back, key) is None for key in sp._HISTORY)
     for k in (1, simulation.ANDERSON_DEPTH):
@@ -350,7 +349,7 @@ def test_snapshot_round_trips_the_anderson_history(tmp_path):
 
 @pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
                                    "coeffs_prev2", "anderson_dv",
-                                   "anderson_df", "anderson_drho", "rho", "c",
+                                   "anderson_df", "rho", "c",
                                    "q23"])
 def test_read_snapshot_rejects_non_finite_values(tmp_path, field):
     # a nan density used to pass the reader and end a resumed run in
@@ -395,6 +394,18 @@ def _before_history(data, records):
             if k not in sp._HISTORY + ("scenario",)}
 
 
+def _with_density_history(data, records):
+    """The thirteen-record layout, whose history also held the density
+    differences, a record (k, nx, ny, nz) after anderson_df."""
+    out = {}
+    for key, a in records.items():
+        out[key] = a
+        if key == "anderson_df":
+            k = a.shape[0]
+            out["drho"] = np.zeros((k,) + records["rho"].shape)
+    return out
+
+
 def _nine_records(data, records):
     """The layout before the state-only one: a cell velocity u after rho."""
     out = {}
@@ -424,18 +435,19 @@ def _nine_records(data, records):
     (_nine_records, "data after the last array"),
     # the layout before coeffs_prev2: no migration, the file is refused
     (_dropped("coeffs_prev2"), "missing array q"),
-    (_reshaped("anderson_drho", (2, 4, 4, 5)),
-     "anderson_drho must be float64 of shape"),
+    (_reshaped("anderson_df", (2, 5)), "anderson_df must be float64 of shape"),
     (_recast("scenario", np.float64), "scenario must be uint8 text"),
     (_recast("scenario", np.uint8, b"\xff\xfe"),
      "scenario is not UTF-8 text"),
     # the nine-record layout before the Anderson history and the scenario
-    (_before_history, "missing array scenario"),
+    (_before_history, "missing array rho"),
+    # the thirteen-record layout with density differences in the history
+    (_with_density_history, "data after the last array"),
 ], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
         "rho-shape", "c-shape", "q-shape",
         "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype",
         "nine-records", "eight-records", "anderson-shape", "scenario-dtype",
-        "scenario-utf8", "before-history"])
+        "scenario-utf8", "before-history", "thirteen-records"])
 def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
     path = _snapshot_with_previous(tmp_path)
     bad = damage(path.read_bytes(), _records(path))
