@@ -15,8 +15,9 @@ the implicit operator stays symmetric positive definite and the discrete
 maximum principle survives the boundary.  The linear solve is matrix-free
 Jacobi-preconditioned conjugate gradients with relative tolerance 1e-13,
 started from the right side or from the start the coupling sweep gives
-after ``_JACOBI_SWEEPS`` Jacobi sweeps of the system; a non-finite
-residual raises StabilityError, the cap ConditioningError.
+after Jacobi sweeps of the system, which stop once the residual meets the
+CG's own test, after ``_JACOBI_SWEEPS`` at most; a non-finite residual
+raises StabilityError, the cap ConditioningError.
 The step assumes an admissible dt (``simulation.check_step``).
 
 ``ContinuitySolver.rules`` holds the six affine ``pad`` rules
@@ -38,9 +39,10 @@ from .errors import ConditioningError, StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
-# Jacobi sweeps of a given CG start; each multiplies the error by at most
-# s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3 with the default eps, dt)
-_JACOBI_SWEEPS = 6
+# the most Jacobi sweeps a given CG start takes; each multiplies the error
+# by at most s / (1 + s), s = 6 eps dt / h^2 (0.071 at 16^3 with the
+# default eps, dt), and they stop once the residual meets the CG's test
+_JACOBI_SWEEPS = 8
 # the lower and the upper n of n + 1 entries along an axis
 _LO, _HI = slice(None, -1), slice(1, None)
 
@@ -124,16 +126,27 @@ class ContinuitySolver:
                 1.0 / (1.0 + a * self.neg_lap_diag))
 
     def _solve_diffusion(self, rhs, start=None):
-        """(I + eps*dt*(-L)) rho = rhs, Jacobi-preconditioned CG from start."""
+        """(I + eps*dt*(-L)) rho = rhs, Jacobi-preconditioned CG from start.
+
+        A given start first takes Jacobi sweeps x <- x + M^{-1} (rhs - A x)
+        of the system, at most ``_JACOBI_SWEEPS``, until the residual meets
+        the CG's test (or is not finite, which the CG rejects); the CG goes
+        on from the last residual, so the stop costs no application of A.
+        """
         apply_A, M_inv = self._diffusion()
+        stop = _CG_TOL * (float(np.sqrt((rhs * rhs).sum())) or 1.0)
         x = (rhs if start is None else start).copy()
         r = rhs - apply_A(x)
+        for _ in range(0 if start is None else _JACOBI_SWEEPS):
+            if not stop < np.sqrt((r * r).sum()) < np.inf:
+                break
+            x += M_inv * r
+            r = rhs - apply_A(x)
         z = M_inv * r
         p = z.copy()
         rz = float((r * z).sum())
-        norm0 = float(np.sqrt((rhs * rhs).sum())) or 1.0
         iters = 0
-        while not (res := np.sqrt((r * r).sum())) <= _CG_TOL * norm0:
+        while not (res := np.sqrt((r * r).sum())) <= stop:
             if not np.isfinite(res):
                 raise StabilityError("density CG: non-finite residual")
             if iters >= _CG_MAXITER:
@@ -193,11 +206,11 @@ class ContinuitySolver:
     def step(self, rho, fv, start=None):
         """One step with the CG from start; returns (rho_new, info dict).
 
-        A start first takes ``_JACOBI_SWEEPS`` Jacobi sweeps
-        x <- x + M^{-1} (rhs - A x) of the step's own system, which damp
-        the start's error by at least (1 + s) / s each: the coupling
-        starts each sweep after the first from the density of the sweep
-        before, off by what the velocity moved since.
+        A start first takes Jacobi sweeps of the step's own system
+        (``_solve_diffusion``), which damp the start's error by at least
+        (1 + s) / s each: the coupling starts each sweep after the first
+        from the density of the sweep before, off by what the velocity
+        moved since.
         """
         g = self.grid
         div, mass_in, mass_out = self.advective_flux_divergence(rho, fv)
@@ -206,10 +219,6 @@ class ContinuitySolver:
         a = self.eps * self.dt
         for face, (_, b) in zip(self.boundary.faces, self.rules):
             rhs[face.wall] += a * (b / g.h[face.axis] ** 2)
-        if start is not None:
-            apply_A, M_inv = self._diffusion()
-            for _ in range(_JACOBI_SWEEPS):
-                start = start + M_inv * (rhs - apply_A(start))
         rho_new, iters = self._solve_diffusion(rhs, start)
         # diffusive boundary flux at the new state (outward normal direction)
         eps_flux = sum(face.area_element * float(flux.sum()) for face, flux

@@ -129,6 +129,32 @@ def mass_matrix(basis, rho):
     return scale * R.reshape(m ** 3, m ** 3)
 
 
+def viscous_stiffness(basis, mu, lam):
+    """K (n, n) in the coefficient layout with -K v =
+    project_tensor_divergence(-S) for S = mu D + lam tr(D) I of the modes
+    of v (D the symmetric part of ``synthesize_jacobian``).
+
+    With G(dj, di)[i, j] = int d_di phi_i d_dj phi_j by midpoint
+    quadrature, a Kronecker product of the per-axis pairings of the tables
+    ``grad[di]`` and ``grad[dj]``, the block of components (a, b) is
+    K_ab = mu/2 (delta_ab sum_d G(d, d) + G(a, b)) + lam G(b, a).
+    Symmetric, and positive definite for mu > 0 and lam + mu/3 >= 0.
+    """
+    def G(dj, di):
+        A, B, C = (T @ U.T for T, U in zip(basis.grad[di], basis.grad[dj]))
+        return np.kron(np.kron(A, B), C)
+
+    lap = sum(G(d, d) for d in range(3))
+    m3 = basis.m ** 3
+    K = np.empty((m3, 3, m3, 3))
+    for a in range(3):
+        for b in range(3):
+            K[:, a, :, b] = 0.5 * mu * ((a == b) * lap + G(a, b)) \
+                + lam * G(b, a)
+    scale = basis.grid.cell_volume * basis.norm ** 2
+    return scale * K.reshape(basis.n, basis.n)
+
+
 def _mesh_table(basis, axis, c):
     """sin(k pi c / L) along axis for the coordinates c, (m, len(c)), with
     an exact zero at 0 and L.  Built once per basis and coordinate vector

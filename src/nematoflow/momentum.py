@@ -5,6 +5,12 @@ walls, so every stress enters the balance through a pairing with the test
 gradient and no surface terms appear.  The mass pairing M_ij = int rho w_i
 w_j is one m^3 x m^3 block shared by the three velocity components.
 
+The update is written in residual form: an iterate v of the coupling
+moves by (M + dt K)^{-1} [M (v^n - v) + dt rhs(v)], K the viscous
+stiffness the stepper takes implicitly (``step_momentum``).  Its one solve
+is ``mass_solve``, which checks M(rho) itself before the shift dt K is
+added, since M + dt K can be SPD for a density that is not positive.
+
 Layout: grid axes last, as in every module: u is (3, nx, ny, nz), packed
 Q (5, ...) (``State.q`` reaches here through ``simulation.q_components``),
 the Jacobian J[a, d] = du_a/dx_d and the flux T[a, d] (3, 3, ...).  The
@@ -129,21 +135,34 @@ def galerkin_rhs(basis, T, u_jac, eps, grad_rho):
     return rhs - eps * gk.project(basis, f)
 
 
-def mass_solve(basis, rho, rhs):
-    """Solve M(rho) x = rhs per component by one symmetric eigen-solve;
-    ConditioningError if M is not finite, not SPD or too ill-conditioned."""
+def mass_solve(basis, rho, rhs, dv=None, shift=None):
+    """Solve (M(rho) + shift) x = M(rho) dv + rhs, M(rho) block-diagonal
+    with ``mass_matrix`` per component, shift (n, n) and dv zero when not
+    given; ConditioningError if M(rho) is not finite, not SPD or too
+    ill-conditioned (one symmetric eigenvalue solve of its block)."""
     M = gk.mass_matrix(basis, rho)
     if not np.all(np.isfinite(M)):
         raise ConditioningError("mass matrix is not finite: non-finite density")
-    lam, V = np.linalg.eigh(M)
+    lam = np.linalg.eigvalsh(M)
     if not lam[0] > 0.0:
         raise ConditioningError("mass matrix not positive definite: a density <= 0")
     if (cond := lam[-1] / lam[0]) > _COND_LIMIT:
         raise ConditioningError(
             f"mass matrix condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
-    return (V @ (V.T @ rhs.reshape(-1, 3) / lam[:, None])).reshape(-1)
+    b = rhs if dv is None else rhs + (M @ dv.reshape(-1, 3)).reshape(-1)
+    A = np.zeros((basis.n, basis.n)) if shift is None else shift.copy()
+    blocks = A.reshape(len(M), 3, len(M), 3)
+    for a in range(3):
+        blocks[:, a, :, a] += M
+    return np.linalg.solve(A, b)
 
 
-def step_momentum(basis, v, rho, rhs, dt):
-    """Advance the coefficient vector: v + dt * M(rho)^{-1} rhs."""
-    return v + dt * mass_solve(basis, rho, rhs)
+def step_momentum(basis, v_old, v, rho, rhs, dt, stiffness):
+    """The next iterate v + (M + dt K)^{-1} [M (v_old - v) + dt rhs] of
+    the coupling, M = M(rho), for the iterate v with right side rhs.
+
+    Its fixed point solves M (v - v_old) = dt rhs(v) whatever K is; K, the
+    viscous stiffness of the law's Newtonian part (zero for other laws),
+    is taken implicitly, so the map contracts at the rate of what rhs
+    holds beyond -K v rather than at dt lam_max(M^{-1} K)."""
+    return v + mass_solve(basis, rho, dt * rhs, v_old - v, dt * stiffness)

@@ -361,3 +361,33 @@ def test_a_given_start_takes_jacobi_sweeps_before_the_cg(monkeypatch):
     assert info["cg_iters"] >= 1
     for got in (swept, plain):
         assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+def test_jacobi_sweeps_stop_once_the_residual_meets_the_cg_test(monkeypatch):
+    # the step's own density as start costs one application of the
+    # operator, its residual; a start off by 1e-9 in one cell takes sweeps
+    # until its residual meets the CG's test, short of the cap, and hands
+    # that residual to the CG, which takes no iteration
+    rng = np.random.default_rng(7)
+    v = 1e-2 * rng.normal(size=24)
+    grid, solver, fv, _ = make_setup(n=16, ub_kind="channel", peak=0.3, v=v)
+    rho = 1.0 + 0.1 * rng.random(grid.shape)
+    exact, _ = solver.step(rho, fv)
+    applied = [0]
+    neg_lap_hom = ContinuitySolver._neg_lap_hom
+
+    def counted(self, x):
+        applied[0] += 1
+        return neg_lap_hom(self, x)
+
+    monkeypatch.setattr(ContinuitySolver, "_neg_lap_hom", counted)
+    got, info = solver.step(rho, fv, start=exact)
+    assert applied[0] == 1 and info["cg_iters"] == 0
+    assert np.array_equal(got, exact)
+    start = exact.copy()
+    start[5, 6, 7] += 1e-9
+    applied[0] = 0
+    got, info = solver.step(rho, fv, start=start)
+    assert 1 < applied[0] - 1 < continuity._JACOBI_SWEEPS
+    assert info["cg_iters"] == 0
+    assert np.max(np.abs(got - exact)) <= 1e-12

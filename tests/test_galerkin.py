@@ -11,6 +11,7 @@ import pytest
 from nematoflow import domain as dm
 from nematoflow import galerkin as gk
 from nematoflow.errors import ConfigError
+from nematoflow.rheology import newtonian_law, subgradient
 
 
 def unit_grid(n=16, extents=(1.0, 1.0, 1.0)):
@@ -197,6 +198,27 @@ def test_adjoint_identities_on_noncubic_grid():
     lhs = v @ gk.project_tensor_divergence(basis, T)
     rhs = vol * np.sum(gk.synthesize_jacobian(basis, v) * T)
     assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, -1.3 / 3.0 + 0.01])
+def test_viscous_stiffness_is_the_projected_newtonian_stress(lam):
+    """Column j of K is project_tensor_divergence(S) of mode j, S the
+    Newtonian law's stress of its synthesized Jacobian; K is symmetric
+    positive definite down to lam = -mu/3 + 0.01."""
+    g = dm.Grid(extents=(1.0, 1.5, 0.7), shape=(8, 10, 12))
+    basis = gk.build_basis(g, 2)
+    law = newtonian_law(mu=1.3, lam=lam)
+    K = gk.viscous_stiffness(basis, law.mu, law.lam)
+    cols = []
+    for e in np.eye(basis.n):
+        J = np.moveaxis(gk.synthesize_jacobian(basis, e), (0, 1), (-2, -1))
+        S = subgradient(law, 0.5 * (J + np.swapaxes(J, -1, -2)))
+        cols.append(gk.project_tensor_divergence(
+            basis, np.moveaxis(S, (-2, -1), (0, 1))))
+    ref = np.stack(cols, axis=1)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(np.abs(K))
+    assert np.linalg.eigvalsh(K)[0] > 0.0
 
 
 def test_transforms_use_no_einsum(monkeypatch):

@@ -13,7 +13,12 @@ from nematoflow.domain import (
     volume_integral,
 )
 from nematoflow.errors import ConditioningError
-from nematoflow.galerkin import build_basis, synthesize, synthesize_jacobian
+from nematoflow.galerkin import (
+    build_basis,
+    synthesize,
+    synthesize_jacobian,
+    viscous_stiffness,
+)
 from nematoflow.momentum import (
     active_stress,
     assemble_stresses,
@@ -385,7 +390,8 @@ def test_step_momentum_identity_mass():
     v = np.zeros(basis.n)
     rhs = np.zeros(basis.n)
     rhs[0] = 1.0
-    out = step_momentum(basis, v, rho, rhs, dt=1e-3)
+    out = step_momentum(basis, v, v, rho, rhs, 1e-3,
+                        np.zeros((basis.n, basis.n)))
     expected = np.zeros(basis.n)
     expected[0] = 1e-3
     assert np.max(np.abs(out - expected)) < 1e-10
@@ -397,8 +403,29 @@ def test_step_momentum_zero_rhs():
     rng = np.random.default_rng(0)
     rho = 1.0 + 0.2 * rng.random(grid.shape)
     v = rng.standard_normal(basis.n)
-    out = step_momentum(basis, v, rho, np.zeros(basis.n), dt=1e-3)
+    out = step_momentum(basis, v, v, rho, np.zeros(basis.n), 1e-3,
+                        viscous_stiffness(basis, 1.0, 0.5))
     assert np.max(np.abs(out - v)) == 0.0
+
+
+def test_step_momentum_solves_a_viscous_balance_in_one_sweep():
+    # rhs(v) = g - K v, the Newtonian part alone: the step from any iterate
+    # lands on the fixed point M (v - v_old) = dt rhs(v), which the explicit
+    # map (K = 0) only approaches sweep by sweep
+    grid = make_grid()
+    basis = build_basis(grid, 2)
+    rng = np.random.default_rng(5)
+    rho = 1.0 + 0.2 * rng.random(grid.shape)
+    K = viscous_stiffness(basis, 1.0, 0.5)
+    v_old, g = rng.standard_normal((2, basis.n))
+    dt = 1e-3
+    fixed = np.linalg.solve(dense_mass_matrix(basis, rho) + dt * K,
+                            dense_mass_matrix(basis, rho) @ v_old + dt * g)
+    v = rng.standard_normal(basis.n)
+    out = step_momentum(basis, v_old, v, rho, g - K @ v, dt, K)
+    assert np.max(np.abs(out - fixed)) <= 1e-12 * np.max(np.abs(fixed))
+    plain = step_momentum(basis, v_old, v, rho, g - K @ v, dt, 0.0 * K)
+    assert np.max(np.abs(plain - fixed)) > 1e-3 * np.max(np.abs(v - fixed))
 
 
 def test_mass_solve_conditioning_error():
@@ -454,3 +481,19 @@ def test_mass_solve_bad_density_is_a_conditioning_error(kind, cause, capfd):
     # a numerical failure, not a configuration error (ValueError, exit 2)
     assert not isinstance(info.value, ValueError)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind, cause", [
+    ("nan", "not finite"), ("inf", "not finite"),
+    ("negative_half", "not positive definite"),
+    ("all_negative", "not positive definite")])
+def test_bad_density_is_a_conditioning_error_under_a_viscous_shift(kind,
+                                                                  cause):
+    # M(rho) + dt K can be SPD for a density that is not: a shift must not
+    # hide the mass matrix's own checks
+    grid = make_grid()
+    basis = build_basis(grid, 2)
+    shift = 1e3 * viscous_stiffness(basis, 1.0, 0.0)
+    with pytest.raises(ConditioningError, match=cause):
+        mass_solve(basis, _bad_density(kind, grid.shape), np.ones(basis.n),
+                   np.ones(basis.n), shift)

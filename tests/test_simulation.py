@@ -204,7 +204,7 @@ def test_step_builds_upwind_differences_once(monkeypatch):
 
     monkeypatch.setattr(simulation, "upwind_differences", counted)
     sweeps = set()
-    for tol in (1e-5, 1e-8, 1e-13):
+    for tol in (1e-2, 1e-5, 1e-13):
         stepper.picard_tol = tol
         built.clear()
         _, info = stepper.step(uniform_state(grid, basis))
@@ -213,10 +213,18 @@ def test_step_builds_upwind_differences_once(monkeypatch):
     assert len(sweeps) == 3
 
 
+def _power_law_scenario(**kw):
+    """The default channel flow under the mollified power law: no viscous
+    stiffness is taken implicitly, so a step takes more sweeps than the
+    two a Newtonian step at 8^3 takes, and a start or a history that
+    saves some shows."""
+    return sn.default_scenario(grid_cells=8, rheology_kind="power_law", **kw)
+
+
 def _third_step():
-    """The 16^3 default channel flow from noise after two steps, the first
+    """The 8^3 power-law channel flow from noise after two steps, the first
     state whose step starts from the quadratic extrapolation."""
-    setup = sn.build(sn.default_scenario(grid_cells=16, init_v="noise:0.01"))
+    setup = sn.build(_power_law_scenario(init_v="noise:0.01"))
     state = setup.state0
     for _ in range(2):
         state, _ = setup.stepper.step(state)
@@ -290,12 +298,12 @@ def test_boundary_driven_flow_moves_velocity():
 
 
 def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
-    # the default channel flow at 8^3, m=2: the stored v of every step is
+    # the power-law channel flow at 8^3, m=2: the stored v of every step is
     # within picard_tol of a tight re-solve from the same state, with and
     # without its extrapolated start and carried history; starting each
     # step from v^n instead of the extrapolation 2 v^n - v^{n-1} costs
     # sweeps but reaches the same states
-    sc = sn.default_scenario(grid_cells=8)
+    sc = _power_law_scenario()
     setup = sn.build(sc)
     stepper = setup.stepper
     tight = sn.build(dataclasses.replace(sc, picard_tol=1e-14)).stepper
@@ -319,10 +327,10 @@ def test_extrapolated_start_and_bound_stop_keep_the_fixed_point():
 
 
 def test_carried_history_saves_sweeps_and_keeps_the_states():
-    # the 8^3 channel flow: each step mixes its first sweep with the pairs
-    # the step before ended with; dropping them costs sweeps over 6 steps
-    # and reaches the same states
-    setup = sn.build(sn.default_scenario(grid_cells=8))
+    # the 8^3 power-law channel flow: each step mixes its first sweep with
+    # the pairs the step before ended with; dropping them costs sweeps over
+    # 6 steps and reaches the same states
+    setup = sn.build(_power_law_scenario())
     stepper = setup.stepper
     kept = dropped = setup.state0
     kept_sweeps = dropped_sweeps = 0
@@ -337,10 +345,24 @@ def test_carried_history_saves_sweeps_and_keeps_the_states():
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
 
 
+def test_newtonian_step_takes_the_viscous_stiffness_implicitly():
+    # the 16^3 channel flow at m=4 from rest: with the Newtonian stiffness
+    # in the sweep's solve the step takes 3 sweeps; the explicit map
+    # (K = 0) takes 8 to the same fixed point
+    setup = sn.build(sn.default_scenario(grid_cells=16, modes=4))
+    stepper = setup.stepper
+    new, info = stepper.step(setup.state0)
+    assert info["picard_iters"] <= 3
+    stepper.stiffness = np.zeros_like(stepper.stiffness)
+    plain, plain_info = stepper.step(setup.state0)
+    assert plain_info["picard_iters"] > 3
+    assert np.linalg.norm(new.v - plain.v) <= stepper.picard_tol
+
+
 def test_channel_sweep_and_accepted_cg_counts(monkeypatch):
     # the benchmark's 16^3 channel workload (noise:0.01 start, 20 steps)
-    # on seeds 0-3: at most 2.4 sweeps per step on average, no accepted
-    # density CG iteration on any step, and at most 17 applications of the
+    # on seeds 0-3: at most 2.1 sweeps per step on average, no accepted
+    # density CG iteration on any step, and at most 15 applications of the
     # density operator per step on average, one per column it is applied to
     # (CG iterations, initial residuals and Jacobi sweeps alike)
     applied = [0]
@@ -362,16 +384,17 @@ def test_channel_sweep_and_accepted_cg_counts(monkeypatch):
             picard.append(info["picard_iters"])
             cg.append(info["cg_iters"])
     assert len(picard) == 80
-    assert np.mean(picard) <= 2.4
+    assert np.mean(picard) <= 2.1
     assert cg == [0] * 80
-    assert applied[0] / 80 <= 17
+    assert applied[0] / 80 <= 15
 
 
 def test_quadratic_start_saves_sweeps_over_the_linear_one(monkeypatch):
-    # the 8^3 channel flow: from the third step on the first iterate is
-    # 3 v^n - 3 v^{n-1} + v^{n-2}; it takes fewer sweeps than the linear
-    # start 2 v^n - v^{n-1} (v_prev2 dropped) and reaches the same states
-    setup = sn.build(sn.default_scenario(grid_cells=8))
+    # the 8^3 power-law channel flow: from the third step on the first
+    # iterate is 3 v^n - 3 v^{n-1} + v^{n-2}; it takes fewer sweeps than the
+    # linear start 2 v^n - v^{n-1} (v_prev2 dropped) and reaches the same
+    # states
+    setup = sn.build(_power_law_scenario())
     stepper = setup.stepper
     quad = lin = setup.state0
     quad_sweeps = lin_sweeps = 0
