@@ -6,7 +6,10 @@ the solute bounds, the density envelope and the discrete mass balance, and
 writes snapshots at the configured cadence; the run closes with a
 PASS/FAIL table.  Trace and symmetry of the order tensor are
 structural (packed Q), so their rows judge the final state only.  The
-report object only ever appends; nothing is revised after the fact.
+report object only ever appends; nothing is revised after the fact.  A
+snapshot holds the state and the text of its scenario; a run resumes from
+it only when ``scenarios.check_resume`` finds the stored scenario, grid and
+Galerkin modes included, the same as its own.
 """
 
 import os
@@ -71,27 +74,23 @@ def run_scenario(sc, out_dir=None, resume_from=None):
     all file output).  resume_from: path to a snapshot file; the run
     continues from its state to the scenario's final time, reproducing the
     uninterrupted trajectory exactly.  ConfigError, before any output, if
-    the snapshot time is not a whole step in [0, T].
+    the snapshot time is not a whole step in [0, T], or if the snapshot's
+    scenario differs from sc in a key the trajectory depends on (the grid
+    and the Galerkin modes among them; ``scenarios.check_resume``).
     """
     setup = sn.build(sc)
-    stepper, grid, basis = setup.stepper, setup.grid, setup.basis
-    state = setup.state0
+    stepper, state = setup.stepper, setup.state0
+    grid = stepper.grid
     n_steps = sc.n_steps()
     start_step = 0
     text = sn.scenario_text(sc)
     if resume_from is not None:
-        snap, shape, extents, snap_text = sp.read_snapshot(resume_from)
-        if shape != grid.shape or extents != tuple(grid.extents) \
-                or snap.v.size != basis.n:
-            raise sn.ConfigError(
-                f"snapshot {resume_from}: grid or Galerkin modes do not "
-                f"match the scenario")
-        state = snap
-        when = f"snapshot time t = {snap.t!r}"
-        start_step = sc.steps_to(snap.t, when)
+        state, stored = sp.read_snapshot(resume_from)
+        when = f"snapshot time t = {state.t!r}"
+        start_step = sc.steps_to(state.t, when)
         if not 0 <= start_step <= n_steps:
             raise sn.ConfigError(f"{when} is not in [0, {sc.final_time!r}]")
-        sn.check_resume(sc, snap_text, f"snapshot {resume_from}")
+        sn.check_resume(sc, stored, f"snapshot {resume_from}")
     report = RunReport()
     monitor = en.EnergyMonitor(stepper)
     report.monitor = monitor
@@ -110,8 +109,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), grid, state,
-                          text)
+        sp.write_snapshot(sp.snapshot_path(out_dir, start_step), state, text)
 
     tau = 0.0
     t_ledger = 0.0
@@ -141,8 +139,7 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         worst["mass_balance"] = max(worst["mass_balance"], defect)
         if out_dir is not None and sc.snapshot_every > 0 \
                 and step % sc.snapshot_every == 0:
-            sp.write_snapshot(sp.snapshot_path(out_dir, step), grid, state,
-                              text)
+            sp.write_snapshot(sp.snapshot_path(out_dir, step), state, text)
     report.timings["stepping"] = time.perf_counter() - t_wall
     report.timings["ledger"] = t_ledger    # part of stepping
 

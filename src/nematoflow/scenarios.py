@@ -5,7 +5,8 @@ window, regularization and mollification radii, Galerkin resolution,
 pressure and rheology laws, material constants, initial and boundary data
 selectors, tolerances, and output cadence.  All quantities are
 nondimensional.  Unknown keys are hard errors so a typo cannot silently
-fall back to a default.
+fall back to a default.  Each ``Scenario`` field declares its config key,
+and ``KEY_MAP`` is read off the fields, so no field can lack a key.
 """
 
 import dataclasses
@@ -23,38 +24,43 @@ from .errors import ConfigError
 from .simulation import CoupledStepper, Physics, State, q_exchange
 
 
+def _key(key, default):
+    """A Scenario field read from and written to config key `key`."""
+    return dataclasses.field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    grid_cells: int = 16
-    grid_extent: float = 1.0
-    final_time: float = 0.2
-    dt: float = 1e-3
-    eps: float = 0.05
-    delta: float = 0.05
-    modes: int = 2
-    pressure_kind: str = "isentropic"
-    pressure_a: float = 1.0
-    pressure_gamma: float = 2.0
-    rheology_kind: str = "newtonian"
-    rheology_mu: float = 1.0
-    rheology_lam: float = 0.0
-    rheology_mu0: float = 1.0
-    rheology_q: float = 4.0 / 3.0
-    gamma_q: float = 0.25
-    d0: float = 0.25
-    c_star: float = 1.0
-    b: float = 0.2
-    sigma_star: float = 0.1
-    init_rho: str = "uniform:1.0"
-    init_c: str = "uniform:1.0"
-    init_q: str = "zero"
-    init_v: str = "zero"
-    bc_u: str = "zero"
-    bc_rho: float = 1.0
-    bc_q: str = "zero"
-    picard_tol: float = 1e-10
-    snapshot_every: int = 50
-    seed: int = 7
+    grid_cells: int = _key("grid.cells", 16)
+    grid_extent: float = _key("grid.extent", 1.0)
+    final_time: float = _key("time.final", 0.2)
+    dt: float = _key("time.dt", 1e-3)
+    eps: float = _key("reg.eps", 0.05)
+    delta: float = _key("reg.delta", 0.05)
+    modes: int = _key("galerkin.modes", 2)
+    pressure_kind: str = _key("pressure.kind", "isentropic")
+    pressure_a: float = _key("pressure.a", 1.0)
+    pressure_gamma: float = _key("pressure.gamma", 2.0)
+    rheology_kind: str = _key("rheology.kind", "newtonian")
+    rheology_mu: float = _key("rheology.mu", 1.0)
+    rheology_lam: float = _key("rheology.lam", 0.0)
+    rheology_mu0: float = _key("rheology.mu0", 1.0)
+    rheology_q: float = _key("rheology.q", 4.0 / 3.0)
+    gamma_q: float = _key("material.gamma", 0.25)
+    d0: float = _key("material.d0", 0.25)
+    c_star: float = _key("material.c_star", 1.0)
+    b: float = _key("material.b", 0.2)
+    sigma_star: float = _key("material.sigma_star", 0.1)
+    init_rho: str = _key("init.rho", "uniform:1.0")
+    init_c: str = _key("init.c", "uniform:1.0")
+    init_q: str = _key("init.q", "zero")
+    init_v: str = _key("init.v", "zero")
+    bc_u: str = _key("bc.u", "zero")
+    bc_rho: float = _key("bc.rho", 1.0)
+    bc_q: str = _key("bc.q", "zero")
+    picard_tol: float = _key("tol.picard", 1e-10)
+    snapshot_every: int = _key("output.snapshot_every", 50)
+    seed: int = _key("run.seed", 7)
 
     def n_steps(self):
         return self.steps_to(self.final_time, "final time")
@@ -67,44 +73,9 @@ class Scenario:
         return n
 
 
-# config key -> dataclass field
-KEY_MAP = {
-    "grid.cells": "grid_cells",
-    "grid.extent": "grid_extent",
-    "time.final": "final_time",
-    "time.dt": "dt",
-    "reg.eps": "eps",
-    "reg.delta": "delta",
-    "galerkin.modes": "modes",
-    "pressure.kind": "pressure_kind",
-    "pressure.a": "pressure_a",
-    "pressure.gamma": "pressure_gamma",
-    "rheology.kind": "rheology_kind",
-    "rheology.mu": "rheology_mu",
-    "rheology.lam": "rheology_lam",
-    "rheology.mu0": "rheology_mu0",
-    "rheology.q": "rheology_q",
-    "material.gamma": "gamma_q",
-    "material.d0": "d0",
-    "material.c_star": "c_star",
-    "material.b": "b",
-    "material.sigma_star": "sigma_star",
-    "init.rho": "init_rho",
-    "init.c": "init_c",
-    "init.q": "init_q",
-    "init.v": "init_v",
-    "bc.u": "bc_u",
-    "bc.rho": "bc_rho",
-    "bc.q": "bc_q",
-    "tol.picard": "picard_tol",
-    "output.snapshot_every": "snapshot_every",
-    "run.seed": "seed",
-}
-
-_TYPE_NAMES = {"int": int, "float": float, "str": str}
-_FIELD_TYPES = {
-    f.name: _TYPE_NAMES[f.type] if isinstance(f.type, str) else f.type
-    for f in dataclasses.fields(Scenario)}
+# config key -> dataclass field, in field order
+KEY_MAP = {f.metadata["key"]: f.name for f in dataclasses.fields(Scenario)}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 
 
 def parse_scenario(text):
@@ -140,14 +111,9 @@ def load_scenario(path):
 
 def scenario_text(sc):
     """Serialize back to the flat key-value format (stable key order)."""
-    lines = []
-    for key, name in KEY_MAP.items():
-        val = getattr(sc, name)
-        if isinstance(val, float):
-            lines.append(f"{key} = {val!r}")
-        else:
-            lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
+    # through the field type: a numpy scalar would print as np.float64(...)
+    return "".join(f"{key} = {_FIELD_TYPES[name](getattr(sc, name))}\n"
+                   for key, name in KEY_MAP.items())
 
 
 # keys a run resumed from a snapshot does not depend on: where it ends, how
@@ -157,13 +123,11 @@ RESUME_EXEMPT = ("time.final", "output.snapshot_every", "init.rho", "init.c",
                  "init.q", "init.v", "run.seed")
 
 
-def check_resume(sc, text, where):
+def check_resume(sc, stored, where):
     """ConfigError naming the first key, outside ``RESUME_EXEMPT``, whose
-    value in sc differs from the one in scenario text (a snapshot's)."""
-    try:
-        stored = parse_scenario(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: unreadable scenario: {exc}") from None
+    value in sc differs from the one in scenario stored (a snapshot's).
+    The grid and the Galerkin modes are such keys, so a snapshot on
+    another grid is refused here."""
     for key, name in KEY_MAP.items():
         was, now = getattr(stored, name), getattr(sc, name)
         if key not in RESUME_EXEMPT and was != now:
@@ -329,15 +293,12 @@ def build_rheology_law(sc):
 
 @dataclass
 class RunSetup:
-    scenario: Scenario
-    grid: object
-    basis: object
     stepper: CoupledStepper
     state0: State
 
 
 def build(sc):
-    """Materialize a scenario into grid, basis, stepper, initial state."""
+    """Materialize a scenario into its stepper and initial state."""
     for key, name in KEY_MAP.items():
         val = getattr(sc, name)
         if _FIELD_TYPES[name] is float and not math.isfinite(val):
@@ -382,7 +343,7 @@ def build(sc):
                    _init_c(sc.init_c, grid, rng),
                    _init_q(sc.init_q, grid),
                    _init_v(sc.init_v, basis, rng))
-    return RunSetup(sc, grid, basis, stepper, state0)
+    return RunSetup(stepper, state0)
 
 
 def zero_scenario(**overrides):

@@ -1,11 +1,9 @@
 """Snapshot files: full state at one time level, restartable bit-exactly.
 
-A snapshot is binary: twelve NPY records (``numpy.lib.format``), one
-after another in one file, in the order of ``_KEYS``:
+A snapshot is binary: ten NPY records (``numpy.lib.format``), one after
+another in one file, in the order of ``_KEYS``:
 
     t              ()                 time
-    cells          (3,), int64        grid cell counts
-    extent         (3,)               grid extents
     coeffs         (n,)               Galerkin coefficients v^n
     coeffs_prev    (n,), or (0,)      v^{n-1}; empty when there is none
     coeffs_prev2   (n,), or (0,)      v^{n-2}; empty when there is none
@@ -16,22 +14,24 @@ after another in one file, in the order of ``_KEYS``:
     rho, c         (nx, ny, nz)
     q              (nx, ny, nz, 5)    ``State.q`` as it is
 
-Apart from the grid header (cells, extent) and the scenario each record is
+The grid (nx = ny = nz = ``grid.cells``) and n = 3 m^3 for m =
+``galerkin.modes`` come from the stored scenario; every other record is
 one field of ``State``, and nothing derived from it is stored.  All state
 records are float64, which round-trips exactly, so a restarted run
 reproduces the original trajectory bit for bit: the next step extrapolates
 its first iterate from ``coeffs_prev`` and ``coeffs_prev2`` and mixes with
-the carried history.  The scenario text lets a resumed run refuse another
-scenario (``scenarios.check_resume``).  Each record is written C-ordered
-through one open file object: the file holds no zip member timestamp (as
-``np.savez`` would stamp), so its bytes depend on the state and scenario
-alone, and it is exactly the path given (``np.save`` on a name would
-append ``.npy``).  Records are read back without pickle, so an object
-array is refused, never unpickled.  The price is that a snapshot is no
-longer greppable text; ``report.txt`` and ``ledger.csv`` stay text.  Every
-malformed file raises ``ConfigError`` naming it; so does a file of an
-earlier layout (the thirteen-record one with density differences in the
-history stops at "data after the last array"), which is not migrated.
+the carried history.  The scenario lets a resumed run refuse another one
+(``scenarios.check_resume``), another grid included.  Each record is
+written C-ordered through one open file object: the file holds no zip
+member timestamp (as ``np.savez`` would stamp), so its bytes depend on the
+state and scenario alone, and it is exactly the path given (``np.save`` on
+a name would append ``.npy``).  Records are read back without pickle, so
+an object array is refused, never unpickled.  The price is that a snapshot
+is no longer greppable text; ``report.txt`` and ``ledger.csv`` stay text.
+Every malformed file raises ``ConfigError`` naming it; so does a file of
+an earlier layout (the twelve-record one with a grid header of cells and
+extent, and the thirteen-record one with density differences in the
+history, stop at "data after the last array"), which is not migrated.
 """
 
 import os
@@ -39,10 +39,11 @@ import os
 import numpy as np
 
 from .errors import ConfigError
+from .scenarios import parse_scenario
 from .simulation import ANDERSON_DEPTH, State
 
-_KEYS = ("t", "cells", "extent", "coeffs", "coeffs_prev", "coeffs_prev2",
-         "anderson_dv", "anderson_df", "scenario", "rho", "c", "q")
+_KEYS = ("t", "coeffs", "coeffs_prev", "coeffs_prev2", "anderson_dv",
+         "anderson_df", "scenario", "rho", "c", "q")
 # the records of State fields that may be absent, stored empty then
 _OPTIONAL = ("coeffs_prev", "coeffs_prev2")
 _HISTORY = ("anderson_dv", "anderson_df")
@@ -53,10 +54,10 @@ def snapshot_path(out_dir, step):
     return os.path.join(out_dir, f"snap_{step:06d}{_SUFFIX}")
 
 
-def write_snapshot(path, grid, state, scenario):
-    """Write state on grid, and the text scenario of its run, to path."""
+def write_snapshot(path, state, scenario):
+    """Write state, and the text scenario of its run, to path."""
     n = state.v.size
-    values = (state.t, grid.shape, grid.extents, state.v,
+    values = (state.t, state.v,
               *(() if v is None else v for v in (state.v_prev, state.v_prev2)),
               *(np.empty((0, n)) if a is None else a
                 for a in (state.anderson_dv, state.anderson_df)),
@@ -64,16 +65,16 @@ def write_snapshot(path, grid, state, scenario):
               state.rho, state.c, state.q)
     with open(path, "wb") as fh:
         for key, value in zip(_KEYS, values):
-            dtype = {"cells": np.int64, "scenario": np.uint8}.get(
-                key, np.float64)
+            dtype = np.uint8 if key == "scenario" else np.float64
             np.save(fh, np.asarray(value, dtype, order="C"),
                     allow_pickle=False)
 
 
 def read_snapshot(path):
-    """Returns (state, shape, extents, scenario text); state.v_prev,
-    state.v_prev2 and the Anderson history are None when the file stores
-    none."""
+    """Returns (state, scenario): the state and the ``Scenario`` stored
+    with it, whose grid.cells and galerkin.modes every record's shape is
+    checked against; state.v_prev, state.v_prev2 and the Anderson history
+    are None when the file stores none."""
     arrays = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -92,19 +93,23 @@ def read_snapshot(path):
                                   f"{key}: {exc}") from None
         if fh.tell() != size:
             raise ConfigError(f"snapshot {path}: data after the last array")
-    cells = arrays.pop("cells")
-    if cells.shape != (3,) or cells.dtype.kind != "i" or np.any(cells < 1):
-        raise ConfigError(
-            f"snapshot {path}: cells must be three positive integers")
-    shape = tuple(int(n) for n in cells)
     text = arrays.pop("scenario")
     if text.dtype != np.uint8 or text.ndim != 1:
         raise ConfigError(f"snapshot {path}: scenario must be uint8 text, "
                           f"got {text.dtype} of shape {text.shape}")
-    n = arrays["coeffs"].size
+    try:
+        sc = parse_scenario(text.tobytes().decode())
+    except UnicodeDecodeError:
+        raise ConfigError(f"snapshot {path}: scenario is not UTF-8 text") \
+            from None
+    except ConfigError as exc:
+        raise ConfigError(f"snapshot {path}: unreadable scenario: {exc}") \
+            from None
+    shape = (sc.grid_cells,) * 3
+    n = 3 * sc.modes ** 3
     dv = arrays["anderson_dv"]
     k = min(dv.shape[0] if dv.ndim else 0, ANDERSON_DEPTH)
-    want = {"t": (), "extent": (3,), "coeffs": (n,),
+    want = {"t": (), "coeffs": (n,),
             "anderson_dv": (k, n), "anderson_df": (k, n),
             "rho": shape, "c": shape, "q": shape + (5,)}
     for key in _OPTIONAL:
@@ -120,9 +125,4 @@ def read_snapshot(path):
                              for key in _OPTIONAL + _HISTORY)
     state = State(float(arrays["t"]), arrays["rho"], arrays["c"], arrays["q"],
                   arrays["coeffs"], prev, prev2, *history)
-    try:
-        scenario = text.tobytes().decode()
-    except UnicodeDecodeError:
-        raise ConfigError(f"snapshot {path}: scenario is not UTF-8 text") \
-            from None
-    return state, shape, tuple(float(x) for x in arrays["extent"]), scenario
+    return state, sc

@@ -181,18 +181,25 @@ def test_resume_from_text_snapshot_exits_2(tmp_path, capsys):
 
 def _old_layout_snapshot(tmp_path, sc, layout):
     """A snapshot of sc's initial state in the old layout `layout`:
-    "thirteen" with a record of density differences (k, nx, ny, nz) in
-    the Anderson history, "nine" before the Anderson history and the
-    scenario, "eight" before coeffs_prev2, or "cell-velocity" before
-    that, which carried a cell velocity u after rho."""
+    "twelve" with a grid header of cells and extent after t, "thirteen"
+    with, besides, a record of density differences (k, nx, ny, nz) in the
+    Anderson history, "nine" before the Anderson history and the scenario,
+    "eight" before coeffs_prev2, or "cell-velocity" before that, which
+    carried a cell velocity u after rho."""
     setup = sn.build(sc)
+    grid = setup.stepper.grid
     old = tmp_path / "snap_000000.bin"
-    sp.write_snapshot(str(old), setup.grid, setup.state0, sn.scenario_text(sc))
+    sp.write_snapshot(str(old), setup.state0, sn.scenario_text(sc))
     with open(old, "rb") as fh:
         records = {key: np.lib.format.read_array(fh) for key in sp._KEYS}
-    records["drho"] = np.empty((0,) + setup.grid.shape)
-    records["u"] = np.zeros((3,) + setup.grid.shape)
-    keep = {"thirteen": ["t", "cells", "extent", "coeffs", "coeffs_prev",
+    records["cells"] = np.array(grid.shape, np.int64)
+    records["extent"] = np.array(grid.extents, np.float64)
+    records["drho"] = np.empty((0,) + grid.shape)
+    records["u"] = np.zeros((3,) + grid.shape)
+    keep = {"twelve": ["t", "cells", "extent", "coeffs", "coeffs_prev",
+                       "coeffs_prev2", "anderson_dv", "anderson_df",
+                       "scenario", "rho", "c", "q"],
+            "thirteen": ["t", "cells", "extent", "coeffs", "coeffs_prev",
                          "coeffs_prev2", "anderson_dv", "anderson_df",
                          "drho", "scenario", "rho", "c", "q"],
             "nine": ["t", "cells", "extent", "coeffs", "coeffs_prev",
@@ -220,6 +227,13 @@ def _resume_exits_2(tmp_path, capsys, layout, message):
     assert not out.exists()
 
 
+def test_resume_from_snapshot_with_grid_header_exits_2(tmp_path, capsys):
+    # the twelve-record layout whose cells and extent records repeated the
+    # stored scenario's grid: there is no migration, the file is refused by
+    # name
+    _resume_exits_2(tmp_path, capsys, "twelve", "data after the last array")
+
+
 def test_resume_from_snapshot_with_density_history_exits_2(tmp_path, capsys):
     # the thirteen-record layout whose Anderson history also held density
     # differences: there is no migration, the file is refused by name
@@ -229,14 +243,14 @@ def test_resume_from_snapshot_with_density_history_exits_2(tmp_path, capsys):
 def test_resume_from_snapshot_without_history_exits_2(tmp_path, capsys):
     # the nine-record layout before the Anderson history and the scenario
     # text
-    _resume_exits_2(tmp_path, capsys, "nine", "missing array rho")
+    _resume_exits_2(tmp_path, capsys, "nine", "missing array q")
 
 
 def test_resume_from_nine_record_snapshot_exits_2(tmp_path, capsys):
     # the layout with a cell velocity u after rho, two layouts back
-    _resume_exits_2(tmp_path, capsys, "cell-velocity", "missing array rho")
+    _resume_exits_2(tmp_path, capsys, "cell-velocity", "missing array q")
 
 
 def test_resume_from_eight_record_snapshot_exits_2(tmp_path, capsys):
     # the layout before coeffs_prev2
-    _resume_exits_2(tmp_path, capsys, "eight", "missing array scenario")
+    _resume_exits_2(tmp_path, capsys, "eight", "missing array c")

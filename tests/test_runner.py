@@ -159,7 +159,9 @@ def test_restart_rejects_mismatched_grid(tmp_path):
 @pytest.mark.parametrize("override, key", [
     ({"eps": 0.1}, "reg.eps"), ({"gamma_q": 0.1}, "material.gamma"),
     ({"bc_u": "channel:0.5"}, "bc.u"), ({"dt": 5e-4}, "time.dt"),
-    ({"eps": 0.1, "bc_u": "channel:0.5"}, "reg.eps")])
+    ({"eps": 0.1, "bc_u": "channel:0.5"}, "reg.eps"),
+    ({"grid_cells": 12}, "grid.cells"), ({"grid_extent": 2.0}, "grid.extent"),
+    ({"modes": 1}, "galerkin.modes")])
 def test_restart_rejects_another_scenario(tmp_path, override, key):
     # a snapshot knows its scenario: resuming it under another value of a
     # key the trajectory depends on names the first such key, before any
@@ -175,11 +177,26 @@ def test_restart_rejects_another_scenario(tmp_path, override, key):
     assert not out.exists()
 
 
+def test_restart_from_a_scenario_of_numpy_scalars(tmp_path):
+    # the stored text writes each value through its field type, so
+    # np.float64(0.05) is stored as 0.05 and the snapshot reads back
+    sc = sn.default_scenario(grid_cells=4, modes=1, final_time=0.002,
+                             snapshot_every=1, eps=np.float64(0.05))
+    full, part = tmp_path / "full", tmp_path / "part"
+    rn.run_scenario(sc, out_dir=str(full))
+    snap = sp.snapshot_path(str(full), 1)
+    text = _records(snap)["scenario"].tobytes().decode()
+    assert "reg.eps = 0.05" in text.splitlines()
+    rn.run_scenario(sc, out_dir=str(part), resume_from=snap)
+    last = os.path.basename(sp.snapshot_path("x", 2))
+    assert (part / last).read_bytes() == (full / last).read_bytes()
+
+
 def test_restart_rejects_an_unreadable_scenario_record(tmp_path):
     sc = sn.default_scenario(grid_cells=4, modes=1, final_time=0.002)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0, "grid.cellz = 4\n")
+    sp.write_snapshot(path, setup.state0, "grid.cellz = 4\n")
     with pytest.raises(ConfigError, match=f"snapshot {path}: unreadable "
                        "scenario: line 1: unknown key 'grid.cellz'"):
         rn.run_scenario(sc, resume_from=path)
@@ -211,7 +228,7 @@ def test_restart_rejects_mismatched_modes(tmp_path):
     sc = sn.default_scenario(grid_cells=8, modes=2)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0, sn.scenario_text(sc))
+    sp.write_snapshot(path, setup.state0, sn.scenario_text(sc))
     with pytest.raises(ConfigError, match=f"snapshot {path}: .*modes"):
         rn.run_scenario(sn.default_scenario(grid_cells=8, modes=1),
                         resume_from=path)
@@ -224,7 +241,7 @@ def test_restart_rejects_snapshot_outside_the_run(tmp_path, t):
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
     st = setup.state0
-    sp.write_snapshot(path, setup.grid, State(t, st.rho, st.c, st.q, st.v),
+    sp.write_snapshot(path, State(t, st.rho, st.c, st.q, st.v),
                       sn.scenario_text(sc))
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"snapshot time t = {t!r}"):
@@ -248,11 +265,10 @@ def test_snapshot_round_trip(tmp_path):
     sc = sn.default_scenario(grid_cells=8, final_time=0.01, snapshot_every=10)
     setup = sn.build(sc)
     path = str(tmp_path / "snap.bin")
-    sp.write_snapshot(path, setup.grid, setup.state0, sn.scenario_text(sc))
-    st, shape, extents, text = sp.read_snapshot(path)
-    assert text == sn.scenario_text(sc)
-    assert shape == setup.grid.shape
-    assert extents == tuple(setup.grid.extents)
+    text = sn.scenario_text(sc)
+    sp.write_snapshot(path, setup.state0, text)
+    st, stored = sp.read_snapshot(path)
+    assert stored == sc
     assert np.array_equal(st.rho, setup.state0.rho)
     assert np.array_equal(st.c, setup.state0.c)
     assert np.array_equal(st.q, setup.state0.q)
@@ -262,7 +278,7 @@ def test_snapshot_round_trip(tmp_path):
     # state read back (other memory layouts), gives the same file
     for state in (setup.state0, st):
         again = str(tmp_path / "again.bin")
-        sp.write_snapshot(again, setup.grid, state, text)
+        sp.write_snapshot(again, state, text)
         assert _read_bytes(again) == _read_bytes(path)
 
 
@@ -276,10 +292,10 @@ def test_snapshot_round_trips_previous_coefficients(tmp_path):
     path = tmp_path / "snap.bin"
     prev = np.random.default_rng(5).normal(size=st.v.size) / 3.0
     for key, field in (("coeffs_prev", "v_prev"), ("coeffs_prev2", "v_prev2")):
-        sp.write_snapshot(str(path), setup.grid, st, sn.scenario_text(sc))
+        sp.write_snapshot(str(path), st, sn.scenario_text(sc))
         assert _records(path)[key].shape == (0,)
         assert getattr(sp.read_snapshot(str(path))[0], field) is None
-        sp.write_snapshot(str(path), setup.grid,
+        sp.write_snapshot(str(path),
                           dataclasses.replace(st, t=1e-3, **{field: prev}),
                           sn.scenario_text(sc))
         assert np.array_equal(getattr(sp.read_snapshot(str(path))[0], field),
@@ -306,7 +322,7 @@ def _snapshot_with_previous(tmp_path):
     setup = sn.build(sc)
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid,
+    sp.write_snapshot(str(path),
                       State(1e-3, st.rho, st.c, st.q, st.v, st.v / 2.0,
                             st.v / 4.0, **_history(st, 2)),
                       sn.scenario_text(sc))
@@ -321,7 +337,7 @@ def test_snapshot_round_trips_the_anderson_history(tmp_path):
     setup = sn.build(sc)
     st = setup.state0
     path = tmp_path / "snap.bin"
-    sp.write_snapshot(str(path), setup.grid, st, sn.scenario_text(sc))
+    sp.write_snapshot(str(path), st, sn.scenario_text(sc))
     records = _records(path)
     assert [records[key].shape for key in sp._HISTORY] == [
         (0, st.v.size), (0, st.v.size)]
@@ -329,8 +345,7 @@ def test_snapshot_round_trips_the_anderson_history(tmp_path):
     assert all(getattr(back, key) is None for key in sp._HISTORY)
     for k in (1, simulation.ANDERSON_DEPTH):
         hist = _history(st, k)
-        sp.write_snapshot(str(path), setup.grid,
-                          dataclasses.replace(st, **hist),
+        sp.write_snapshot(str(path), dataclasses.replace(st, **hist),
                           sn.scenario_text(sc))
         back = sp.read_snapshot(str(path))[0]
         for key, a in hist.items():
@@ -347,7 +362,7 @@ def test_snapshot_round_trips_the_anderson_history(tmp_path):
         sp.read_snapshot(str(path))
 
 
-@pytest.mark.parametrize("field", ["t", "extent", "coeffs", "coeffs_prev",
+@pytest.mark.parametrize("field", ["t", "coeffs", "coeffs_prev",
                                    "coeffs_prev2", "anderson_dv",
                                    "anderson_df", "rho", "c",
                                    "q23"])
@@ -387,10 +402,29 @@ def _dropped(key):
     return make
 
 
+def _grid_header(data, records):
+    """The twelve-record layout: a grid header of cells (int64) and extent
+    after t, which repeated the stored scenario's grid."""
+    n = records["rho"].shape[0]
+    header = {"cells": np.full(3, n, np.int64), "extent": np.ones(3)}
+    return {"t": records["t"], **header,
+            **{k: a for k, a in records.items() if k != "t"}}
+
+
+def _restated(**overrides):
+    """The records under the scenario text of another grid or modes."""
+    def make(data, records):
+        sc = sn.default_scenario(**{"grid_cells": 4, "modes": 1,
+                                    **overrides})
+        text = sn.scenario_text(sc).encode()
+        return {**records, "scenario": np.frombuffer(text, np.uint8)}
+    return make
+
+
 def _before_history(data, records):
     """The nine-record layout of t, cells, extent, three coefficient
     vectors, rho, c and q."""
-    return {k: a for k, a in records.items()
+    return {k: a for k, a in _grid_header(data, records).items()
             if k not in sp._HISTORY + ("scenario",)}
 
 
@@ -398,7 +432,7 @@ def _with_density_history(data, records):
     """The thirteen-record layout, whose history also held the density
     differences, a record (k, nx, ny, nz) after anderson_df."""
     out = {}
-    for key, a in records.items():
+    for key, a in _grid_header(data, records).items():
         out[key] = a
         if key == "anderson_df":
             k = a.shape[0]
@@ -409,7 +443,7 @@ def _with_density_history(data, records):
 def _nine_records(data, records):
     """The layout before the state-only one: a cell velocity u after rho."""
     out = {}
-    for key, a in records.items():
+    for key, a in _grid_header(data, records).items():
         out[key] = a
         if key == "rho":
             out["u"] = np.zeros((3,) + a.shape)
@@ -430,8 +464,10 @@ def _nine_records(data, records):
     (_reshaped("q", (5, 4, 4, 4)), "q must be float64 of shape"),
     (_reshaped("coeffs_prev", (2,)), "coeffs_prev must be float64 of shape"),
     (_reshaped("t", (1,)), "t must be float64 of shape"),
-    (_recast("cells", np.float64), "cells must be three positive integers"),
     (_recast("rho", np.float32), "rho must be float64"),
+    # records that agree with each other but not with the stored scenario
+    (_restated(grid_cells=8), r"rho must be float64 of shape \(8, 8, 8\)"),
+    (_restated(modes=2), r"coeffs must be float64 of shape \(24,\)"),
     (_nine_records, "data after the last array"),
     # the layout before coeffs_prev2: no migration, the file is refused
     (_dropped("coeffs_prev2"), "missing array q"),
@@ -440,14 +476,18 @@ def _nine_records(data, records):
     (_recast("scenario", np.uint8, b"\xff\xfe"),
      "scenario is not UTF-8 text"),
     # the nine-record layout before the Anderson history and the scenario
-    (_before_history, "missing array rho"),
+    (_before_history, "missing array q"),
     # the thirteen-record layout with density differences in the history
     (_with_density_history, "data after the last array"),
+    # the twelve-record layout with the grid header: no migration either
+    (_grid_header, "data after the last array"),
 ], ids=["truncated", "empty", "garbage", "trailing", "text", "no-q", "no-t",
         "rho-shape", "c-shape", "q-shape",
-        "coeffs_prev-size", "t-shape", "cells-dtype", "rho-dtype",
+        "coeffs_prev-size", "t-shape", "rho-dtype", "scenario-grid",
+        "scenario-modes",
         "nine-records", "eight-records", "anderson-shape", "scenario-dtype",
-        "scenario-utf8", "before-history", "thirteen-records"])
+        "scenario-utf8", "before-history", "thirteen-records",
+        "twelve-records"])
 def test_read_snapshot_rejects_bad_files(tmp_path, damage, message):
     path = _snapshot_with_previous(tmp_path)
     bad = damage(path.read_bytes(), _records(path))
@@ -493,13 +533,12 @@ def test_read_snapshot_never_unpickles(tmp_path):
 
 
 def test_a_snapshot_holds_the_state_alone():
-    # apart from the grid header and the scenario text every record is one
-    # State field, so no field derived from the state (a cell velocity,
-    # say) rides along
+    # apart from the scenario text every record is one State field, so no
+    # field derived from the state (a cell velocity, or the grid the
+    # scenario already gives, say) rides along
     renamed = {"coeffs": "v", "coeffs_prev": "v_prev",
                "coeffs_prev2": "v_prev2"}
-    fields = [renamed.get(key, key) for key in sp._KEYS
-              if key not in ("cells", "extent", "scenario")]
+    fields = [renamed.get(key, key) for key in sp._KEYS if key != "scenario"]
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(State))
 
 

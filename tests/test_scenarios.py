@@ -37,6 +37,13 @@ def test_parse_round_trip_any_scenario(sc):
     assert sn.parse_scenario(sn.scenario_text(sc)) == sc
 
 
+def test_every_scenario_field_has_its_own_key():
+    # the keys are declared on the fields: a repeated one would collapse
+    # KEY_MAP and drop a field from scenario_text, so from check_resume
+    assert list(sn.KEY_MAP.values()) \
+        == [f.name for f in dataclasses.fields(sn.Scenario)]
+
+
 def test_parse_applies_values():
     sc = sn.parse_scenario(
         "grid.cells = 8\n"
@@ -171,7 +178,7 @@ def test_channel_boundary_profile_vanishes_at_walls():
     sc = sn.zero_scenario(bc_u="channel:0.5")
     setup = sn.build(sc)
     boundary = setup.stepper.boundary
-    g = setup.grid
+    g = setup.stepper.grid
     u = boundary.u_cells
     assert u.shape == (3,) + g.shape
     assert boundary.jac_cells.shape == (3, 3) + g.shape
