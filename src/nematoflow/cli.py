@@ -2,7 +2,9 @@
 conjugate potential.
 
 Exit codes: 0 success, 1 a check failed or a numerical failure (a
-stability, fixed-point or conditioning error), 2 configuration error.
+stability, fixed-point or conditioning error), 2 bad input: a
+``ConfigError`` from whichever layer found it (a scenario key, a law, the
+grid, boundary data), any other ``ValueError``, or an unreadable file.
 NEMATOFLOW_THREADS caps the linear-algebra thread pools; it must be applied
 before numpy loads, so this module defers every heavy import into main().
 """

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import galerkin as gk
 from .domain import gradient, slab, volume_integral
-from .errors import ConditioningError, StabilityError
+from .errors import ConditioningError, ConfigError, StabilityError
 
 _CG_TOL = 1.0e-13
 _CG_MAXITER = 2000
@@ -76,7 +76,7 @@ class ContinuitySolver:
 
     def __post_init__(self):
         if not (self.eps > 0.0 and self.dt > 0.0):
-            raise ValueError("need eps > 0 and dt > 0")
+            raise ConfigError("need eps > 0 and dt > 0")
         g = self.grid
         # Robin weight of each face, in pad order
         self.alphas = []

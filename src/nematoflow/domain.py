@@ -21,7 +21,10 @@ y+, z-, z+ (index 2 * axis + side), so per-face data and ghost rules line
 up by index.  ``BoundaryFaces`` alone samples the boundary data: rho_B, Q_B
 and its normal derivative on the walls, u_B . e_axis on the face planes
 (the first and last planes are the walls, and each face's u_B . n is read
-from them), u_B and its Jacobian at the cell centres.
+from them), u_B and its Jacobian at the cell centres.  u_B is one closed
+form, ``BoundaryVelocity``: a constant plus a shear and a channel term.
+A grid, ghost rules or boundary data that cannot describe a run raise
+``errors.ConfigError``.
 ``upwind_differences`` depend on the field alone, so a coupled step builds
 them once and ``advect_upwind`` only selects.
 ``contract``, one table per grid axis, serves galerkin and nematic alike.
@@ -32,9 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-
-class DomainError(ValueError):
-    pass
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,11 @@ class Grid:
 
     def __post_init__(self):
         if len(self.extents) != 3 or len(self.shape) != 3:
-            raise DomainError("grid needs three extents and three cell counts")
+            raise ConfigError("grid needs three extents and three cell counts")
         if any(n < 4 for n in self.shape):
-            raise DomainError("need at least 4 cells per axis")
+            raise ConfigError("need at least 4 cells per axis")
         if any(not (l > 0) for l in self.extents):
-            raise DomainError("extents must be positive")
+            raise ConfigError("extents must be positive")
 
     @cached_property
     def h(self):
@@ -107,7 +108,7 @@ def pad(f, rules=None):
     """
     f = np.asarray(f)
     if rules is not None and len(rules) != 6:
-        raise DomainError("need one ghost rule per face (6)")
+        raise ConfigError("need one ghost rule per face (6)")
     P = np.zeros(f.shape[:-3] + tuple(n + 2 for n in f.shape[-3:]))
     _shift(P, 0, 0)[...] = f
     for k in range(6):
@@ -255,7 +256,7 @@ class BoundaryFaces:
     arrays have the two tangential grid axes last, like the fields.
 
       faces      the six Face records (axis k // 2, side k % 2)
-      rho_b      inflow density rho_B on each face; DomainError unless it
+      rho_b      inflow density rho_B on each face; ConfigError unless it
                  is positive on every face centroid
       q_b        wall order tensor Q_B on each face, packed (5, n1, n2)
       dq_b       outward normal derivative of Q_B on each face, one-sided
@@ -275,7 +276,7 @@ class BoundaryFaces:
         self.rho_b = [bdata.rho_b(*face.xyz) for face in self.faces]
         for face, rho_b in zip(self.faces, self.rho_b):
             if not np.all(rho_b > 0.0):
-                raise DomainError("inflow density boundary data must be "
+                raise ConfigError("inflow density boundary data must be "
                                   f"positive on every face (axis {face.axis}, "
                                   f"side {face.side})")
         self.q_b = [bdata.q_b(*face.xyz) for face in self.faces]
@@ -296,53 +297,42 @@ class BoundaryFaces:
 
 
 class BoundaryVelocity:
-    """Closed-form boundary velocity from a small catalog, C1 on the box.
+    """Closed-form boundary velocity, C1 on the box of extents (Lx, Ly, Lz):
 
+      u_B = vector + (rate y + peak 16 y (Ly-y) z (Lz-z) / (Ly^2 Lz^2)) e_x
+
+    a constant, a plane shear and a channel profile, each zero by default.
     Returns (3, ...) velocities and (3, 3, ...) Jacobians, components first.
-
-    kinds:
-      zero
-      constant  params: vector (3,)
-      shear     params: rate s    -> u = (s*y, 0, 0)
-      channel   params: peak U    -> u = (U * 16 y (Ly-y) z (Lz-z) / (Ly^2 Lz^2), 0, 0)
     """
 
-    def __init__(self, kind, grid, vector=None, rate=0.0, peak=0.0):
-        self.kind = kind
+    def __init__(self, grid, vector=(0.0, 0.0, 0.0), rate=0.0, peak=0.0):
         self.grid = grid
-        self.vector = None if vector is None else np.asarray(vector, dtype=float)
+        self.vector = np.asarray(vector, dtype=float)
         self.rate = float(rate)
         self.peak = float(peak)
-        if kind not in ("zero", "constant", "shear", "channel"):
-            raise DomainError(f"unknown boundary velocity kind {kind!r}")
-        if kind == "constant" and self.vector is None:
-            raise DomainError("constant boundary velocity needs a vector")
 
     def __call__(self, x, y, z):
         x, y, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                       np.asarray(z, float))
+        # zero components stay unwritten: pages of np.zeros cost no memory
+        # until touched, and the face planes keep one component each
         out = np.zeros((3,) + x.shape, dtype=float)
-        if self.kind == "constant":
-            out[...] = self.vector.reshape((3,) + (1,) * x.ndim)
-        elif self.kind == "shear":
-            out[0] = self.rate * y
-        elif self.kind == "channel":
-            _, ly, lz = self.grid.extents
-            out[0] = self.peak * 16.0 * y * (ly - y) * z * (lz - z) / (ly * ly * lz * lz)
+        for a in np.flatnonzero(self.vector):
+            out[a] = self.vector[a]
+        _, ly, lz = self.grid.extents
+        out[0] += self.rate * y + (self.peak * 16.0 * y * (ly - y) * z * (lz - z)
+                                   / (ly * ly * lz * lz))
         return out
 
     def jacobian(self, x, y, z):
-        """Exact J[a, d, ...] = du_a/dx_d of the catalog expression."""
+        """Exact J[a, d, ...] = du_a/dx_d of u_B."""
         x, y, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                       np.asarray(z, float))
         J = np.zeros((3, 3) + x.shape, dtype=float)
-        if self.kind == "shear":
-            J[0, 1] = self.rate
-        elif self.kind == "channel":
-            _, ly, lz = self.grid.extents
-            s = self.peak * 16.0 / (ly * ly * lz * lz)
-            J[0, 1] = s * (ly - 2.0 * y) * z * (lz - z)
-            J[0, 2] = s * y * (ly - y) * (lz - 2.0 * z)
+        _, ly, lz = self.grid.extents
+        s = self.peak * 16.0 / (ly * ly * lz * lz)
+        J[0, 1] = self.rate + s * (ly - 2.0 * y) * z * (lz - z)
+        J[0, 2] = s * y * (ly - y) * (lz - 2.0 * z)
         return J
 
 
@@ -354,7 +344,7 @@ class BoundaryData:
         if not callable(rho_b):
             # callable data is checked on every face by BoundaryFaces
             if float(rho_b) <= 0.0:
-                raise DomainError("inflow density boundary data must be positive")
+                raise ConfigError("inflow density boundary data must be positive")
             rho_b = _constant_scalar(float(rho_b))
         self.rho_b = rho_b
         self.q_b = q_b if callable(q_b) else _constant_q(np.asarray(q_b, dtype=float))

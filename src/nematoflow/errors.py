@@ -1,8 +1,14 @@
-"""Shared error types."""
+"""Shared error types.
+
+Bad input of any kind, a scenario key, a law's parameters, a grid, boundary
+data or a density outside a tabulated law, raises ``ConfigError`` from
+where it is found; no layer translates another's error.  A numerical
+failure of a valid run raises one of the three ``RuntimeError`` types.
+"""
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
+    """Invalid or inconsistent run configuration or input data."""
 
 
 class StabilityError(RuntimeError):

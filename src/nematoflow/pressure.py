@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 _GL10 = np.polynomial.legendre.leggauss(10)
 _CONVEXITY_SLACK = 1.0e-10
 _A_BAR_CAP = 1.0e6
-
-
-class PressureError(ValueError):
-    """Invalid parameters or out-of-domain density."""
 
 
 @dataclass
@@ -45,21 +43,21 @@ class PressureLaw:
     def __post_init__(self):
         if self.kind == "isentropic":
             if not (self.a > 0.0 and self.gamma > 1.0):
-                raise PressureError("isentropic law needs a > 0 and gamma > 1")
+                raise ConfigError("isentropic law needs a > 0 and gamma > 1")
         elif self.kind == "general":
             r = np.asarray(self.rho_nodes, dtype=float)
             p = np.asarray(self.p_nodes, dtype=float)
             if r.ndim != 1 or r.shape != p.shape or r.size < 3:
-                raise PressureError("general law needs matching 1-d sample arrays, >= 3 points")
+                raise ConfigError("general law needs matching 1-d sample arrays, >= 3 points")
             if r[0] != 0.0 or p[0] != 0.0:
-                raise PressureError("general law samples must start at (0, 0)")
+                raise ConfigError("general law samples must start at (0, 0)")
             if np.any(np.diff(r) <= 0.0) or np.any(np.diff(p) <= 0.0):
-                raise PressureError("general law samples must be strictly increasing")
+                raise ConfigError("general law samples must be strictly increasing")
             self.rho_nodes, self.p_nodes = r, p
             self.rho_max = float(r[-1])
             self._build_general()
         else:
-            raise PressureError(f"unknown pressure kind {self.kind!r}")
+            raise ConfigError(f"unknown pressure kind {self.kind!r}")
 
     def _build_general(self):
         from scipy.interpolate import PchipInterpolator
@@ -107,9 +105,9 @@ def general_law(rho_nodes, p_nodes):
 def _check_domain(law, rho):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
-        raise PressureError("density must be nonnegative")
+        raise ConfigError("density must be nonnegative")
     if np.any(rho > law.rho_max):
-        raise PressureError(f"density exceeds rho_max = {law.rho_max}")
+        raise ConfigError(f"density exceeds rho_max = {law.rho_max}")
     return rho
 
 

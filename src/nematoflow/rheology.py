@@ -51,6 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
+
 _GL_NODES = 64
 _BRACKET_HI = 1.0e4
 _ROOT_TOL = 1.0e-10
@@ -61,12 +63,9 @@ _CERT_SLACK = 8.0 * 2.0 ** -52       # 8 ulps of 1 in float64
 _BLOCK_BYTES = 64 * 1024   # largest raw array of a quadrature block
 
 
-class RheologyError(ValueError):
-    """Invalid law parameters or usage."""
-
-
-class RangeError(RheologyError):
-    """Conjugate maximization left the representable range."""
+class RangeError(ConfigError):
+    """A tabulated law was queried outside its table, or a conjugate
+    maximiser left the representable range."""
 
 
 def _bump(r):
@@ -129,32 +128,32 @@ class RheologyLaw:
     def __post_init__(self):
         if self.kind == "newtonian":
             if not (self.mu > 0.0):
-                raise RheologyError("newtonian law needs mu > 0")
+                raise ConfigError("newtonian law needs mu > 0")
             # F convex iff mu/3 + lam >= 0; tested as conjugate_batch's bulk
             if self.mu + 3.0 * self.lam < 0.0:
-                raise RheologyError("newtonian law needs lam + mu/3 >= 0")
+                raise ConfigError("newtonian law needs lam + mu/3 >= 0")
             if self.mu0 == 0.0:
                 # largest constant with F >= mu0 |dev D|^2; the 4/3 bound then
                 # holds on bounded boxes with a finite offset mu2
                 self.mu0 = self.mu / 2.0
         elif self.kind == "power_law":
             if not (self.mu0 > 0.0 and self.q > 1.0):
-                raise RheologyError("power law needs mu0 > 0 and q > 1")
+                raise ConfigError("power law needs mu0 > 0 and q > 1")
         elif self.kind == "tabulated":
             d = np.asarray(self.d_nodes, dtype=float)
             t = np.asarray(self.t_nodes, dtype=float)
             f = np.asarray(self.f_table, dtype=float)
             if d.ndim != 1 or t.ndim != 1 or f.shape != (d.size, t.size):
-                raise RheologyError("tabulated law: f_table must be (len(d), len(t))")
+                raise ConfigError("tabulated law: f_table must be (len(d), len(t))")
             if d[0] != 0.0 or np.any(np.diff(d) <= 0) or np.any(np.diff(t) <= 0):
-                raise RheologyError("tabulated law: d starts at 0, grids strictly increasing")
+                raise ConfigError("tabulated law: d starts at 0, grids strictly increasing")
             if not (self.mu0 > 0.0):
-                raise RheologyError("tabulated law: supply the coercivity constant mu0")
+                raise ConfigError("tabulated law: supply the coercivity constant mu0")
             self.d_nodes, self.t_nodes, self.f_table = d, t, f
         else:
-            raise RheologyError(f"unknown rheology kind {self.kind!r}")
+            raise ConfigError(f"unknown rheology kind {self.kind!r}")
         if not 0.0 <= self.delta < math.inf:
-            raise RheologyError(f"delta must be finite and >= 0, got {self.delta!r}")
+            raise ConfigError(f"delta must be finite and >= 0, got {self.delta!r}")
 
     # --- raw reduced potential and its almost-everywhere partials ---------
 
@@ -165,11 +164,6 @@ class RheologyLaw:
             return 0.5 * self.mu * (d * d + t * t / 3.0) + 0.5 * self.lam * t * t
         if self.kind == "power_law":
             return self.mu0 * d ** self.q
-        # tabulated, bilinear
-        if np.any(d > self.d_nodes[-1]) or np.any(t < self.t_nodes[0]) or np.any(t > self.t_nodes[-1]):
-            raise RangeError(
-                f"tabulated potential queried outside table: d<= {self.d_nodes[-1]}, "
-                f"t in [{self.t_nodes[0]}, {self.t_nodes[-1]}]")
         return self._bilinear(d, t, derivative=None)
 
     def _raw_partials(self, d, t):
@@ -187,7 +181,13 @@ class RheologyLaw:
         return sign * fd, ft
 
     def _bilinear(self, d, t, derivative):
+        """The tabulated potential (derivative None) or its "d" or "t"
+        partial at d >= 0; RangeError outside the table, for all three."""
         dn, tn, f = self.d_nodes, self.t_nodes, self.f_table
+        if np.any(d > dn[-1]) or np.any(t < tn[0]) or np.any(t > tn[-1]):
+            raise RangeError(
+                f"tabulated potential queried outside table: d<= {dn[-1]}, "
+                f"t in [{tn[0]}, {tn[-1]}]")
         i = np.clip(np.searchsorted(dn, d, side="right") - 1, 0, dn.size - 2)
         j = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
         hd = dn[i + 1] - dn[i]
@@ -268,7 +268,7 @@ def tabulated_law(d_nodes, t_nodes, f_table, mu0):
 
 def mollify(law, delta):
     if not delta > 0.0:
-        raise RheologyError("mollification radius must be positive")
+        raise ConfigError("mollification radius must be positive")
     return replace(law, delta=delta)
 
 
@@ -286,7 +286,7 @@ def subgradient_dt(law, d, t):
     everywhere; that precondition is a configuration error, not a crash site.
     """
     if law.kind == "tabulated" and law.delta == 0.0:
-        raise RheologyError("tabulated laws need delta > 0 before subgradient evaluation")
+        raise ConfigError("tabulated laws need delta > 0 before subgradient evaluation")
     fd, ft = law.partials_dt(d, t)
     tiny = d < 1.0e-14
     return np.where(tiny, 0.0, fd / np.where(tiny, 1.0, d)), ft
@@ -443,7 +443,7 @@ def conjugate_batch(law, s, sigma, near=None):
         t_lo = law.t_nodes[0] + 1.001 * law.delta
         t_hi = law.t_nodes[-1] - 1.001 * law.delta
         if d_hi <= 0 or t_hi <= t_lo:
-            raise RheologyError("table too narrow for this mollification radius")
+            raise ConfigError("table too narrow for this mollification radius")
     else:
         d_hi, t_lo, t_hi = _BRACKET_HI, -_BRACKET_HI, _BRACKET_HI
     sf, sigmaf = s.ravel(), sigma.ravel()

@@ -7,10 +7,14 @@ selectors, tolerances, and output cadence.  All quantities are
 nondimensional.  Unknown keys are hard errors so a typo cannot silently
 fall back to a default.  Each ``Scenario`` field declares its config key,
 and ``KEY_MAP`` is read off the fields, so no field can lack a key.
+``build`` checks each field's type and the bounds that name a key; the
+grid, the laws and the boundary data check their own parameters and raise
+``ConfigError`` themselves, so ``build`` translates no error.
 """
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +80,9 @@ class Scenario:
 # config key -> dataclass field, in field order
 KEY_MAP = {f.metadata["key"]: f.name for f in dataclasses.fields(Scenario)}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
+# field type -> the values build accepts for it; bool, an int, is refused
+# on its own
+_ACCEPTS = {int: (int, np.integer), float: (numbers.Real,), str: (str,)}
 
 
 def parse_scenario(text):
@@ -205,7 +212,7 @@ def _init_q(expr, grid):
         q[0] = amp * bump
         q[1] = 0.6 * amp * bump
         q[3] = -0.5 * amp * bump
-        return q_exchange(tensors.project_s30(tensors.to_matrix(q)))
+        return q_exchange(q)
     if name == "uniaxial":
         s, nx, ny, nz = _floats(parts, 4, "init.q uniaxial")
         q5 = tensors.uniaxial(s, np.array([nx, ny, nz]))
@@ -232,16 +239,15 @@ def _boundary_velocity(expr, grid):
     name, parts = _selector(expr)
     if name == "zero":
         _floats(parts, 0, "bc.u zero")
-        return dom.BoundaryVelocity("zero", grid)
+        return dom.BoundaryVelocity(grid)
     if name == "channel":
         (peak,) = _floats(parts, 1, "bc.u channel")
-        return dom.BoundaryVelocity("channel", grid, peak=peak)
+        return dom.BoundaryVelocity(grid, peak=peak)
     if name == "shear":
         (rate,) = _floats(parts, 1, "bc.u shear")
-        return dom.BoundaryVelocity("shear", grid, rate=rate)
+        return dom.BoundaryVelocity(grid, rate=rate)
     if name == "constant":
-        vec = _floats(parts, 3, "bc.u constant")
-        return dom.BoundaryVelocity("constant", grid, vector=vec)
+        return dom.BoundaryVelocity(grid, vector=_floats(parts, 3, "bc.u constant"))
     raise ConfigError(f"unknown bc.u selector {name!r}")
 
 
@@ -271,8 +277,6 @@ def build_rheology_law(sc):
     if sc.delta < 0:
         raise ConfigError("mollification radius must be nonnegative")
     if sc.rheology_kind == "newtonian":
-        if sc.rheology_mu <= 0:
-            raise ConfigError("newtonian viscosity must be positive")
         return rh.newtonian_law(sc.rheology_mu, sc.rheology_lam)
     if sc.rheology_kind == "power_law":
         law = rh.power_law(sc.rheology_mu0, sc.rheology_q)
@@ -300,8 +304,10 @@ class RunSetup:
 def build(sc):
     """Materialize a scenario into its stepper and initial state."""
     for key, name in KEY_MAP.items():
-        val = getattr(sc, name)
-        if _FIELD_TYPES[name] is float and not math.isfinite(val):
+        val, ftype = getattr(sc, name), _FIELD_TYPES[name]
+        if isinstance(val, bool) or not isinstance(val, _ACCEPTS[ftype]):
+            raise ConfigError(f"{key} must be {ftype.__name__}, got {val!r}")
+        if ftype is float and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val!r}")
     if sc.grid_cells < 2 or sc.modes < 1:
         raise ConfigError("grid.cells must be >= 2 and galerkin.modes >= 1")
@@ -317,26 +323,15 @@ def build(sc):
         raise ConfigError(f"run.seed must be nonnegative, got {sc.seed}")
     sc.n_steps()
     ext = (sc.grid_extent,) * 3
-    try:
-        grid = dom.Grid(ext, (sc.grid_cells,) * 3)
-    except dom.DomainError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    grid = dom.Grid(ext, (sc.grid_cells,) * 3)
     basis = gk.build_basis(grid, sc.modes)
     rng = np.random.default_rng(sc.seed)
     u_b = _boundary_velocity(sc.bc_u, grid)
     bdata = dom.BoundaryData(u_b, sc.bc_rho, _boundary_q(sc.bc_q))
-    try:
-        physics = Physics(eps=sc.eps, d0=sc.d0, gamma=sc.gamma_q,
-                          c_star=sc.c_star, b=sc.b,
-                          sigma_star=sc.sigma_star)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        law = build_rheology_law(sc)
-        plaw = build_pressure_law(sc)
-    except (rh.RheologyError, pr.PressureError) as exc:
-        raise ConfigError(f"material law: {exc}") from exc
-    stepper = CoupledStepper(grid, basis, physics, law, plaw, bdata, sc.dt,
+    physics = Physics(eps=sc.eps, d0=sc.d0, gamma=sc.gamma_q,
+                      c_star=sc.c_star, b=sc.b, sigma_star=sc.sigma_star)
+    stepper = CoupledStepper(grid, basis, physics, build_rheology_law(sc),
+                             build_pressure_law(sc), bdata, sc.dt,
                              picard_tol=sc.picard_tol)
     state0 = State(0.0,
                    _init_rho(sc.init_rho, grid),

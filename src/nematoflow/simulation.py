@@ -82,7 +82,7 @@ from . import galerkin as gk
 from . import momentum as mom
 from .continuity import ContinuitySolver, face_velocities
 from .domain import BoundaryFaces, pad, upwind_differences
-from .errors import FixedPointError, StabilityError
+from .errors import ConfigError, FixedPointError, StabilityError
 from .nematic import step_concentration, step_q
 
 # number of past iterate/residual differences kept by the Anderson mixing
@@ -112,7 +112,7 @@ class Physics:
         # c* > 0: the quartic 0.25 c* tr^2(Q^2) bounds the Q energy below
         if not (self.eps > 0 and self.d0 > 0 and self.gamma > 0
                 and self.c_star > 0):
-            raise ValueError("eps, D0, Gamma, c_star must be positive")
+            raise ConfigError("eps, D0, Gamma, c_star must be positive")
 
 
 @dataclass

@@ -21,6 +21,8 @@ stacks; no stepping path calls them.
 
 import numpy as np
 
+from .errors import ConfigError
+
 # (row, column) of the five packed entries
 _PACKED = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
@@ -47,7 +49,7 @@ def project_s30(m):
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
-        raise ValueError("project_s30: non-finite entries")
+        raise ConfigError("project_s30: non-finite entries")
     out = from_matrix(0.5 * (m + np.swapaxes(m, -1, -2)))
     out[[0, 3]] -= np.trace(m, axis1=-2, axis2=-1) / 3.0
     return out

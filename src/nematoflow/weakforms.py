@@ -40,6 +40,7 @@ from . import tensors
 from .continuity import (ContinuityTrajectory, face_velocities,
                          weak_residual_continuity)
 from .domain import gradient, laplacian, volume_integral
+from .errors import ConfigError
 from .nematic import molecular_field
 from .simulation import q_components
 
@@ -205,7 +206,7 @@ def weak_residuals_dissipative(states, stepper):
     g = stepper.grid
     ph = stepper.physics
     if len(states) < 2:
-        raise ValueError("trajectory must hold at least two time levels")
+        raise ConfigError("trajectory must hold at least two time levels")
     X, Y, Z = g.coords()
     scalar_tests = scalar_catalog()
     momentum_tests = momentum_catalog(stepper.basis)

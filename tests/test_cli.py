@@ -43,6 +43,16 @@ def test_run_numerical_failure_exits_1_with_message(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_run_density_past_the_pressure_table_exits_2(tmp_path, capsys):
+    # the sampled law of pressure.kind = table ends at rho = 4
+    cfg = _write_scenario(tmp_path, sn.zero_scenario(
+        pressure_kind="table", init_rho="uniform:5.0"))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    assert "density exceeds rho_max = 4.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_file_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
 

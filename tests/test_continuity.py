@@ -16,22 +16,21 @@ from nematoflow.domain import (
     BoundaryData,
     BoundaryFaces,
     BoundaryVelocity,
-    DomainError,
     Grid,
     laplacian,
     volume_integral,
 )
-from nematoflow.errors import ConditioningError, StabilityError
+from nematoflow.errors import ConditioningError, ConfigError, StabilityError
 from nematoflow.galerkin import build_basis
 from nematoflow.tensors import uniaxial
 
 Q_B = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
 
 
-def make_setup(n=8, eps=0.05, dt=1e-3, ub_kind="zero", rho_b=1.0, v=None, m=2,
+def make_setup(n=8, eps=0.05, dt=1e-3, rho_b=1.0, v=None, m=2,
                extent=1.0, **ub_kw):
     grid = Grid(extents=(extent,) * 3, shape=(n,) * 3)
-    u_b = BoundaryVelocity(ub_kind, grid, **ub_kw)
+    u_b = BoundaryVelocity(grid, **ub_kw)
     boundary = BoundaryFaces(grid, BoundaryData(u_b, rho_b, Q_B))
     solver = ContinuitySolver(grid=grid, eps=eps, dt=dt, boundary=boundary)
     basis = build_basis(grid, m)
@@ -52,7 +51,7 @@ def run_continuity(solver, rho0, fv, n_steps):
 
 def test_density_data_checked_on_every_face():
     # positive at the origin, where BoundaryData probes, negative on x = 1
-    with pytest.raises(DomainError, match="every face"):
+    with pytest.raises(ConfigError, match="every face"):
         make_setup(rho_b=lambda x, y, z: 1.0 - 2.0 * x)
 
 
@@ -60,7 +59,7 @@ def test_density_data_checked_on_every_face():
                                            ("shear", {"rate": 0.7})])
 def test_face_velocities_match_brute_force_mode_sum(ub_kind, ub_kw):
     grid = Grid(extents=(1.0, 2.0, 1.0), shape=(8, 8, 8))
-    u_b = BoundaryVelocity(ub_kind, grid, **ub_kw)
+    u_b = BoundaryVelocity(grid, **ub_kw)
     m = 2
     basis = build_basis(grid, m)
     v = np.random.default_rng(5).standard_normal(basis.n)
@@ -101,7 +100,7 @@ def test_uniform_state_is_stationary():
 def test_mass_ledger_closes():
     rng = np.random.default_rng(7)
     grid, solver, fv, basis = make_setup(
-        n=8, ub_kind="constant", vector=(0.2, 0.05, 0.0),
+        n=8, vector=(0.2, 0.05, 0.0),
         v=0.05 * rng.standard_normal(3 * 2 ** 3))
     X, Y, Z = grid.coords()
     rho = 1.0 + 0.1 * np.sin(np.pi * X) * np.sin(np.pi * Y) * np.sin(np.pi * Z)
@@ -119,7 +118,7 @@ def test_max_principle_bounds():
     # solution must stay inside [min(rho0, rho_B), max(rho0, rho_B)] exp-bands
     rng = np.random.default_rng(3)
     grid, solver, fv, basis = make_setup(
-        n=8, ub_kind="constant", vector=(0.3, 0.0, 0.0), rho_b=1.5,
+        n=8, vector=(0.3, 0.0, 0.0), rho_b=1.5,
         v=0.02 * rng.standard_normal(3 * 2 ** 3))
     X, Y, Z = grid.coords()
     rho0 = 1.0 + 0.2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Y)
@@ -138,7 +137,7 @@ def test_max_principle_bounds():
 
 def test_inflow_raises_interior_density():
     grid, solver, fv, _ = make_setup(
-        n=8, ub_kind="constant", vector=(0.3, 0.0, 0.0), rho_b=2.0)
+        n=8, vector=(0.3, 0.0, 0.0), rho_b=2.0)
     rho = np.ones(grid.shape)
     for _ in range(200):
         rho, _ = solver.step(rho, fv)
@@ -174,7 +173,7 @@ def test_weak_residual_linear_in_time_stationary():
 def _refinement_residual(n, dt, n_steps):
     # advection-diffusion of rho0 = 1 + 0.1 sin(pi x) at u = (0.25, 0, 0)
     grid, solver, fv, _ = make_setup(
-        n=n, eps=0.02, dt=dt, ub_kind="constant", vector=(0.25, 0.0, 0.0),
+        n=n, eps=0.02, dt=dt, vector=(0.25, 0.0, 0.0),
         rho_b=1.0)
     X, Y, Z = grid.coords()
     rho0 = 1.0 + 0.1 * np.sin(np.pi * X)
@@ -208,7 +207,7 @@ def test_renormalized_stationary():
 def test_renormalized_dissipation_sign_and_refinement():
     def run(n, dt, n_steps):
         grid, solver, fv, _ = make_setup(
-            n=n, dt=dt, ub_kind="constant", vector=(0.2, 0.0, 0.0), rho_b=1.2)
+            n=n, dt=dt, vector=(0.2, 0.0, 0.0), rho_b=1.2)
         X, Y, Z = grid.coords()
         rho0 = 1.0 + 0.15 * np.sin(np.pi * X) * np.sin(np.pi * Y)
         traj = run_continuity(solver, rho0, fv, n_steps)
@@ -257,7 +256,7 @@ def _homogeneous_robin_reference(solver, x):
 
 
 def test_cg_operator_matches_padded_robin_laplacian():
-    grid, solver, _, _ = make_setup(n=16, ub_kind="channel", peak=0.3)
+    grid, solver, _, _ = make_setup(n=16, peak=0.3)
     assert any(np.any(alpha != 1.0) for alpha in solver.alphas)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -271,7 +270,7 @@ def test_cg_operator_matches_padded_robin_laplacian():
 
 
 def test_diffusion_solve_pads_nothing(monkeypatch):
-    grid, solver, _, _ = make_setup(n=8, ub_kind="channel", peak=0.3)
+    grid, solver, _, _ = make_setup(n=8, peak=0.3)
     rhs = 1.0 + 0.2 * np.random.default_rng(2).random(grid.shape)
 
     def no_pad(*args, **kwargs):
@@ -291,7 +290,7 @@ def test_diffusion_solve_pads_nothing(monkeypatch):
 def test_warm_started_cg_meets_the_residual_bound():
     # from any start the accepted iterate meets the bound of a cold start;
     # from the exact solution no iteration runs
-    grid, solver, _, _ = make_setup(n=12, ub_kind="channel", peak=0.3)
+    grid, solver, _, _ = make_setup(n=12, peak=0.3)
     a = solver.eps * solver.dt
 
     def apply_a(x):
@@ -348,7 +347,7 @@ def test_a_given_start_takes_jacobi_sweeps_before_the_cg(monkeypatch):
     # at least one.  Both reach the density of the cold start
     rng = np.random.default_rng(7)
     v = 1e-2 * rng.normal(size=24)
-    grid, solver, fv, _ = make_setup(n=16, ub_kind="channel", peak=0.3, v=v)
+    grid, solver, fv, _ = make_setup(n=16, peak=0.3, v=v)
     rho = 1.0 + 0.1 * rng.random(grid.shape)
     exact, info = solver.step(rho, fv)
     assert info["cg_iters"] > 3
@@ -370,7 +369,7 @@ def test_jacobi_sweeps_stop_once_the_residual_meets_the_cg_test(monkeypatch):
     # that residual to the CG, which takes no iteration
     rng = np.random.default_rng(7)
     v = 1e-2 * rng.normal(size=24)
-    grid, solver, fv, _ = make_setup(n=16, ub_kind="channel", peak=0.3, v=v)
+    grid, solver, fv, _ = make_setup(n=16, peak=0.3, v=v)
     rho = 1.0 + 0.1 * rng.random(grid.shape)
     exact, _ = solver.step(rho, fv)
     applied = [0]

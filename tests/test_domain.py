@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nematoflow import domain as dm
+from nematoflow.errors import ConfigError
 
 
 def unit_grid(n=16):
@@ -28,9 +29,9 @@ def exact_ghost_rules(grid, fn):
 
 
 def test_grid_validation():
-    with pytest.raises(dm.DomainError):
+    with pytest.raises(ConfigError):
         dm.Grid(extents=(1.0, 1.0, 1.0), shape=(3, 8, 8))
-    with pytest.raises(dm.DomainError):
+    with pytest.raises(ConfigError):
         dm.Grid(extents=(0.0, 1.0, 1.0), shape=(8, 8, 8))
     g = dm.Grid(extents=(2.0, 1.0, 1.0), shape=(8, 4, 4))
     assert g.h == (0.25, 0.25, 0.25)
@@ -102,7 +103,7 @@ def _by_name(faces):
 
 def test_decompose_boundary_constant_flow():
     g = unit_grid(8)
-    ub = dm.BoundaryVelocity("constant", g, vector=(1.0, 0.0, 0.0))
+    ub = dm.BoundaryVelocity(g, vector=(1.0, 0.0, 0.0))
     by_name = _by_name(_faces(g, ub))
     assert by_name["x-"].inflow.all()
     assert not by_name["x+"].inflow.any()
@@ -110,20 +111,20 @@ def test_decompose_boundary_constant_flow():
         assert not by_name[name].inflow.any()   # ties go to outflow
     # mirrored flow swaps the x faces
     by_name_m = _by_name(
-        _faces(g, dm.BoundaryVelocity("constant", g, vector=(-1.0, 0.0, 0.0))))
+        _faces(g, dm.BoundaryVelocity(g, vector=(-1.0, 0.0, 0.0))))
     assert by_name_m["x+"].inflow.all()
     assert not by_name_m["x-"].inflow.any()
 
 
 def test_decompose_boundary_zero_velocity_all_outflow():
     g = unit_grid(8)
-    faces = _faces(g, dm.BoundaryVelocity("zero", g))
+    faces = _faces(g, dm.BoundaryVelocity(g))
     assert all(not f.inflow.any() for f in faces)
 
 
 def test_decompose_boundary_shear():
     g = unit_grid(8)
-    by_name = _by_name(_faces(g, dm.BoundaryVelocity("shear", g, rate=1.0)))
+    by_name = _by_name(_faces(g, dm.BoundaryVelocity(g, rate=1.0)))
     assert by_name["x-"].inflow.all()          # u.n = -y < 0
     assert not by_name["x+"].inflow.any()
     assert not by_name["y+"].inflow.any()      # tangential walls
@@ -156,7 +157,7 @@ def test_wall_normal_velocity_is_the_wall_plane_of_the_face_values():
 
 def test_channel_profile_shape():
     g = dm.Grid(extents=(2.0, 1.0, 1.0), shape=(8, 8, 8))
-    ub = dm.BoundaryVelocity("channel", g, peak=0.25)
+    ub = dm.BoundaryVelocity(g, peak=0.25)
     mid = ub(np.array(0.0), np.array(0.5), np.array(0.5))
     assert mid[0] == pytest.approx(0.25)
     wall = ub(np.array(0.0), np.array(0.0), np.array(0.5))
@@ -176,10 +177,31 @@ def test_channel_profile_shape():
             assert np.allclose(J[:, d], fd, atol=1e-8)
 
 
+def test_boundary_velocity_terms_add_up():
+    g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
+    vector, rate, peak = (0.2, -0.1, 0.05), 0.7, 0.3
+    ub = dm.BoundaryVelocity(g, vector=vector, rate=rate, peak=peak)
+    parts = [dm.BoundaryVelocity(g, vector=vector),
+             dm.BoundaryVelocity(g, rate=rate), dm.BoundaryVelocity(g, peak=peak)]
+    X, Y, Z = g.coords()
+    assert np.allclose(ub(X, Y, Z), sum(p(X, Y, Z) for p in parts),
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(ub.jacobian(X, Y, Z),
+                       sum(p.jacobian(X, Y, Z) for p in parts),
+                       rtol=0.0, atol=1e-15)
+    assert np.all(ub(X, Y, Z)[1:] == np.reshape(vector[1:], (2, 1, 1, 1)))
+    eps = 1e-6
+    for d in range(3):
+        hi = [c + eps * (a == d) for a, c in enumerate((X, Y, Z))]
+        lo = [c - eps * (a == d) for a, c in enumerate((X, Y, Z))]
+        fd = (ub(*hi) - ub(*lo)) / (2 * eps)
+        assert np.allclose(ub.jacobian(X, Y, Z)[:, d], fd, atol=1e-8)
+
+
 def test_boundary_data_validates_density():
     g = unit_grid(8)
-    ub = dm.BoundaryVelocity("zero", g)
-    with pytest.raises(dm.DomainError):
+    ub = dm.BoundaryVelocity(g)
+    with pytest.raises(ConfigError):
         dm.BoundaryData(ub, rho_b=0.0, q_b=np.zeros(5))
     bd = dm.BoundaryData(ub, rho_b=1.0, q_b=np.zeros(5))
     vals = bd.rho_b(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
@@ -193,7 +215,7 @@ def test_boundary_faces_share_pad_rule_order():
     # ghost (0, w) given as that layer reproduces the mirror padding exactly
     g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
     f = np.random.default_rng(3).standard_normal((2,) + g.shape)
-    bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))
+    bdata = dm.BoundaryData(dm.BoundaryVelocity(g), 1.0, np.zeros(5))
     faces = dm.BoundaryFaces(g, bdata).faces
     mirror = dm.pad(f)
     for k, face in enumerate(faces):
@@ -215,22 +237,22 @@ def test_boundary_faces_reject_nonpositive_density_on_one_face(k):
         # zero on face k's centroids only
         return np.where(on_face & inner[0] & inner[1], 0.0, 1.0)
 
-    bdata = dm.BoundaryData(dm.BoundaryVelocity("zero", g), rho_b,
+    bdata = dm.BoundaryData(dm.BoundaryVelocity(g), rho_b,
                             np.zeros(5))
-    with pytest.raises(dm.DomainError,
+    with pytest.raises(ConfigError,
                        match=f"every face \\(axis {axis}, side {side}\\)"):
         dm.BoundaryFaces(g, bdata)
 
 
 def test_callable_density_checked_on_faces_not_at_the_corner():
     g = unit_grid(4)
-    ub = dm.BoundaryVelocity("zero", g)
+    ub = dm.BoundaryVelocity(g)
     # negative at the corner (0, 0, 0), smallest face-centroid value 0.24
     bdata = dm.BoundaryData(ub, lambda x, y, z: x + y + z - 0.01, np.zeros(5))
     faces = dm.BoundaryFaces(g, bdata)
     assert min(float(r.min()) for r in faces.rho_b) == pytest.approx(0.24)
     bdata = dm.BoundaryData(ub, lambda x, y, z: x + y + z - 0.3, np.zeros(5))
-    with pytest.raises(dm.DomainError):
+    with pytest.raises(ConfigError):
         dm.BoundaryFaces(g, bdata)
 
 
@@ -306,7 +328,7 @@ def ibp_residual(n):
         div_v += dm.gradient(g, v[a], rules_a)[a]
     grad_f = dm.gradient(g, f, rules_f)
     bulk = dm.volume_integral(g, f * div_v + np.einsum("i...,i...->...", v, grad_f))
-    faces = _faces(g, dm.BoundaryVelocity("zero", g))
+    faces = _faces(g, dm.BoundaryVelocity(g))
     surf = 0.0
     for fc in faces:
         # outward normal -e_axis on the low wall, +e_axis on the high one

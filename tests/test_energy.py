@@ -18,9 +18,9 @@ def make_stepper(n=8, m=2, dt=1e-3, ub_kind="zero", rho_b=1.0, q_amp=0.0,
                  peak=0.25, sigma_star=0.1):
     grid = dom.Grid((1.0, 1.0, 1.0), (n, n, n))
     if ub_kind == "zero":
-        ub = dom.BoundaryVelocity("zero", grid)
+        ub = dom.BoundaryVelocity(grid)
     else:
-        ub = dom.BoundaryVelocity("channel", grid, peak=peak)
+        ub = dom.BoundaryVelocity(grid, peak=peak)
     q_b = tensors.uniaxial(q_amp, np.array([1.0, 0.0, 0.0]))
     bdata = dom.BoundaryData(ub, rho_b, q_b)
     basis = gk.build_basis(grid, m)
@@ -92,7 +92,7 @@ def test_wall_gradient_term_of_a_linear_wall_tensor():
         return np.multiply.outer(q0, np.ones_like(x)) \
             + np.multiply.outer(q1, x)
 
-    bdata = dom.BoundaryData(dom.BoundaryVelocity("zero", grid), 1.0, q_b)
+    bdata = dom.BoundaryData(dom.BoundaryVelocity(grid), 1.0, q_b)
     physics = Physics(c_star=1.3, gamma=0.4)
     stepper = CoupledStepper(grid, gk.build_basis(grid, 1), physics,
                              rh.newtonian_law(1.0),

@@ -70,7 +70,7 @@ def test_gram_matrix_identity(m, n_cells):
 def test_synthesize_zero_gives_boundary_velocity():
     g = unit_grid(8)
     basis = gk.build_basis(g, 2)
-    ub = dm.BoundaryVelocity("channel", g, peak=0.25)
+    ub = dm.BoundaryVelocity(g, peak=0.25)
     X, Y, Z = g.coords()
     u = gk.synthesize(basis, np.zeros(basis.n)) + ub(X, Y, Z)
     assert np.array_equal(u, ub(X, Y, Z))
@@ -260,7 +260,7 @@ def test_evaluate_at_rejects_dense_mesh():
     with pytest.raises(ConfigError, match="open mesh"):
         gk.evaluate_at(basis, v, *g.coords(), 0)
     face = dm.BoundaryFaces(g, dm.BoundaryData(
-        dm.BoundaryVelocity("zero", g), 1.0, np.zeros(5))).faces[0]
+        dm.BoundaryVelocity(g), 1.0, np.zeros(5))).faces[0]
     with pytest.raises(ConfigError, match="open mesh"):
         gk.evaluate_at(basis, v, *face.xyz, 0)
     # one coefficient vector only: a (k, n) batch is refused

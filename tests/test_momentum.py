@@ -45,7 +45,7 @@ def make_grid(n=8):
 
 
 def uniform_q_faces(grid, q5):
-    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity(grid),
                                             1.0, q5)).q_rules
 
 
@@ -281,7 +281,7 @@ def _random_flux_inputs(seed=21):
     """Random fields on a non-cubic grid with non-zero wall Q_B."""
     grid = Grid(extents=(2.0, 1.0, 1.5), shape=(16, 12, 8))
     rng = np.random.default_rng(seed)
-    rules = BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+    rules = BoundaryFaces(grid, BoundaryData(BoundaryVelocity(grid),
                                              1.0, _wall_q)).q_rules
     return dict(grid=grid, rules=rules,
                 rho=1.0 + 0.3 * rng.random(grid.shape),

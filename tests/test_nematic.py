@@ -38,7 +38,7 @@ def make_grid(n=8):
 
 
 def uniform_boundary(grid, q5):
-    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity("zero", grid),
+    return BoundaryFaces(grid, BoundaryData(BoundaryVelocity(grid),
                                             1.0, q5))
 
 
@@ -86,7 +86,7 @@ def test_concentration_max_principle_and_mass():
     grid = make_grid(8)
     basis = build_basis(grid, 2)
     v = 0.1 * rng.standard_normal(basis.n)
-    u_b = BoundaryVelocity("zero", grid)
+    u_b = BoundaryVelocity(grid)
     u = synthesize(basis, v) + u_b(*grid.coords())
     c = rng.random(grid.shape)
     lo, hi = c.min(), c.max()

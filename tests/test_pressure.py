@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nematoflow import pressure as pr
+from nematoflow.errors import ConfigError
 
 
 def make_general_from(fn, rho_max=4.0, n=41):
@@ -28,23 +29,23 @@ def test_isentropic_values_frozen():
 
 def test_domain_errors():
     law = pr.isentropic_law(a=1.0, gamma=2.0, rho_max=3.0)
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.pressure(law, -0.1)
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.potential(law, 3.5)
     gen = make_general_from(lambda r: r ** 2)
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.pressure(gen, 4.5)
 
 
 def test_constructor_validation():
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.isentropic_law(a=-1.0, gamma=2.0)
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.isentropic_law(a=1.0, gamma=1.0)
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.general_law([0.0, 1.0, 2.0], [0.1, 1.0, 2.0])   # p(0) != 0
-    with pytest.raises(pr.PressureError):
+    with pytest.raises(ConfigError):
         pr.general_law([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])   # rho not increasing
 
 

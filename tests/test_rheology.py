@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nematoflow import rheology as rh
 from nematoflow import scenarios as sn
+from nematoflow.errors import ConfigError
 
 
 def sym(a, b, c, d, e, f):
@@ -196,15 +197,15 @@ def test_mollifying_twice_equals_mollifying_once():
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -0.1])
 def test_radius_must_be_finite_and_nonnegative(delta):
     # a NaN or infinite radius would give a law whose values are NaN
-    with pytest.raises(rh.RheologyError):
+    with pytest.raises(ConfigError):
         rh.RheologyLaw(kind="newtonian", mu=1.0, delta=delta)
-    with pytest.raises(rh.RheologyError):
+    with pytest.raises(ConfigError):
         rh.mollify(rh.newtonian_law(1.0), delta)
 
 
 def test_tabulated_needs_delta_for_subgradient():
     base = table_from_law(rh.newtonian_law(mu=1.0), mu0=0.5)
-    with pytest.raises(rh.RheologyError):
+    with pytest.raises(ConfigError):
         rh.subgradient(base, np.eye(3))
     # mollified version works and tracks the generating law
     law = rh.mollify(base, 0.05)
@@ -284,6 +285,15 @@ def test_conjugate_range_error_outside_table():
     law = rh.mollify(base, 0.05)
     with pytest.raises(rh.RangeError):
         rh.conjugate_batch(law, *rh.reduce_sym(50.0 * np.eye(3)))
+
+
+def test_tabulated_partials_leave_the_table_as_its_values_do():
+    # the scenario's table covers d <= 6, |t| <= 6; d = 7 lies past it
+    law = sn.build_rheology_law(sn.default_scenario(rheology_kind="tabulated"))
+    for evaluate in (law.value_dt, law.partials_dt,
+                     lambda d, t: rh.subgradient_dt(law, d, t)):
+        with pytest.raises(rh.RangeError, match="outside table"):
+            evaluate(np.array([7.0]), np.array([0.0]))
 
 
 def test_mollified_power_law_conjugate_range_error_past_bracket():
@@ -396,7 +406,8 @@ def test_certified_candidate_outside_the_table_raises(monkeypatch):
                           n_d=41, n_t=41, mu0=0.5)
     law = rh.mollify(base, 0.05)
     D = np.diag([2.0, -1.0, -1.0])            # d = sqrt(6) > 2
-    s, sigma = rh.reduce_sym(rh.subgradient(law, D))
+    # the stress of the generating law: the table's own leaves the table
+    s, sigma = rh.reduce_sym(rh.subgradient(rh.newtonian_law(mu=1.0), D))
     sizes = _searched(monkeypatch)
     with pytest.raises(rh.RangeError):
         rh.conjugate_batch(law, s, sigma, near=rh.reduce_sym(D))

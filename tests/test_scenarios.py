@@ -114,6 +114,8 @@ def test_tabulated_rheology_requires_mollification():
     ("c_star", math.nan, "material.c_star"),
     ("c_star", -1.0, "c_star must be positive"),
     ("c_star", 0.0, "c_star must be positive"),
+    ("rheology_mu", 0.0, "newtonian law needs mu > 0"),
+    ("rheology_mu", -1.0, "newtonian law needs mu > 0"),
     ("grid_extent", math.inf, "grid.extent"),
     ("dt", math.nan, "time.dt"),
     ("final_time", math.inf, "time.final"),
@@ -136,6 +138,27 @@ def test_build_rejects_invalid_scenarios(field, value, fragment):
     sc = dataclasses.replace(sn.zero_scenario(), **{field: value})
     with pytest.raises(ConfigError, match=fragment):
         sn.build(sc)
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    ("grid_cells", 8.5, "grid.cells must be int, got 8.5"),
+    ("modes", 1.5, "galerkin.modes must be int, got 1.5"),
+    ("seed", 1.5, "run.seed must be int, got 1.5"),
+    ("snapshot_every", 2.5, "output.snapshot_every must be int, got 2.5"),
+    ("init_q", 5, "init.q must be str, got 5"),
+    ("bc_u", None, "bc.u must be str, got None"),
+    ("eps", True, "reg.eps must be float, got True"),
+])
+def test_build_refuses_a_field_of_another_type(field, value, fragment):
+    sc = dataclasses.replace(sn.zero_scenario(), **{field: value})
+    with pytest.raises(ConfigError, match=fragment):
+        sn.build(sc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid_cells", np.int64(8)), ("eps", 1), ("eps", np.float64(0.05))])
+def test_build_takes_numpy_scalars_and_ints_for_floats(field, value):
+    sn.build(dataclasses.replace(sn.zero_scenario(), **{field: value}))
 
 
 def test_zero_scenario_builds_quiescent_state():

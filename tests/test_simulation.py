@@ -18,11 +18,11 @@ from nematoflow.tensors import uniaxial
 Q_UNIFORM = uniaxial(0.2, np.array([1.0, 0.0, 0.0]))
 
 
-def make_stepper(n=8, m=2, dt=1e-3, ub_kind="zero", picard_tol=1e-10,
+def make_stepper(n=8, m=2, dt=1e-3, picard_tol=1e-10,
                  physics=None, **ub_kw):
     grid = Grid(extents=(1.0, 1.0, 1.0), shape=(n, n, n))
     basis = build_basis(grid, m)
-    u_b = BoundaryVelocity(ub_kind, grid, **ub_kw)
+    u_b = BoundaryVelocity(grid, **ub_kw)
     bdata = BoundaryData(u_b, 1.0, Q_UNIFORM)
     stepper = CoupledStepper(
         grid=grid, basis=basis, physics=physics or Physics(),
@@ -89,7 +89,7 @@ def test_tolerance_halves_iterations(monkeypatch):
 
 def test_anderson_reaches_damped_fixed_point_in_half_the_iterations(
         monkeypatch):
-    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    grid, basis, stepper = make_stepper(peak=0.25)
     new_state, info = stepper.step(uniform_state(grid, basis))
     monkeypatch.setattr(simulation, "ANDERSON_DEPTH", 0)
     monkeypatch.setattr(simulation, "THETA", 0.5)
@@ -175,7 +175,7 @@ def test_picard_nonconvergence_reports_increment(monkeypatch):
 def test_step_runs_one_field_sweep_per_picard_iteration(monkeypatch):
     # the converged iterate's fields are the stored ones: no sweep after
     # the loop re-derives them
-    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    grid, basis, stepper = make_stepper(peak=0.25)
     calls = {"velocity_fields": 0, "advance_fields": 0}
     for name in calls:
         method = getattr(stepper, name)
@@ -194,7 +194,7 @@ def test_step_runs_one_field_sweep_per_picard_iteration(monkeypatch):
 def test_step_builds_upwind_differences_once(monkeypatch):
     # the face differences of c^n and Q^n do not depend on the iterate: one
     # build each per step, whatever the sweep count
-    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    grid, basis, stepper = make_stepper(peak=0.25)
     built = []
     build = simulation.upwind_differences
 
@@ -290,7 +290,7 @@ def test_density_cg_starts_from_the_anderson_mixed_density(monkeypatch):
 def test_boundary_driven_flow_moves_velocity():
     # channel boundary forcing with interior initially at rest: the Picard
     # velocity must pick up a nonzero interior correction
-    grid, basis, stepper = make_stepper(ub_kind="channel", peak=0.25)
+    grid, basis, stepper = make_stepper(peak=0.25)
     state = uniform_state(grid, basis)
     new_state, info = stepper.step(state)
     assert np.linalg.norm(new_state.v) > 1e-8
@@ -481,7 +481,7 @@ def test_implicit_solute_diffusion_takes_a_step_past_the_explicit_limit():
     stepper = CoupledStepper(
         grid, basis, Physics(d0=1.0, gamma=0.1, sigma_star=0.0),
         newtonian_law(mu=1.0, lam=0.0), isentropic_law(1.0, 2.0),
-        BoundaryData(BoundaryVelocity("zero", grid), 1.0, np.zeros(5)), 1e-2)
+        BoundaryData(BoundaryVelocity(grid), 1.0, np.zeros(5)), 1e-2)
     c0 = np.random.default_rng(8).uniform(0.2, 1.0, grid.shape)
     state = State(t=0.0, rho=np.ones(grid.shape), c=c0,
                   q=np.zeros(grid.shape + (5,)), v=np.zeros(basis.n))

@@ -141,7 +141,7 @@ def test_sweep_products_build_no_matrices(monkeypatch):
     lam = rng.normal(size=(3,) + grid.shape)
     c = np.ones(grid.shape)
     rules = BoundaryFaces(grid, BoundaryData(
-        BoundaryVelocity("zero", grid), 1.0, 0.1 * rng.normal(size=5))).q_rules
+        BoundaryVelocity(grid), 1.0, 0.1 * rng.normal(size=5))).q_rules
     monkeypatch.setattr(tn, "to_matrix", no_matrix)
     tn.commutator(q, lam)
     tn.bulk_molecular_field(q, c, b=0.2, c_star=1.0)

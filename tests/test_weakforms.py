@@ -13,9 +13,9 @@ from nematoflow.simulation import CoupledStepper, Physics, State, q_exchange
 def make_stepper(n, m, dt, eps, ub_kind="channel", peak=0.25):
     grid = dom.Grid((1.0, 1.0, 1.0), (n, n, n))
     if ub_kind == "zero":
-        ub = dom.BoundaryVelocity("zero", grid)
+        ub = dom.BoundaryVelocity(grid)
     else:
-        ub = dom.BoundaryVelocity("channel", grid, peak=peak)
+        ub = dom.BoundaryVelocity(grid, peak=peak)
     q_b = tensors.uniaxial(0.0, np.array([1.0, 0.0, 0.0]))
     bdata = dom.BoundaryData(ub, 1.0, q_b)
     basis = gk.build_basis(grid, m)
