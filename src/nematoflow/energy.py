@@ -52,6 +52,10 @@ class EnergyMonitor:
     def __init__(self, stepper):
         self.stepper = stepper
         self.rows = []
+        # the pressure potential of the inflow density on each face, fixed
+        # for the stepper
+        self._p_b = [pr.potential(stepper.pressure_law, rho_b)
+                     for rho_b in stepper.boundary.rho_b]
 
     # ------------------------------------------------------------- one row
 
@@ -71,7 +75,10 @@ class EnergyMonitor:
 
         e_kin = volume_integral(
             g, 0.5 * state.rho * np.einsum("a...,a...->...", u_modes, u_modes))
-        e_press = volume_integral(g, pr.potential(st.pressure_law, state.rho))
+        # P and P' of the density, read on the walls by the face loop too
+        p_rho = pr.potential(st.pressure_law, state.rho)
+        dp_rho = pr.potential_prime(st.pressure_law, state.rho)
+        e_press = volume_integral(g, p_rho)
         e_conc = volume_integral(g, 0.5 * state.c ** 2)
         P = pad(q, st.boundary.q_rules)
         gq = gradient_padded(g, P)
@@ -106,17 +113,16 @@ class EnergyMonitor:
             g, pr.potential_second(st.pressure_law, state.rho)
             * np.einsum("a...,a...->...", grad_rho, grad_rho))
         boundary = st.boundary
-        for face, rho_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
-                                         boundary.q_b, boundary.dq_b):
+        for face, rho_b, p_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
+                                              self._p_b, boundary.q_b,
+                                              boundary.dq_b):
             area = face.area_element
             rho_w = state.rho[face.wall]
             ubn = face.ubn
             out_mask = ubn > 0.0
-            p_w = pr.potential(st.pressure_law, rho_w)
+            p_w = p_rho[face.wall]
             flux_out += area * float((p_w * ubn)[out_mask].sum())
-            p_b = pr.potential(st.pressure_law, rho_b)
-            gap = p_b - pr.potential_prime(st.pressure_law, rho_w) \
-                * (rho_b - rho_w) - p_w
+            gap = p_b - dp_rho[face.wall] * (rho_b - rho_w) - p_w
             if face.inflow.any():
                 gap_min = min(gap_min, float(gap[face.inflow].min()))
                 gap_in += area * float((-(gap * ubn))[face.inflow].sum())

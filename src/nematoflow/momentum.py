@@ -80,6 +80,19 @@ def active_stress(q, c, sigma_star):
     return sigma_star * (c * c) * np.asarray(q, dtype=float)
 
 
+def strain_invariants(J):
+    """The rate of strain D = sym J of a Jacobian J[a, d] (3, 3, ...) as a
+    dict of its upper entries keyed (a, b) in ``_UPPER`` order, and its
+    invariants d = |dev D| and t = tr D, the arguments of
+    ``rheology.subgradient_dt``."""
+    D = {(a, b): J[a, a] if a == b else 0.5 * (J[a, b] + J[b, a])
+         for a, b in _UPPER}
+    t = D[0, 0] + D[1, 1] + D[2, 2]
+    frob2 = D[0, 0] * D[0, 0] + D[1, 1] * D[1, 1] + D[2, 2] * D[2, 2] \
+        + 2.0 * (D[0, 1] * D[0, 1] + D[0, 2] * D[0, 2] + D[1, 2] * D[1, 2])
+    return D, np.sqrt(np.maximum(frob2 - t * t / 3.0, 0.0)), t
+
+
 def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
                       c_star, sigma_star):
     """Total momentum flux T = rho u (x) u + p(rho) I - S - tau - sigma_r
@@ -90,14 +103,8 @@ def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
     of the wall order tensor; q is padded by them once, for both the
     gradient and the Laplacian.  T is the one (3, 3, ...) array built.
     """
-    J = u_jac
-    D = {(a, b): J[a, a] if a == b else 0.5 * (J[a, b] + J[b, a])
-         for a, b in _UPPER}
-    t = D[0, 0] + D[1, 1] + D[2, 2]
-    frob2 = D[0, 0] * D[0, 0] + D[1, 1] * D[1, 1] + D[2, 2] * D[2, 2] \
-        + 2.0 * (D[0, 1] * D[0, 1] + D[0, 2] * D[0, 2] + D[1, 2] * D[1, 2])
-    scale, ft = rh.subgradient_dt(
-        law, np.sqrt(np.maximum(frob2 - t * t / 3.0, 0.0)), t)
+    D, d, t = strain_invariants(u_jac)
+    scale, ft = rh.subgradient_dt(law, d, t)
     t3 = t / 3.0
     P = pad(q, q_rules)
     tau = elastic_stress(grid, P, c_star)
@@ -157,12 +164,31 @@ def mass_solve(basis, rho, rhs, dv=None, shift=None):
     return np.linalg.solve(A, b)
 
 
+def implicit_stiffness(basis, law, lift_jac):
+    """The viscous stiffness K (n, n) every sweep takes implicitly
+    (``step_momentum``), from the scenario alone.  A Newtonian law gives
+    ``viscous_stiffness(basis, mu, lam)``; any other law the Newtonian K of
+    the smallest secant viscosity f_d/d of ``rheology.subgradient_dt`` over
+    the cells of the lift's rate of strain (Jacobian lift_jac), cells with
+    d < ``SHEAR_CUTOFF`` left out, and zero when none is left.  K depends
+    on no state, so a run and its restarts meet one map."""
+    if law.kind == "newtonian":
+        return gk.viscous_stiffness(basis, law.mu, law.lam)
+    _, d, t = strain_invariants(lift_jac)
+    sheared = d >= rh.SHEAR_CUTOFF
+    if not sheared.any():
+        return np.zeros((basis.n, basis.n))
+    scale, _ = rh.subgradient_dt(law, d[sheared], t[sheared])
+    return gk.viscous_stiffness(basis, float(np.min(scale)), 0.0)
+
+
 def step_momentum(basis, v_old, v, rho, rhs, dt, stiffness):
     """The next iterate v + (M + dt K)^{-1} [M (v_old - v) + dt rhs] of
     the coupling, M = M(rho), for the iterate v with right side rhs.
 
     Its fixed point solves M (v - v_old) = dt rhs(v) whatever K is; K, the
-    viscous stiffness of the law's Newtonian part (zero for other laws),
-    is taken implicitly, so the map contracts at the rate of what rhs
-    holds beyond -K v rather than at dt lam_max(M^{-1} K)."""
+    viscous stiffness of ``implicit_stiffness`` (zero only for a
+    non-Newtonian law under a lift with no shear), is taken implicitly, so
+    the map contracts at the rate of what rhs holds beyond -K v rather than
+    at dt lam_max(M^{-1} K)."""
     return v + mass_solve(basis, rho, dt * rhs, v_old - v, dt * stiffness)

@@ -61,6 +61,8 @@ _ROOT_MAX_ITER = 150       # 3 steps per halving of a 2e4-wide bracket
 # +-1 ulp at its root, so the certificate's sign test allows a few ulps
 _CERT_SLACK = 8.0 * 2.0 ** -52       # 8 ulps of 1 in float64
 _BLOCK_BYTES = 64 * 1024   # largest raw array of a quadrature block
+# the |dev D| below which ``subgradient_dt`` takes the secant f_d / d as 0
+SHEAR_CUTOFF = 1.0e-14
 
 
 class RangeError(ConfigError):
@@ -280,7 +282,8 @@ def potential(law, D):
 
 def subgradient_dt(law, d, t):
     """(f_d / d, f_t) at (d, t) = (|dev D|, tr D): the member of dF(D) is
-    S = (f_d / d) dev D + f_t I, with f_d / d taken as 0 where d < 1e-14.
+    S = (f_d / d) dev D + f_t I, with f_d / d taken as 0 where
+    d < ``SHEAR_CUTOFF``.
 
     Tabulated laws must be mollified first (delta > 0) so the gradient exists
     everywhere; that precondition is a configuration error, not a crash site.
@@ -288,7 +291,7 @@ def subgradient_dt(law, d, t):
     if law.kind == "tabulated" and law.delta == 0.0:
         raise ConfigError("tabulated laws need delta > 0 before subgradient evaluation")
     fd, ft = law.partials_dt(d, t)
-    tiny = d < 1.0e-14
+    tiny = d < SHEAR_CUTOFF
     return np.where(tiny, 0.0, fd / np.where(tiny, 1.0, d)), ft
 
 

@@ -20,15 +20,23 @@ the mixing factor is halved for the rest of the step.
 
 The momentum solve of an iterate v_k returns
 v_k + (M + dt K)^{-1} [M (v^n - v_k) + dt rhs(v_k)], M = M(rho_k)
-(``momentum.step_momentum``).  K is the stiffness of the law's Newtonian
-viscous stress (``galerkin.viscous_stiffness``; zero for every other law),
-built once per stepper.  The fixed point M (v - v^n) = dt rhs(v) does not
-depend on K, but the map does.  Applied explicitly (K = 0), the viscous
-term makes the plain map contract at dt lam_max(M^{-1} K), 0.165 per sweep
-on the 32^3, m=4 channel flow (0.03-0.11 with Anderson mixing); taken
+(``momentum.step_momentum``).  K is a Newtonian viscous stiffness
+(``galerkin.viscous_stiffness``) built once per stepper from the scenario
+alone (``momentum.implicit_stiffness``): the law's own for a Newtonian
+law; for every other law that of the smallest secant viscosity f_d/d over
+the cells at the lift's rate of strain, a frozen Kacanov-type secant
+linearisation (Heid & Wihler, Math. Comp. 89, 2020), and zero for a lift
+with no shear.  The fixed point M (v - v^n) = dt rhs(v) does not depend on
+K, but the map does.  Applied explicitly (K = 0), the viscous term makes
+the plain map contract at dt lam_max(M^{-1} K), 0.165 per sweep on the
+32^3, m=4 Newtonian channel flow (0.03-0.11 with Anderson mixing); taken
 implicitly (IMEX; Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995),
 it leaves the rest of rhs, which contracts at about 1e-3 per sweep there:
-3 sweeps per step instead of 7.
+3 sweeps per step instead of 7.  On the 8^3 power-law channel flow, with
+only the stress beyond the secant K explicit: 4 sweeps per step, not 5-5.33
+over 3 steps, and 2.5-2.83, not 4.23-4.47, over 30 (seeds 0 and 5).  K
+depends on no state, so a restart meets the same map, and the carried
+pairs below always belong to the map of the step they start.
 
 The history outlives the step.  A step ends with its last
 ``ANDERSON_DEPTH`` (dv, df) pairs in ``State.anderson_dv`` and
@@ -187,11 +195,10 @@ class CoupledStepper:
         self.boundary = BoundaryFaces(grid, bdata)
         self.continuity = ContinuitySolver(grid=grid, eps=physics.eps, dt=dt,
                                            boundary=self.boundary)
-        # the viscous stiffness each sweep takes implicitly: the law's
-        # Newtonian part, zero for every other law
-        self.stiffness = (gk.viscous_stiffness(basis, law.mu, law.lam)
-                          if law.kind == "newtonian"
-                          else np.zeros((basis.n, basis.n)))
+        # the viscous stiffness each sweep takes implicitly, fixed for the
+        # run: the Newtonian law's own, a frozen secant one for other laws
+        self.stiffness = mom.implicit_stiffness(basis, law,
+                                                self.boundary.jac_cells)
 
     # ------------------------------------------------------- field helpers
 

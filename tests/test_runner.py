@@ -100,8 +100,12 @@ def test_report_times_the_ledger_rows_of_the_step_loop(tmp_path,
     assert f"time ledger {rep.timings['ledger']:.3f}s" in lines
 
 
-def test_repeat_runs_are_bit_identical(tmp_path):
-    sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=10)
+# the 8^3 power-law channel flow, whose implicit stiffness is the secant
+# one built from the scenario
+POWER_LAW = {"rheology_kind": "power_law", "init_v": "noise:0.01"}
+
+
+def _repeat_runs_are_bit_identical(tmp_path, sc):
     a, b = tmp_path / "a", tmp_path / "b"
     rn.run_scenario(sc, out_dir=str(a))
     rep = rn.run_scenario(sc, out_dir=str(b))
@@ -110,6 +114,16 @@ def test_repeat_runs_are_bit_identical(tmp_path):
     assert "picard contraction p50 " in (b / "report.txt").read_text()
     last = sp.snapshot_path("", sc.n_steps()).lstrip("/")
     assert _read_bytes(a / last) == _read_bytes(b / last)
+
+
+def test_repeat_runs_are_bit_identical(tmp_path):
+    _repeat_runs_are_bit_identical(tmp_path, sn.default_scenario(
+        grid_cells=8, final_time=0.02, snapshot_every=10))
+
+
+def test_repeat_power_law_runs_are_bit_identical(tmp_path):
+    _repeat_runs_are_bit_identical(tmp_path, sn.default_scenario(
+        grid_cells=8, final_time=0.02, snapshot_every=10, **POWER_LAW))
 
 
 def test_restart_reproduces_uninterrupted_run(tmp_path):
@@ -130,12 +144,10 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
     assert part_rows[1].rpartition(b",")[0] == resumed[0].rpartition(b",")[0]
 
 
-@pytest.mark.parametrize("resume_step", [0, 1, 2, 10])
-def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
+def _restart_from_snapshot_is_byte_exact(tmp_path, sc, resume_step):
     # step 0 has no previous coefficients; step 1 is the first snapshot
     # whose next step starts from the linear extrapolation, step 2 the
     # first that carries coeffs_prev2 for the quadratic one
-    sc = sn.default_scenario(grid_cells=8, final_time=0.02, snapshot_every=1)
     full, part = tmp_path / "full", tmp_path / "part"
     rn.run_scenario(sc, out_dir=str(full))
     snap = sp.snapshot_path(str(full), resume_step)
@@ -145,6 +157,20 @@ def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
     rn.run_scenario(sc, out_dir=str(part), resume_from=snap)
     last = os.path.basename(sp.snapshot_path("x", sc.n_steps()))
     assert _read_bytes(full / last) == _read_bytes(part / last)
+
+
+@pytest.mark.parametrize("resume_step", [0, 1, 2, 10])
+def test_restart_from_any_snapshot_is_byte_exact(tmp_path, resume_step):
+    _restart_from_snapshot_is_byte_exact(tmp_path, sn.default_scenario(
+        grid_cells=8, final_time=0.02, snapshot_every=1), resume_step)
+
+
+@pytest.mark.parametrize("resume_step", [0, 1, 2, 10])
+def test_power_law_restart_from_any_snapshot_is_byte_exact(tmp_path,
+                                                           resume_step):
+    _restart_from_snapshot_is_byte_exact(tmp_path, sn.default_scenario(
+        grid_cells=8, final_time=0.012, snapshot_every=1, **POWER_LAW),
+        resume_step)
 
 
 def test_restart_rejects_mismatched_grid(tmp_path):
