@@ -270,8 +270,14 @@ class BoundaryFaces:
     """
 
     def __init__(self, grid, bdata):
-        self.u_faces = [bdata.u_b(*grid.face_meshes[axis])[axis]
-                        for axis in range(3)]
+        # each plane's one component as its own array, so the whole
+        # (3, plane) u_B is not kept alive; a component that is zero
+        # everywhere stays untouched np.zeros pages, as in BoundaryVelocity
+        u_planes = [bdata.u_b(*grid.face_meshes[axis])[axis]
+                    for axis in range(3)]
+        self.u_faces = [u.copy() if u.any() else np.zeros(u.shape)
+                        for u in u_planes]
+        del u_planes
         self.faces = decompose_boundary(grid, self.u_faces)
         self.rho_b = [bdata.rho_b(*face.xyz) for face in self.faces]
         for face, rho_b in zip(self.faces, self.rho_b):

@@ -25,6 +25,17 @@ dissipation); C_growth and C_const come from the boundary data norms.
 Fields have their grid axes last, as in the solver (packed Q read through
 ``simulation.q_components``); the viscous terms take the (..., 3, 3) matrix
 route of the rheology.
+
+A row after a step takes that step's ``info["fields"]``: |grad Q|^2,
+tr(Q^2), lap Q and grad rho of the accepted sweep's rho_k and Q_k, which
+are the new state's rho and Q, so they equal bit for bit what the row
+would compute (``CoupledStepper.step``).  Without them (the initial row,
+the first row after a resume, a direct call) the row computes them with
+the same functions.  Only these field derivatives are shared: the row
+builds D from its own velocity v^{n+1} and S from D, never taking the
+solver's stress, so the dual route stays independent of the stress path
+it checks.  The boundary-data terms rhs_qb, rhs_pb and rhs_qgrad depend
+on no state, and are summed once per monitor.
 """
 
 import csv
@@ -52,18 +63,57 @@ class EnergyMonitor:
     def __init__(self, stepper):
         self.stepper = stepper
         self.rows = []
-        # the pressure potential of the inflow density on each face, fixed
-        # for the stepper
+        ph = stepper.physics
+        boundary = stepper.boundary
+        # the pressure potential of the inflow density on each face, whether
+        # the face has inflow, and the boundary-data terms of every row,
+        # fixed for the stepper
         self._p_b = [pr.potential(stepper.pressure_law, rho_b)
-                     for rho_b in stepper.boundary.rho_b]
+                     for rho_b in boundary.rho_b]
+        self._inflow = [bool(face.inflow.any()) for face in boundary.faces]
+        rhs_qb = rhs_pb = rhs_qgrad = 0.0
+        for face, p_b, inflow, qb, dqdn in zip(boundary.faces, self._p_b,
+                                               self._inflow, boundary.q_b,
+                                               boundary.dq_b):
+            area = face.area_element
+            ubn = face.ubn
+            if inflow:
+                rhs_pb += area * float((-(p_b * ubn))[face.inflow].sum())
+            t2b = tensors.trace_q2(qb)
+            rhs_qb += -0.5 * area * float(
+                ((0.5 * t2b + 0.25 * ph.c_star * t2b * t2b) * ubn).sum())
+            rhs_qgrad += 2.0 * ph.c_star * ph.gamma * area * float(
+                (t2b * tensors.packed_dot(qb, dqdn)).sum())
+        self._rhs_data = {"rhs_qb": rhs_qb, "rhs_pb": rhs_pb,
+                          "rhs_qgrad": rhs_qgrad}
 
     # ------------------------------------------------------------- one row
 
-    def row(self, state, picard_iters=0):
+    def _own_fields(self, state):
+        """The derivatives of state.rho and state.q a row needs, the keys
+        of a step's info["fields"], computed here."""
+        st = self.stepper
+        g = st.grid
+        q = q_components(state.q)
+        P = pad(q, st.boundary.q_rules)
+        gq = gradient_padded(g, P)
+        return {
+            "grad_q2": sum(tensors.packed_dot(gq[i], gq[i]) for i in range(3)),
+            "t2": tensors.trace_q2(q),
+            "lap_q": laplacian_padded(g, P),
+            "grad_rho": st.continuity.grad_rho(state.rho),
+        }
+
+    def row(self, state, picard_iters=0, fields=None):
+        """The ledger row of state.  fields: the info["fields"] of the step
+        that returned state, whose derivatives of its rho and Q the row
+        reuses; computed here when not given."""
         st = self.stepper
         g = st.grid
         ph = st.physics
-        q = q_components(state.q)
+        if fields is None:
+            fields = self._own_fields(state)
+        grad_q2, t2 = fields["grad_q2"], fields["t2"]
         # the kinetic energy is of u - u_B, the mode part alone
         u_modes = gk.synthesize(st.basis, state.v)
         # a contiguous stack of matrices, so the reductions of the matrix
@@ -80,10 +130,6 @@ class EnergyMonitor:
         dp_rho = pr.potential_prime(st.pressure_law, state.rho)
         e_press = volume_integral(g, p_rho)
         e_conc = volume_integral(g, 0.5 * state.c ** 2)
-        P = pad(q, st.boundary.q_rules)
-        gq = gradient_padded(g, P)
-        grad_q2 = sum(tensors.packed_dot(gq[i], gq[i]) for i in range(3))
-        t2 = tensors.trace_q2(q)
         e_q = volume_integral(
             g, 0.5 * t2 + 0.5 * grad_q2 + 0.25 * ph.c_star * t2 * t2)
 
@@ -97,7 +143,7 @@ class EnergyMonitor:
         gc = gradient(g, state.c)
         d_conc = ph.d0 * volume_integral(
             g, np.einsum("a...,a...->...", gc, gc))
-        lap_q = laplacian_padded(g, P)
+        lap_q = fields["lap_q"]
         d_relax = ph.gamma * volume_integral(
             g, tensors.packed_dot(lap_q, lap_q))
         d_six = 0.5 * ph.c_star ** 2 * ph.gamma * volume_integral(g, t2 ** 3)
@@ -105,33 +151,22 @@ class EnergyMonitor:
         flux_out = 0.0
         gap_in = 0.0
         gap_min = np.inf
-        rhs_qb = 0.0
-        rhs_pb = 0.0
-        rhs_qgrad = 0.0
-        grad_rho = st.continuity.grad_rho(state.rho)
+        grad_rho = fields["grad_rho"]
         flux_eps = ph.eps * volume_integral(
             g, pr.potential_second(st.pressure_law, state.rho)
             * np.einsum("a...,a...->...", grad_rho, grad_rho))
-        boundary = st.boundary
-        for face, rho_b, p_b, qb, dqdn in zip(boundary.faces, boundary.rho_b,
-                                              self._p_b, boundary.q_b,
-                                              boundary.dq_b):
+        for face, rho_b, p_b, inflow in zip(st.boundary.faces,
+                                            st.boundary.rho_b, self._p_b,
+                                            self._inflow):
             area = face.area_element
-            rho_w = state.rho[face.wall]
             ubn = face.ubn
-            out_mask = ubn > 0.0
             p_w = p_rho[face.wall]
-            flux_out += area * float((p_w * ubn)[out_mask].sum())
-            gap = p_b - dp_rho[face.wall] * (rho_b - rho_w) - p_w
-            if face.inflow.any():
+            flux_out += area * float((p_w * ubn)[ubn > 0.0].sum())
+            if inflow:
+                gap = p_b - dp_rho[face.wall] * (rho_b - state.rho[face.wall]) \
+                    - p_w
                 gap_min = min(gap_min, float(gap[face.inflow].min()))
                 gap_in += area * float((-(gap * ubn))[face.inflow].sum())
-                rhs_pb += area * float((-(p_b * ubn))[face.inflow].sum())
-            t2b = tensors.trace_q2(qb)
-            rhs_qb += -0.5 * area * float(
-                ((0.5 * t2b + 0.25 * ph.c_star * t2b * t2b) * ubn).sum())
-            rhs_qgrad += 2.0 * ph.c_star * ph.gamma * area * float(
-                (t2b * tensors.packed_dot(qb, dqdn)).sum())
 
         return {
             "t": state.t,
@@ -141,7 +176,7 @@ class EnergyMonitor:
             "d_six": d_six,
             "flux_out": flux_out, "flux_eps": flux_eps, "gap_in": gap_in,
             "gap_min": (0.0 if not np.isfinite(gap_min) else gap_min),
-            "rhs_qb": rhs_qb, "rhs_pb": rhs_pb, "rhs_qgrad": rhs_qgrad,
+            **self._rhs_data,
             "picard_iters": picard_iters,
         }
 

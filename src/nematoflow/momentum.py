@@ -40,32 +40,43 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _OFF = ((0, 1), (0, 2), (1, 2))
 
 
-def elastic_stress(grid, P, c_star):
+def elastic_stress(grid, P, c_star, fields=None):
     """G(Q) I - grad Q (.) grad Q, with G = |grad Q|^2/2 + tr(Q^2)/2
     + c*/4 tr^2(Q^2), as its upper entries (6, nx, ny, nz) in ``_UPPER``
-    order.  P: packed Q (5, ...) padded by the Dirichlet rules of Q_B."""
+    order.  P: packed Q (5, ...) padded by the Dirichlet rules of Q_B.
+    fields: a dict that, when given, receives |grad Q|^2 as "grad_q2" and
+    tr(Q^2) as "t2", the arrays G is built from."""
     gq = gradient_padded(grid, P)                      # (3, 5, ...)
     # (grad Q (.) grad Q)_{ij} = sum_ab d_i Q_ab d_j Q_ab on the packed
     # encoding, so the pairing carries the 33 and off-diagonal weights
-    tau = np.stack([tensors.packed_dot(gq[i], gq[j]) for i, j in _UPPER])
+    tau = np.empty((6,) + gq.shape[2:])
+    for k, (i, j) in enumerate(_UPPER):
+        tau[k] = tensors.packed_dot(gq[i], gq[j])
+    del gq
     t2 = tensors.trace_q2(P[..., 1:-1, 1:-1, 1:-1])
-    g_scal = 0.5 * (tau[0] + tau[3] + tau[5]) + 0.5 * t2 \
-        + 0.25 * c_star * t2 * t2
+    grad_q2 = tau[0] + tau[3] + tau[5]
+    g_scal = 0.5 * grad_q2 + 0.5 * t2 + 0.25 * c_star * t2 * t2
+    if fields is not None:
+        fields["grad_q2"], fields["t2"] = grad_q2, t2
     np.negative(tau, out=tau)
     tau[[0, 3, 5]] += g_scal                           # the diagonal of _UPPER
     return tau
 
 
-def rotational_stress(grid, P):
+def rotational_stress(grid, P, fields=None):
     """Q L - L Q with L = lap Q, from packed Q ghost-padded by the wall
     rules, as in ``elastic_stress``; the non-derivative molecular-field
     terms commute with Q, so only the Laplacian survives the commutator.
+    fields: a dict that, when given, receives L, packed, as "lap_q".
 
     Q and L are symmetric, so Q L - L Q = 2 skew(Q L): its entries
     (r12, r13, r23), (3, nx, ny, nz), are closed forms in the packed ones.
     """
     q11, q12, q13, q22, q23 = P[..., 1:-1, 1:-1, 1:-1]
-    l11, l12, l13, l22, l23 = laplacian_padded(grid, P)
+    lap_q = laplacian_padded(grid, P)
+    if fields is not None:
+        fields["lap_q"] = lap_q
+    l11, l12, l13, l22, l23 = lap_q
     q33 = -q11 - q22
     l33 = -l11 - l22
     sig = np.empty((3,) + q11.shape)
@@ -94,21 +105,24 @@ def strain_invariants(J):
 
 
 def assemble_stresses(grid, rho, u, u_jac, c, q, law, pressure_law, q_rules,
-                      c_star, sigma_star):
+                      c_star, sigma_star, fields=None):
     """Total momentum flux T = rho u (x) u + p(rho) I - S - tau - sigma_r
     - sigma_a for the current iterate, shape (3, 3, nx, ny, nz).
 
     u: (3, ...) cell-center velocity; u_jac: Jacobian J[a, d] of the full
     velocity v + u_B; q: packed Q (5, ...).  q_rules: Dirichlet ghost rules
     of the wall order tensor; q is padded by them once, for both the
-    gradient and the Laplacian.  T is the one (3, 3, ...) array built.
+    gradient and the Laplacian, and released before T is built.  T is the
+    one (3, 3, ...) array built.  fields: a dict that, when given, receives
+    the Q derivatives of ``elastic_stress`` and ``rotational_stress``.
     """
     D, d, t = strain_invariants(u_jac)
     scale, ft = rh.subgradient_dt(law, d, t)
     t3 = t / 3.0
     P = pad(q, q_rules)
-    tau = elastic_stress(grid, P, c_star)
-    sig_r = rotational_stress(grid, P)
+    tau = elastic_stress(grid, P, c_star, fields)
+    sig_r = rotational_stress(grid, P, fields)
+    del P
     sig_a = active_stress(q, c, sigma_star)
     p = pr.pressure(pressure_law, rho)
     rho_u = rho * u

@@ -118,7 +118,9 @@ def run_scenario(sc, out_dir=None, resume_from=None):
         prev = state
         state, info = stepper.step(prev)
         t_row = time.perf_counter()
-        monitor.rows.append(monitor.row(state, info["picard_iters"]))
+        # the step's fields die with the row, before the next step
+        monitor.rows.append(monitor.row(state, info["picard_iters"],
+                                        info.pop("fields")))
         t_ledger += time.perf_counter() - t_row
         report.picard_iters.append(info["picard_iters"])
         if "contraction" in info:

@@ -71,6 +71,15 @@ accepted solve takes no CG iteration.  Only the start moves; the solution
 is the CG's to its own tolerance.
 ``check_step`` admits dt for each sweep's velocity before any field moves.
 
+A step hands its accepted sweep's derivatives of rho_k and Q_k to its
+caller in ``info["fields"]``: |grad Q|^2 and tr(Q^2) of the elastic
+stress, lap Q of the rotational stress and grad rho of the momentum right
+side, the arrays the energy ledger row of the new state needs
+(``energy.EnergyMonitor.row``).  Each sweep fills a new dict, so the
+record of the sweep before is freed before the next one allocates; the
+caller drops the accepted one after the row (``runner.run_scenario``
+pops it), so it does not live into the next step.
+
 ``CoupledStepper.velocity`` is the cell-centre velocity of a coefficient
 vector, its modes plus the lift ``BoundaryFaces.u_cells``.  Callers loop
 over ``CoupledStepper.step`` themselves.  No code mutates a state once a
@@ -233,13 +242,17 @@ class CoupledStepper:
                        self.physics.c_star, self.boundary.q_rules)
         return rho_new, c_new, q_new, cont_info
 
-    def momentum_rhs(self, rho, c, q, u, J):
+    def momentum_rhs(self, rho, c, q, u, J, fields):
         """Projected momentum right-hand side for fields rho, c, packed
-        q (5, ...) and the cell-center velocity u with Jacobian J."""
+        q (5, ...) and the cell-center velocity u with Jacobian J.  The
+        dict fields receives the derivatives of q and rho it was built
+        from: "grad_q2", "t2", "lap_q" (``momentum.assemble_stresses``) and
+        "grad_rho"."""
         T = mom.assemble_stresses(
             self.grid, rho, u, J, c, q, self.law, self.pressure_law,
-            self.boundary.q_rules, self.physics.c_star, self.physics.sigma_star)
-        grad_rho = self.continuity.grad_rho(rho)
+            self.boundary.q_rules, self.physics.c_star, self.physics.sigma_star,
+            fields)
+        fields["grad_rho"] = grad_rho = self.continuity.grad_rho(rho)
         return mom.galerkin_rhs(self.basis, T, J, self.physics.eps, grad_rho)
 
     # ------------------------------------------------------------ stepping
@@ -265,10 +278,13 @@ class CoupledStepper:
         diffs = [upwind_differences(self.grid, P) for P in
                  (pad(state.c), pad(q, self.boundary.q_rules))]
         for _ in range(PICARD_MAX_ITER):
+            # a new record each sweep, so the last one dies before this
+            # sweep allocates
+            fields = {}
             u, J, lam = self.velocity_fields(v_cur)
             rho_k, c_k, q_k, cont_info = self.advance_fields(
                 state, q, diffs, rho_start, v_cur, u, lam)
-            rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J)
+            rhs = self.momentum_rhs(rho_k, c_k, q_k, u, J, fields)
             v_next = mom.step_momentum(self.basis, v0, v_cur, rho_k, rhs,
                                        self.dt, self.stiffness)
             f = v_next - v_cur
@@ -306,7 +322,8 @@ class CoupledStepper:
         new_state = State(state.t + self.dt, rho_k, c_k, q_exchange(q_k),
                           v_next, v0, state.v_prev,
                           *(np.stack(d) if d else None for d in (d_v, d_f)))
-        info = {"picard_iters": len(increments), "increments": increments}
+        info = {"picard_iters": len(increments), "increments": increments,
+                "fields": fields}
         if len(increments) >= 2:
             # geometric mean of the successive increment ratios
             info["contraction"] = (increments[-1] / increments[0]) ** (

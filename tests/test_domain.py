@@ -225,6 +225,18 @@ def test_boundary_faces_share_pad_rule_order():
         assert np.array_equal(dm.pad(f, tuple(rules)), mirror)
 
 
+def test_face_planes_keep_their_own_component_alone():
+    # each u_faces entry owns its memory, so the (3, plane) u_B it was read
+    # from is not kept alive; the values are that component's
+    g = dm.Grid(extents=(1.0, 2.0, 1.5), shape=(4, 5, 6))
+    ub = dm.BoundaryVelocity(g, vector=(0.0, 0.3, 0.0), rate=0.5, peak=0.25)
+    bf = dm.BoundaryFaces(g, dm.BoundaryData(ub, 1.0, np.zeros(5)))
+    for axis, plane in enumerate(bf.u_faces):
+        assert plane.base is None and plane.flags.c_contiguous
+        assert np.array_equal(plane, ub(*g.face_meshes[axis])[axis])
+    assert np.any(bf.u_faces[1]) and not np.any(bf.u_faces[2])
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_boundary_faces_reject_nonpositive_density_on_one_face(k):
     g = unit_grid(4)

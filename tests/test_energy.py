@@ -11,6 +11,7 @@ from nematoflow import rheology as rh
 from nematoflow import scenarios as sn
 from nematoflow import tensors
 from nematoflow.errors import ConfigError
+from nematoflow.continuity import ContinuitySolver
 from nematoflow.simulation import CoupledStepper, Physics, State
 
 
@@ -269,3 +270,61 @@ def test_defect_mismatch_raises():
                           np.linspace(0.0, 3.0, 20) ** 2)
     with pytest.raises(ConfigError, match="isentropic"):
         en.defect_diagnostic(rho4, u4, rho8, u8, glaw)
+
+
+# 8^3 channel flows from a noisy start: Newtonian, the power law, and the
+# tabulated pressure law
+ROW_REUSE_CASES = {
+    "newtonian": {},
+    "power_law": {"rheology_kind": "power_law"},
+    "pressure_table": {"pressure_kind": "table"},
+}
+
+
+def _stepped(overrides, n_steps=3):
+    """The setup of an 8^3 channel flow and its first n_steps (state, info)
+    pairs."""
+    setup = sn.build(sn.default_scenario(grid_cells=8, init_v="noise:0.01",
+                                         seed=4, **overrides))
+    state, out = setup.state0, []
+    for _ in range(n_steps):
+        state, info = setup.stepper.step(state)
+        out.append((state, info))
+    return setup, out
+
+
+@pytest.mark.parametrize("case", sorted(ROW_REUSE_CASES))
+def test_row_from_the_steps_fields_is_the_row_it_computes(case):
+    # the step's fields are the derivatives of the state it returned, so
+    # reusing them changes no bit of the row
+    setup, steps = _stepped(ROW_REUSE_CASES[case])
+    mon = en.EnergyMonitor(setup.stepper)
+    for state, info in steps:
+        given = mon.row(state, info["picard_iters"], info["fields"])
+        own = mon.row(state, info["picard_iters"])
+        assert list(given) == list(own)
+        for key in own:
+            assert given[key] == own[key], key
+
+
+def test_row_given_the_steps_fields_differentiates_no_field(monkeypatch):
+    setup, [(state, info)] = _stepped({}, n_steps=1)
+    calls = {}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("pad", "gradient_padded", "laplacian_padded"):
+        monkeypatch.setattr(en, name, counted(name, getattr(en, name)))
+    monkeypatch.setattr(ContinuitySolver, "grad_rho",
+                        counted("grad_rho", ContinuitySolver.grad_rho))
+    mon = en.EnergyMonitor(setup.stepper)
+    mon.row(state, info["picard_iters"], info["fields"])
+    assert calls == {}
+    # the initial row has no step to take them from
+    mon.row(setup.state0)
+    assert sorted(calls) == ["grad_rho", "gradient_padded",
+                             "laplacian_padded", "pad"]

@@ -86,9 +86,9 @@ def test_report_times_the_ledger_rows_of_the_step_loop(tmp_path,
                                                        monkeypatch):
     row = en.EnergyMonitor.row
 
-    def slow_row(self, state, picard_iters=0):
+    def slow_row(self, state, picard_iters=0, fields=None):
         time.sleep(0.02)
-        return row(self, state, picard_iters)
+        return row(self, state, picard_iters, fields)
 
     monkeypatch.setattr(en.EnergyMonitor, "row", slow_row)
     sc = sn.zero_scenario(final_time=0.005, snapshot_every=0)
